@@ -1,9 +1,10 @@
 """Zero-shift CMC Einstein flow in block-reduced form.
 
 The evolved geometry is a product of homogeneous blocks (one hyperbolic
-factor, optionally flat factors); fields may additionally vary along one flat
-circle factor sampled on a uniform periodic grid, which is the smallest
-setting where the lapse equation is a genuine two-point boundary problem.
+factor, optionally flat factors).  Grid mode samples the fields along one flat
+circle factor on a uniform periodic grid; it serves only the lapse solve, the
+smallest setting where the lapse equation is a genuine two-point boundary
+problem.  Evolution and the constraint residuals refuse grid-mode states.
 
 Evolution system (CMC time t = tr K = τ, zero shift):
 
@@ -150,7 +151,7 @@ def state_from_slice(slc: SliceData) -> FlowState:
 
 
 def grid_state_from_slice(slc: SliceData, grid_points: int, circle_length: float) -> FlowState:
-    """Grid-mode flow state: slice fields replicated along the circle factor.
+    """Grid-mode state for the lapse solve: slice fields replicated along the circle factor.
 
     The slice must contain a flat one-dimensional block to carry the grid;
     ``volume_factor`` is reduced by the circle length, which the grid
@@ -280,40 +281,17 @@ def lapse_residual(state: FlowState, lapse) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ricci_blocks(geom: BlockGeometry, scales: np.ndarray) -> np.ndarray:
-    """Mixed Ricci eigenvalue per block (same shape as ``scales``).
+def _grid_mode_error(what: str) -> ValueError:
+    return ValueError(f"{what} is homogeneous-only: grid mode serves the lapse solve alone")
 
-    Homogeneous: -(d-1)/A on hyperbolic blocks, zero on flat ones.  With
-    fields varying along the circle the blocks couple through the standard
-    multiply-warped-product curvature, written below in terms of the proper
-    circle coordinate (d/dr̃ = C^{-1/2} d/dr).
-    """
+
+def ricci_blocks(geom: BlockGeometry, scales: np.ndarray) -> np.ndarray:
+    """Mixed Ricci eigenvalue per block: -(d-1)/A on hyperbolic blocks, zero on flat ones."""
+    if geom.grid_points is not None:
+        raise _grid_mode_error("the Ricci curvature")
     dims = np.asarray(geom.dims, float)
     curv = np.array([1.0 if c == "hyperbolic" else 0.0 for c in geom.curvatures])
-    base = -curv * np.maximum(dims - 1.0, 0.0)
-    if geom.grid_points is None:
-        return base / scales
-    h = geom.spacing
-    gb = geom.grid_block
-    sqrt_c = np.sqrt(scales[gb])
-    out = np.zeros_like(scales)
-    fs, fdot, fddot = {}, {}, {}
-    for i in range(len(geom.dims)):
-        if i == gb:
-            continue
-        f = np.sqrt(scales[i])
-        fd = _ddr(f, h) / sqrt_c
-        fs[i], fdot[i], fddot[i] = f, fd, _ddr(fd, h) / sqrt_c
-    mix_sum = sum(dims[i] * fdot[i] / fs[i] for i in fs) if fs else 0.0
-    for i in fs:
-        ratio = fdot[i] / fs[i]
-        out[i] = (
-            (base[i] - (dims[i] - 1.0) * fdot[i] ** 2) / scales[i]
-            - fddot[i] / fs[i]
-            - ratio * (mix_sum - dims[i] * ratio)
-        )
-    out[gb] = -sum(dims[i] * fddot[i] / fs[i] for i in fs)
-    return out
+    return -curv * np.maximum(dims - 1.0, 0.0) / scales
 
 
 def block_gauss_residuals(state: FlowState) -> np.ndarray:
@@ -325,26 +303,10 @@ def block_gauss_residuals(state: FlowState) -> np.ndarray:
 
 
 def block_codazzi_residuals(state: FlowState) -> np.ndarray:
-    """Per-block Codazzi residual p' + (A'/2A)(p - q) along the circle direction.
-
-    Identically zero in homogeneous mode; q is the mixed eigenvalue on the
-    grid block.
-    """
-    p = state.mixed_k()
-    if state.geometry.grid_points is None:
-        return np.zeros_like(p)
-    geom = state.geometry
-    h = geom.spacing
-    gb = geom.grid_block
-    out = np.zeros_like(p)
-    q = p[gb]
-    for i in range(len(geom.dims)):
-        if i == gb:
-            continue
-        out[i] = _ddr(p[i], h) + _ddr(state.scales[i], h) / (2.0 * state.scales[i]) * (
-            p[i] - q
-        )
-    return out
+    """Per-block Codazzi residual: identically zero on homogeneous data."""
+    if state.geometry.grid_points is not None:
+        raise _grid_mode_error("the Codazzi residual")
+    return np.zeros_like(state.scales)
 
 
 def flat_constraint_residual(state: FlowState):
@@ -358,7 +320,7 @@ def vacuum_constraint_residual(state: FlowState):
     """(scalar, momentum) constraint residuals: the traces of Gauss and Codazzi.
 
     scalar   = R - |K|² + (trK)²   = Σ d_i · gauss_i
-    momentum = Σ d_i · codazzi_i   (circle component; others vanish)
+    momentum = Σ d_i · codazzi_i
     """
     dims = np.asarray(state.geometry.dims, float)
     scalar = np.einsum("b,b...->...", dims, block_gauss_residuals(state))
@@ -399,22 +361,9 @@ def integrate_scalar(geom: BlockGeometry, scales: np.ndarray, values) -> float:
 
 
 def _rhs(geom: BlockGeometry, scales: np.ndarray, kcov: np.ndarray):
+    # the lapse is constant on homogeneous data, so the Hessian term of ∂ₜK vanishes
     lapse = _lapse_from_fields(geom, scales, kcov)
-    d_scales = -2.0 * lapse * kcov
-    d_kcov = -lapse * kcov * kcov / scales
-    if geom.grid_points is not None:
-        h = geom.spacing
-        gb = geom.grid_block
-        dn = _ddr(lapse, h)
-        c = scales[gb]
-        hess = np.zeros_like(scales)
-        for i in range(len(geom.dims)):
-            if i == gb:
-                continue
-            hess[i] = _ddr(scales[i], h) / (2.0 * c) * dn
-        hess[gb] = _d2dr(lapse, h) - _ddr(c, h) / (2.0 * c) * dn
-        d_kcov = d_kcov - hess
-    return d_scales, d_kcov
+    return -2.0 * lapse * kcov, -lapse * kcov * kcov / scales
 
 
 def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _depth: int = 8) -> FlowState:
@@ -425,6 +374,8 @@ def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _dept
     ``drift_tol`` of drift it is retried as two half steps (up to 8 nested
     halvings).  No projection is applied — drift stays an honest error meter.
     """
+    if state.geometry.grid_points is not None:
+        raise _grid_mode_error("flow evolution")
     if dtau == 0.0:
         return state
     geom = state.geometry

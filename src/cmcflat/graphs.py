@@ -200,16 +200,6 @@ class GraphGeometry:
         return g
 
     @property
-    def inverse_metric(self) -> np.ndarray:
-        n = self.ndim
-        w2 = self.volume_density**2
-        gi = np.empty(self.field.shape + (n, n))
-        for i in range(n):
-            for j in range(n):
-                gi[..., i, j] = (1.0 if i == j else 0.0) + self.grads[i] * self.grads[j] / w2
-        return gi
-
-    @property
     def second_form(self) -> np.ndarray:
         n = self.ndim
         _, hess = _derivatives(np.asarray(self.field.values, float), self.field.spacing)
@@ -231,18 +221,6 @@ class GraphGeometry:
 
 def graph_geometry(field: HeightField, check: bool = True) -> GraphGeometry:
     return GraphGeometry(field, check=check)
-
-
-def gauss_map(field: HeightField) -> np.ndarray:
-    """Hyperboloid-valued normal field of the graph, shape (..., n+1)."""
-    return graph_geometry(field).normal
-
-
-def mean_curvature_spread(field: HeightField):
-    """(min H, max H) over interior nodes."""
-    geom = graph_geometry(field)
-    vals = geom.mean_curvature[geom.interior]
-    return float(np.min(vals)), float(np.max(vals))
 
 
 @dataclass(frozen=True)
@@ -545,6 +523,20 @@ def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3,
     return HeightField(envelope, spacing, (-extent, -extent))
 
 
+def limit_pipeline(rep, extent: float, nodes: int, word_length: int, relax_tol: float,
+                   max_iters: int = 25):
+    """(EnergyReport, relaxation residual) of one representation.
+
+    The orbit envelope is relaxed to a CMC graph at tau = -2 and the quotient
+    energy is integrated over the Gauss-map preimage of the Bolza octagon.
+    """
+    start = orbit_envelope_field(rep, extent, nodes, word_length)
+    relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=max_iters)
+    geom = graph_geometry(relaxed.field)
+    report = quotient_energy(relaxed.field, bolza_domain_level, geom=geom)
+    return report, relaxed.residual
+
+
 def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
                      word_length: int = 3, relax_tol: float = 1e-8, max_iters: int = 25):
     """Rescaled-volume convergence experiment over a cocycle-scaling family.
@@ -561,21 +553,14 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     zero = holonomy.HolonomyRep(
         rep.presentation, holonomy.Cocycle.zero(2, rep.presentation.n_generators)
     )
-
-    def pipeline(the_rep):
-        start = orbit_envelope_field(the_rep, extent, nodes, word_length)
-        relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=max_iters)
-        geom = graph_geometry(relaxed.field)
-        report = quotient_energy(relaxed.field, bolza_domain_level, geom=geom)
-        return report, relaxed.residual
-
-    base_report, _ = pipeline(zero)
+    base_report, _ = limit_pipeline(zero, extent, nodes, word_length, relax_tol, max_iters)
     rows = []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("lambda values must be positive")
         scaled = holonomy.scale_structure(rep, float(lam) ** -2)
-        report, residual = pipeline(scaled)
+        report, residual = limit_pipeline(scaled, extent, nodes, word_length, relax_tol,
+                                          max_iters)
         ratio = report.volume / base_report.volume
         rows.append((float(lam), report.tau_mean, report.volume, ratio, residual))
     return rows, base_report.volume

@@ -329,19 +329,26 @@ def orbit_isometries(rep: HolonomyRep, max_word_length: int = 3):
     """Deduplicated affine holonomies of all words up to a given length.
 
     Breadth-first over reduced words (no immediate backtracking), keeping the
-    first representative of each group element; deterministic ordering.
+    first representative of each group element; deterministic ordering.  A
+    generator's inverse is the generator whose matrix matches its inverse
+    within RELATOR_TOL; a generator with none never backtracks.
     """
     pres = rep.presentation
-    d = pres.ndim + 1
     seen = {}
     frontier = [((), MinkIsometry.identity(pres.ndim))]
     seen[_element_key(frontier[0][1])] = frontier[0][1]
-    inverse_of = lambda i: i + 4 if i <= 4 else i - 4  # opposite generator
+    inverse_of = {}
+    for i in range(1, pres.n_generators + 1):
+        inverse = pres.generator(-i)
+        for j, g in enumerate(pres.generators, start=1):
+            if np.max(np.abs(g - inverse)) <= RELATOR_TOL:
+                inverse_of[i] = j
+                break
     for _ in range(max_word_length):
         nxt = []
         for word, iso in frontier:
             for index in range(1, pres.n_generators + 1):
-                if word and index == inverse_of(word[-1]):
+                if word and index == inverse_of.get(word[-1]):
                     continue
                 gen_iso = MinkIsometry(
                     pres.generator(index), rep.cocycle.translations[index - 1]

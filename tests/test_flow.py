@@ -40,6 +40,20 @@ def test_grid_lapse_residual_and_constancy():
     assert np.max(np.abs(lapse - 0.5)) < 1e-12
 
 
+def test_grid_state_serves_the_lapse_solve_only():
+    slc = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
+    st = flow.grid_state_from_slice(slc, 128, 1.0)
+    for dtau in (0.01, 0.0):
+        with pytest.raises(ValueError, match="grid mode"):
+            flow.flow_step(st, dtau)
+    with pytest.raises(ValueError, match="grid mode"):
+        flow.run_flow(st, -1.0, 4)
+    with pytest.raises(ValueError, match="grid mode"):
+        flow.flat_constraint_residual(st)
+    lapse = flow.solve_lapse(st)
+    assert flow.lapse_residual(st, lapse) < 1e-10
+
+
 def test_lapse_identity_on_model_slices():
     lhs, rhs = flow.lapse_identity_check(kasner_state())
     assert abs(lhs - rhs) < 1e-12

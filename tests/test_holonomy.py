@@ -134,6 +134,24 @@ def test_orbit_counts_by_word_length():
     assert best == 0.0
 
 
+def test_orbit_inverse_pairs_follow_the_generators():
+    # three boosts with their inverses as generators 4-6: the inverse pairs are
+    # i <-> i+3, not the octagon's i <-> i+4
+    angles = 2.0 * np.pi / 3.0 * np.arange(3)
+    gens = tuple(mk.make_boost([np.cos(a), np.sin(a)], sign * 1.0)
+                 for sign in (1.0, -1.0) for a in angles)
+    pres = h.GroupPresentation(2, gens, ((1, 4), (2, 5), (3, 6)))
+    rep = h.HolonomyRep(pres, h.Cocycle.zero(2, 6))
+    # brute force over all 43 words of length <= 2, without pruning
+    products = [np.eye(3)] + list(gens) + [a @ b for a in gens for b in gens]
+    distinct = []
+    for m in products:
+        if all(np.max(np.abs(m - d)) > 1e-9 for d in distinct):
+            distinct.append(m)
+    assert len(distinct) == 37
+    assert len(h.orbit_isometries(rep, 2)) == 37
+
+
 def test_deformed_holonomy_moves_points():
     rep = h.bolza_rep(h.bolza_nontrivial_cocycle(0.3))
     x = np.array([1.0, 0.0, 0.0])
