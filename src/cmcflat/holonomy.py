@@ -38,6 +38,9 @@ from .minkowski import (
 BOLZA_RELATOR = (1, -2, 3, -4, -1, 2, -3, 4)
 #: residual allowed when a relator word is evaluated numerically
 RELATOR_TOL = 1e-9
+#: decimals kept when orbit elements are deduplicated: entries that agree to
+#: this many decimals (up to a rounding boundary) are one group element
+ELEMENT_KEY_DECIMALS = 9
 #: membership tie tolerance: boundary points count as inside
 MEMBERSHIP_TIE_TOL = 1e-12
 
@@ -363,7 +366,8 @@ def orbit_isometries(rep: HolonomyRep, max_word_length: int = 3):
 
 
 def _element_key(iso: MinkIsometry):
-    return tuple(np.round(np.concatenate([iso.linear.ravel(), iso.translation]), 9))
+    entries = np.concatenate([iso.linear.ravel(), iso.translation])
+    return tuple(np.round(entries, ELEMENT_KEY_DECIMALS))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from cmcflat import graphs, holonomy
 from cmcflat.graphs import HeightField
@@ -143,6 +145,41 @@ def test_cmc_relax_validation():
         graphs.cmc_relax(f, 2.0)
     with pytest.raises(ValueError):
         graphs.cmc_relax(graphs.hyperboloid_field(1.0, 1.0, 9, ndim=1), -2.0)
+
+
+def test_newton_step_matches_spsolve():
+    # the no-pivot symmetric-mode LU against the partial-pivoting oracle on the
+    # first Newton system of the lambda = 1 limit-experiment relaxation
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    start = graphs.orbit_envelope_field(rep, 6.4, 81)
+    jac, rhs, _ = graphs._newton_system(start, -2.0)
+    expected = scipy.sparse.linalg.spsolve(jac, rhs)
+    step = graphs._newton_step(jac, rhs)
+    assert np.max(np.abs(step - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def test_newton_step_refuses_an_unstable_factorization():
+    # diagonal pivots of 1e-20 grow the no-pivot factors by 1e20; the residual
+    # check must raise rather than hand back a wrong step
+    jac = scipy.sparse.csc_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]]))
+    with pytest.raises(graphs.NewtonStepError, match="relative linear residual"):
+        graphs._newton_step(jac, np.array([1.0, 1.0]))
+
+
+def test_envelope_matches_stacked_reference():
+    # the envelope builds each sheet twice instead of keeping them all; it must
+    # equal, bit for bit, the soft minimum over the stacked sheets
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.05))
+    env = graphs.orbit_envelope_field(rep, 3.0, 81)
+    xs = -3.0 + env.spacing * np.arange(81)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    translations = [iso.translation for iso in holonomy.orbit_isometries(rep, 3)]
+    sheets = np.stack([t[0] + np.sqrt(1.0 + (gx - t[1]) ** 2 + (gy - t[2]) ** 2)
+                       for t in translations])
+    assert np.unique(np.argmin(sheets, axis=0)).size > 1  # the cocycle separates the sheets
+    hard_min = np.min(sheets, axis=0)
+    expected = hard_min - 0.08 * np.log(np.sum(np.exp(-(sheets - hard_min) / 0.08), axis=0))
+    assert np.array_equal(env.values, expected)
 
 
 def test_envelope_zero_cocycle_is_shifted_hyperboloid():

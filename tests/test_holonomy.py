@@ -134,6 +134,17 @@ def test_orbit_counts_by_word_length():
     assert best == 0.0
 
 
+def test_element_key_tolerance():
+    # the nudged entry 0.2 sits far from every rounding boundary it could cross
+    iso = mk.MinkIsometry(h.bolza_presentation().generator(1), np.array([0.1, 0.2, 0.3]))
+
+    def nudged(delta):
+        return mk.MinkIsometry(iso.linear, iso.translation + np.array([0.0, delta, 0.0]))
+
+    assert h._element_key(nudged(1e-12)) == h._element_key(iso)
+    assert h._element_key(nudged(1e-6)) != h._element_key(iso)
+
+
 def test_orbit_inverse_pairs_follow_the_generators():
     # three boosts with their inverses as generators 4-6: the inverse pairs are
     # i <-> i+3, not the octagon's i <-> i+4
