@@ -112,7 +112,8 @@ def scenario_kasner_flow(opts, out_dir, artifacts):
     checks = [
         _check("kasner_closed_form_rel_err", match, 0.0, 1e-6),
         _check("kasner_ham_increases", float(report.n_increases), 0.0, 0.0),
-        _check("kasner_monotonicity_identity", report.max_identity_mismatch, 0.0, 1e-4),
+        _check("kasner_monotonicity_identity", report.max_identity_mismatch, 0.0,
+               flow.HAM_IDENTITY_TOL),
     ]
     checks += _flow_trace_checks("kasner", trace, ndim)
     return checks
@@ -285,6 +286,8 @@ def scenario_limit_experiment(opts, out_dir, artifacts):
     coboundary_size = get_float(opts, "coboundary_size", 0.15)
     if scale <= 0 or coboundary_size <= 0:
         raise ConfigError("cocycle_scale and coboundary_size must be positive")
+    if word_length < 1:
+        raise ConfigError("word_length must be at least 1")
     if any(lam <= 0 for lam in lambdas) or len(lambdas) < 2:
         raise ConfigError("lambdas must be positive and at least two values")
     if relax_tol <= 0:
@@ -323,6 +326,13 @@ def scenario_limit_experiment(opts, out_dir, artifacts):
     ]
 
 
+#: default refinement sizes by dimension: three grids with the finest at most
+#: 321^2, 81^3 or 41^4 nodes
+GRAPH_REFINEMENT_NODES = {2: (81, 161, 321), 3: (21, 41, 81), 4: (11, 21, 41)}
+#: largest grid graph-check builds, the default energy grid
+GRAPH_MAX_GRID_NODES = 2401**2
+
+
 def scenario_graph_check(opts, out_dir, artifacts):
     ndim = get_int(opts, "dim", 2)
     if not 2 <= ndim <= 4:
@@ -331,11 +341,17 @@ def scenario_graph_check(opts, out_dir, artifacts):
     if s <= 0:
         raise ConfigError("hyperboloid_s must be positive")
     extent = get_float(opts, "extent", 2.0)
-    nodes_list = [int(v) for v in get_floats(opts, "refinement_nodes", (81, 161, 321))]
+    sizes = get_floats(opts, "refinement_nodes", GRAPH_REFINEMENT_NODES[ndim])
+    if not all(float(v).is_integer() for v in sizes):
+        raise ConfigError("refinement_nodes must be integers")
+    nodes_list = [int(v) for v in sizes]
     if len(nodes_list) < 3 or any(n < 9 for n in nodes_list):
         raise ConfigError("refinement_nodes needs at least three sizes of 9+ nodes")
-    if ndim >= 3:
-        nodes_list = [min(n, 81) for n in nodes_list]
+    if any(a >= b for a, b in zip(nodes_list, nodes_list[1:])):
+        raise ConfigError("refinement_nodes must be strictly increasing")
+    if nodes_list[-1] ** ndim > GRAPH_MAX_GRID_NODES:
+        raise ConfigError(f"refinement_nodes: {nodes_list[-1]}^{ndim} grid nodes exceed "
+                          f"the limit of {GRAPH_MAX_GRID_NODES} (2401^2)")
 
     target = -ndim / s
     conv_rows = []
@@ -346,10 +362,7 @@ def scenario_graph_check(opts, out_dir, artifacts):
         geom = graphs.graph_geometry(field)
         err = float(np.max(np.abs(geom.mean_curvature[geom.interior] - target)))
         errs.append(err)
-        metric = geom.induced_metric
-        det = np.linalg.det(metric)
-        w2 = geom.volume_density**2
-        det_err = max(det_err, float(np.max(np.abs(det - w2)[geom.interior])))
+        det_err = max(det_err, geom.det_identity_error())
         conv_rows.append((nodes, field.spacing, err))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     _write_artifact(out_dir, artifacts, "graph_convergence.csv",
@@ -413,17 +426,6 @@ def compare_golden(artifact_path: str, golden_path: str, rel_tol: float) -> bool
     return True
 
 
-def _run(scenario: str, opts: dict, out_dir: str):
-    """Returns (summary_rows, artifact_names); raises ConfigError before any write."""
-    runner = SCENARIOS.get(scenario)
-    if runner is None:
-        raise ConfigError(f"unknown scenario {scenario!r}; see --list-scenarios")
-    artifacts: list = []
-    os.makedirs(out_dir, exist_ok=True)
-    summary = runner(opts, out_dir, artifacts)
-    return summary, artifacts
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cmcflat",
@@ -454,9 +456,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # each scenario raises ConfigError before it writes anything
     artifacts: list = []
     try:
-        summary, artifacts = _run(scenario, opts, args.out)
+        os.makedirs(args.out, exist_ok=True)
+        summary = SCENARIOS[scenario](opts, args.out, artifacts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,14 +35,13 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_csv(path):
-    """Read back a CSV written by write_csv: (header, list of string rows)."""
+    """Read back a CSV written by write_csv: (header, list of string rows).
+
+    A file without a header row raises ValueError naming the file.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV file, no header row")
         return header, [row for row in reader]
-
-
-def read_numeric_csv(path):
-    """Read a CSV of floats: (header, 2-D float array as list of lists)."""
-    header, rows = read_csv(path)
-    return header, [[float(x) for x in row] for row in rows]

@@ -38,6 +38,8 @@ DRIFT_TOL = 1e-9
 DEGENERATE_K2 = 1e-12
 #: relative Ham increase above this is flagged by the monotonicity check
 HAM_INCREASE_REL_TOL = 1e-10
+#: mismatch allowed between dHam/dτ and -n|τ|^{n-1} ∫ N|K̂|² dμ
+HAM_IDENTITY_TOL = 1e-4
 
 TRACE_COLUMNS = (
     "tau",
@@ -316,18 +318,6 @@ def flat_constraint_residual(state: FlowState):
     return gauss, codazzi
 
 
-def vacuum_constraint_residual(state: FlowState):
-    """(scalar, momentum) constraint residuals: the traces of Gauss and Codazzi.
-
-    scalar   = R - |K|² + (trK)²   = Σ d_i · gauss_i
-    momentum = Σ d_i · codazzi_i
-    """
-    dims = np.asarray(state.geometry.dims, float)
-    scalar = np.einsum("b,b...->...", dims, block_gauss_residuals(state))
-    momentum = np.einsum("b,b...->...", dims, block_codazzi_residuals(state))
-    return float(np.max(np.abs(scalar))), float(np.max(np.abs(momentum)))
-
-
 # ---------------------------------------------------------------------------
 # volume and integrals
 # ---------------------------------------------------------------------------
@@ -408,8 +398,6 @@ class HamTrace:
 
     ndim: int
     data: np.ndarray
-    max_k2_over_tau2: float = 0.0
-    max_ricci_over_tau4: float = 0.0
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, TRACE_COLUMNS.index(name)]
@@ -429,11 +417,10 @@ def _record(state: FlowState) -> tuple:
     return (state.tau, vol, ham, nk2, gauss, codazzi, n_min, n_max), lapse
 
 
-def tau_grid(tau_start: float, tau_end: float, steps: int, spacing: str = "log") -> np.ndarray:
-    """CMC time grid between two negative times.
+def tau_grid(tau_start: float, tau_end: float, steps: int) -> np.ndarray:
+    """CMC time grid between two negative times, uniform in log|τ|.
 
-    ``log`` spacing is uniform in log|τ| (steps shrink toward τ → 0⁻, where
-    the solution varies fastest); ``uniform`` is equally spaced.
+    Steps shrink toward τ → 0⁻, where the solution varies fastest.
     """
     if tau_start >= 0 or tau_end >= 0:
         raise ValueError("CMC times must be negative")
@@ -441,35 +428,25 @@ def tau_grid(tau_start: float, tau_end: float, steps: int, spacing: str = "log")
         raise ValueError("steps must be nonnegative")
     if steps == 0 or tau_start == tau_end:
         return np.array([tau_start])
-    if spacing == "log":
-        return -np.geomspace(-tau_start, -tau_end, steps + 1)
-    if spacing == "uniform":
-        return np.linspace(tau_start, tau_end, steps + 1)
-    raise ValueError(f"unknown spacing {spacing!r}")
+    return -np.geomspace(-tau_start, -tau_end, steps + 1)
 
 
-def run_flow(initial: FlowState, tau_end: float, steps: int, spacing: str = "log",
+def run_flow(initial: FlowState, tau_end: float, steps: int,
              drift_tol: float = DRIFT_TOL) -> HamTrace:
     """Integrate the CMC flow and record the Ham diagnostics at every grid time.
 
     drift_tol is forwarded to flow_step; pass numpy.inf to disable the
     per-step re-stepping (useful when measuring the raw integrator order).
     """
-    grid = tau_grid(initial.tau, tau_end, steps, spacing)
+    grid = tau_grid(initial.tau, tau_end, steps)
     state = initial
     rows = []
-    max_k2 = 0.0
-    max_ric = 0.0
     for i, tau in enumerate(grid):
         row, _ = _record(state)
         rows.append(row)
-        k2 = float(np.max(state.k_norm2()))
-        max_k2 = max(max_k2, k2 / state.tau**2)
-        ric = float(np.max(np.abs(ricci_blocks(state.geometry, state.scales))))
-        max_ric = max(max_ric, ric / state.tau**4)
         if i + 1 < len(grid):
             state = flow_step(state, float(grid[i + 1] - grid[i]), drift_tol=drift_tol)
-    return HamTrace(initial.geometry.dim, np.array(rows), max_k2, max_ric)
+    return HamTrace(initial.geometry.dim, np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +459,15 @@ class MonotonicityReport:
     ok: bool
     n_increases: int
     max_identity_mismatch: float
-    first_increase_index: int = -1
 
 
-def ham_monotonicity_check(trace: HamTrace, identity_tol: float = 1e-4) -> MonotonicityReport:
+def ham_monotonicity_check(trace: HamTrace) -> MonotonicityReport:
     """Check Ham is non-increasing and satisfies its derivative identity.
 
     Any relative increase beyond HAM_INCREASE_REL_TOL between consecutive
     records is flagged.  At interior records the three-point (nonuniform)
     central difference of Ham is compared with -n |τ|^{n-1} ∫ N|K̂|² dμ using
-    a mixed absolute/relative tolerance.
+    a mixed absolute/relative tolerance, HAM_IDENTITY_TOL.
     """
     tau = trace.column("tau")
     ham = trace.column("ham")
@@ -510,9 +486,8 @@ def ham_monotonicity_check(trace: HamTrace, identity_tol: float = 1e-4) -> Monot
         rhs = -n * abs(tau[i]) ** (n - 1) * nk2[i]
         mismatch = abs(deriv - rhs) / max(1.0, abs(deriv), abs(rhs))
         max_mismatch = max(max_mismatch, mismatch)
-    ok = bool(increases.size == 0 and max_mismatch <= identity_tol)
-    first = int(increases[0]) if increases.size else -1
-    return MonotonicityReport(ok, int(increases.size), float(max_mismatch), first)
+    ok = bool(increases.size == 0 and max_mismatch <= HAM_IDENTITY_TOL)
+    return MonotonicityReport(ok, int(increases.size), float(max_mismatch))
 
 
 def lapse_identity_check(state: FlowState, lapse=None):

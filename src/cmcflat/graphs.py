@@ -27,7 +27,6 @@ residual and raises NewtonStepError when that check fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +34,17 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import holonomy
-from .minkowski import disk_projection
 
 #: required distance of the discrete gradient from the light cone
 SPACELIKE_MARGIN = 1e-6
-#: eigenvalue tolerance for classifying the second fundamental form
-CONVEXITY_TOL = 1e-10
 #: consecutive rejected relaxation steps before giving up
 MAX_STEP_REJECTIONS = 40
 #: relative linear residual allowed for one Newton step of the relaxation
 NEWTON_STEP_RTOL = 1e-10
+#: soft-minimum width of the orbit envelope
+ENVELOPE_SMOOTHING = 0.08
+#: Newton iterations allowed to each relaxation of the limit experiment
+LIMIT_MAX_ITERS = 25
 
 LIMIT_COLUMNS = ("lambda", "tau_mean", "volume", "ham_ratio", "residual")
 
@@ -95,12 +95,10 @@ class HeightField:
         return mask
 
 
-def sample_height_field(fn, extent: float, nodes: int, ndim: int = 2, center=None) -> HeightField:
+def sample_height_field(fn, extent: float, nodes: int, ndim: int = 2) -> HeightField:
     """Sample fn(x1, ..., xn) on a centered square patch [-extent, extent]^n."""
-    if center is None:
-        center = (0.0,) * ndim
     spacing = 2.0 * extent / (nodes - 1)
-    origin = tuple(c - extent for c in center)
+    origin = (-extent,) * ndim
     axes = [origin[i] + spacing * np.arange(nodes) for i in range(ndim)]
     grids = np.meshgrid(*axes, indexing="ij")
     return HeightField(fn(*grids), spacing, origin)
@@ -158,18 +156,18 @@ class GraphGeometry:
     """Pointwise geometry of a spacelike graph (lean scalar fields).
 
     Stores the gradient, W, mean curvature H, and |K|^2 (squared norm in the
-    induced metric); the metric and second-form tensors are materialized on
-    demand.  Only interior nodes (two-node margin) are contractual.
+    induced metric); the induced metric tensor is materialized on demand.
+    Only interior nodes (two-node margin) are contractual.
     """
 
-    def __init__(self, field: HeightField, check: bool = True):
+    def __init__(self, field: HeightField):
         self.field = field
         h = field.spacing
         n = field.ndim
         grads, hess = _derivatives(np.asarray(field.values, float), h)
         grad2 = sum(g * g for g in grads)
         interior = field.interior_mask()
-        if check and float(np.max(grad2[interior])) > (1.0 - SPACELIKE_MARGIN) ** 2:
+        if float(np.max(grad2[interior])) > (1.0 - SPACELIKE_MARGIN) ** 2:
             raise SpacelikeError(
                 "graph is not uniformly spacelike on the interior "
                 f"(max |grad phi| = {float(np.sqrt(np.max(grad2[interior]))):.8f})"
@@ -192,13 +190,6 @@ class GraphGeometry:
         return self.field.ndim
 
     @property
-    def normal(self) -> np.ndarray:
-        """Future unit normal nu = (1, grad phi)/W, shape (..., n+1)."""
-        w = self.volume_density
-        comps = [np.ones_like(w) / w] + [g / w for g in self.grads]
-        return np.stack(comps, axis=-1)
-
-    @property
     def induced_metric(self) -> np.ndarray:
         n = self.ndim
         g = np.empty(self.field.shape + (n, n))
@@ -206,16 +197,6 @@ class GraphGeometry:
             for j in range(n):
                 g[..., i, j] = (1.0 if i == j else 0.0) - self.grads[i] * self.grads[j]
         return g
-
-    @property
-    def second_form(self) -> np.ndarray:
-        n = self.ndim
-        _, hess = _derivatives(np.asarray(self.field.values, float), self.field.spacing)
-        k = np.empty(self.field.shape + (n, n))
-        for i in range(n):
-            for j in range(n):
-                k[..., i, j] = -hess[tuple(sorted((i, j)))] / self.volume_density
-        return k
 
     def det_identity_error(self) -> float:
         """max interior |det(g) - W^2| — an exact identity up to rounding."""
@@ -227,32 +208,8 @@ class GraphGeometry:
         return np.stack([g / (1.0 + self.volume_density) for g in self.grads], axis=-1)
 
 
-def graph_geometry(field: HeightField, check: bool = True) -> GraphGeometry:
-    return GraphGeometry(field, check=check)
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    classification: str
-    min_eigenvalue: float
-    max_eigenvalue: float
-
-
-def convexity_check(field: HeightField, tol: float = CONVEXITY_TOL) -> ConvexityReport:
-    """Classify the second fundamental form by its interior eigenvalue range."""
-    geom = graph_geometry(field)
-    eigs = np.linalg.eigvalsh(geom.second_form[geom.interior])
-    lo = float(np.min(eigs))
-    hi = float(np.max(eigs))
-    if hi < -tol:
-        kind = "negative definite"
-    elif lo > tol:
-        kind = "positive definite"
-    elif lo < -tol < tol < hi:
-        kind = "indefinite"
-    else:
-        kind = "semidefinite"
-    return ConvexityReport(kind, lo, hi)
+def graph_geometry(field: HeightField) -> GraphGeometry:
+    return GraphGeometry(field)
 
 
 def bolza_domain_level(geom: GraphGeometry) -> np.ndarray:
@@ -318,17 +275,16 @@ class EnergyReport:
     region_area: float
 
 
-def quotient_energy(field: HeightField, level_fn=None, geom: GraphGeometry | None = None) -> EnergyReport:
+def quotient_energy(field: HeightField, level_fn, geom: GraphGeometry | None = None) -> EnergyReport:
     """Integrate |K|^2 and the volume element over a filtered region.
 
     ``level_fn`` maps the geometry to a signed node field whose >= 0 region
     selects the domain (``bolza_domain_level`` picks one Bolza fundamental
-    domain through the Gauss map); None selects every interior cell.  Returns
-    E = int |K|^2 dmu, Vol = int dmu, the mu-weighted mean of H, and the
-    coordinate area of the region.  Boundary cells get a linear cut; the
+    domain through the Gauss map).  Returns E = int |K|^2 dmu, Vol = int dmu,
+    the mu-weighted mean of H, and the coordinate area of the region.  Boundary cells get a linear cut; the
     integrand uses the cell-corner average.
     """
-    if field.ndim != 2 and level_fn is not None:
+    if field.ndim != 2:
         raise ValueError("filtered quadrature is implemented for n = 2 patches")
     if geom is None:
         geom = graph_geometry(field)
@@ -339,15 +295,12 @@ def quotient_energy(field: HeightField, level_fn=None, geom: GraphGeometry | Non
 
     inner = np.zeros(tuple(s - 1 for s in field.shape), dtype=bool)
     inner[2:-2, 2:-2] = True  # cells whose corners are all interior nodes
-    if level_fn is None:
-        frac = inner.astype(float)
-    else:
-        s0, s1, s2, s3 = corners(np.asarray(level_fn(geom), float))
-        frac = _cut_fraction(s0, s1, s2, s3)
-        touched = (frac > 0) & ~inner
-        if np.any(touched):
-            raise ValueError("filtered region touches the patch frame; enlarge the patch")
-        frac = frac * inner
+    s0, s1, s2, s3 = corners(np.asarray(level_fn(geom), float))
+    frac = _cut_fraction(s0, s1, s2, s3)
+    touched = (frac > 0) & ~inner
+    if np.any(touched):
+        raise ValueError("filtered region touches the patch frame; enlarge the patch")
+    frac = frac * inner
     area = h * h * float(np.sum(frac))
     if area == 0.0:
         raise ValueError("filtered region is empty")
@@ -444,7 +397,7 @@ def _newton_system(field: HeightField, tau: float):
     )
     rhs = np.zeros(m1 * m2)
     rhs[ii] = -resid[2:-2, 2:-2].ravel()
-    return jac, rhs, resid
+    return jac, rhs
 
 
 def _newton_step(jac, rhs: np.ndarray) -> np.ndarray:
@@ -491,7 +444,7 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iter
     for iteration in range(max_iters):
         if best_res <= tol:
             return RelaxResult(best, best_res, iteration, True)
-        jac, rhs, _ = _newton_system(current, tau_target)
+        jac, rhs = _newton_system(current, tau_target)
         step = _newton_step(jac, rhs).reshape(current.shape)
         alpha = 1.0
         accepted = False
@@ -520,23 +473,20 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iter
 # ---------------------------------------------------------------------------
 
 
-def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3,
-                         smoothing: float = 0.08) -> HeightField:
+def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -> HeightField:
     """Smoothed lower envelope of the orbit of the unit hyperboloid.
 
     Each group element (A, t) maps the hyperboloid to its translate by t, the
-    graph of t0 + sqrt(1 + |x - ts|^2).  The sheets are combined with a
-    soft minimum (-smoothing * log sum exp(-sheet/smoothing)): its gradient is
+    graph of t0 + sqrt(1 + |x - ts|^2).  The sheets are combined with a soft
+    minimum -s log sum exp(-sheet/s), s = ENVELOPE_SMOOTHING: its gradient is
     a convex combination of sheet gradients, so the result is smooth and
     uniformly spacelike whenever every sheet is (a hard minimum has creases
     whose discrete gradients can cross the light cone).  At zero cocycle all
     sheets coincide and the envelope is the exact hyperboloid shifted down by
-    smoothing*log(#sheets) — a vertical translation, which is an isometry.
+    s*log(#sheets) — a vertical translation, which is an isometry.
     """
     if rep.presentation.ndim != 2:
         raise ValueError("orbit envelopes are implemented for n = 2")
-    if smoothing <= 0:
-        raise ValueError("smoothing must be positive")
     spacing = 2.0 * extent / (nodes - 1)
     xs = -extent + spacing * np.arange(nodes)
     translations = [iso.translation for iso in holonomy.orbit_isometries(rep, word_length)]
@@ -551,27 +501,26 @@ def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3,
         np.minimum(hard_min, sheet(t), out=hard_min)
     acc = np.zeros_like(hard_min)
     for t in translations:
-        acc += np.exp(-(sheet(t) - hard_min) / smoothing)
-    envelope = hard_min - smoothing * np.log(acc)
+        acc += np.exp(-(sheet(t) - hard_min) / ENVELOPE_SMOOTHING)
+    envelope = hard_min - ENVELOPE_SMOOTHING * np.log(acc)
     return HeightField(envelope, spacing, (-extent, -extent))
 
 
-def limit_pipeline(rep, extent: float, nodes: int, word_length: int, relax_tol: float,
-                   max_iters: int = 25):
+def limit_pipeline(rep, extent: float, nodes: int, word_length: int, relax_tol: float):
     """(EnergyReport, relaxation residual) of one representation.
 
     The orbit envelope is relaxed to a CMC graph at tau = -2 and the quotient
     energy is integrated over the Gauss-map preimage of the Bolza octagon.
     """
     start = orbit_envelope_field(rep, extent, nodes, word_length)
-    relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=max_iters)
+    relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=LIMIT_MAX_ITERS)
     geom = graph_geometry(relaxed.field)
     report = quotient_energy(relaxed.field, bolza_domain_level, geom=geom)
     return report, relaxed.residual
 
 
 def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
-                     word_length: int = 3, relax_tol: float = 1e-8, max_iters: int = 25):
+                     word_length: int = 3, relax_tol: float = 1e-8):
     """Rescaled-volume convergence experiment over a cocycle-scaling family.
 
     For each lambda the cocycle is scaled by lambda**-2, a CMC graph at
@@ -586,14 +535,13 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     zero = holonomy.HolonomyRep(
         rep.presentation, holonomy.Cocycle.zero(2, rep.presentation.n_generators)
     )
-    base_report, _ = limit_pipeline(zero, extent, nodes, word_length, relax_tol, max_iters)
+    base_report, _ = limit_pipeline(zero, extent, nodes, word_length, relax_tol)
     rows = []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("lambda values must be positive")
         scaled = holonomy.scale_structure(rep, float(lam) ** -2)
-        report, residual = limit_pipeline(scaled, extent, nodes, word_length, relax_tol,
-                                          max_iters)
+        report, residual = limit_pipeline(scaled, extent, nodes, word_length, relax_tol)
         ratio = report.volume / base_report.volume
         rows.append((float(lam), report.tau_mean, report.volume, ratio, residual))
     return rows, base_report.volume

@@ -41,8 +41,6 @@ RELATOR_TOL = 1e-9
 #: decimals kept when orbit elements are deduplicated: entries that agree to
 #: this many decimals (up to a rounding boundary) are one group element
 ELEMENT_KEY_DECIMALS = 9
-#: membership tie tolerance: boundary points count as inside
-MEMBERSHIP_TIE_TOL = 1e-12
 
 Word = tuple  # signed 1-based generator indices, negative = inverse
 
@@ -86,10 +84,6 @@ class HolonomyRep:
     presentation: GroupPresentation
     cocycle: Cocycle
 
-    def isometry(self, word) -> MinkIsometry:
-        linear = evaluate_word(self.presentation, word)
-        return MinkIsometry(linear, extend_cocycle(self, word))
-
 
 def evaluate_word(presentation: GroupPresentation, word) -> np.ndarray:
     """Multiply out a word of signed generator indices.
@@ -124,11 +118,6 @@ def extend_cocycle(rep: HolonomyRep, word) -> np.ndarray:
         t = t + prefix @ tg
         prefix = prefix @ g
     return t
-
-
-def apply_deformed_holonomy(rep: HolonomyRep, word, x) -> np.ndarray:
-    """Image of a Minkowski point under the affine action of a word."""
-    return rep.isometry(word).apply(x)
 
 
 def coboundary_cocycle(presentation: GroupPresentation, base_point) -> Cocycle:
@@ -221,17 +210,6 @@ def octagon_level(points) -> np.ndarray:
         d = np.sqrt(np.sum((pts - c) ** 2, axis=-1)) - radius
         level = d if level is None else np.minimum(level, d)
     return level
-
-
-def octagon_contains(points) -> np.ndarray:
-    """Membership of Poincare-disk points in the centered fundamental octagon.
-
-    ``points`` has shape (..., 2).  A point is inside when it lies on the
-    center side of all eight side geodesics; boundary points (within
-    MEMBERSHIP_TIE_TOL of a side circle) count as inside, so a point shared
-    by two tiles is attributed to the smaller-index side's tile.
-    """
-    return octagon_level(points) >= -MEMBERSHIP_TIE_TOL
 
 
 def octagon_boundary_radius(angle) -> np.ndarray:
@@ -368,52 +346,3 @@ def orbit_isometries(rep: HolonomyRep, max_word_length: int = 3):
 def _element_key(iso: MinkIsometry):
     entries = np.concatenate([iso.linear.ravel(), iso.translation])
     return tuple(np.round(entries, ELEMENT_KEY_DECIMALS))
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization
-# ---------------------------------------------------------------------------
-
-
-def rep_to_text(rep: HolonomyRep) -> str:
-    """Serialize a holonomy representation to a key=value block.
-
-    Schema: ``format``, ``ndim``, ``n_generators`` headers; per generator k a
-    row-major ``generator<k>`` line and a ``translation<k>`` line; one
-    ``relator<j>`` line per relator.  Floats use shortest round-trip repr.
-    """
-    pres = rep.presentation
-    lines = ["format = holonomy-rep v1", f"ndim = {pres.ndim}", f"n_generators = {pres.n_generators}"]
-    for j, word in enumerate(pres.relators):
-        lines.append(f"relator{j} = " + " ".join(str(i) for i in word))
-    for k, g in enumerate(pres.generators):
-        lines.append(f"generator{k} = " + " ".join(repr(float(v)) for v in g.ravel()))
-    for k, t in enumerate(rep.cocycle.translations):
-        lines.append(f"translation{k} = " + " ".join(repr(float(v)) for v in t))
-    return "\n".join(lines) + "\n"
-
-
-def rep_from_text(text: str) -> HolonomyRep:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    if fields.get("format") != "holonomy-rep v1":
-        raise ValueError("unrecognized holonomy serialization format")
-    ndim = int(fields["ndim"])
-    n_gen = int(fields["n_generators"])
-    d = ndim + 1
-    gens, trans, relators = [], [], []
-    for k in range(n_gen):
-        vals = np.array([float(v) for v in fields[f"generator{k}"].split()])
-        gens.append(vals.reshape(d, d))
-        trans.append(np.array([float(v) for v in fields[f"translation{k}"].split()]))
-    j = 0
-    while f"relator{j}" in fields:
-        relators.append(tuple(int(v) for v in fields[f"relator{j}"].split()))
-        j += 1
-    pres = GroupPresentation(ndim, tuple(gens), tuple(relators))
-    return HolonomyRep(pres, Cocycle(tuple(trans)))

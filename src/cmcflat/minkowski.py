@@ -9,8 +9,7 @@ Conventions
   the translation rule ``t_{fg} = t_f + A_f t_g``
 
 The unit hyperboloid ``H^n = { x : <x,x> = -1, x_0 > 0 }`` is the model of
-hyperbolic n-space used throughout; ``disk_projection`` maps it to the
-Poincare ball.
+hyperbolic n-space used throughout.
 """
 
 from __future__ import annotations
@@ -19,10 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: group-membership tolerance for Lorentz matrices
-LORENTZ_TOL = 1e-12
-#: |<x,x>| below this counts as null
-NULL_TOL = 1e-10
 #: re-orthonormalize matrix products after this many compositions
 REORTHO_EVERY = 16
 
@@ -34,42 +29,11 @@ def minkowski_metric(ndim: int) -> np.ndarray:
     return eta
 
 
-def mink_inner(u, v) -> float:
-    """Minkowski inner product <u, v> = -u0 v0 + sum_i ui vi."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return float(np.dot(u[1:], v[1:]) - u[0] * v[0])
-
-
-def mink_norm2(u) -> float:
-    return mink_inner(u, u)
-
-
-def causal_class(x, null_tol: float = NULL_TOL) -> str:
-    """Classify a vector as 'timelike', 'null' or 'spacelike'.
-
-    Vectors with |<x,x>| < null_tol are classified null.
-    """
-    q = mink_norm2(x)
-    if abs(q) < null_tol:
-        return "null"
-    return "timelike" if q < 0.0 else "spacelike"
-
-
 def lorentz_defect(a: np.ndarray) -> float:
     """max-norm of A^T eta A - eta; zero exactly on the Lorentz group."""
     a = np.asarray(a, dtype=float)
     eta = minkowski_metric(a.shape[0] - 1)
     return float(np.max(np.abs(a.T @ eta @ a - eta)))
-
-
-def is_lorentz(a, tol: float = LORENTZ_TOL) -> bool:
-    return lorentz_defect(np.asarray(a, dtype=float)) <= tol
-
-
-def is_orthochronous(a) -> bool:
-    """True when the map preserves the future time direction (A[0,0] > 0)."""
-    return float(np.asarray(a)[0, 0]) > 0.0
 
 
 def make_boost(direction, rapidity: float) -> np.ndarray:
@@ -148,11 +112,6 @@ class MinkIsometry:
             self.translation + self.linear @ other.translation,
         )
 
-    def inverse(self) -> "MinkIsometry":
-        eta = minkowski_metric(self.linear.shape[0] - 1)
-        inv = eta @ self.linear.T @ eta  # exact inverse for Lorentz matrices
-        return MinkIsometry(inv, -(inv @ self.translation))
-
     @staticmethod
     def identity(ndim: int) -> "MinkIsometry":
         return MinkIsometry(np.eye(ndim + 1), np.zeros(ndim + 1))
@@ -166,9 +125,3 @@ def hyperboloid_lift(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     t = np.sqrt(1.0 + np.sum(u * u, axis=-1, keepdims=True))
     return np.concatenate([t, u], axis=-1)
-
-
-def disk_projection(x) -> np.ndarray:
-    """Unit-hyperboloid point(s) -> Poincare ball coordinates  x_spatial/(1+x_0)."""
-    x = np.asarray(x, dtype=float)
-    return x[..., 1:] / (1.0 + x[..., :1])

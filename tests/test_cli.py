@@ -72,8 +72,15 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert back[0][3] == "true" and back[1][3] == "false"
     num = tmp_path / "n.csv"
     csvio.write_csv(num, ("v",), [(1.0 / 3.0,), (2.0 / 3.0,)])
-    _, data = csvio.read_numeric_csv(num)
-    assert data == [[1.0 / 3.0], [2.0 / 3.0]]
+    _, rows = csvio.read_csv(num)
+    assert [[float(x) for x in row] for row in rows] == [[1.0 / 3.0], [2.0 / 3.0]]
+
+
+def test_read_csv_rejects_an_empty_file(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="empty.csv"):
+        csvio.read_csv(empty)
 
 
 def test_format_value():
@@ -134,8 +141,8 @@ def test_riccati_scenario_passes(tmp_path, capsys):
     assert header == list(cli.SUMMARY_HEADER)
     assert all(row[-1] == "true" for row in rows)
     # the artifact itself: 5 trials x 3 probe times
-    _, data = csvio.read_numeric_csv(out / "riccati_checks.csv")
-    assert np.asarray(data).shape == (15, 5)
+    _, rows = csvio.read_csv(out / "riccati_checks.csv")
+    assert np.asarray(rows, dtype=float).shape == (15, 5)
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -180,8 +187,8 @@ def test_config_sections_scope_options(tmp_path):
     cfgfile = tmp_path / "s.cfg"
     cfgfile.write_text("scenario = riccati\n[riccati]\ntrials = 2\n")
     assert cli.main(["--config", str(cfgfile), "--out", str(out)]) == 0
-    _, data = csvio.read_numeric_csv(out / "riccati_checks.csv")
-    assert np.asarray(data).shape == (6, 5)  # 2 trials x 3 probe times
+    _, rows = csvio.read_csv(out / "riccati_checks.csv")
+    assert np.asarray(rows, dtype=float).shape == (6, 5)  # 2 trials x 3 probe times
 
 
 def test_bitwise_determinism_and_golden_check(tmp_path, capsys):
@@ -217,3 +224,57 @@ def test_bitwise_determinism_and_golden_check(tmp_path, capsys):
     code = cli.main(["--scenario", "riccati", "--out", str(tmp_path / "e"),
                      "--check-golden", str(empty)])
     assert code == 4
+
+
+def test_empty_golden_file_is_a_mismatch(tmp_path, capsys):
+    golden = tmp_path / "golden"
+    assert cli.main(["--scenario", "riccati", "--out", str(golden)]) == 0
+    (golden / "riccati_checks.csv").write_text("")  # truncated golden file
+    code = cli.main(["--scenario", "riccati", "--out", str(tmp_path / "run"),
+                     "--check-golden", str(golden)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "golden mismatch: riccati_checks.csv" in err
+    assert "empty CSV file" in err
+
+
+def _run_config(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "run"
+    return cli.main(["--config", str(cfg), "--out", str(out)]), out
+
+
+def test_limit_experiment_rejects_empty_orbit(tmp_path, capsys):
+    code, out = _run_config(tmp_path, "scenario = limit-experiment\nword_length = 0\n")
+    assert code == 2
+    assert "word_length" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_graph_check_rejects_bad_refinement_sizes(tmp_path, capsys):
+    # 181^3 nodes exceed 2401^2; the small energy grid keeps a run that
+    # wrongly accepts the sizes cheap
+    for sizes, message in (("21, 41.5, 81", "integers"),
+                           ("41, 41, 81", "strictly increasing"),
+                           ("21, 41, 181", "5764801")):
+        code, out = _run_config(
+            tmp_path, "scenario = graph-check\ndim = 3\nenergy_nodes = 201\n"
+            f"refinement_nodes = {sizes}\n")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+
+def test_graph_check_three_dimensional_orders(tmp_path, capsys):
+    # the default 3-D refinement sizes are three distinct grids, each
+    # converging at order 2
+    code, out = _run_config(tmp_path, "scenario = graph-check\ndim = 3\nenergy_nodes = 1201\n")
+    capsys.readouterr()
+    _, rows = csvio.read_csv(out / "graph_convergence.csv")
+    assert len({row[0] for row in rows}) == 3
+    _, summary = csvio.read_csv(out / "summary.csv")
+    orders = [row for row in summary if row[0].startswith("graph_convergence_order_")]
+    assert len(orders) == 2
+    assert all(row[-1] == "true" for row in orders)
+    assert code in (0, 3)

@@ -37,15 +37,6 @@ def test_three_dimensional_hyperboloid():
     assert geom.det_identity_error() < 1e-12
 
 
-def test_unit_normal_on_hyperboloid():
-    geom = graphs.graph_geometry(graphs.hyperboloid_field(1.0, 1.0, 21, ndim=3))
-    nu = geom.normal
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-    norms = np.einsum("...i,ij,...j->...", nu, eta, nu)
-    assert np.max(np.abs(norms + 1.0)) < 1e-12
-    assert np.all(nu[..., 0] > 0)  # future-pointing
-
-
 def test_det_identity_generic_field():
     f = graphs.sample_height_field(
         lambda x, y: 0.3 * np.sin(x) * np.cos(2.0 * y), 2.0, 65
@@ -58,19 +49,6 @@ def test_spacelike_guard():
     steep = graphs.sample_height_field(lambda x, y: 1.2 * x, 1.0, 33)
     with pytest.raises(graphs.SpacelikeError):
         graphs.graph_geometry(steep)
-    geom = graphs.graph_geometry(steep, check=False)  # opt-out for diagnostics
-    assert np.max(sum(g * g for g in geom.grads)) > 1.0
-
-
-def test_convexity_classification():
-    hyp = graphs.hyperboloid_field(1.0, 1.5, 41)
-    report = graphs.convexity_check(hyp)
-    assert report.classification == "negative definite"
-    assert report.max_eigenvalue < 0
-    saddle = graphs.sample_height_field(lambda x, y: 0.1 * (x * x - y * y), 1.0, 41)
-    assert graphs.convexity_check(saddle).classification == "indefinite"
-    plane = graphs.sample_height_field(lambda x, y: 0.2 * x, 1.0, 41)
-    assert graphs.convexity_check(plane).classification == "semidefinite"
 
 
 def test_filtered_quadrature_disk():
@@ -152,7 +130,7 @@ def test_newton_step_matches_spsolve():
     # first Newton system of the lambda = 1 limit-experiment relaxation
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
     start = graphs.orbit_envelope_field(rep, 6.4, 81)
-    jac, rhs, _ = graphs._newton_system(start, -2.0)
+    jac, rhs = graphs._newton_system(start, -2.0)
     expected = scipy.sparse.linalg.spsolve(jac, rhs)
     step = graphs._newton_step(jac, rhs)
     assert np.max(np.abs(step - expected)) <= 1e-9 * np.max(np.abs(expected))

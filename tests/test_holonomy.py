@@ -20,7 +20,7 @@ def test_generators_are_lorentz_and_orthochronous():
     assert pres.n_generators == 8
     for g in pres.generators:
         assert mk.lorentz_defect(g) < 1e-13
-        assert mk.is_orthochronous(g)
+        assert g[0, 0] > 0  # orthochronous
 
 
 def test_relators_evaluate_to_identity():
@@ -53,13 +53,13 @@ def test_octagon_boundary_radius_extremes():
 
 
 def test_octagon_level_and_membership():
-    assert h.octagon_contains(np.zeros(2))
-    assert not h.octagon_contains(np.array([0.95, 0.0]))
+    assert h.octagon_level(np.zeros(2)) >= 0
+    assert h.octagon_level(np.array([0.95, 0.0])) < 0
     # level at the center equals the euclidean disk inradius
     assert abs(h.octagon_level(np.zeros(2)) - np.tanh(h.octagon_inradius() / 2.0)) < 1e-12
     # points marginally beyond a side are rejected
     rin = np.tanh(h.octagon_inradius() / 2.0)
-    assert not h.octagon_contains(np.array([rin + 1e-6, 0.0]))
+    assert h.octagon_level(np.array([rin + 1e-6, 0.0])) < 0
 
 
 def test_cocycle_rule_on_random_words():
@@ -161,24 +161,6 @@ def test_orbit_inverse_pairs_follow_the_generators():
             distinct.append(m)
     assert len(distinct) == 37
     assert len(h.orbit_isometries(rep, 2)) == 37
-
-
-def test_deformed_holonomy_moves_points():
-    rep = h.bolza_rep(h.bolza_nontrivial_cocycle(0.3))
-    x = np.array([1.0, 0.0, 0.0])
-    moved = h.apply_deformed_holonomy(rep, [1, 2], x)
-    undeformed = h.evaluate_word(rep.presentation, [1, 2]) @ x
-    assert np.max(np.abs(moved - undeformed - h.extend_cocycle(rep, [1, 2]))) < 1e-12
-
-
-def test_rep_text_roundtrip_is_exact():
-    rep = h.bolza_rep(h.bolza_nontrivial_cocycle(0.17))
-    back = h.rep_from_text(h.rep_to_text(rep))
-    for a, b in zip(rep.presentation.generators, back.presentation.generators):
-        assert np.array_equal(a, b)
-    for ta, tb in zip(rep.cocycle.translations, back.cocycle.translations):
-        assert np.array_equal(ta, tb)
-    assert rep.presentation.relators == back.presentation.relators
 
 
 def test_word_evaluation_respects_inverses():
