@@ -311,10 +311,9 @@ def scenario_limit_experiment(opts, out_dir, artifacts):
     amp = max(float(np.max(np.abs(iso.translation)))
               for iso in holonomy.orbit_isometries(unit_rep, word_length))
     cob = holonomy.coboundary_cocycle(pres, (coboundary_size / amp) * b_unit)
-    cob_report, cob_residual = graphs.limit_pipeline(
+    cob_report, cob_relaxed = graphs.limit_pipeline(
         holonomy.HolonomyRep(pres, cob), extent, nodes, word_length, relax_tol)
-    cob_rows = [(1.0, cob_report.tau_mean, cob_report.volume,
-                 cob_report.volume / base_volume, cob_residual)]
+    cob_rows = [graphs.limit_row(1.0, cob_report, cob_relaxed, base_volume)]
     _write_artifact(out_dir, artifacts, "coboundary_control.csv",
                     graphs.LIMIT_COLUMNS, cob_rows)
 

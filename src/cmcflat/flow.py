@@ -28,9 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .models import SliceData
+from .numerics import solve_periodic_tridiag
 
 #: τ-drift above this triggers a retried step at dτ/2
 DRIFT_TOL = 1e-9
@@ -192,35 +192,6 @@ def _d2dr(f: np.ndarray, h: float) -> np.ndarray:
     return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (h * h)
 
 
-def _solve_periodic_tridiag(lower, main, upper, rhs):
-    """Solve a periodic tridiagonal system by rank-one correction.
-
-    ``lower[j]`` couples row j to j-1, ``upper[j]`` to j+1 (indices mod m);
-    the two corner entries are folded into a Sherman-Morrison update of a
-    plain banded solve.
-    """
-    m = main.size
-    corner_ul = lower[0]  # entry (0, m-1)
-    corner_lr = upper[-1]  # entry (m-1, 0)
-    gamma = -main[0]
-    main_adj = main.copy()
-    main_adj[0] -= gamma
-    main_adj[-1] -= corner_ul * corner_lr / gamma
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = main_adj
-    ab[2, :-1] = lower[1:]
-    u = np.zeros(m)
-    u[0] = gamma
-    u[-1] = corner_lr
-    v = np.zeros(m)
-    v[0] = 1.0
-    v[-1] = corner_ul / gamma
-    y = solve_banded((1, 1), ab, rhs)
-    q = solve_banded((1, 1), ab, u)
-    return y - q * (np.dot(v, y) / (1.0 + np.dot(v, q)))
-
-
 def _laplacian_coefficients(geom: BlockGeometry, scales: np.ndarray):
     """Coefficients (c2, c1) with ΔN = c2 N'' + c1 N' on the periodic grid."""
     h = geom.spacing
@@ -250,7 +221,7 @@ def _lapse_from_fields(geom: BlockGeometry, scales: np.ndarray, kcov: np.ndarray
     main = 2.0 * c2 / (h * h) + k2
     upper = -c2 / (h * h) - c1 / (2.0 * h)
     lower = -c2 / (h * h) + c1 / (2.0 * h)
-    lapse = _solve_periodic_tridiag(lower, main, upper, np.ones_like(k2))
+    lapse = solve_periodic_tridiag(lower, main, upper, np.ones_like(k2))
     if float(np.min(lapse)) <= 0.0:
         raise DegenerateLapseError("lapse solve produced a non-positive lapse")
     return lapse

@@ -20,9 +20,13 @@ filtered region are resolved by a linear (marching-squares) cut.
 
 CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
-residual, not convergence.  Each Newton step is a symmetric-mode, no-pivot
-sparse LU (minimum degree on A^T + A) that is checked against its own linear
-residual and raises NewtonStepError when that check fails.
+residual, not convergence.  Each Newton step factors the Jacobian by a
+symmetric-mode, no-pivot sparse LU (minimum degree on A^T + A).  The LU is
+kept and first tried again as a chord step; the chord step is taken only if
+it shrinks the residual by CHORD_CONTRACTION, and otherwise the Jacobian is
+factored afresh at the current iterate.  Every solve, chord or Newton, is
+checked against the linear residual of the matrix that was factored and
+raises NewtonStepError when that check fails.
 """
 
 from __future__ import annotations
@@ -39,14 +43,18 @@ from . import holonomy
 SPACELIKE_MARGIN = 1e-6
 #: consecutive rejected relaxation steps before giving up
 MAX_STEP_REJECTIONS = 40
-#: relative linear residual allowed for one Newton step of the relaxation
+#: relative linear residual allowed for one Newton or chord step of the relaxation
 NEWTON_STEP_RTOL = 1e-10
+#: residual reduction a chord step (the kept LU of an earlier Newton step) must
+#: reach to be taken; a chord step that falls short makes the Jacobian refactored
+CHORD_CONTRACTION = 0.1
 #: soft-minimum width of the orbit envelope
 ENVELOPE_SMOOTHING = 0.08
 #: Newton iterations allowed to each relaxation of the limit experiment
 LIMIT_MAX_ITERS = 25
 
-LIMIT_COLUMNS = ("lambda", "tau_mean", "volume", "ham_ratio", "residual")
+LIMIT_COLUMNS = ("lambda", "tau_mean", "volume", "ham_ratio", "residual", "steps",
+                 "factorizations")
 
 
 class SpacelikeError(ValueError):
@@ -54,7 +62,7 @@ class SpacelikeError(ValueError):
 
 
 class NewtonStepError(RuntimeError):
-    """A Newton step of the CMC relaxation failed its linear-residual check."""
+    """A Newton or chord step of the CMC relaxation failed its linear-residual check."""
 
 
 @dataclass(frozen=True)
@@ -326,15 +334,23 @@ def quotient_energy(field: HeightField, level_fn, geom: GraphGeometry | None = N
 class RelaxResult:
     field: HeightField
     residual: float
+    #: accepted steps, chord and Newton
     iterations: int
     converged: bool
+    #: sparse LU factorizations of the Jacobian
+    factorizations: int
 
 
 def _interior_residual(geom: GraphGeometry, tau: float) -> float:
     return float(np.max(np.abs(geom.mean_curvature - tau)[geom.interior]))
 
 
-def _newton_system(field: HeightField, tau: float):
+def _newton_rhs(geom: GraphGeometry, tau: float) -> np.ndarray:
+    """Right-hand side -(H - tau) of a Newton or chord step (0 on the frame), flattened."""
+    return np.where(geom.interior, tau - geom.mean_curvature, 0.0).ravel()
+
+
+def _newton_system(field: HeightField):
     """Sparse linearization J of phi -> H[phi] at interior nodes.
 
     Frame nodes get identity rows (Dirichlet).  Row structure is the 9-point
@@ -354,7 +370,6 @@ def _newton_system(field: HeightField, tau: float):
     hxx, hxy, hyy = hess[(0, 0)], hess[(0, 1)], hess[(1, 1)]
     lap = hxx + hyy
     t = gx * gx * hxx + 2.0 * gx * gy * hxy + gy * gy * hyy
-    resid = -(lap + t / w2) / w - tau
 
     # coefficients of H with respect to the Hessian and gradient entries
     c_xx = -(1.0 + gx * gx / w2) / w
@@ -391,27 +406,34 @@ def _newton_system(field: HeightField, tau: float):
     cols.append(frame_idx)
     data.append(np.ones(frame_idx.size))
 
-    jac = scipy.sparse.csc_matrix(
+    return scipy.sparse.csc_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(m1 * m2, m1 * m2),
     )
-    rhs = np.zeros(m1 * m2)
-    rhs[ii] = -resid[2:-2, 2:-2].ravel()
-    return jac, rhs
 
 
-def _newton_step(jac, rhs: np.ndarray) -> np.ndarray:
-    """Solve J s = rhs by a symmetric-mode sparse LU, checked by its residual.
+def _factorize(jac):
+    """Symmetric-mode, no-pivot sparse LU of a Newton Jacobian.
 
     The Jacobian (9-point elliptic stencil, identity frame rows) is
     structurally symmetric, so SuperLU orders A^T + A by minimum degree and
-    pivots on the diagonal only (no partial pivoting).  Without pivoting a
-    small pivot can grow the factors without bound, so the step is accepted
-    only if ||J s - rhs||_2 <= NEWTON_STEP_RTOL * ||rhs||_2; otherwise
-    NewtonStepError is raised.
+    pivots on the diagonal only (no partial pivoting).
     """
-    lu = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                  options={"SymmetricMode": True})
+    return scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                    options={"SymmetricMode": True})
+
+
+def _newton_step(jac, rhs: np.ndarray, lu=None) -> np.ndarray:
+    """Solve J s = rhs with the LU of J, checked by its residual.
+
+    ``lu`` is the kept ``_factorize(jac)`` of an earlier step (a chord step);
+    without it ``jac`` is factored here.  Without pivoting a small pivot can
+    grow the factors without bound, so the step is accepted only if
+    ||J s - rhs||_2 <= NEWTON_STEP_RTOL * ||rhs||_2 for the factored J;
+    otherwise NewtonStepError is raised.
+    """
+    if lu is None:
+        lu = _factorize(jac)
     step = lu.solve(rhs)
     misfit = np.linalg.norm(jac @ step - rhs)
     scale = np.linalg.norm(rhs)
@@ -423,49 +445,71 @@ def _newton_step(jac, rhs: np.ndarray) -> np.ndarray:
     return step
 
 
+def _trial_step(field: HeightField, step: np.ndarray, tau: float):
+    """(trial field, its geometry, its interior residual), or None when the
+    trial is not uniformly spacelike."""
+    trial = HeightField(field.values + step, field.spacing, field.origin)
+    try:
+        geom = graph_geometry(trial)
+    except SpacelikeError:
+        return None
+    return trial, geom, _interior_residual(geom, tau)
+
+
 def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iters: int = 30) -> RelaxResult:
     """Relax a spacelike graph toward constant mean curvature tau_target.
 
-    Damped Newton with the frame held at the initial (barrier) data.  Each
-    step is accepted only if it keeps the interior uniformly spacelike and
-    decreases the interior residual max|H - tau|; otherwise it is halved, and
-    after MAX_STEP_REJECTIONS consecutive rejections the best iterate so far
-    is returned.  The contract is the achieved residual, not convergence.
+    Damped Newton with the frame held at the initial (barrier) data.  The
+    sparse LU of the last Newton Jacobian is kept, and each step first tries
+    it as a full chord step: the chord step is taken only if it keeps the
+    interior uniformly spacelike and shrinks the interior residual max|H - tau|
+    by at least CHORD_CONTRACTION.  Otherwise it is discarded, the kept LU is
+    dropped, and a Newton step is taken from the Jacobian at the current
+    iterate.  A Newton step is accepted only if it keeps the interior
+    uniformly spacelike and decreases the residual; otherwise it is halved,
+    and after MAX_STEP_REJECTIONS consecutive rejections the best iterate so
+    far is returned.  ``iterations`` counts the steps taken, chord and Newton;
+    ``factorizations`` the Jacobians factored.  The contract is the achieved
+    residual, not convergence.
     """
     if field.ndim != 2:
         raise ValueError("relaxation is implemented for n = 2 patches")
     if tau_target >= 0:
         raise ValueError("tau_target must be negative")
-    geom = graph_geometry(field)
-    best = field
-    best_res = _interior_residual(geom, tau_target)
-    current = field
-    current_res = best_res
+    current, geom = field, graph_geometry(field)
+    current_res = _interior_residual(geom, tau_target)
+    best, best_res = current, current_res
+    jac = lu = None
+    factorizations = 0
     for iteration in range(max_iters):
         if best_res <= tol:
-            return RelaxResult(best, best_res, iteration, True)
-        jac, rhs = _newton_system(current, tau_target)
-        step = _newton_step(jac, rhs).reshape(current.shape)
-        alpha = 1.0
-        accepted = False
-        for _ in range(MAX_STEP_REJECTIONS):
-            trial = HeightField(current.values + alpha * step, current.spacing, current.origin)
-            try:
-                trial_geom = graph_geometry(trial)
-            except SpacelikeError:
+            return RelaxResult(best, best_res, iteration, True, factorizations)
+        rhs = _newton_rhs(geom, tau_target)
+        taken = None
+        if lu is not None:
+            chord = _newton_step(jac, rhs, lu).reshape(current.shape)
+            taken = _trial_step(current, chord, tau_target)
+            if taken is not None and not taken[2] <= CHORD_CONTRACTION * current_res:
+                taken = None
+        if taken is None:
+            # free the kept factors first: two LUs alive at once raise the peak
+            jac = lu = None
+            jac = _newton_system(current)
+            lu = _factorize(jac)
+            factorizations += 1
+            step = _newton_step(jac, rhs, lu).reshape(current.shape)
+            alpha = 1.0
+            for _ in range(MAX_STEP_REJECTIONS):
+                taken = _trial_step(current, alpha * step, tau_target)
+                if taken is not None and taken[2] < current_res:
+                    break
                 alpha *= 0.5
-                continue
-            trial_res = _interior_residual(trial_geom, tau_target)
-            if trial_res < current_res:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            return RelaxResult(best, best_res, iteration + 1, best_res <= tol)
-        current, current_res = trial, trial_res
+            else:
+                return RelaxResult(best, best_res, iteration + 1, best_res <= tol, factorizations)
+        current, geom, current_res = taken
         if current_res < best_res:
             best, best_res = current, current_res
-    return RelaxResult(best, best_res, max_iters, best_res <= tol)
+    return RelaxResult(best, best_res, max_iters, best_res <= tol, factorizations)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +551,7 @@ def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -
 
 
 def limit_pipeline(rep, extent: float, nodes: int, word_length: int, relax_tol: float):
-    """(EnergyReport, relaxation residual) of one representation.
+    """(EnergyReport, RelaxResult) of one representation.
 
     The orbit envelope is relaxed to a CMC graph at tau = -2 and the quotient
     energy is integrated over the Gauss-map preimage of the Bolza octagon.
@@ -516,7 +560,14 @@ def limit_pipeline(rep, extent: float, nodes: int, word_length: int, relax_tol: 
     relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=LIMIT_MAX_ITERS)
     geom = graph_geometry(relaxed.field)
     report = quotient_energy(relaxed.field, bolza_domain_level, geom=geom)
-    return report, relaxed.residual
+    return report, relaxed
+
+
+def limit_row(lam: float, report: EnergyReport, relaxed: RelaxResult, base_volume: float):
+    """One LIMIT_COLUMNS row: the quotient integrals, the volume ratio to the
+    zero-cocycle baseline, and the relaxation's residual and solver counts."""
+    return (float(lam), report.tau_mean, report.volume, report.volume / base_volume,
+            relaxed.residual, relaxed.iterations, relaxed.factorizations)
 
 
 def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
@@ -541,7 +592,6 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
         if lam <= 0:
             raise ValueError("lambda values must be positive")
         scaled = holonomy.scale_structure(rep, float(lam) ** -2)
-        report, residual = limit_pipeline(scaled, extent, nodes, word_length, relax_tol)
-        ratio = report.volume / base_report.volume
-        rows.append((float(lam), report.tau_mean, report.volume, ratio, residual))
+        report, relaxed = limit_pipeline(scaled, extent, nodes, word_length, relax_tol)
+        rows.append(limit_row(lam, report, relaxed, base_report.volume))
     return rows, base_report.volume

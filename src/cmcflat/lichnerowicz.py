@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import _solve_periodic_tridiag
+from .numerics import solve_periodic_tridiag
 
 #: default Newton tolerances (max-norm residual)
 TOL_HOMOGENEOUS = 1e-12
@@ -136,7 +136,7 @@ def _newton_direction(u, residual, bg, tt, tau):
     h = bg.spacing
     main = 2.0 * a / (h * h) + diag
     off = np.full(bg.grid_points, -a / (h * h))
-    return _solve_periodic_tridiag(off, main, off, -residual)
+    return solve_periodic_tridiag(off, main, off, -residual)
 
 
 def solve_lichnerowicz(bg: ConformalBackground, tt: TTData, tau: float, tol: float | None = None) -> LichSolution:

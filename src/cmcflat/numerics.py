@@ -1,0 +1,39 @@
+"""Shared linear-algebra kernels.
+
+The periodic tridiagonal solve serves both the grid-mode lapse equation of
+``flow`` and the Newton direction of ``lichnerowicz`` on the periodic 1-D grid.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.linalg import solve_banded
+
+
+def solve_periodic_tridiag(lower, main, upper, rhs):
+    """Solve a periodic tridiagonal system by rank-one correction.
+
+    ``lower[j]`` couples row j to j-1, ``upper[j]`` to j+1 (indices mod m);
+    the two corner entries are folded into a Sherman-Morrison update of a
+    plain banded solve.
+    """
+    m = main.size
+    corner_ul = lower[0]  # entry (0, m-1)
+    corner_lr = upper[-1]  # entry (m-1, 0)
+    gamma = -main[0]
+    main_adj = main.copy()
+    main_adj[0] -= gamma
+    main_adj[-1] -= corner_ul * corner_lr / gamma
+    ab = np.zeros((3, m))
+    ab[0, 1:] = upper[:-1]
+    ab[1, :] = main_adj
+    ab[2, :-1] = lower[1:]
+    u = np.zeros(m)
+    u[0] = gamma
+    u[-1] = corner_lr
+    v = np.zeros(m)
+    v[0] = 1.0
+    v[-1] = corner_ul / gamma
+    y = solve_banded((1, 1), ab, rhs)
+    q = solve_banded((1, 1), ab, u)
+    return y - q * (np.dot(v, y) / (1.0 + np.dot(v, q)))

@@ -130,10 +130,78 @@ def test_newton_step_matches_spsolve():
     # first Newton system of the lambda = 1 limit-experiment relaxation
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
     start = graphs.orbit_envelope_field(rep, 6.4, 81)
-    jac, rhs = graphs._newton_system(start, -2.0)
+    jac = graphs._newton_system(start)
+    rhs = graphs._newton_rhs(graphs.graph_geometry(start), -2.0)
     expected = scipy.sparse.linalg.spsolve(jac, rhs)
     step = graphs._newton_step(jac, rhs)
     assert np.max(np.abs(step - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+def _limit_start(nodes):
+    # the lambda = 1 orbit envelope of the limit experiment, on a coarse grid
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    return graphs.orbit_envelope_field(rep, 6.4, nodes)
+
+
+def test_cmc_relax_chord_steps_match_full_newton():
+    # reusing the LU as chord steps saves factorizations but must land on the
+    # field that plain full-step Newton reaches
+    start = _limit_start(81)
+    result = graphs.cmc_relax(start, -2.0, tol=1e-8, max_iters=graphs.LIMIT_MAX_ITERS)
+    assert result.converged and result.residual <= 1e-8
+    assert result.factorizations < result.iterations
+    reference = start
+    for _ in range(8):
+        geom = graphs.graph_geometry(reference)
+        step = graphs._newton_step(graphs._newton_system(reference),
+                                   graphs._newton_rhs(geom, -2.0))
+        reference = HeightField(reference.values + step.reshape(reference.shape),
+                                reference.spacing, reference.origin)
+    assert graphs._interior_residual(graphs.graph_geometry(reference), -2.0) <= 1e-8
+    diff = np.max(np.abs(result.field.values - reference.values))
+    assert diff <= 1e-9 * np.max(np.abs(reference.values))
+
+
+def test_cmc_relax_takes_only_contracting_chord_steps(monkeypatch):
+    # a chord step is taken only if it shrinks the residual tenfold; a weaker
+    # one is refused and the Jacobian is factored afresh
+    events = []
+    factorize, trial_step = graphs._factorize, graphs._trial_step
+
+    def record_factorize(jac):
+        events.append("factor")
+        return factorize(jac)
+
+    def record_trial(field, step, tau):
+        taken = trial_step(field, step, tau)
+        events.append(None if taken is None else taken[2])
+        return taken
+
+    monkeypatch.setattr(graphs, "_factorize", record_factorize)
+    monkeypatch.setattr(graphs, "_trial_step", record_trial)
+    start = _limit_start(81)
+    result = graphs.cmc_relax(start, -2.0, tol=1e-8, max_iters=graphs.LIMIT_MAX_ITERS)
+    assert result.converged
+    # replay: after a factorization the trials are the Newton line search
+    # until one lowers the residual; any later trial is a chord trial, and it
+    # was refused exactly when a factorization follows it
+    res = graphs._interior_residual(graphs.graph_geometry(start), -2.0)
+    newton, taken, refused = False, [], 0
+    for k, event in enumerate(events):
+        if event == "factor":
+            newton = True
+        elif newton:
+            if event is not None and event < res:
+                res, newton = event, False
+        elif k + 1 < len(events) and events[k + 1] == "factor":
+            refused += 1
+        else:
+            taken.append(event / res)
+            res = event
+    assert events.count("factor") == result.factorizations
+    assert len(taken) == result.iterations - result.factorizations
+    assert refused > 0
+    assert max(taken) <= 0.1
 
 
 def test_newton_step_refuses_an_unstable_factorization():
