@@ -1,10 +1,11 @@
 """Zero-shift CMC Einstein flow in block-reduced form.
 
 The evolved geometry is a product of homogeneous blocks (one hyperbolic
-factor, optionally flat factors).  Grid mode samples the fields along one flat
-circle factor on a uniform periodic grid; it serves only the lapse solve, the
-smallest setting where the lapse equation is a genuine two-point boundary
-problem.  Evolution and the constraint residuals refuse grid-mode states.
+factor, optionally flat factors).  A ``GridLapseProblem`` samples the fields
+along one flat circle factor on a uniform periodic grid; it serves only the
+lapse solve, the smallest setting where the lapse equation is a genuine
+two-point boundary problem.  Evolution and the constraint residuals take
+homogeneous ``FlowState`` data alone.
 
 Evolution system (CMC time t = tr K = τ, zero shift):
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import SliceData
-from .numerics import solve_periodic_tridiag
+from .numerics import periodic_second_difference, solve_periodic_tridiag
 
 #: τ-drift above this triggers a retried step at dτ/2
 DRIFT_TOL = 1e-9
@@ -59,19 +60,15 @@ class DegenerateLapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockGeometry:
-    """Static structure of the spatial manifold: block dims, curvatures, grid.
+    """Static structure of the spatial manifold: block dims and curvatures.
 
-    ``volume_factor`` is the volume of the unit-scale cross section; in grid
-    mode it excludes the circle direction (the grid quadrature supplies it)
-    while in homogeneous mode it includes every constant factor.
+    ``volume_factor`` is the volume of the unit-scale cross section,
+    including every constant factor.
     """
 
     dims: tuple
     curvatures: tuple
     volume_factor: float
-    grid_points: int | None = None
-    circle_length: float | None = None
-    grid_block: int | None = None
 
     def __post_init__(self):
         if len(self.dims) != len(self.curvatures):
@@ -87,33 +84,18 @@ class BlockGeometry:
             raise ValueError("total spatial dimension must satisfy 2 <= n <= 4")
         if self.volume_factor <= 0:
             raise ValueError("volume_factor must be positive")
-        if self.grid_points is not None:
-            if self.grid_points < 8:
-                raise ValueError("periodic grid needs at least 8 points")
-            if self.circle_length is None or self.circle_length <= 0:
-                raise ValueError("grid mode needs a positive circle_length")
-            gb = self.grid_block
-            if gb is None or not (0 <= gb < len(self.dims)):
-                raise ValueError("grid mode needs a valid grid_block index")
-            if self.curvatures[gb] != "flat" or self.dims[gb] != 1:
-                raise ValueError("the grid block must be a flat one-dimensional factor")
 
     @property
     def dim(self) -> int:
         return int(sum(self.dims))
-
-    @property
-    def spacing(self) -> float:
-        return self.circle_length / self.grid_points
 
 
 @dataclass(frozen=True, eq=False)
 class FlowState:
     """Flow variables at one CMC time: metric scales A and covariant K values P.
 
-    Arrays have shape (n_blocks,) in homogeneous mode and (n_blocks, m) in
-    grid mode.  ``tau`` is the CMC time parameter; tr K of the fields tracks
-    it up to integrator drift.
+    Arrays have shape (n_blocks,).  ``tau`` is the CMC time parameter; tr K
+    of the fields tracks it up to integrator drift.
     """
 
     geometry: BlockGeometry
@@ -126,18 +108,38 @@ class FlowState:
 
     def trace_k(self):
         p = self.mixed_k()
-        return np.einsum("b,b...->...", np.asarray(self.geometry.dims, float), p)
+        return np.einsum("b,b->", np.asarray(self.geometry.dims, float), p)
 
     def k_norm2(self):
         p = self.mixed_k()
-        return np.einsum("b,b...->...", np.asarray(self.geometry.dims, float), p * p)
+        return np.einsum("b,b->", np.asarray(self.geometry.dims, float), p * p)
 
     def khat_norm2(self):
-        """Squared norm of the trace-free part of K (pointwise)."""
+        """Squared norm of the trace-free part of K."""
         p = self.mixed_k()
         dims = np.asarray(self.geometry.dims, float)
         dev = p - self.trace_k() / self.geometry.dim
-        return np.einsum("b,b...->...", dims, dev * dev)
+        return np.einsum("b,b->", dims, dev * dev)
+
+
+@dataclass(frozen=True, eq=False)
+class GridLapseProblem:
+    """The lapse equation on one leaf whose fields vary along a flat circle.
+
+    ``scales`` and ``kcov`` have shape (n_blocks, m): block metric scales and
+    covariant K values at the m nodes of a uniform periodic grid of step
+    ``spacing`` along block ``grid_block``, a flat one-dimensional factor.
+    """
+
+    dims: tuple
+    grid_block: int
+    spacing: float
+    scales: np.ndarray
+    kcov: np.ndarray
+
+    def k_norm2(self) -> np.ndarray:
+        p = self.kcov / self.scales
+        return np.einsum("b,bm->m", np.asarray(self.dims, float), p * p)
 
 
 def state_from_slice(slc: SliceData) -> FlowState:
@@ -152,72 +154,65 @@ def state_from_slice(slc: SliceData) -> FlowState:
     return FlowState(geom, slc.tau, scales, kcov)
 
 
-def grid_state_from_slice(slc: SliceData, grid_points: int, circle_length: float) -> FlowState:
-    """Grid-mode state for the lapse solve: slice fields replicated along the circle factor.
+def grid_state_from_slice(slc: SliceData, grid_points: int, circle_length: float) -> GridLapseProblem:
+    """Lapse problem of a slice, its fields replicated along a circle factor.
 
-    The slice must contain a flat one-dimensional block to carry the grid;
-    ``volume_factor`` is reduced by the circle length, which the grid
-    quadrature now supplies.
+    The slice must contain a flat one-dimensional block to carry the grid.
     """
+    if grid_points < 8:
+        raise ValueError("periodic grid needs at least 8 points")
+    if circle_length <= 0:
+        raise ValueError("grid mode needs a positive circle_length")
     flat_blocks = [
         i for i, b in enumerate(slc.blocks) if b.curvature == "flat" and b.dim == 1
     ]
     if not flat_blocks:
         raise ValueError("grid mode needs a flat one-dimensional block in the slice")
-    gb = flat_blocks[0]
-    geom = BlockGeometry(
-        tuple(b.dim for b in slc.blocks),
-        tuple(b.curvature for b in slc.blocks),
-        slc.volume_factor / circle_length,
-        grid_points=grid_points,
-        circle_length=circle_length,
-        grid_block=gb,
-    )
     ones = np.ones(grid_points)
     scales = np.stack([b.metric_scale * ones for b in slc.blocks])
     kcov = np.stack([b.k_eigenvalue * b.metric_scale * ones for b in slc.blocks])
-    return FlowState(geom, slc.tau, scales, kcov)
+    return GridLapseProblem(
+        tuple(b.dim for b in slc.blocks), flat_blocks[0], circle_length / grid_points, scales, kcov
+    )
 
 
 # ---------------------------------------------------------------------------
-# periodic finite differences and the lapse solve
+# the lapse solve
 # ---------------------------------------------------------------------------
 
 
 def _ddr(f: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * h)
+    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * h)
 
 
-def _d2dr(f: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / (h * h)
-
-
-def _laplacian_coefficients(geom: BlockGeometry, scales: np.ndarray):
+def _laplacian_coefficients(prob: GridLapseProblem):
     """Coefficients (c2, c1) with ΔN = c2 N'' + c1 N' on the periodic grid."""
-    h = geom.spacing
-    gb = geom.grid_block
-    c = scales[gb]
+    h = prob.spacing
+    gb = prob.grid_block
+    c = prob.scales[gb]
     c1 = -_ddr(c, h) / (2.0 * c)
-    for i, d in enumerate(geom.dims):
+    for i, d in enumerate(prob.dims):
         if i == gb:
             continue
-        c1 = c1 + d * _ddr(scales[i], h) / (2.0 * scales[i])
+        c1 = c1 + d * _ddr(prob.scales[i], h) / (2.0 * prob.scales[i])
     return 1.0 / c, c1 / c
 
 
-def _lapse_from_fields(geom: BlockGeometry, scales: np.ndarray, kcov: np.ndarray):
+def _homogeneous_lapse(geom: BlockGeometry, scales: np.ndarray, kcov: np.ndarray) -> float:
     p = kcov / scales
-    dims = np.asarray(geom.dims, float)
-    k2 = np.einsum("b,b...->...", dims, p * p)
-    if geom.grid_points is None:
-        k2 = float(k2)
-        if k2 <= DEGENERATE_K2:
-            raise DegenerateLapseError("homogeneous lapse needs |K|^2 > 0")
-        return 1.0 / k2
+    k2 = float(np.einsum("b,b->", np.asarray(geom.dims, float), p * p))
+    if k2 <= DEGENERATE_K2:
+        raise DegenerateLapseError("homogeneous lapse needs |K|^2 > 0")
+    return 1.0 / k2
+
+
+def _grid_lapse(prob: GridLapseProblem) -> np.ndarray:
+    """Second-order central differences, banded solve plus rank-one periodic correction."""
+    k2 = prob.k_norm2()
     if float(np.max(k2)) <= DEGENERATE_K2:
         raise DegenerateLapseError("lapse operator -Δ + |K|^2 is singular: |K|^2 vanishes")
-    h = geom.spacing
-    c2, c1 = _laplacian_coefficients(geom, scales)
+    h = prob.spacing
+    c2, c1 = _laplacian_coefficients(prob)
     main = 2.0 * c2 / (h * h) + k2
     upper = -c2 / (h * h) - c1 / (2.0 * h)
     lower = -c2 / (h * h) + c1 / (2.0 * h)
@@ -227,25 +222,20 @@ def _lapse_from_fields(geom: BlockGeometry, scales: np.ndarray, kcov: np.ndarray
     return lapse
 
 
-def solve_lapse(state: FlowState):
-    """Solve -ΔN + |K|² N = 1 for the current state.
-
-    Homogeneous mode is algebraic (N = 1/|K|²); grid mode solves the periodic
-    two-point problem with second-order central differences via a banded
-    solver plus rank-one periodic correction.
-    """
-    return _lapse_from_fields(state.geometry, state.scales, state.kcov)
+def solve_lapse(state: FlowState | GridLapseProblem):
+    """Solve -ΔN + |K|² N = 1: algebraic (N = 1/|K|²) on a FlowState, periodic on a grid."""
+    if isinstance(state, GridLapseProblem):
+        return _grid_lapse(state)
+    return _homogeneous_lapse(state.geometry, state.scales, state.kcov)
 
 
-def lapse_residual(state: FlowState, lapse) -> float:
-    """max |-ΔN + |K|²N - 1| for a given lapse field (grid mode)."""
-    geom = state.geometry
+def lapse_residual(state: FlowState | GridLapseProblem, lapse) -> float:
+    """max |-ΔN + |K|²N - 1| for a given lapse."""
     k2 = state.k_norm2()
-    if geom.grid_points is None:
+    if not isinstance(state, GridLapseProblem):
         return float(abs(k2 * lapse - 1.0))
-    h = geom.spacing
-    c2, c1 = _laplacian_coefficients(geom, state.scales)
-    lap = c2 * _d2dr(lapse, h) + c1 * _ddr(lapse, h)
+    c2, c1 = _laplacian_coefficients(state)
+    lap = c2 * periodic_second_difference(lapse, state.spacing) + c1 * _ddr(lapse, state.spacing)
     return float(np.max(np.abs(-lap + k2 * lapse - 1.0)))
 
 
@@ -254,14 +244,8 @@ def lapse_residual(state: FlowState, lapse) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _grid_mode_error(what: str) -> ValueError:
-    return ValueError(f"{what} is homogeneous-only: grid mode serves the lapse solve alone")
-
-
 def ricci_blocks(geom: BlockGeometry, scales: np.ndarray) -> np.ndarray:
     """Mixed Ricci eigenvalue per block: -(d-1)/A on hyperbolic blocks, zero on flat ones."""
-    if geom.grid_points is not None:
-        raise _grid_mode_error("the Ricci curvature")
     dims = np.asarray(geom.dims, float)
     curv = np.array([1.0 if c == "hyperbolic" else 0.0 for c in geom.curvatures])
     return -curv * np.maximum(dims - 1.0, 0.0) / scales
@@ -277,8 +261,6 @@ def block_gauss_residuals(state: FlowState) -> np.ndarray:
 
 def block_codazzi_residuals(state: FlowState) -> np.ndarray:
     """Per-block Codazzi residual: identically zero on homogeneous data."""
-    if state.geometry.grid_points is not None:
-        raise _grid_mode_error("the Codazzi residual")
     return np.zeros_like(state.scales)
 
 
@@ -294,26 +276,20 @@ def flat_constraint_residual(state: FlowState):
 # ---------------------------------------------------------------------------
 
 
-def _volume_density(geom: BlockGeometry, scales: np.ndarray):
+def _volume_density(geom: BlockGeometry, scales: np.ndarray) -> float:
     dens = 1.0
     for i, d in enumerate(geom.dims):
         dens = dens * scales[i] ** (d / 2.0)
-    return dens
+    return float(dens)
 
 
 def volume_of(geom: BlockGeometry, scales: np.ndarray) -> float:
-    dens = _volume_density(geom, scales)
-    if geom.grid_points is None:
-        return geom.volume_factor * float(dens)
-    return geom.volume_factor * geom.spacing * float(np.sum(dens))
+    return geom.volume_factor * _volume_density(geom, scales)
 
 
-def integrate_scalar(geom: BlockGeometry, scales: np.ndarray, values) -> float:
-    """∫ f dμ_g for a pointwise scalar field (constant allowed)."""
-    dens = _volume_density(geom, scales)
-    if geom.grid_points is None:
-        return geom.volume_factor * float(dens * values)
-    return geom.volume_factor * geom.spacing * float(np.sum(dens * values))
+def integrate_scalar(geom: BlockGeometry, scales: np.ndarray, value) -> float:
+    """∫ f dμ_g for a scalar that is constant on the slice."""
+    return geom.volume_factor * float(_volume_density(geom, scales) * value)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +299,7 @@ def integrate_scalar(geom: BlockGeometry, scales: np.ndarray, values) -> float:
 
 def _rhs(geom: BlockGeometry, scales: np.ndarray, kcov: np.ndarray):
     # the lapse is constant on homogeneous data, so the Hessian term of ∂ₜK vanishes
-    lapse = _lapse_from_fields(geom, scales, kcov)
+    lapse = _homogeneous_lapse(geom, scales, kcov)
     return -2.0 * lapse * kcov, -lapse * kcov * kcov / scales
 
 
@@ -335,10 +311,6 @@ def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _dept
     ``drift_tol`` of drift it is retried as two half steps (up to 8 nested
     halvings).  No projection is applied — drift stays an honest error meter.
     """
-    if state.geometry.grid_points is not None:
-        raise _grid_mode_error("flow evolution")
-    if dtau == 0.0:
-        return state
     geom = state.geometry
     a0, p0 = state.scales, state.kcov
     da1, dp1 = _rhs(geom, a0, p0)
@@ -461,13 +433,9 @@ def ham_monotonicity_check(trace: HamTrace) -> MonotonicityReport:
     return MonotonicityReport(ok, int(increases.size), float(max_mismatch))
 
 
-def lapse_identity_check(state: FlowState, lapse=None):
-    """Return (∫(1 - Nτ²/n)dμ, ∫N|K̂|²dμ); equal when N solves the lapse equation.
-
-    Passing an explicit lapse field exercises the check on non-solutions.
-    """
-    if lapse is None:
-        lapse = solve_lapse(state)
+def lapse_identity_check(state: FlowState):
+    """Return (∫(1 - Nτ²/n)dμ, ∫N|K̂|²dμ); equal when N solves the lapse equation."""
+    lapse = solve_lapse(state)
     geom = state.geometry
     n = geom.dim
     lhs = integrate_scalar(geom, state.scales, 1.0 - lapse * state.tau**2 / n)

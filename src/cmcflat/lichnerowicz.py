@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import solve_periodic_tridiag
+from .numerics import periodic_second_difference, solve_periodic_tridiag
 
 #: default Newton tolerances (max-norm residual)
 TOL_HOMOGENEOUS = 1e-12
@@ -104,11 +104,6 @@ def reference_factor(n: int, tau: float) -> float:
     return float((n * n / (tau * tau)) ** ((n - 2) / 4.0))
 
 
-def _laplacian(u, bg: ConformalBackground):
-    h = bg.spacing
-    return (np.roll(u, -1) - 2.0 * u + np.roll(u, 1)) / (h * h)
-
-
 def lichnerowicz_residual(u, bg: ConformalBackground, tt: TTData, tau: float):
     """Pointwise residual of the conformal constraint at conformal factor u."""
     if np.any(np.asarray(u) <= 0):
@@ -122,7 +117,7 @@ def lichnerowicz_residual(u, bg: ConformalBackground, tt: TTData, tau: float):
     reaction = bg.scalar_curvature * u + b * tau * tau * u**p - sig * u ** (-m)
     if bg.grid_points is None:
         return reaction
-    return -a * _laplacian(u, bg) + reaction
+    return -a * periodic_second_difference(u, bg.spacing) + reaction
 
 
 def _newton_direction(u, residual, bg, tt, tau):

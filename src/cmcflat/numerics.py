@@ -1,13 +1,18 @@
-"""Shared linear-algebra kernels.
+"""Shared kernels on a uniform periodic 1-D grid.
 
-The periodic tridiagonal solve serves both the grid-mode lapse equation of
-``flow`` and the Newton direction of ``lichnerowicz`` on the periodic 1-D grid.
+The second difference and the periodic tridiagonal solve serve both the
+grid lapse problem of ``flow`` and the conformal equation of ``lichnerowicz``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+
+def periodic_second_difference(f: np.ndarray, h: float) -> np.ndarray:
+    """(f[j+1] - 2 f[j] + f[j-1]) / h², indices mod the grid size."""
+    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (h * h)
 
 
 def solve_periodic_tridiag(lower, main, upper, rhs):

@@ -41,17 +41,44 @@ def test_grid_lapse_residual_and_constancy():
 
 
 def test_grid_state_serves_the_lapse_solve_only():
+    # a GridLapseProblem carries no geometry or CMC time, so the evolution
+    # and the constraint residuals fail on it instead of returning it
     slc = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
-    st = flow.grid_state_from_slice(slc, 128, 1.0)
+    prob = flow.grid_state_from_slice(slc, 128, 1.0)
     for dtau in (0.01, 0.0):
-        with pytest.raises(ValueError, match="grid mode"):
-            flow.flow_step(st, dtau)
-    with pytest.raises(ValueError, match="grid mode"):
-        flow.run_flow(st, -1.0, 4)
-    with pytest.raises(ValueError, match="grid mode"):
-        flow.flat_constraint_residual(st)
-    lapse = flow.solve_lapse(st)
-    assert flow.lapse_residual(st, lapse) < 1e-10
+        with pytest.raises(AttributeError):
+            flow.flow_step(prob, dtau)
+    with pytest.raises(AttributeError):
+        flow.run_flow(prob, -1.0, 4)
+    with pytest.raises(AttributeError):
+        flow.flat_constraint_residual(prob)
+    lapse = flow.solve_lapse(prob)
+    assert flow.lapse_residual(prob, lapse) < 1e-10
+
+
+def _manufactured_lapse_error(m, length=2.0 * np.pi):
+    # hyperbolic block of dim 2 (scale A0) times the flat circle (scale c);
+    # N is prescribed and |K|^2 = (1 + ΔN)/N makes it the exact solution
+    w = 2.0 * np.pi / length
+    r = np.arange(m) * (length / m)
+    a0, da0 = 1.0 + 0.3 * np.sin(w * r), 0.3 * w * np.cos(w * r)
+    c, dc = 1.5 + 0.4 * np.cos(w * r), -0.4 * w * np.sin(w * r)
+    lapse = 0.5 + 0.02 * np.sin(2.0 * w * r)
+    dn = 0.04 * w * np.cos(2.0 * w * r)
+    d2n = -0.08 * w * w * np.sin(2.0 * w * r)
+    lap = d2n / c + (dn / c) * (-dc / (2.0 * c) + 2.0 * da0 / (2.0 * a0))
+    k2 = (1.0 + lap) / lapse
+    assert np.min(k2) > 0.0
+    kcov = np.stack([a0 * np.sqrt(k2 / 2.0), np.zeros(m)])
+    prob = flow.GridLapseProblem((2, 1), 1, length / m, np.stack([a0, c]), kcov)
+    assert np.max(np.abs(prob.k_norm2() - k2)) < 1e-13
+    return float(np.max(np.abs(flow.solve_lapse(prob) - lapse)))
+
+
+def test_grid_lapse_converges_to_manufactured_solution():
+    errors = [_manufactured_lapse_error(m) for m in (32, 64, 128, 256)]
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(np.abs(orders - 2.0) <= 0.2), orders
 
 
 def test_lapse_identity_on_model_slices():
@@ -139,3 +166,11 @@ def test_geometry_validation():
         flow.BlockGeometry((1,), ("hyperbolic",), 1.0)  # hyperbolic factor too thin
     with pytest.raises(ValueError):
         flow.BlockGeometry((3, 2), ("hyperbolic", "hyperbolic"), 1.0)  # total dim 5
+    kasner = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
+    with pytest.raises(ValueError, match="8 points"):
+        flow.grid_state_from_slice(kasner, 4, 1.0)
+    with pytest.raises(ValueError, match="circle_length"):
+        flow.grid_state_from_slice(kasner, 128, 0.0)
+    with pytest.raises(ValueError, match="flat one-dimensional block"):
+        # the cone slice has no flat one-dimensional block to carry the grid
+        flow.grid_state_from_slice(models.slice_at_tau(models.ConeModel(3), -2.0), 128, 1.0)
