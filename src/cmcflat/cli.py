@@ -340,6 +340,9 @@ def scenario_graph_check(opts, out_dir, artifacts):
     if s <= 0:
         raise ConfigError("hyperboloid_s must be positive")
     extent = get_float(opts, "extent", 2.0)
+    fine_extent = get_float(opts, "energy_extent", 6.0)
+    if not (extent > 0 and fine_extent > 0):
+        raise ConfigError("extent and energy_extent must be positive")
     sizes = get_floats(opts, "refinement_nodes", GRAPH_REFINEMENT_NODES[ndim])
     if not all(float(v).is_integer() for v in sizes):
         raise ConfigError("refinement_nodes must be integers")
@@ -351,6 +354,10 @@ def scenario_graph_check(opts, out_dir, artifacts):
     if nodes_list[-1] ** ndim > GRAPH_MAX_GRID_NODES:
         raise ConfigError(f"refinement_nodes: {nodes_list[-1]}^{ndim} grid nodes exceed "
                           f"the limit of {GRAPH_MAX_GRID_NODES} (2401^2)")
+    fine_nodes = get_int(opts, "energy_nodes", 2401)
+    if fine_nodes < 9 or fine_nodes**2 > GRAPH_MAX_GRID_NODES:
+        raise ConfigError(f"energy_nodes must lie in 9..2401 (the limit of "
+                          f"{GRAPH_MAX_GRID_NODES} grid nodes), got {fine_nodes}")
 
     target = -ndim / s
     conv_rows = []
@@ -371,8 +378,6 @@ def scenario_graph_check(opts, out_dir, artifacts):
               for i, order in enumerate(orders)]
     checks.append(_check("graph_det_identity_err", det_err, 0.0, 1e-12))
 
-    fine_nodes = get_int(opts, "energy_nodes", 2401)
-    fine_extent = get_float(opts, "energy_extent", 6.0)
     field = graphs.hyperboloid_field(1.0, fine_extent, fine_nodes, ndim=2)
     report = graphs.quotient_energy(field, graphs.bolza_domain_level)
     tau, chi = -2.0, -2

@@ -222,7 +222,11 @@ def test_criterion_10_limit_experiment_trend():
     amp = max(float(np.max(np.abs(iso.translation)))
               for iso in holonomy.orbit_isometries(unit, 3))
     cob = holonomy.coboundary_cocycle(pres, (0.15 / amp) * b_unit)
-    cob_rows, _ = graphs.limit_experiment(holonomy.HolonomyRep(pres, cob), (1.0,))
+    # the ratio is taken against the baseline above, through the pipeline and
+    # defaults (extent, nodes, word_length, relax_tol) of limit_experiment
+    cob_report, cob_relaxed = graphs.limit_pipeline(
+        holonomy.HolonomyRep(pres, cob), 6.4, 321, 3, 1e-8)
+    cob_rows = [graphs.limit_row(1.0, cob_report, cob_relaxed, base_volume)]
     assert abs(cob_rows[0][3] - 1.0) <= 2e-4
 
 

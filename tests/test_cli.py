@@ -266,6 +266,19 @@ def test_graph_check_rejects_bad_refinement_sizes(tmp_path, capsys):
         assert not out.exists() or not list(out.iterdir())
 
 
+def test_graph_check_rejects_bad_energy_and_extent_options(tmp_path, capsys):
+    # each option is checked before graph_convergence.csv is written; 2402^2
+    # energy nodes exceed the 2401^2 limit
+    for option, message in (("energy_nodes = 4", "energy_nodes"),
+                            ("energy_nodes = 2402", "energy_nodes"),
+                            ("energy_extent = -1", "energy_extent"),
+                            ("extent = 0", "extent")):
+        code, out = _run_config(tmp_path, f"scenario = graph-check\ndim = 3\n{option}\n")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+
 def test_graph_check_three_dimensional_orders(tmp_path, capsys):
     # the default 3-D refinement sizes are three distinct grids, each
     # converging at order 2

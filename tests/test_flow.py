@@ -114,6 +114,21 @@ def test_flow_step_keeps_mean_curvature_pinned():
     assert np.max(np.abs(stepped.trace_k() - stepped.tau)) < 1e-11
 
 
+def test_flow_step_halves_a_step_that_adds_drift():
+    # on the n = 3 cone at tau = -10 a raw step of 0.5 adds ~2e-6 of drift;
+    # the default tolerance retries it as nested half steps until the added
+    # drift is below 1e-9
+    st = cone_state(3, -10.0)
+    raw = flow.flow_step(st, 0.5, drift_tol=np.inf)
+    assert abs(raw.trace_k() - raw.tau) > 1e-6
+    repaired = flow.flow_step(st, 0.5)
+    assert repaired.tau == -9.5
+    assert abs(repaired.trace_k() - repaired.tau) < 1e-9
+    # eight nested halvings cannot bring a step of 8 under a 1e-12 tolerance
+    with pytest.raises(RuntimeError, match="persists at minimal step size"):
+        flow.flow_step(st, 8.0, drift_tol=1e-12)
+
+
 def test_cone_flow_keeps_rescaled_volume():
     tr = flow.run_flow(cone_state(3, -2.0), -0.5, 2000)
     drift = np.max(np.abs(tr.column("ham") / 27.0 - 1.0))

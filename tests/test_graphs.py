@@ -204,6 +204,36 @@ def test_cmc_relax_takes_only_contracting_chord_steps(monkeypatch):
     assert max(taken) <= 0.1
 
 
+def test_every_superlu_call_follows_a_heap_release(monkeypatch):
+    # the peak RSS of limit-experiment is reproducible only when SuperLU never
+    # lands in freed, still-resident heap holes: each factorization and each
+    # solve, chord or Newton, comes right after a release
+    events = []
+    splu = scipy.sparse.linalg.splu
+
+    class RecordedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            events.append("solve")
+            return self.lu.solve(rhs)
+
+    def record_splu(*args, **kwargs):
+        events.append("factor")
+        return RecordedLU(splu(*args, **kwargs))
+
+    monkeypatch.setattr(graphs, "_release_free_heap", lambda: events.append("release"))
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", record_splu)
+    result = graphs.cmc_relax(_limit_start(81), -2.0, tol=1e-8,
+                              max_iters=graphs.LIMIT_MAX_ITERS)
+    assert result.converged
+    assert events.count("factor") == result.factorizations
+    assert events.count("solve") > result.factorizations
+    assert all(events[k - 1] == "release" for k, event in enumerate(events)
+               if event != "release")
+
+
 def test_newton_step_refuses_an_unstable_factorization():
     # diagonal pivots of 1e-20 grow the no-pivot factors by 1e20; the residual
     # check must raise rather than hand back a wrong step
