@@ -294,9 +294,11 @@ def scenario_limit_experiment(opts, out_dir, artifacts):
         raise ConfigError("relax_tol must be positive")
 
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(scale))
+    # one sparse LU carried through every relaxation, the coboundary's too
+    chord = graphs.ChordLU()
     rows, base_volume = graphs.limit_experiment(
         rep, lambdas, extent=extent, nodes=nodes,
-        word_length=word_length, relax_tol=relax_tol)
+        word_length=word_length, relax_tol=relax_tol, chord=chord)
     _write_artifact(out_dir, artifacts, "limit_experiment.csv", graphs.LIMIT_COLUMNS, rows)
 
     devs = [abs(r[3] - 1.0) for r in rows]
@@ -312,7 +314,7 @@ def scenario_limit_experiment(opts, out_dir, artifacts):
               for iso in holonomy.orbit_isometries(unit_rep, word_length))
     cob = holonomy.coboundary_cocycle(pres, (coboundary_size / amp) * b_unit)
     cob_report, cob_relaxed = graphs.limit_pipeline(
-        holonomy.HolonomyRep(pres, cob), extent, nodes, word_length, relax_tol)
+        holonomy.HolonomyRep(pres, cob), extent, nodes, word_length, relax_tol, chord)
     cob_rows = [graphs.limit_row(1.0, cob_report, cob_relaxed, base_volume)]
     _write_artifact(out_dir, artifacts, "coboundary_control.csv",
                     graphs.LIMIT_COLUMNS, cob_rows)

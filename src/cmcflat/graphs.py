@@ -22,11 +22,19 @@ CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
 residual, not convergence.  Each Newton step factors the Jacobian by a
 symmetric-mode, no-pivot sparse LU (minimum degree on A^T + A).  The LU is
-kept and first tried again as a chord step; the chord step is taken only if
-it shrinks the residual by CHORD_CONTRACTION, and otherwise the Jacobian is
-factored afresh at the current iterate.  Every solve, chord or Newton, is
+kept in a caller-owned ChordLU and first tried again as a chord step, also
+by the next relaxation that is handed the same ChordLU (the limit
+experiment carries one LU through all its relaxations); the chord step is
+taken only if it shrinks the residual by CHORD_CONTRACTION, and otherwise
+the kept LU is dropped and the Jacobian is factored afresh at the current
+iterate, so at most one LU is alive.  Every solve, chord or Newton, is
 checked against the linear residual of the matrix that was factored and
 raises NewtonStepError when that check fails.
+
+The initial data of the limit experiment is a soft-min envelope of orbit
+sheets, built in one pass against the identity element's sheet; a sheet
+too far from that reference for exp to stay finite raises
+EnvelopeRangeError.
 """
 
 from __future__ import annotations
@@ -51,6 +59,10 @@ NEWTON_STEP_RTOL = 1e-10
 CHORD_CONTRACTION = 0.1
 #: soft-minimum width of the orbit envelope
 ENVELOPE_SMOOTHING = 0.08
+#: largest bound on |sheet - reference sheet| / ENVELOPE_SMOOTHING the one-pass
+#: envelope accepts: each exp term stays below e^600, so a sum over any
+#: orbit of fewer than e^109 sheets stays finite
+ENVELOPE_MAX_EXPONENT = 600.0
 #: Newton iterations allowed to each relaxation of the limit experiment
 LIMIT_MAX_ITERS = 25
 
@@ -69,6 +81,10 @@ class SpacelikeError(ValueError):
 
 class NewtonStepError(RuntimeError):
     """A Newton or chord step of the CMC relaxation failed its linear-residual check."""
+
+
+class EnvelopeRangeError(ValueError):
+    """Orbit sheets lie too far from the reference sheet for the one-pass soft minimum."""
 
 
 @dataclass(frozen=True)
@@ -338,13 +354,31 @@ def quotient_energy(field: HeightField, level_fn, geom: GraphGeometry | None = N
 
 @dataclass(frozen=True)
 class RelaxResult:
-    field: HeightField
+    #: geometry of the returned iterate, built by the relaxation's last step
+    geometry: GraphGeometry
     residual: float
     #: accepted steps, chord and Newton
     iterations: int
     converged: bool
     #: sparse LU factorizations of the Jacobian
     factorizations: int
+
+    @property
+    def field(self) -> HeightField:
+        return self.geometry.field
+
+
+@dataclass
+class ChordLU:
+    """Caller-owned slot for a Newton Jacobian and its sparse LU.
+
+    cmc_relax tries the held LU as its first chord step, empties the slot
+    before it factors, and leaves its last factors here, so one ChordLU
+    passed to successive relaxations carries the LU from one to the next.
+    """
+
+    jac: object = None
+    lu: object = None
 
 
 def _interior_residual(geom: GraphGeometry, tau: float) -> float:
@@ -477,48 +511,59 @@ def _trial_step(field: HeightField, step: np.ndarray, tau: float):
     return trial, geom, _interior_residual(geom, tau)
 
 
-def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iters: int = 30) -> RelaxResult:
+def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iters: int = 30,
+              chord: ChordLU | None = None) -> RelaxResult:
     """Relax a spacelike graph toward constant mean curvature tau_target.
 
     Damped Newton with the frame held at the initial (barrier) data.  The
-    sparse LU of the last Newton Jacobian is kept, and each step first tries
-    it as a full chord step: the chord step is taken only if it keeps the
-    interior uniformly spacelike and shrinks the interior residual max|H - tau|
-    by at least CHORD_CONTRACTION.  Otherwise it is discarded, the kept LU is
-    dropped, and a Newton step is taken from the Jacobian at the current
-    iterate.  A Newton step is accepted only if it keeps the interior
-    uniformly spacelike and decreases the residual; otherwise it is halved,
-    and after MAX_STEP_REJECTIONS consecutive rejections the current iterate
-    is returned.  Every step taken lowers the residual, so the current
-    iterate is always the best so far.  ``iterations`` counts the steps taken,
-    chord and Newton; ``factorizations`` the Jacobians factored.  The
-    contract is the achieved residual, not convergence.
+    sparse LU of the last Newton Jacobian is kept in ``chord``, and each step
+    first tries it as a full chord step: the chord step is taken only if it
+    keeps the interior uniformly spacelike and shrinks the interior residual
+    max|H - tau| by at least CHORD_CONTRACTION.  Otherwise it is discarded,
+    the kept LU is dropped, and a Newton step is taken from the Jacobian at
+    the current iterate.  A Newton step is accepted only if it keeps the
+    interior uniformly spacelike and decreases the residual; otherwise it is
+    halved, and after MAX_STEP_REJECTIONS consecutive rejections the current
+    iterate is returned.  Every step taken lowers the residual, so the
+    current iterate is always the best so far.  ``iterations`` counts the
+    steps taken, chord and Newton; ``factorizations`` the Jacobians factored.
+    The contract is the achieved residual, not convergence.
+
+    A ``chord`` handed in holding the LU of an earlier relaxation on the same
+    grid makes that LU the first chord step, under the same rules (the
+    Dirichlet frame rows of every Jacobian are identity rows, and the
+    right-hand side is 0 there, so a chord step keeps this relaxation's
+    frame); on return it holds this relaxation's last factors.
     """
     if field.ndim != 2:
         raise ValueError("relaxation is implemented for n = 2 patches")
     if tau_target >= 0:
         raise ValueError("tau_target must be negative")
+    if chord is None:
+        chord = ChordLU()
+    elif chord.jac is not None and chord.jac.shape[0] != field.values.size:
+        raise ValueError(f"the carried LU is for {chord.jac.shape[0]} unknowns, "
+                         f"the field has {field.values.size}")
     current, geom = field, graph_geometry(field)
     current_res = _interior_residual(geom, tau_target)
-    jac = lu = None
     factorizations = 0
     for iteration in range(max_iters):
         if current_res <= tol:
-            return RelaxResult(current, current_res, iteration, True, factorizations)
+            return RelaxResult(geom, current_res, iteration, True, factorizations)
         rhs = _newton_rhs(geom, tau_target)
         taken = None
-        if lu is not None:
-            chord = _newton_step(jac, rhs, lu).reshape(current.shape)
-            taken = _trial_step(current, chord, tau_target)
+        if chord.lu is not None:
+            step = _newton_step(chord.jac, rhs, chord.lu).reshape(current.shape)
+            taken = _trial_step(current, step, tau_target)
             if taken is not None and not taken[2] <= CHORD_CONTRACTION * current_res:
                 taken = None
         if taken is None:
             # free the kept factors first: two LUs alive at once raise the peak
-            jac = lu = None
+            chord.jac = chord.lu = None
             jac = _newton_system(current)
-            lu = _factorize(jac)
+            chord.jac, chord.lu = jac, _factorize(jac)
             factorizations += 1
-            step = _newton_step(jac, rhs, lu).reshape(current.shape)
+            step = _newton_step(chord.jac, rhs, chord.lu).reshape(current.shape)
             alpha = 1.0
             for _ in range(MAX_STEP_REJECTIONS):
                 taken = _trial_step(current, alpha * step, tau_target)
@@ -526,10 +571,10 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iter
                     break
                 alpha *= 0.5
             else:
-                return RelaxResult(current, current_res, iteration + 1, current_res <= tol,
+                return RelaxResult(geom, current_res, iteration + 1, current_res <= tol,
                                    factorizations)
         current, geom, current_res = taken
-    return RelaxResult(current, current_res, max_iters, current_res <= tol, factorizations)
+    return RelaxResult(geom, current_res, max_iters, current_res <= tol, factorizations)
 
 
 # ---------------------------------------------------------------------------
@@ -548,38 +593,62 @@ def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -
     whose discrete gradients can cross the light cone).  At zero cocycle all
     sheets coincide and the envelope is the exact hyperboloid shifted down by
     s*log(#sheets) — a vertical translation, which is an isometry.
+
+    The soft minimum does not depend on the surface it is taken relative to,
+    so the first orbit sheet (the identity element's, translation 0) serves
+    as the reference r, ref - s log sum exp(-(sheet - ref)/s), and each sheet
+    is built once.  sqrt(1 + |x|^2) is 1-Lipschitz, so |sheet - ref| <=
+    |t0 - r0| + |ts - rs| at every node; when that bound over s exceeds
+    ENVELOPE_MAX_EXPONENT, EnvelopeRangeError is raised before any sheet is
+    built.
     """
     if rep.presentation.ndim != 2:
         raise ValueError("orbit envelopes are implemented for n = 2")
     spacing = 2.0 * extent / (nodes - 1)
     xs = -extent + spacing * np.arange(nodes)
     translations = [iso.translation for iso in holonomy.orbit_isometries(rep, word_length)]
+    offsets = np.array(translations) - translations[0]
+    bound = float(np.max(np.abs(offsets[:, 0]) + np.hypot(offsets[:, 1], offsets[:, 2])))
+    if bound / ENVELOPE_SMOOTHING > ENVELOPE_MAX_EXPONENT:
+        raise EnvelopeRangeError(
+            f"orbit sheets differ from the reference sheet by up to {bound:.6g}, "
+            f"{bound / ENVELOPE_SMOOTHING:.6g} smoothing widths; the one-pass envelope "
+            f"allows ENVELOPE_MAX_EXPONENT = {ENVELOPE_MAX_EXPONENT:g}"
+        )
 
-    def sheet(t):
-        # rebuilt in each pass instead of stored (457 sheets at 321^2 nodes
-        # hold ~376 MB); broadcasting the 1-D offsets makes the rebuild cheap
-        return t[0] + np.sqrt((1.0 + (xs - t[1]) ** 2)[:, None] + ((xs - t[2]) ** 2)[None, :])
+    def sheet(t, out):
+        # built in place, one at a time (457 sheets at 321^2 nodes would hold
+        # ~376 MB); broadcasting the 1-D offsets makes each build cheap
+        np.add((1.0 + (xs - t[1]) ** 2)[:, None], ((xs - t[2]) ** 2)[None, :], out=out)
+        np.sqrt(out, out=out)
+        out += t[0]
+        return out
 
-    hard_min = sheet(translations[0])
+    ref = sheet(translations[0], np.empty((nodes, nodes)))
+    # the reference sheet's own term exp(0) = 1 starts the sum
+    acc = np.ones_like(ref)
+    term = np.empty_like(ref)
     for t in translations[1:]:
-        np.minimum(hard_min, sheet(t), out=hard_min)
-    acc = np.zeros_like(hard_min)
-    for t in translations:
-        acc += np.exp(-(sheet(t) - hard_min) / ENVELOPE_SMOOTHING)
-    envelope = hard_min - ENVELOPE_SMOOTHING * np.log(acc)
+        sheet(t, term)
+        term -= ref
+        term /= -ENVELOPE_SMOOTHING
+        acc += np.exp(term, out=term)
+    envelope = ref - ENVELOPE_SMOOTHING * np.log(acc)
     return HeightField(envelope, spacing, (-extent, -extent))
 
 
-def limit_pipeline(rep, extent: float, nodes: int, word_length: int, relax_tol: float):
+def limit_pipeline(rep, extent: float, nodes: int, word_length: int, relax_tol: float,
+                   chord: ChordLU | None = None):
     """(EnergyReport, RelaxResult) of one representation.
 
     The orbit envelope is relaxed to a CMC graph at tau = -2 and the quotient
-    energy is integrated over the Gauss-map preimage of the Bolza octagon.
+    energy is integrated over the Gauss-map preimage of the Bolza octagon,
+    on the geometry the relaxation built for its last iterate.  ``chord``
+    carries the sparse LU into and out of the relaxation (see cmc_relax).
     """
     start = orbit_envelope_field(rep, extent, nodes, word_length)
-    relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=LIMIT_MAX_ITERS)
-    geom = graph_geometry(relaxed.field)
-    report = quotient_energy(relaxed.field, bolza_domain_level, geom=geom)
+    relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=LIMIT_MAX_ITERS, chord=chord)
+    report = quotient_energy(relaxed.field, bolza_domain_level, geom=relaxed.geometry)
     return report, relaxed
 
 
@@ -591,7 +660,8 @@ def limit_row(lam: float, report: EnergyReport, relaxed: RelaxResult, base_volum
 
 
 def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
-                     word_length: int = 3, relax_tol: float = 1e-8):
+                     word_length: int = 3, relax_tol: float = 1e-8,
+                     chord: ChordLU | None = None):
     """Rescaled-volume convergence experiment over a cocycle-scaling family.
 
     For each lambda the cocycle is scaled by lambda**-2, a CMC graph at
@@ -601,17 +671,22 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     through the identical pipeline, so the exact-cone case gives 1 by
     construction and quadrature bias cancels.  Returns (rows, baseline_volume)
     with one LIMIT_COLUMNS row per lambda; a row whose residual exceeds
-    relax_tol marks a relaxation failure.
+    relax_tol marks a relaxation failure.  All relaxations share ``chord``
+    (a new ChordLU when none is given), so each starts from the LU the one
+    before it left; on return it holds the last relaxation's LU.
     """
+    if chord is None:
+        chord = ChordLU()
     zero = holonomy.HolonomyRep(
         rep.presentation, holonomy.Cocycle.zero(2, rep.presentation.n_generators)
     )
-    base_report, _ = limit_pipeline(zero, extent, nodes, word_length, relax_tol)
+    base_volume = limit_pipeline(zero, extent, nodes, word_length, relax_tol, chord)[0].volume
     rows = []
     for lam in lambdas:
         if lam <= 0:
             raise ValueError("lambda values must be positive")
         scaled = holonomy.scale_structure(rep, float(lam) ** -2)
-        report, relaxed = limit_pipeline(scaled, extent, nodes, word_length, relax_tol)
-        rows.append(limit_row(lam, report, relaxed, base_report.volume))
-    return rows, base_report.volume
+        # no name holds a finished relaxation's geometry while the next one runs
+        rows.append(limit_row(lam, *limit_pipeline(scaled, extent, nodes, word_length,
+                                                   relax_tol, chord), base_volume))
+    return rows, base_volume

@@ -252,6 +252,18 @@ def test_limit_experiment_rejects_empty_orbit(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_limit_experiment_carries_the_lu_to_the_coboundary(tmp_path, capsys):
+    # one sparse LU runs through the whole scenario: the coboundary control
+    # starts from the LU the last lambda left and needs no factorization
+    code, out = _run_config(tmp_path, "scenario = limit-experiment\nnodes = 161\n")
+    capsys.readouterr()
+    assert code in (0, 3)  # 161 nodes are too coarse for the baseline volume check
+    header, rows = csvio.read_csv(out / "coboundary_control.csv")
+    assert len(rows) == 1
+    assert rows[0][header.index("factorizations")] == "0"
+    assert int(rows[0][header.index("steps")]) > 0
+
+
 def test_graph_check_rejects_bad_refinement_sizes(tmp_path, capsys):
     # 181^3 nodes exceed 2401^2; the small energy grid keeps a run that
     # wrongly accepts the sizes cheap

@@ -123,6 +123,11 @@ def test_cmc_relax_validation():
         graphs.cmc_relax(f, 2.0)
     with pytest.raises(ValueError):
         graphs.cmc_relax(graphs.hyperboloid_field(1.0, 1.0, 9, ndim=1), -2.0)
+    # an LU carried from another grid cannot serve as a chord step
+    chord = graphs.ChordLU()
+    graphs.cmc_relax(f, -2.0, chord=chord)
+    with pytest.raises(ValueError, match="carried LU is for 1089 unknowns"):
+        graphs.cmc_relax(graphs.hyperboloid_field(1.0, 1.0, 41), -2.0, chord=chord)
 
 
 def test_newton_step_matches_spsolve():
@@ -137,10 +142,15 @@ def test_newton_step_matches_spsolve():
     assert np.max(np.abs(step - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
-def _limit_start(nodes):
-    # the lambda = 1 orbit envelope of the limit experiment, on a coarse grid
+def _limit_start(nodes, lam=1.0):
+    # the orbit envelope of the limit experiment at lambda, on a coarse grid
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
-    return graphs.orbit_envelope_field(rep, 6.4, nodes)
+    return graphs.orbit_envelope_field(holonomy.scale_structure(rep, lam ** -2), 6.4, nodes)
+
+
+def _relax(start, chord=None):
+    return graphs.cmc_relax(start, -2.0, tol=1e-8, max_iters=graphs.LIMIT_MAX_ITERS,
+                            chord=chord)
 
 
 def test_cmc_relax_chord_steps_match_full_newton():
@@ -225,13 +235,75 @@ def test_every_superlu_call_follows_a_heap_release(monkeypatch):
 
     monkeypatch.setattr(graphs, "_release_free_heap", lambda: events.append("release"))
     monkeypatch.setattr(scipy.sparse.linalg, "splu", record_splu)
-    result = graphs.cmc_relax(_limit_start(81), -2.0, tol=1e-8,
-                              max_iters=graphs.LIMIT_MAX_ITERS)
+    chord = graphs.ChordLU()
+    result = _relax(_limit_start(81), chord)
     assert result.converged
     assert events.count("factor") == result.factorizations
     assert events.count("solve") > result.factorizations
     assert all(events[k - 1] == "release" for k, event in enumerate(events)
                if event != "release")
+    # a second relaxation opens with a chord solve by the carried LU, which
+    # must follow a release as well
+    events.clear()
+    carried = _relax(_limit_start(81, 2.0), chord)
+    assert carried.converged
+    assert events[:2] == ["release", "solve"]
+    assert events.count("factor") == carried.factorizations
+    assert all(events[k - 1] == "release" for k, event in enumerate(events)
+               if event != "release")
+
+
+def test_cmc_relax_carries_the_lu_across_relaxations():
+    # the LU the lambda = 2 relaxation leaves behind serves the lambda = 4
+    # relaxation as chord steps: no factorization, and the field of a cold start
+    chord = graphs.ChordLU()
+    first = _relax(_limit_start(81, 2.0), chord)
+    assert first.converged and first.factorizations == 1
+    kept = chord.lu
+    start = _limit_start(81, 4.0)
+    carried = _relax(start, chord)
+    cold = _relax(start)
+    assert carried.converged and carried.residual <= 1e-8
+    assert carried.factorizations == 0 and chord.lu is kept
+    assert cold.factorizations == 1
+    diff = np.max(np.abs(carried.field.values - cold.field.values))
+    assert diff <= 1e-9 * np.max(np.abs(cold.field.values))
+
+
+def test_cmc_relax_refuses_a_carried_lu_that_does_not_contract(monkeypatch):
+    # the zero-cocycle baseline's LU handed to the lambda = 1 relaxation: its
+    # chord step falls short of CHORD_CONTRACTION, so it is refused and the
+    # relaxation runs as from a cold start; the kept LU is dropped before
+    # every factorization, so no two LUs are ever alive at once
+    start = _limit_start(81)
+    cold = _relax(start)
+    chord = graphs.ChordLU()
+    events, held_at_factor = [], []
+    factorize, trial_step = graphs._factorize, graphs._trial_step
+
+    def record_factorize(jac):
+        events.append("factor")
+        held_at_factor.append((chord.jac, chord.lu))
+        return factorize(jac)
+
+    def record_trial(field, step, tau):
+        taken = trial_step(field, step, tau)
+        events.append(None if taken is None else taken[2])
+        return taken
+
+    monkeypatch.setattr(graphs, "_factorize", record_factorize)
+    monkeypatch.setattr(graphs, "_trial_step", record_trial)
+    baseline = _relax(graphs.orbit_envelope_field(holonomy.bolza_rep(), 6.4, 81), chord)
+    assert baseline.converged and chord.lu is not None
+    events.clear()
+    carried = _relax(start, chord)
+    res = graphs._interior_residual(graphs.graph_geometry(start), -2.0)
+    assert events[0] is None or events[0] > 0.1 * res
+    assert events[1] == "factor"
+    assert carried.factorizations == cold.factorizations
+    assert np.array_equal(carried.field.values, cold.field.values)
+    assert len(held_at_factor) == baseline.factorizations + carried.factorizations
+    assert all(held == (None, None) for held in held_at_factor)
 
 
 def test_newton_step_refuses_an_unstable_factorization():
@@ -242,20 +314,45 @@ def test_newton_step_refuses_an_unstable_factorization():
         graphs._newton_step(jac, np.array([1.0, 1.0]))
 
 
-def test_envelope_matches_stacked_reference():
-    # the envelope builds each sheet twice instead of keeping them all; it must
-    # equal, bit for bit, the soft minimum over the stacked sheets
-    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.05))
-    env = graphs.orbit_envelope_field(rep, 3.0, 81)
-    xs = -3.0 + env.spacing * np.arange(81)
+def _stacked_sheets(rep, extent, nodes):
+    xs = -extent + (2.0 * extent / (nodes - 1)) * np.arange(nodes)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     translations = [iso.translation for iso in holonomy.orbit_isometries(rep, 3)]
-    sheets = np.stack([t[0] + np.sqrt(1.0 + (gx - t[1]) ** 2 + (gy - t[2]) ** 2)
-                       for t in translations])
+    return np.stack([t[0] + np.sqrt(1.0 + (gx - t[1]) ** 2 + (gy - t[2]) ** 2)
+                     for t in translations])
+
+
+def test_envelope_matches_stacked_reference():
+    # the envelope builds each sheet once instead of keeping them all; it must
+    # equal, bit for bit, the soft minimum over the stacked sheets taken
+    # relative to the first (identity) sheet and summed in orbit order
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.05))
+    env = graphs.orbit_envelope_field(rep, 3.0, 81)
+    sheets = _stacked_sheets(rep, 3.0, 81)
     assert np.unique(np.argmin(sheets, axis=0)).size > 1  # the cocycle separates the sheets
+    ref = sheets[0]
+    expected = ref - 0.08 * np.log(np.sum(np.exp(-(sheets - ref) / 0.08), axis=0))
+    assert np.array_equal(env.values, expected)
+
+
+def test_envelope_matches_hard_minimum_form():
+    # the soft minimum does not depend on its reference surface: taking it
+    # relative to the hard minimum of the sheets changes only round-off
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.05))
+    env = graphs.orbit_envelope_field(rep, 3.0, 81)
+    sheets = _stacked_sheets(rep, 3.0, 81)
     hard_min = np.min(sheets, axis=0)
     expected = hard_min - 0.08 * np.log(np.sum(np.exp(-(sheets - hard_min) / 0.08), axis=0))
-    assert np.array_equal(env.values, expected)
+    assert np.max(np.abs(env.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_envelope_refuses_sheets_beyond_the_exponent_bound():
+    # at cocycle scale 0.2 the orbit sheets lie up to ~123 from the identity
+    # sheet, over 1500 smoothing widths: exp of the one-pass sum would
+    # overflow, so the envelope refuses before building a sheet
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.2))
+    with pytest.raises(graphs.EnvelopeRangeError, match="ENVELOPE_MAX_EXPONENT = 600"):
+        graphs.orbit_envelope_field(rep, 3.0, 9)
 
 
 def test_envelope_zero_cocycle_is_shifted_hyperboloid():
