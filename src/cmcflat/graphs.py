@@ -16,7 +16,12 @@ The quotient machinery (n = 2) integrates over one fundamental domain of a
 Fuchsian group by filtering through the Gauss map: the normal of an invariant
 surface is equivariant, so the preimage of the fundamental octagon under the
 Gauss map cuts out exactly one copy of the quotient.  Boundary cells of the
-filtered region are resolved by a linear (marching-squares) cut.
+filtered region are resolved by a linear (marching-squares) cut, and only
+those: a cell with all four corners inside counts whole.  Every quantity in
+that integral is a local stencil, so the grid is integrated in blocks of
+QUADRATURE_BLOCK_ROWS cell rows, each with the geometry of its own node rows
+plus a two-row halo; no whole-grid geometry is built (a 2401^2 field is
+46 MB, and the geometry holds about two dozen such arrays).
 
 CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
@@ -65,6 +70,9 @@ ENVELOPE_SMOOTHING = 0.08
 ENVELOPE_MAX_EXPONENT = 600.0
 #: Newton iterations allowed to each relaxation of the limit experiment
 LIMIT_MAX_ITERS = 25
+#: cell rows per block of the quotient quadrature: a block's geometry at
+#: 2401 columns holds about 2.5 MB per field where the whole grid holds 46 MB
+QUADRATURE_BLOCK_ROWS = 128
 
 try:  # glibc; other C libraries have no malloc_trim and skip the release
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
@@ -130,8 +138,10 @@ def sample_height_field(fn, extent: float, nodes: int, ndim: int = 2) -> HeightF
     spacing = 2.0 * extent / (nodes - 1)
     origin = (-extent,) * ndim
     axes = [origin[i] + spacing * np.arange(nodes) for i in range(ndim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return HeightField(fn(*grids), spacing, origin)
+    # sparse axes broadcast inside fn, so no full coordinate grids are built;
+    # the broadcast fills in an axis that fn ignores (fn = lambda x, y: x)
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return HeightField(np.broadcast_to(fn(*grids), (nodes,) * ndim), spacing, origin)
 
 
 def hyperboloid_field(s: float, extent: float, nodes: int, ndim: int = 2) -> HeightField:
@@ -233,9 +243,9 @@ class GraphGeometry:
         det = np.linalg.det(self.induced_metric)
         return float(np.max(np.abs(det - self.volume_density**2)[self.interior]))
 
-    def disk_coordinates(self) -> np.ndarray:
-        """Poincare-disk image of the Gauss map: grad phi/(1 + W), shape (..., n)."""
-        return np.stack([g / (1.0 + self.volume_density) for g in self.grads], axis=-1)
+    def disk_coordinates(self) -> list:
+        """Poincare-disk image of the Gauss map, grad phi/(1 + W), one array per axis."""
+        return [g / (1.0 + self.volume_density) for g in self.grads]
 
 
 def graph_geometry(field: HeightField) -> GraphGeometry:
@@ -244,7 +254,7 @@ def graph_geometry(field: HeightField) -> GraphGeometry:
 
 def bolza_domain_level(geom: GraphGeometry) -> np.ndarray:
     """Signed octagon level of the Gauss map at every node (>= 0 in the domain)."""
-    return holonomy.octagon_level(geom.disk_coordinates())
+    return holonomy.octagon_level(*geom.disk_coordinates())
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +272,17 @@ def _edge_cross(sa, sb):
 def _cut_fraction(s0, s1, s2, s3):
     """Inside-area fraction of a cell from corner levels (>= 0 means inside).
 
-    Corners are cyclic: s0=(0,0), s1=(1,0), s2=(1,1), s3=(0,1).  The level is
+    Corners are cyclic: s0=(0,0), s1=(1,0), s2=(1,1), s3=(0,1).  A cell with
+    every corner inside gets 1 and one with none gets 0; only the cut cells,
+    whose corner levels change sign, are resolved.  There the level is
     interpolated linearly along each edge and the boundary is taken straight
     inside the cell (marching squares); the two saddle cases are resolved by
     the cell-center average.
     """
-    b0, b1, b2, b3 = s0 >= 0, s1 >= 0, s2 >= 0, s3 >= 0
-    case = (b0.astype(int) + 2 * b1.astype(int) + 4 * b2.astype(int) + 8 * b3.astype(int))
+    case = (s0 >= 0) * 1 + (s1 >= 0) * 2 + (s2 >= 0) * 4 + (s3 >= 0) * 8
+    frac = (case == 15).astype(float)
+    cut = (case != 0) & (case != 15)
+    s0, s1, s2, s3, case = s0[cut], s1[cut], s2[cut], s3[cut], case[cut]
     tb = _edge_cross(s0, s1)  # bottom, x of crossing
     tr = _edge_cross(s1, s2)  # right, y
     tt = _edge_cross(s3, s2)  # top, x (from the left corner)
@@ -278,22 +292,12 @@ def _cut_fraction(s0, s1, s2, s3):
     tri2 = 0.5 * (1.0 - tr) * (1.0 - tt)
     tri3 = 0.5 * tt * (1.0 - tl)
     center = 0.25 * (s0 + s1 + s2 + s3)
-    frac = np.zeros_like(np.asarray(s0, float))
-    frac = np.where(case == 1, tri0, frac)
-    frac = np.where(case == 2, tri1, frac)
-    frac = np.where(case == 4, tri2, frac)
-    frac = np.where(case == 8, tri3, frac)
-    frac = np.where(case == 14, 1.0 - tri0, frac)
-    frac = np.where(case == 13, 1.0 - tri1, frac)
-    frac = np.where(case == 11, 1.0 - tri2, frac)
-    frac = np.where(case == 7, 1.0 - tri3, frac)
-    frac = np.where(case == 3, 0.5 * (tl + tr), frac)
-    frac = np.where(case == 12, 1.0 - 0.5 * (tl + tr), frac)
-    frac = np.where(case == 9, 0.5 * (tb + tt), frac)
-    frac = np.where(case == 6, 1.0 - 0.5 * (tb + tt), frac)
-    frac = np.where(case == 5, np.where(center >= 0, 1.0 - tri1 - tri3, tri0 + tri2), frac)
-    frac = np.where(case == 10, np.where(center >= 0, 1.0 - tri0 - tri2, tri1 + tri3), frac)
-    frac = np.where(case == 15, 1.0, frac)
+    frac[cut] = np.select(
+        [case == c for c in (1, 2, 4, 8, 14, 13, 11, 7, 3, 12, 9, 6, 5, 10)],
+        [tri0, tri1, tri2, tri3, 1.0 - tri0, 1.0 - tri1, 1.0 - tri2, 1.0 - tri3,
+         0.5 * (tl + tr), 1.0 - 0.5 * (tl + tr), 0.5 * (tb + tt), 1.0 - 0.5 * (tb + tt),
+         np.where(center >= 0, 1.0 - tri1 - tri3, tri0 + tri2),
+         np.where(center >= 0, 1.0 - tri0 - tri2, tri1 + tri3)])
     return frac
 
 
@@ -308,43 +312,69 @@ class EnergyReport:
 def quotient_energy(field: HeightField, level_fn, geom: GraphGeometry | None = None) -> EnergyReport:
     """Integrate |K|^2 and the volume element over a filtered region.
 
-    ``level_fn`` maps the geometry to a signed node field whose >= 0 region
+    ``level_fn`` maps a geometry to a signed node field whose >= 0 region
     selects the domain (``bolza_domain_level`` picks one Bolza fundamental
     domain through the Gauss map).  Returns E = int |K|^2 dmu, Vol = int dmu,
-    the mu-weighted mean of H, and the coordinate area of the region.  Boundary cells get a linear cut; the
-    integrand uses the cell-corner average.
+    the mu-weighted mean of H, and the coordinate area of the region.
+    Boundary cells get a linear cut; the integrand uses the cell-corner
+    average.
+
+    The cells are integrated in blocks of QUADRATURE_BLOCK_ROWS rows: each
+    block builds the geometry of its node rows plus a two-row halo, which
+    the stencils reach, calls ``level_fn`` on that block geometry, and adds
+    its sums to running totals.  ``level_fn`` is therefore evaluated once per
+    block and must be pointwise in the block's geometry and coordinates.  A
+    ``geom`` passed in is integrated as a single block, without rebuilding.
+    SpacelikeError is raised when any block's interior is not uniformly
+    spacelike; ValueError when the region reaches the frame cells (the two
+    outer cell rings) anywhere, or is empty.
     """
     if field.ndim != 2:
         raise ValueError("filtered quadrature is implemented for n = 2 patches")
-    if geom is None:
-        geom = graph_geometry(field)
     h = field.spacing
+    cells, cols = field.shape[0] - 1, field.shape[1] - 1
+    block_rows = cells if geom is not None else QUADRATURE_BLOCK_ROWS
 
     def corners(a):
         return a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]
 
-    inner = np.zeros(tuple(s - 1 for s in field.shape), dtype=bool)
-    inner[2:-2, 2:-2] = True  # cells whose corners are all interior nodes
-    s0, s1, s2, s3 = corners(np.asarray(level_fn(geom), float))
-    frac = _cut_fraction(s0, s1, s2, s3)
-    touched = (frac > 0) & ~inner
-    if np.any(touched):
+    touched = False
+    area = volume = energy = tau_weight = 0.0
+    for first in range(0, cells, block_rows):
+        stop = min(first + block_rows, cells)
+        if geom is None:
+            # node rows first - 2 .. stop + 2, widened to the five the stencils need
+            hi = min(max(stop + 2, 4), cells)
+            lo = max(0, min(first - 2, hi - 4))
+            block = HeightField(field.values[lo:hi + 1], h,
+                                (field.origin[0] + lo * h, field.origin[1]))
+            block_geom = graph_geometry(block)
+        else:
+            lo, block_geom = 0, geom
+        nodes = slice(first - lo, stop - lo + 1)
+        # cells whose corners are all interior nodes
+        inner = np.zeros((stop - first, cols), dtype=bool)
+        inner[max(2 - first, 0):max(cells - 2 - first, 0), 2:-2] = True
+        frac = _cut_fraction(*corners(np.asarray(level_fn(block_geom), float)[nodes]))
+        touched = touched or bool(np.any((frac > 0) & ~inner))
+        frac = frac * inner
+        area += float(np.sum(frac))
+
+        def cell_sum(values):
+            c = corners(values[nodes])
+            return float(np.sum(0.25 * (c[0] + c[1] + c[2] + c[3]) * frac))
+
+        w = block_geom.volume_density
+        volume += cell_sum(w)
+        energy += cell_sum(block_geom.k_norm2 * w)
+        tau_weight += cell_sum(block_geom.mean_curvature * w)
+    if touched:
         raise ValueError("filtered region touches the patch frame; enlarge the patch")
-    frac = frac * inner
-    area = h * h * float(np.sum(frac))
+    area = h * h * area
     if area == 0.0:
         raise ValueError("filtered region is empty")
-
-    def cell_integral(values):
-        c = corners(values)
-        avg = 0.25 * (c[0] + c[1] + c[2] + c[3])
-        return h * h * float(np.sum(avg * frac))
-
-    w = geom.volume_density
-    volume = cell_integral(w)
-    energy = cell_integral(geom.k_norm2 * w)
-    tau_mean = cell_integral(geom.mean_curvature * w) / volume
-    return EnergyReport(energy, volume, tau_mean, area)
+    volume = h * h * volume
+    return EnergyReport(h * h * energy, volume, h * h * tau_weight / volume, area)
 
 
 # ---------------------------------------------------------------------------

@@ -195,19 +195,25 @@ def _side_circle_data():
     return centers, radius
 
 
-def octagon_level(points) -> np.ndarray:
+def octagon_level(points, y=None) -> np.ndarray:
     """Signed level of Poincare-disk points against the octagon boundary.
 
     For ``points`` of shape (..., 2) returns min over the eight side circles
     of (distance to circle center - circle radius); the value is >= 0 exactly
     on the octagon (inside lies outside every side circle) and its zero set
     is the boundary, which makes it usable as a cut function in quadrature.
+    ``octagon_level(x, y)`` takes the two coordinates as separate arrays of
+    one shape instead, so no stacked (..., 2) array need be formed.
     """
-    pts = np.asarray(points, dtype=float)
+    if y is None:
+        pts = np.asarray(points, dtype=float)
+        x, y = pts[..., 0], pts[..., 1]
+    else:
+        x, y = np.asarray(points, dtype=float), np.asarray(y, dtype=float)
     centers, radius = _side_circle_data()
     level = None
-    for c in centers:
-        d = np.sqrt(np.sum((pts - c) ** 2, axis=-1)) - radius
+    for cx, cy in centers:
+        d = np.sqrt((x - cx) ** 2 + (y - cy) ** 2) - radius
         level = d if level is None else np.minimum(level, d)
     return level
 

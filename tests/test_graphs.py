@@ -102,6 +102,113 @@ def test_bolza_domain_level_consistency():
     assert level[center] > 0
 
 
+def test_sampled_field_matches_dense_grid():
+    # sparse coordinate axes broadcast to the values of the full meshgrid
+    f = graphs.hyperboloid_field(1.0, 6.0, 241)
+    x, y = np.meshgrid(*(f.axis_coords(i) for i in range(2)), indexing="ij")
+    assert np.array_equal(f.values, np.sqrt(1.0 + (0 + x * x + y * y)))
+    # a function that ignores an axis still fills the whole grid
+    tilted = graphs.sample_height_field(lambda x, y: 0.5 * x, 1.0, 33)
+    assert tilted.shape == (33, 33)
+    assert np.array_equal(tilted.values[:, 7], tilted.values[:, 0])
+
+
+def _disk_level(center_x=0.0, radius2=0.25):
+    def level(g):
+        x, y = g.field.meshgrid()
+        return radius2 - ((x - center_x) ** 2 + y * y)
+    return level
+
+
+def _relative_gap(a, b):
+    return max(abs(getattr(a, k) - getattr(b, k)) / abs(getattr(b, k))
+               for k in ("energy", "volume", "tau_mean", "region_area"))
+
+
+def test_blocked_quadrature_matches_one_block(monkeypatch):
+    # 7-row blocks leave a ragged last block (1 cell row of 99, 2 of 240);
+    # the caller's geometry is integrated as one block
+    monkeypatch.setattr(graphs, "QUADRATURE_BLOCK_ROWS", 7)
+    for f, level in ((graphs.hyperboloid_field(1.0, 1.0, 100), _disk_level()),
+                     (graphs.hyperboloid_field(1.0, 6.0, 241), graphs.bolza_domain_level)):
+        blocked = graphs.quotient_energy(f, level)
+        whole = graphs.quotient_energy(f, level, geom=graphs.graph_geometry(f))
+        assert _relative_gap(blocked, whole) <= 1e-13
+
+
+def test_blocked_quadrature_guards_see_later_blocks(monkeypatch):
+    # 32 cell rows in blocks of 7: the offending cells lie in later blocks only
+    monkeypatch.setattr(graphs, "QUADRATURE_BLOCK_ROWS", 7)
+    f = graphs.hyperboloid_field(1.0, 1.0, 33)
+
+    def reaches_side_frame(g):
+        # the frame columns y = 1 of node rows 16..19, all in the third block
+        x, y = g.field.meshgrid()
+        return np.maximum(_disk_level()(g), np.where(np.abs(x - 0.1) < 0.1, y - 0.95, -1.0))
+
+    with pytest.raises(ValueError, match="touches the patch frame"):
+        graphs.quotient_energy(f, reaches_side_frame)
+    with pytest.raises(ValueError, match="empty"):
+        graphs.quotient_energy(f, _disk_level(radius2=-1.0))
+    # a region in later blocks only is not empty
+    late = graphs.quotient_energy(f, _disk_level(0.6, 0.04))
+    whole = graphs.quotient_energy(f, _disk_level(0.6, 0.04), geom=graphs.graph_geometry(f))
+    assert _relative_gap(late, whole) <= 1e-13
+
+    steep = graphs.sample_height_field(
+        lambda x, y: 0.5 * y + np.where(x > 0.6, 1.5 * (x - 0.6), 0.0), 1.0, 33)
+    calls = []
+
+    def counted(g):
+        calls.append(g.field.shape)
+        return _disk_level()(g)
+
+    with pytest.raises(graphs.SpacelikeError):
+        graphs.quotient_energy(steep, counted)
+    assert len(calls) == 3  # raised by the fourth block's geometry
+
+
+def _dense_cut_fraction(s0, s1, s2, s3):
+    # every marching-squares case evaluated on every cell, one pass per case
+    b0, b1, b2, b3 = s0 >= 0, s1 >= 0, s2 >= 0, s3 >= 0
+    case = (b0.astype(int) + 2 * b1.astype(int) + 4 * b2.astype(int) + 8 * b3.astype(int))
+    tb = graphs._edge_cross(s0, s1)
+    tr = graphs._edge_cross(s1, s2)
+    tt = graphs._edge_cross(s3, s2)
+    tl = graphs._edge_cross(s0, s3)
+    tri0 = 0.5 * tb * tl
+    tri1 = 0.5 * (1.0 - tb) * tr
+    tri2 = 0.5 * (1.0 - tr) * (1.0 - tt)
+    tri3 = 0.5 * tt * (1.0 - tl)
+    center = 0.25 * (s0 + s1 + s2 + s3)
+    frac = np.zeros_like(np.asarray(s0, float))
+    frac = np.where(case == 1, tri0, frac)
+    frac = np.where(case == 2, tri1, frac)
+    frac = np.where(case == 4, tri2, frac)
+    frac = np.where(case == 8, tri3, frac)
+    frac = np.where(case == 14, 1.0 - tri0, frac)
+    frac = np.where(case == 13, 1.0 - tri1, frac)
+    frac = np.where(case == 11, 1.0 - tri2, frac)
+    frac = np.where(case == 7, 1.0 - tri3, frac)
+    frac = np.where(case == 3, 0.5 * (tl + tr), frac)
+    frac = np.where(case == 12, 1.0 - 0.5 * (tl + tr), frac)
+    frac = np.where(case == 9, 0.5 * (tb + tt), frac)
+    frac = np.where(case == 6, 1.0 - 0.5 * (tb + tt), frac)
+    frac = np.where(case == 5, np.where(center >= 0, 1.0 - tri1 - tri3, tri0 + tri2), frac)
+    frac = np.where(case == 10, np.where(center >= 0, 1.0 - tri0 - tri2, tri1 + tri3), frac)
+    frac = np.where(case == 15, 1.0, frac)
+    return frac, case
+
+
+def test_cut_fraction_matches_dense_cases():
+    rng = np.random.default_rng(11)
+    levels = rng.normal(size=(4, 60, 50))
+    levels[rng.random(levels.shape) < 0.2] = 0.0  # exact zeros count as inside
+    expected, case = _dense_cut_fraction(*levels)
+    assert np.array_equal(np.unique(case), np.arange(16))
+    assert np.array_equal(graphs._cut_fraction(*levels), expected)
+
+
 def test_cmc_relax_pullback():
     def bumped(x, y):
         r2 = x * x + y * y

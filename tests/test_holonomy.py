@@ -62,6 +62,18 @@ def test_octagon_level_and_membership():
     assert h.octagon_level(np.array([rin + 1e-6, 0.0])) < 0
 
 
+def test_octagon_level_components_match_stacked_points():
+    # the per-component distances reproduce the stacked (pts - c) form bit for bit
+    rng = np.random.default_rng(5)
+    r, a = np.sqrt(rng.random((40, 30))), rng.uniform(0.0, 2.0 * np.pi, (40, 30))
+    pts = np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)
+    centers, radius = h._side_circle_data()
+    expected = np.min([np.sqrt(np.sum((pts - c) ** 2, axis=-1)) - radius for c in centers],
+                      axis=0)
+    assert np.array_equal(h.octagon_level(pts), expected)
+    assert np.array_equal(h.octagon_level(pts[..., 0], pts[..., 1]), expected)
+
+
 def test_cocycle_rule_on_random_words():
     pres = h.bolza_presentation()
     rng = np.random.default_rng(5)
