@@ -79,6 +79,9 @@ try:  # glibc; other C libraries have no malloc_trim and skip the release
 except (AttributeError, OSError, TypeError):
     _MALLOC_TRIM = None
 
+#: base-point direction of the limit experiment's pure-gauge (coboundary) control
+COBOUNDARY_DIRECTION = (1.0, 0.6, -0.8)
+
 LIMIT_COLUMNS = ("lambda", "tau_mean", "volume", "ham_ratio", "residual", "steps",
                  "factorizations")
 
@@ -250,6 +253,23 @@ class GraphGeometry:
 
 def graph_geometry(field: HeightField) -> GraphGeometry:
     return GraphGeometry(field)
+
+
+def curvature_convergence(s: float, extent: float, nodes_list, ndim: int = 2):
+    """(rows, det_err): the hyperboloid graph's mean-curvature error on each grid.
+
+    A row (nodes, spacing, err) per size in ``nodes_list``, err the largest
+    interior |H + ndim/s| of sqrt(s^2 + |x|^2) over [-extent, extent]^ndim;
+    det_err is the np.max of det_identity_error over the grids.
+    """
+    rows, det_errs = [], []
+    for nodes in nodes_list:
+        field = hyperboloid_field(s, extent, nodes, ndim=ndim)
+        geom = graph_geometry(field)
+        err = float(np.max(np.abs(geom.mean_curvature[geom.interior] + ndim / s)))
+        det_errs.append(geom.det_identity_error())
+        rows.append((nodes, field.spacing, err))
+    return rows, float(np.max(det_errs))
 
 
 def bolza_domain_level(geom: GraphGeometry) -> np.ndarray:
@@ -720,3 +740,23 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
         rows.append(limit_row(lam, *limit_pipeline(scaled, extent, nodes, word_length,
                                                    relax_tol, chord), base_volume))
     return rows, base_volume
+
+
+def coboundary_control(rep, base_volume: float, size: float, extent: float, nodes: int,
+                       word_length: int, relax_tol: float, chord: ChordLU | None = None):
+    """The lambda = 1 LIMIT_COLUMNS row of the limit experiment's pure-gauge control.
+
+    The coboundary of a base point along COBOUNDARY_DIRECTION, scaled to a
+    largest orbit translation of ``size``, goes through limit_pipeline (with
+    ``chord``).  It only moves the base point, so its ham_ratio to
+    ``base_volume`` differs from 1 by quadrature noise alone.
+    """
+    pres = rep.presentation
+    b_unit = np.array(COBOUNDARY_DIRECTION)
+    unit = holonomy.HolonomyRep(pres, holonomy.coboundary_cocycle(pres, b_unit))
+    amp = np.max([np.max(np.abs(iso.translation))
+                  for iso in holonomy.orbit_isometries(unit, word_length)])
+    cob = holonomy.coboundary_cocycle(pres, (size / amp) * b_unit)
+    report, relaxed = limit_pipeline(holonomy.HolonomyRep(pres, cob), extent, nodes,
+                                     word_length, relax_tol, chord)
+    return limit_row(1.0, report, relaxed, base_volume)

@@ -28,6 +28,7 @@ from scipy.optimize import brentq
 from .minkowski import (
     REORTHO_EVERY,
     MinkIsometry,
+    hyperboloid_lift,
     lorentz_project,
     make_boost,
     make_rotation,
@@ -195,21 +196,14 @@ def _side_circle_data():
     return centers, radius
 
 
-def octagon_level(points, y=None) -> np.ndarray:
-    """Signed level of Poincare-disk points against the octagon boundary.
+def octagon_level(x, y) -> np.ndarray:
+    """Signed level of the Poincare-disk points (x, y) against the octagon boundary.
 
-    For ``points`` of shape (..., 2) returns min over the eight side circles
-    of (distance to circle center - circle radius); the value is >= 0 exactly
-    on the octagon (inside lies outside every side circle) and its zero set
-    is the boundary, which makes it usable as a cut function in quadrature.
-    ``octagon_level(x, y)`` takes the two coordinates as separate arrays of
-    one shape instead, so no stacked (..., 2) array need be formed.
+    Min over the eight side circles of (distance to circle center - circle
+    radius), elementwise over the coordinate arrays ``x`` and ``y``: >= 0
+    exactly on the octagon (inside lies outside every side circle), with the
+    boundary as zero set, so it serves as a cut function in quadrature.
     """
-    if y is None:
-        pts = np.asarray(points, dtype=float)
-        x, y = pts[..., 0], pts[..., 1]
-    else:
-        x, y = np.asarray(points, dtype=float), np.asarray(y, dtype=float)
     centers, radius = _side_circle_data()
     level = None
     for cx, cy in centers:
@@ -352,3 +346,49 @@ def orbit_isometries(rep: HolonomyRep, max_word_length: int = 3):
 def _element_key(iso: MinkIsometry):
     entries = np.concatenate([iso.linear.ravel(), iso.translation])
     return tuple(np.round(entries, ELEMENT_KEY_DECIMALS))
+
+
+def bolza_suite(seed: int, words: int, word_length: int) -> list:
+    """The Bolza group's checked quantities as seven (quantity, value) rows.
+
+    Relator residual; octagon area, inradius and circumradius; cocycle-rule
+    error on ``words`` random words of ``word_length`` letters; relator
+    translation of a random coboundary; Gauss-map equivariance error
+    |A p - lift(A p)| on 64 random hyperboloid points p, whose unit normal
+    is p.  Draws come from one generator seeded with ``seed``; each error is
+    an np.max over all measurements, so one NaN makes it NaN.
+    """
+    pres = bolza_presentation()
+    relator_res = np.max([np.max(np.abs(evaluate_word(pres, rel) - np.eye(pres.ndim + 1)))
+                          for rel in pres.relators])
+
+    rng = np.random.default_rng(seed)
+    deformed = HolonomyRep(pres, Cocycle(tuple(rng.normal(scale=0.25, size=pres.ndim + 1)
+                                               for _ in range(pres.n_generators))))
+    cocycle_errs = []
+    for _ in range(words):
+        letters = rng.integers(1, pres.n_generators + 1, size=word_length)
+        word = [int(i) for i in letters * rng.choice((-1, 1), size=word_length)]
+        split = int(rng.integers(1, word_length))
+        alpha, beta = word[:split], word[split:]
+        lhs = extend_cocycle(deformed, word)
+        rhs = extend_cocycle(deformed, alpha) + \
+            evaluate_word(pres, alpha) @ extend_cocycle(deformed, beta)
+        cocycle_errs.append(np.max(np.abs(lhs - rhs)))
+
+    cob = HolonomyRep(pres, coboundary_cocycle(pres, rng.normal(size=pres.ndim + 1)))
+    coboundary_res = np.max([np.max(np.abs(extend_cocycle(cob, rel))) for rel in pres.relators])
+
+    lifted = hyperboloid_lift(rng.uniform(-0.8, 0.8, size=(64, pres.ndim)))
+    mapped = [lifted @ gen.T for gen in pres.generators]
+    equiv_err = np.max([np.max(np.abs(m - hyperboloid_lift(m[:, 1:]))) for m in mapped])
+
+    return [
+        ("relator_residual", float(relator_res)),
+        ("octagon_area", octagon_area()),
+        ("octagon_inradius", octagon_inradius()),
+        ("octagon_circumradius", octagon_circumradius()),
+        ("cocycle_rule_err", float(np.max(cocycle_errs))),
+        ("coboundary_relator_residual", float(coboundary_res)),
+        ("gauss_equivariance_err", float(equiv_err)),
+    ]

@@ -194,3 +194,27 @@ def riccati_integrate(k0, t: float, steps: int = 2000) -> np.ndarray:
         f4 = k4 @ k4
         k = k + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
     return k
+
+
+def riccati_trials(seed: int, trials: int, t_values, steps: int):
+    """Riccati closed form against RK4 and against itself on random K(0).
+
+    Trial i draws a negative-definite K(0) = -(A Aᵀ) - 0.1·Id of size 2 + i mod 3
+    from one generator seeded with ``seed``.  Returns (rows, k0s): a row
+    (trial, dim, t, integration_err, semigroup_err) per t in ``t_values``,
+    the largest entries of |RK4 - K(t)| and |K(0.4t) propagated by 0.6t - K(t)|.
+    """
+    rng = np.random.default_rng(seed)
+    rows, k0s = [], []
+    for trial in range(trials):
+        dim = 2 + trial % 3
+        a = rng.normal(size=(dim, dim))
+        k0 = -(a @ a.T) - 0.1 * np.eye(dim)
+        k0s.append(k0)
+        for t in t_values:
+            exact = riccati_propagate(k0, t)
+            numeric = riccati_integrate(k0, t, steps=steps)
+            two_leg = riccati_propagate(riccati_propagate(k0, 0.4 * t), 0.6 * t)
+            rows.append((trial, dim, t, float(np.max(np.abs(numeric - exact))),
+                         float(np.max(np.abs(two_leg - exact)))))
+    return rows, k0s

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from cmcflat import cli, flow, graphs, holonomy, lichnerowicz, minkowski, models
+from cmcflat import cli, flow, graphs, holonomy, lichnerowicz, models
 
 TAU_START, TAU_END, N_STEPS = -10.0, -0.1, 10_000
 
@@ -102,20 +102,11 @@ def test_criterion_04_constraint_propagation():
 def test_criterion_05_riccati_closed_form():
     # dK/dt = K^2 against (K(0)^-1 - t)^-1 on random negative-definite K(0);
     # every focal time 1/kappa is then negative, so all t > 0 are admissible
-    rng = np.random.default_rng(2024)
-    worst_int = 0.0
-    worst_semi = 0.0
-    for trial in range(6):
-        dim = 2 + trial % 3
-        a = rng.normal(size=(dim, dim))
-        k0 = -(a @ a.T) - 0.1 * np.eye(dim)
+    rows, k0s = models.riccati_trials(2024, 6, (0.3, 0.9, 1.5), 2000)
+    for k0 in k0s:
         assert float(np.max(models.focal_times(k0))) < 0.0
-        for t in (0.3, 0.9, 1.5):
-            exact = models.riccati_propagate(k0, t)
-            numeric = models.riccati_integrate(k0, t, steps=2000)
-            worst_int = max(worst_int, float(np.max(np.abs(numeric - exact))))
-            two_leg = models.riccati_propagate(models.riccati_propagate(k0, 0.4 * t), 0.6 * t)
-            worst_semi = max(worst_semi, float(np.max(np.abs(two_leg - exact))))
+    worst_int = float(np.max([r[3] for r in rows]))
+    worst_semi = float(np.max([r[4] for r in rows]))
     assert worst_int < 1e-8, f"integration error {worst_int:.3e}"
     assert worst_semi < 1e-10, f"semigroup error {worst_semi:.3e}"
 
@@ -140,60 +131,26 @@ def test_criterion_06_lichnerowicz():
 def test_criterion_07_graph_mean_curvature_order():
     # discrete H of sqrt(s^2+|x|^2) converges to -n/s at order 2.0 +- 0.2
     # over three refinements; det(induced metric) = W^2 to 1e-12 throughout
-    errs = []
-    det_err = 0.0
-    for nodes in (81, 161, 321):
-        geom = graphs.graph_geometry(graphs.hyperboloid_field(1.0, 2.0, nodes))
-        errs.append(float(np.max(np.abs(geom.mean_curvature + 2.0)[geom.interior])))
-        det_err = max(det_err, geom.det_identity_error())
+    rows, det_err = graphs.curvature_convergence(1.0, 2.0, (81, 161, 321), 2)
+    errs = [r[2] for r in rows]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert all(1.8 <= o <= 2.2 for o in orders), f"orders {orders}"
     assert det_err <= 1e-12
 
 
 def test_criterion_08_bolza_suite():
-    pres = holonomy.bolza_presentation()
-    eye = np.eye(pres.ndim + 1)
-
-    # relator residual
-    relator_res = max(
-        float(np.max(np.abs(holonomy.evaluate_word(pres, rel) - eye)))
-        for rel in pres.relators)
-    assert relator_res < 1e-9
-
-    # octagon area = 4 pi +- 1e-3
-    assert abs(holonomy.octagon_area() - 4.0 * math.pi) < 1e-3
-
-    # cocycle rule t(ab) = t(a) + f(a) t(b) on random words (length capped
-    # where boost amplification of rounding still resolves 1e-9)
-    rng = np.random.default_rng(7)
-    deformed = holonomy.HolonomyRep(
-        pres, holonomy.Cocycle(tuple(rng.normal(scale=0.25, size=pres.ndim + 1)
-                                     for _ in range(pres.n_generators))))
-    for _ in range(20):
-        letters = rng.integers(1, 9, size=5) * rng.choice((-1, 1), size=5)
-        word = [int(i) for i in letters]
-        split = int(rng.integers(1, 5))
-        alpha, beta = word[:split], word[split:]
-        lhs = holonomy.extend_cocycle(deformed, word)
-        rhs = holonomy.extend_cocycle(deformed, alpha) + \
-            holonomy.evaluate_word(pres, alpha) @ holonomy.extend_cocycle(deformed, beta)
-        assert float(np.max(np.abs(lhs - rhs))) < 1e-9
-
-    # coboundaries vanish on relators
-    cob = holonomy.HolonomyRep(
-        pres, holonomy.coboundary_cocycle(pres, rng.normal(size=pres.ndim + 1)))
-    for rel in pres.relators:
-        assert float(np.max(np.abs(holonomy.extend_cocycle(cob, rel)))) < 1e-9
-
-    # Gauss-map equivariance on the exact hyperboloid: the unit normal is the
-    # position vector, so normals at mapped points are the mapped normals
-    pts = rng.uniform(-0.8, 0.8, size=(64, pres.ndim))
-    lifted = minkowski.hyperboloid_lift(pts)
-    for k in range(pres.n_generators):
-        mapped = lifted @ pres.generators[k].T
-        renormal = minkowski.hyperboloid_lift(mapped[:, 1:])
-        assert float(np.max(np.abs(mapped - renormal))) < 1e-9
+    # relator residual, octagon area = 4 pi +- 1e-3, the cocycle rule
+    # t(ab) = t(a) + f(a) t(b) on 20 random words of 5 letters (length capped
+    # where boost amplification of rounding still resolves 1e-9), coboundaries
+    # vanishing on relators, and Gauss-map equivariance on the exact
+    # hyperboloid (the unit normal is the position vector, so normals at
+    # mapped points are the mapped normals)
+    value = dict(holonomy.bolza_suite(7, 20, 5))
+    assert value["relator_residual"] < 1e-9
+    assert abs(value["octagon_area"] - 4.0 * math.pi) < 1e-3
+    assert value["cocycle_rule_err"] < 1e-9
+    assert value["coboundary_relator_residual"] < 1e-9
+    assert value["gauss_equivariance_err"] < 1e-9
 
 
 def test_criterion_09_energy_identity():
@@ -216,18 +173,10 @@ def test_criterion_10_limit_experiment_trend():
     assert all(d2 < d1 for d1, d2 in zip(devs, devs[1:])), f"devs {devs}"
     assert max(r[4] for r in rows) <= 1e-7  # relaxations actually converged
 
-    pres = rep.presentation
-    b_unit = np.array([1.0, 0.6, -0.8])
-    unit = holonomy.HolonomyRep(pres, holonomy.coboundary_cocycle(pres, b_unit))
-    amp = max(float(np.max(np.abs(iso.translation)))
-              for iso in holonomy.orbit_isometries(unit, 3))
-    cob = holonomy.coboundary_cocycle(pres, (0.15 / amp) * b_unit)
     # the ratio is taken against the baseline above, through the pipeline and
     # defaults (extent, nodes, word_length, relax_tol) of limit_experiment
-    cob_report, cob_relaxed = graphs.limit_pipeline(
-        holonomy.HolonomyRep(pres, cob), 6.4, 321, 3, 1e-8)
-    cob_rows = [graphs.limit_row(1.0, cob_report, cob_relaxed, base_volume)]
-    assert abs(cob_rows[0][3] - 1.0) <= 2e-4
+    cob_row = graphs.coboundary_control(rep, base_volume, 0.15, 6.4, 321, 3, 1e-8)
+    assert abs(cob_row[3] - 1.0) <= 2e-4
 
 
 def test_criterion_11_determinism(tmp_path):

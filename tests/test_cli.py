@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cmcflat import cli, csvio
+from cmcflat import cli, csvio, flow, graphs, lichnerowicz, models
 from cmcflat.config import (ConfigError, get_float, get_floats, get_int,
                             parse_config)
 
@@ -303,3 +303,95 @@ def test_graph_check_three_dimensional_orders(tmp_path, capsys):
     assert len(orders) == 2
     assert all(row[-1] == "true" for row in orders)
     assert code in (0, 3)
+
+
+def test_riccati_nan_probe_fails_the_check(tmp_path, monkeypatch, capsys):
+    # a NaN on the 4th of 15 probes must not vanish into a running maximum
+    integrate = models.riccati_integrate
+    calls = []
+
+    def nan_on_fourth(k0, t, steps=2000):
+        calls.append(t)
+        out = integrate(k0, t, steps=steps)
+        return np.full_like(out, np.nan) if len(calls) == 4 else out
+
+    monkeypatch.setattr(models, "riccati_integrate", nan_on_fourth)
+    assert cli.main(["--scenario", "riccati", "--out", str(tmp_path / "run")]) == 3
+    assert "FAIL riccati_integration_err" in capsys.readouterr().out
+    assert len(calls) == 15
+
+
+def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):
+    # canned LIMIT_COLUMNS rows: a NaN ratio between two decreasing
+    # deviations, and a NaN residual after a finite one
+    base = 4.0 * np.pi
+    rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 1),
+            (2.0, -2.0, base, np.nan, 1e-10, 3, 0),
+            (4.0, -2.0, base, 1.001, np.nan, 3, 0)]
+    monkeypatch.setattr(graphs, "limit_experiment", lambda *a, **k: (rows, base))
+    monkeypatch.setattr(graphs, "coboundary_control",
+                        lambda *a, **k: (1.0, -2.0, base, 1.0, 1e-10, 2, 0))
+    code, out = _run_config(tmp_path, "scenario = limit-experiment\nlambdas = 1, 2, 4\n")
+    assert code == 3
+    stdout = capsys.readouterr().out
+    assert "FAIL limit_dev_increases: measured=2.0" in stdout
+    assert "FAIL limit_relax_residual: measured=nan" in stdout
+    assert "PASS limit_coboundary_ratio" in stdout
+
+
+def test_nan_lapse_and_barrier_fail_the_clipped_checks(tmp_path, monkeypatch, capsys):
+    # violations are clipped at 0; a NaN after a finite value must survive the clip
+    tau = np.array([-10.0, -5.0, -1.0])
+    lapse = 2.0 / tau**2
+    data = np.column_stack([tau, np.ones(3), np.full(3, 27.0), np.zeros(3), np.zeros(3),
+                            np.zeros(3), lapse, lapse])
+    data[1, flow.TRACE_COLUMNS.index("lapse_min")] = np.nan
+    monkeypatch.setattr(flow, "run_flow", lambda *a, **k: flow.HamTrace(3, data))
+    code, _ = _run_config(tmp_path, "scenario = cone-flow\nsteps = 2\n")
+    assert code == 3
+    stdout = capsys.readouterr().out
+    assert "FAIL cone_lapse_lower_bound_violation: measured=nan" in stdout
+    assert "PASS cone_lapse_upper_bound_violation" in stdout
+
+    sweep = lichnerowicz.sweep_constant_sigma
+
+    def nan_barrier(*args):
+        rows = [list(row) for row in sweep(*args)]
+        rows[-1][2] = np.nan  # u_min at the largest sigma^2, not the exact-root rows
+        return rows
+
+    monkeypatch.setattr(lichnerowicz, "sweep_constant_sigma", nan_barrier)
+    code, _ = _run_config(tmp_path, "scenario = lichnerowicz-sweep\n")
+    assert code == 3
+    stdout = capsys.readouterr().out
+    assert "FAIL lich_barrier_violation: measured=nan" in stdout
+    assert "PASS lich_zero_sigma_exact_err" in stdout
+
+
+def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
+    for scenario, option, message in (("limit-experiment", "nodes = 3", "nodes"),
+                                      ("limit-experiment", "extent = -1", "extent"),
+                                      ("limit-experiment", "extent = nan", "extent"),
+                                      ("lichnerowicz-sweep", "grid_points = 4", "grid_points"),
+                                      ("lichnerowicz-sweep", "grid_points = -3", "grid_points")):
+        code, out = _run_config(tmp_path, f"scenario = {scenario}\n{option}\n")
+        assert code == 2, option
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+
+def test_summary_check_names_are_pinned(tmp_path, capsys):
+    expected = {
+        "riccati": ["riccati_integration_err", "riccati_semigroup_err"],
+        "bolza-check": ["bolza_relator_residual", "bolza_octagon_area",
+                        "bolza_cocycle_rule_err", "bolza_coboundary_relator_residual",
+                        "bolza_gauss_equivariance_err"],
+        "lichnerowicz-sweep": ["lich_zero_sigma_exact_err", "lich_barrier_violation",
+                               "lich_ham_bound_violation", "lich_sigma_report"],
+    }
+    for scenario, names in expected.items():
+        out = tmp_path / scenario
+        assert cli.main(["--scenario", scenario, "--out", str(out)]) == 0
+        _, rows = csvio.read_csv(out / "summary.csv")
+        assert [row[0] for row in rows] == names
+    capsys.readouterr()

@@ -98,7 +98,7 @@ def test_bolza_domain_level_consistency():
     level = graphs.bolza_domain_level(geom)
     center = tuple(s // 2 for s in geom.field.shape)
     # Gauss map at the apex is the hyperboloid vertex -> disk origin
-    assert level[center] == pytest.approx(float(holonomy.octagon_level(np.zeros(2))))
+    assert level[center] == pytest.approx(float(holonomy.octagon_level(0.0, 0.0)))
     assert level[center] > 0
 
 

@@ -53,13 +53,13 @@ def test_octagon_boundary_radius_extremes():
 
 
 def test_octagon_level_and_membership():
-    assert h.octagon_level(np.zeros(2)) >= 0
-    assert h.octagon_level(np.array([0.95, 0.0])) < 0
+    assert h.octagon_level(0.0, 0.0) >= 0
+    assert h.octagon_level(0.95, 0.0) < 0
     # level at the center equals the euclidean disk inradius
-    assert abs(h.octagon_level(np.zeros(2)) - np.tanh(h.octagon_inradius() / 2.0)) < 1e-12
+    assert abs(h.octagon_level(0.0, 0.0) - np.tanh(h.octagon_inradius() / 2.0)) < 1e-12
     # points marginally beyond a side are rejected
     rin = np.tanh(h.octagon_inradius() / 2.0)
-    assert h.octagon_level(np.array([rin + 1e-6, 0.0])) < 0
+    assert h.octagon_level(rin + 1e-6, 0.0) < 0
 
 
 def test_octagon_level_components_match_stacked_points():
@@ -70,7 +70,6 @@ def test_octagon_level_components_match_stacked_points():
     centers, radius = h._side_circle_data()
     expected = np.min([np.sqrt(np.sum((pts - c) ** 2, axis=-1)) - radius for c in centers],
                       axis=0)
-    assert np.array_equal(h.octagon_level(pts), expected)
     assert np.array_equal(h.octagon_level(pts[..., 0], pts[..., 1]), expected)
 
 
