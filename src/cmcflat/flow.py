@@ -249,7 +249,9 @@ def flat_constraint_residual(state: FlowState):
 
     Per block the mixed Gauss equation reads R - K² + (tr K) K = 0, with Ricci
     eigenvalue -(d-1)/A on hyperbolic blocks and zero on flat ones.  Codazzi
-    holds identically on homogeneous data.
+    holds identically on homogeneous data.  A NaN scale or K value makes tr K
+    NaN and so every block's residual, the first included; the built-in max
+    keeps a NaN first entry, so the Gauss residual is then NaN.
     """
     geom = state.geometry
     trk = state.trace_k()
@@ -404,20 +406,19 @@ def ham_monotonicity_check(trace: HamTrace) -> MonotonicityReport:
     nk2 = trace.column("n_khat2_integral")
     n = trace.ndim
     increases = np.nonzero(np.diff(ham) > HAM_INCREASE_REL_TOL * np.abs(ham[:-1]))[0]
-    max_mismatch = 0.0
-    for i in range(1, len(tau) - 1):
-        h1 = tau[i] - tau[i - 1]
-        h2 = tau[i + 1] - tau[i]
-        deriv = (
-            -h2 / (h1 * (h1 + h2)) * ham[i - 1]
-            + (h2 - h1) / (h1 * h2) * ham[i]
-            + h1 / (h2 * (h1 + h2)) * ham[i + 1]
-        )
-        rhs = -n * abs(tau[i]) ** (n - 1) * nk2[i]
-        mismatch = abs(deriv - rhs) / max(1.0, abs(deriv), abs(rhs))
-        max_mismatch = max(max_mismatch, mismatch)
+    h1 = tau[1:-1] - tau[:-2]
+    h2 = tau[2:] - tau[1:-1]
+    deriv = (
+        -h2 / (h1 * (h1 + h2)) * ham[:-2]
+        + (h2 - h1) / (h1 * h2) * ham[1:-1]
+        + h1 / (h2 * (h1 + h2)) * ham[2:]
+    )
+    rhs = -n * np.abs(tau[1:-1]) ** (n - 1) * nk2[1:-1]
+    mismatch = np.abs(deriv - rhs) / np.maximum(1.0, np.maximum(np.abs(deriv), np.abs(rhs)))
+    # np.max propagates a NaN mismatch, so a NaN anywhere in the trace fails the check
+    max_mismatch = float(np.max(mismatch, initial=0.0))
     ok = bool(increases.size == 0 and max_mismatch <= HAM_IDENTITY_TOL)
-    return MonotonicityReport(ok, int(increases.size), float(max_mismatch))
+    return MonotonicityReport(ok, int(increases.size), max_mismatch)
 
 
 def lapse_identity_check(state: FlowState):

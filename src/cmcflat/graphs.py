@@ -34,7 +34,9 @@ taken only if it shrinks the residual by CHORD_CONTRACTION, and otherwise
 the kept LU is dropped and the Jacobian is factored afresh at the current
 iterate, so at most one LU is alive.  Every solve, chord or Newton, is
 checked against the linear residual of the matrix that was factored and
-raises NewtonStepError when that check fails.
+raises NewtonStepError when that check fails.  scipy.sparse and its LU are
+imported by the functions that assemble and factor the Jacobian, so only the
+limit experiment's relaxations load scipy; graph-check does not.
 
 The initial data of the limit experiment is a soft-min envelope of orbit
 sheets, built in one pass against the identity element's sheet; a sheet
@@ -48,8 +50,6 @@ import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import holonomy
 
@@ -447,6 +447,8 @@ def _newton_system(field: HeightField):
     stencil obtained by differentiating H through the central differences of
     the gradient and Hessian entries.
     """
+    import scipy.sparse
+
     v = np.asarray(field.values, float)
     h = field.spacing
     m1, m2 = v.shape
@@ -522,6 +524,8 @@ def _factorize(jac):
     structurally symmetric, so SuperLU orders A^T + A by minimum degree and
     pivots on the diagonal only (no partial pivoting).
     """
+    import scipy.sparse.linalg
+
     _release_free_heap()
     return scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                     options={"SymmetricMode": True})

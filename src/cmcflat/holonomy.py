@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import brentq
 
 from .minkowski import (
     REORTHO_EVERY,
@@ -145,12 +143,12 @@ def scale_structure(rep: HolonomyRep, factor: float) -> HolonomyRep:
 def octagon_inradius() -> float:
     """Hyperbolic distance from the octagon center to each side.
 
-    Solved numerically from the vertex-angle condition: the regular octagon
-    with interior angle pi/4 has cosh(r) sin(pi/8) = cos(pi/8).
+    Closed form of the vertex-angle condition: the regular octagon with
+    interior angle pi/4 has cosh(r) sin(pi/8) = cos(pi/8), so
+    r = arccosh(cot(pi/8)).  It is numpy's arccosh because math.acosh rounds
+    this argument one ulp lower, which would move every Bolza generator.
     """
-    return brentq(
-        lambda r: np.cosh(r) * np.sin(np.pi / 8) - np.cos(np.pi / 8), 0.1, 5.0, xtol=1e-15
-    )
+    return float(np.arccosh(1.0 / np.tan(np.pi / 8)))
 
 
 def octagon_circumradius() -> float:
@@ -274,7 +272,14 @@ def cocycle_space(presentation: GroupPresentation):
     Cocycles are the nullspace of the relator constraints; coboundaries are
     the image of b -> (b - f(g_k) b)_k.  Both live in R^{(n+1) * n_generators}
     with generator translations stacked in order.
+
+    The cocycle basis is scipy's ``null_space``, imported here so that only
+    its callers load scipy.linalg.  bolza_nontrivial_cocycle takes the first
+    basis vector, so the basis must come from this one SVD routine: another
+    LAPACK call may rotate it and move every limit-experiment row.
     """
+    from scipy.linalg import null_space
+
     z_basis = null_space(_relator_constraint_matrix(presentation))
     d = presentation.ndim + 1
     cob = np.vstack([np.eye(d) - g for g in presentation.generators])

@@ -2,12 +2,13 @@
 
 The second difference and the periodic tridiagonal solve serve both the
 grid lapse problem of ``flow`` and the conformal equation of ``lichnerowicz``.
+The banded solve imports scipy.linalg only when it is called, so the
+homogeneous scenarios, which never reach a grid, do not load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 
 def periodic_second_difference(f: np.ndarray, h: float) -> np.ndarray:
@@ -22,6 +23,8 @@ def solve_periodic_tridiag(lower, main, upper, rhs):
     the two corner entries are folded into a Sherman-Morrison update of a
     plain banded solve.
     """
+    from scipy.linalg import solve_banded
+
     m = main.size
     corner_ul = lower[0]  # entry (0, m-1)
     corner_lr = upper[-1]  # entry (m-1, 0)

@@ -1,5 +1,9 @@
 """Config parsing, deterministic CSV io, and the scenario runner contract."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -395,3 +399,46 @@ def test_summary_check_names_are_pinned(tmp_path, capsys):
         _, rows = csvio.read_csv(out / "summary.csv")
         assert [row[0] for row in rows] == names
     capsys.readouterr()
+
+
+_IMPORT_BUDGET_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+out = sys.argv[2]
+from cmcflat import cli, graphs
+assert cli.main(["--list-scenarios"]) == 0
+configs = {
+    "cone-flow": "tau_start = -2\\ntau_end = -1\\nsteps = 200",
+    "kasner-flow": "tau_start = -2\\ntau_end = -1\\nsteps = 200",
+    "riccati": "trials = 1",
+    "lichnerowicz-sweep": "grid_points = 0",
+    "bolza-check": "words = 2",
+    "graph-check": "refinement_nodes = 21, 41, 81\\nenergy_nodes = 101",
+}
+for scenario, options in configs.items():
+    cfg = f"{out}/{scenario}.cfg"
+    with open(cfg, "w") as fh:
+        fh.write(f"scenario = {scenario}\\n{options}\\n")
+    code = cli.main(["--config", cfg, "--out", f"{out}/{scenario}"])
+    # graph-check runs its whole quadrature but resolves the energy identity
+    # only on its default 2401^2 grid, so on this small one that check fails
+    assert code == (3 if scenario == "graph-check" else 0), (scenario, code)
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+jac = graphs._newton_system(graphs.hyperboloid_field(1.0, 1.0, 9))
+assert "scipy.sparse.linalg" not in sys.modules
+graphs._factorize(jac)
+assert "scipy.sparse.linalg" in sys.modules
+print("import budget ok")
+"""
+
+
+def test_scipy_loads_only_where_it_is_called(tmp_path):
+    # scipy costs about half a second of import.  The homogeneous scenarios and
+    # graph-check never call it, so they must not load it; the sparse LU of the
+    # limit experiment must.  One fresh interpreter runs them all, on small configs.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, src, str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.rstrip().endswith("import budget ok")

@@ -149,6 +149,51 @@ def test_kasner_flow_matches_closed_form():
     assert report.max_identity_mismatch < 1e-8
 
 
+def _loop_identity_mismatch(trace):
+    # reference: the three-point derivative identity record by record
+    tau, ham = trace.column("tau"), trace.column("ham")
+    nk2, n = trace.column("n_khat2_integral"), trace.ndim
+    worst = 0.0
+    for i in range(1, len(tau) - 1):
+        h1, h2 = tau[i] - tau[i - 1], tau[i + 1] - tau[i]
+        deriv = (-h2 / (h1 * (h1 + h2)) * ham[i - 1] + (h2 - h1) / (h1 * h2) * ham[i]
+                 + h1 / (h2 * (h1 + h2)) * ham[i + 1])
+        rhs = -n * abs(tau[i]) ** (n - 1) * nk2[i]
+        worst = max(worst, abs(deriv - rhs) / max(1.0, abs(deriv), abs(rhs)))
+    return worst
+
+
+def test_monotonicity_mismatch_matches_the_loop_reference():
+    # the same arithmetic per record, so the vectorized maximum is bit-identical
+    for ndim in (3, 4):
+        model = models.KasnerModel(ndim, 1.0, 1.0)
+        tr = flow.run_flow(flow.state_from_slice(models.slice_at_tau(model, -5.0)), -0.5, 300)
+        for rows in (1, 2, 3, len(tr)):
+            part = flow.HamTrace(tr.ndim, tr.data[:rows])
+            report = flow.ham_monotonicity_check(part)
+            assert report.max_identity_mismatch == _loop_identity_mismatch(part)
+
+
+def test_nan_in_the_trace_fails_the_monotonicity_check():
+    # a NaN after finite mismatches must not be dropped by the running max
+    tr = flow.run_flow(kasner_state(-2.0), -1.0, 20)
+    assert flow.ham_monotonicity_check(tr).ok
+    tr.data[5, flow.TRACE_COLUMNS.index("n_khat2_integral")] = np.nan
+    report = flow.ham_monotonicity_check(tr)
+    assert not report.ok
+    assert np.isnan(report.max_identity_mismatch)
+
+
+def test_nan_scale_gives_a_nan_gauss_residual():
+    # a NaN in either block reaches every block's residual through tr K
+    st = kasner_state()
+    assert len(st.scales) == 2
+    for scales in ((st.scales[0], float("nan")), (float("nan"), st.scales[1])):
+        bad = flow.FlowState(st.geometry, st.tau, scales, st.kcov)
+        gauss, _ = flow.flat_constraint_residual(bad)
+        assert np.isnan(gauss)
+
+
 def test_lapse_bounds_hold_along_flow():
     tr = flow.run_flow(kasner_state(-6.0), -0.3, 500)
     tau = tr.column("tau")

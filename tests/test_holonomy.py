@@ -40,6 +40,14 @@ def test_octagon_radii_closed_forms():
     assert h.octagon_inradius() < h.octagon_circumradius()
 
 
+def test_octagon_inradius_solves_the_vertex_angle_condition():
+    # the closed form must satisfy cosh(r) sin(pi/8) = cos(pi/8), the
+    # condition it is derived from, to a few ulp of cos(pi/8)
+    r = h.octagon_inradius()
+    defect = np.cosh(r) * np.sin(np.pi / 8) - np.cos(np.pi / 8)
+    assert abs(defect) <= 4 * np.spacing(np.cos(np.pi / 8))
+
+
 def test_octagon_area_is_gauss_bonnet_value():
     # regular right-angled octagon: area = (8-2)pi - 8*(pi/4) = 4pi
     assert abs(h.octagon_area() - 4.0 * np.pi) < 1e-6
