@@ -126,9 +126,6 @@ def scenario_lichnerowicz_sweep(opts, out_dir, artifacts):
     volume = get_float(opts, "volume", 1.0)
     if volume <= 0:
         raise ConfigError("volume must be positive")
-    grid_points = get_int(opts, "grid_points", 0)
-    if grid_points and grid_points < 8:
-        raise ConfigError("grid_points must be 0 (homogeneous) or at least 8")
     tau_values = get_floats(opts, "tau_values", (-1.0, -2.0, -3.0, -4.0, -5.0))
     sigma_values = get_floats(opts, "sigma_sq_values", (0.0, 4.0, 8.0, 12.0))
     if any(t >= 0 for t in tau_values):
@@ -138,7 +135,7 @@ def scenario_lichnerowicz_sweep(opts, out_dir, artifacts):
     if 0.0 not in sigma_values:
         raise ConfigError("sigma_sq_values must include 0 for the exact-root check")
 
-    bg = lichnerowicz.ConformalBackground(ndim, volume, grid_points=grid_points or None)
+    bg = lichnerowicz.ConformalBackground(ndim, volume)
     rows = lichnerowicz.sweep_constant_sigma(bg, tau_values, sigma_values)
     _write_artifact(out_dir, artifacts, "lichnerowicz_sweep.csv",
                     lichnerowicz.SWEEP_COLUMNS, rows)
@@ -172,6 +169,8 @@ def scenario_riccati(opts, out_dir, artifacts):
     t_values = get_floats(opts, "t_values", (0.3, 0.9, 1.5))
     if trials < 1:
         raise ConfigError("trials must be positive")
+    if steps < 1:
+        raise ConfigError("steps must be positive")
     if any(t <= 0 for t in t_values):
         raise ConfigError("t_values must be positive")
 

@@ -3,10 +3,11 @@
 The format is a small subset of INI: blank lines and `#` comments are
 ignored, `[section]` headers open a scenario-specific block, and everything
 before the first header is global.  Values keep their string form here;
-consumers coerce them with the typed getters.
+consumers coerce them with the typed getters, which reject NaN and ±inf.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -60,9 +61,12 @@ def get_float(options: dict, key: str, default: float) -> float:
     if key not in options:
         return default
     try:
-        return float(options[key])
+        value = float(options[key])
     except ValueError as exc:
         raise ConfigError(f"option {key!r}: expected a number, got {options[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"option {key!r}: expected a finite number, got {options[key]!r}")
+    return value
 
 
 def get_int(options: dict, key: str, default: int) -> int:
@@ -82,6 +86,9 @@ def get_floats(options: dict, key: str, default) -> tuple:
     if not parts:
         raise ConfigError(f"option {key!r}: expected at least one number")
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"option {key!r}: expected numbers, got {options[key]!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"option {key!r}: expected finite numbers, got {options[key]!r}")
+    return values

@@ -4,7 +4,10 @@ The evolved geometry is a product of homogeneous blocks (one hyperbolic
 factor, optionally flat factors).  A ``GridLapseProblem`` samples the fields
 along one flat circle factor on a uniform periodic grid; it serves only the
 lapse solve, the smallest setting where the lapse equation is a genuine
-two-point boundary problem, and it holds numpy arrays.  Evolution and the
+two-point boundary problem, and it holds numpy arrays.  Its periodic
+kernels, the second difference and the periodic tridiagonal solve, live here
+too; the banded solve imports scipy.linalg only when it is called, so the
+homogeneous flow never loads scipy.  Evolution and the
 constraint residuals take homogeneous ``FlowState`` data alone, held as
 plain Python floats: on one or two blocks numpy's per-call overhead would
 dominate the arithmetic.
@@ -34,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import SliceData
-from .numerics import periodic_second_difference, solve_periodic_tridiag
 
 #: τ-drift above this triggers a retried step at dτ/2
 DRIFT_TOL = 1e-9
@@ -184,6 +186,42 @@ def grid_state_from_slice(slc: SliceData, grid_points: int, circle_length: float
 
 def _ddr(f: np.ndarray, h: float) -> np.ndarray:
     return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * h)
+
+
+def periodic_second_difference(f: np.ndarray, h: float) -> np.ndarray:
+    """(f[j+1] - 2 f[j] + f[j-1]) / h², indices mod the grid size."""
+    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (h * h)
+
+
+def solve_periodic_tridiag(lower, main, upper, rhs):
+    """Solve a periodic tridiagonal system by rank-one correction.
+
+    ``lower[j]`` couples row j to j-1, ``upper[j]`` to j+1 (indices mod m);
+    the two corner entries are folded into a Sherman-Morrison update of a
+    plain banded solve.
+    """
+    from scipy.linalg import solve_banded
+
+    m = main.size
+    corner_ul = lower[0]  # entry (0, m-1)
+    corner_lr = upper[-1]  # entry (m-1, 0)
+    gamma = -main[0]
+    main_adj = main.copy()
+    main_adj[0] -= gamma
+    main_adj[-1] -= corner_ul * corner_lr / gamma
+    ab = np.zeros((3, m))
+    ab[0, 1:] = upper[:-1]
+    ab[1, :] = main_adj
+    ab[2, :-1] = lower[1:]
+    u = np.zeros(m)
+    u[0] = gamma
+    u[-1] = corner_lr
+    v = np.zeros(m)
+    v[0] = 1.0
+    v[-1] = corner_ul / gamma
+    y = solve_banded((1, 1), ab, rhs)
+    q = solve_banded((1, 1), ab, u)
+    return y - q * (np.dot(v, y) / (1.0 + np.dot(v, q)))
 
 
 def _laplacian_coefficients(prob: GridLapseProblem):

@@ -11,92 +11,71 @@ with σ the transverse-traceless part of the data, entering only through
 that constant is a lower barrier for every other solution, which is what
 drives the rescaled-volume bound Ham ≥ nⁿ Vol(M,h).
 
-Fields are either constants or samples on a periodic 1-D grid (Δ = second
-central difference on the circle); integrals weight all grid nodes equally so
-that ∫ 1 dμ_h = Vol(M,h) exactly.
+The solver takes homogeneous data only: |σ|² is a constant, so Δu drops out
+and the equation is algebraic in the constant u, solved by damped Newton on
+Python floats.  Integrals are Vol(M,h) times the constant integrand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import periodic_second_difference, solve_periodic_tridiag
-
-#: default Newton tolerances (max-norm residual)
+#: default Newton tolerance (absolute residual)
 TOL_HOMOGENEOUS = 1e-12
-TOL_GRID = 1e-10
 MAX_NEWTON_ITERATIONS = 100
 MAX_LINE_SEARCH_HALVINGS = 30
 
 
 @dataclass(frozen=True)
 class ConformalBackground:
-    """Unit-hyperbolic conformal background: dimension, total volume, grid."""
+    """Unit-hyperbolic conformal background: dimension and total volume."""
 
     dim: int
     volume: float = 1.0
-    grid_points: int | None = None
-    circle_length: float = 1.0
 
     def __post_init__(self):
         if not 3 <= self.dim <= 4:
             raise ValueError("conformal module needs spatial dimension 3 or 4")
         if self.volume <= 0:
             raise ValueError("volume must be positive")
-        if self.grid_points is not None and self.grid_points < 8:
-            raise ValueError("periodic grid needs at least 8 points")
-        if self.circle_length <= 0:
-            raise ValueError("circle_length must be positive")
 
     @property
     def scalar_curvature(self) -> float:
         return -float(self.dim * (self.dim - 1))
 
-    @property
-    def spacing(self) -> float:
-        return self.circle_length / self.grid_points
-
 
 @dataclass(frozen=True)
 class TTData:
-    """Transverse-traceless source, stored through its squared norm |σ|²_h ≥ 0."""
+    """Transverse-traceless source, stored through its constant squared norm |σ|²_h ≥ 0."""
 
-    sigma_sq: object = 0.0
+    sigma_sq: float = 0.0
 
     def __post_init__(self):
-        if np.any(np.asarray(self.sigma_sq) < 0):
-            raise ValueError("sigma_sq must be nonnegative pointwise")
-
-    def field(self, bg: ConformalBackground):
-        s = np.asarray(self.sigma_sq, float)
-        if bg.grid_points is None:
-            if s.ndim != 0:
-                raise ValueError("homogeneous background needs a scalar sigma_sq")
-            return float(s)
-        if s.ndim == 0:
-            return np.full(bg.grid_points, float(s))
-        if s.shape != (bg.grid_points,):
-            raise ValueError("sigma_sq grid does not match the background grid")
-        return s
+        if np.ndim(self.sigma_sq) != 0:
+            raise ValueError("sigma_sq must be a scalar")
+        sigma_sq = float(self.sigma_sq)
+        if not (sigma_sq >= 0 and math.isfinite(sigma_sq)):
+            raise ValueError("sigma_sq must be finite and nonnegative")
+        object.__setattr__(self, "sigma_sq", sigma_sq)
 
 
 @dataclass(frozen=True)
 class LichSolution:
-    u: object
+    u: float
     tau: float
     residual_norm: float
     residual_history: tuple = ()
 
 
 def _exponents(n: int):
-    """(diffusion coefficient, τ² coefficient, power p, singular power -m)."""
-    a = 4.0 * (n - 1) / (n - 2)
+    """(τ² coefficient, power p, singular power -m); Δu drops out on constants."""
     b = (n - 1) / n
     p = (n + 2) / (n - 2)
     m = (3 * n - 2) / (n - 2)
-    return a, b, p, m
+    return b, p, m
 
 
 def reference_factor(n: int, tau: float) -> float:
@@ -104,51 +83,36 @@ def reference_factor(n: int, tau: float) -> float:
     return float((n * n / (tau * tau)) ** ((n - 2) / 4.0))
 
 
-def lichnerowicz_residual(u, bg: ConformalBackground, tt: TTData, tau: float):
-    """Pointwise residual of the conformal constraint at conformal factor u."""
-    if np.any(np.asarray(u) <= 0):
+def lichnerowicz_residual(u: float, bg: ConformalBackground, tt: TTData, tau: float) -> float:
+    """Residual of the conformal constraint at the constant conformal factor u."""
+    if not u > 0:
         raise ValueError("conformal factor must be positive")
-    if tau >= 0:
+    if not tau < 0:
         raise ValueError("mean curvature must be negative")
-    n = bg.dim
-    a, b, p, m = _exponents(n)
-    sig = tt.field(bg)
-    u = np.asarray(u, float) if bg.grid_points is not None else float(u)
-    reaction = bg.scalar_curvature * u + b * tau * tau * u**p - sig * u ** (-m)
-    if bg.grid_points is None:
-        return reaction
-    return -a * periodic_second_difference(u, bg.spacing) + reaction
+    b, p, m = _exponents(bg.dim)
+    return bg.scalar_curvature * u + b * tau * tau * u**p - tt.sigma_sq * u ** (-m)
 
 
 def _newton_direction(u, residual, bg, tt, tau):
     """Solve F'(u) d = -residual for the Newton update d."""
-    n = bg.dim
-    a, b, p, m = _exponents(n)
-    sig = tt.field(bg)
-    diag = bg.scalar_curvature + b * tau * tau * p * u ** (p - 1) + m * sig * u ** (-m - 1)
-    if bg.grid_points is None:
-        return -residual / diag
-    h = bg.spacing
-    main = 2.0 * a / (h * h) + diag
-    off = np.full(bg.grid_points, -a / (h * h))
-    return solve_periodic_tridiag(off, main, off, -residual)
+    b, p, m = _exponents(bg.dim)
+    diag = bg.scalar_curvature + b * tau * tau * p * u ** (p - 1) + m * tt.sigma_sq * u ** (-m - 1)
+    return -residual / diag
 
 
-def solve_lichnerowicz(bg: ConformalBackground, tt: TTData, tau: float, tol: float | None = None) -> LichSolution:
+def solve_lichnerowicz(bg: ConformalBackground, tt: TTData, tau: float,
+                       tol: float = TOL_HOMOGENEOUS) -> LichSolution:
     """Damped Newton iteration from the σ = 0 seed.
 
-    Backtracking halves the step (up to 30 times) until the max-norm residual
-    decreases and u stays positive; convergence is a max-norm residual at or
-    below ``tol``.  Non-convergence raises with the final residual attached.
+    Backtracking halves the step (up to 30 times) until the absolute residual
+    decreases and u stays positive; convergence is a residual at or below
+    ``tol``.  Non-convergence raises with the final residual attached.
     """
-    if tol is None:
-        tol = TOL_HOMOGENEOUS if bg.grid_points is None else TOL_GRID
     if tol <= 0:
         raise ValueError("tol must be positive")
-    u0 = reference_factor(bg.dim, tau)
-    u = u0 if bg.grid_points is None else np.full(bg.grid_points, u0)
+    u = reference_factor(bg.dim, tau)
     res = lichnerowicz_residual(u, bg, tt, tau)
-    norm = float(np.max(np.abs(res)))
+    norm = abs(res)
     history = [norm]
     for _ in range(MAX_NEWTON_ITERATIONS):
         if norm <= tol:
@@ -157,9 +121,9 @@ def solve_lichnerowicz(bg: ConformalBackground, tt: TTData, tau: float, tol: flo
         alpha = 1.0
         for _ in range(MAX_LINE_SEARCH_HALVINGS):
             trial = u + alpha * step
-            if np.all(np.asarray(trial) > 0):
+            if trial > 0:
                 trial_res = lichnerowicz_residual(trial, bg, tt, tau)
-                trial_norm = float(np.max(np.abs(trial_res)))
+                trial_norm = abs(trial_res)
                 if trial_norm < norm:
                     break
             alpha *= 0.5
@@ -172,16 +136,15 @@ def solve_lichnerowicz(bg: ConformalBackground, tt: TTData, tau: float, tol: flo
     raise RuntimeError(f"Newton did not converge in {MAX_NEWTON_ITERATIONS} iterations (residual {norm:.3e})")
 
 
-def integrate(bg: ConformalBackground, values) -> float:
-    """∫ f dμ_h with equal node weights, normalized so ∫ 1 dμ_h = Vol(M,h)."""
-    if bg.grid_points is None:
-        return bg.volume * float(values)
-    return bg.volume * float(np.mean(values))
+def integrate(bg: ConformalBackground, value: float) -> float:
+    """∫ f dμ_h of a constant f, so ∫ 1 dμ_h = Vol(M,h)."""
+    return bg.volume * float(value)
 
 
 def conformal_ham(sol: LichSolution, bg: ConformalBackground) -> float:
     """Rescaled volume of the solved data: |τ|ⁿ ∫ u^(2n/(n-2)) dμ_h."""
     n = bg.dim
+    # numpy's power, not Python's: the two differ in the last bit on some sweep rows
     dens = np.asarray(sol.u, float) ** (2.0 * n / (n - 2))
     return abs(sol.tau) ** n * integrate(bg, dens)
 
@@ -211,6 +174,5 @@ def sweep_constant_sigma(bg: ConformalBackground, tau_values, sigma_sq_values):
         for s2 in sigma_sq_values:
             sol = solve_lichnerowicz(bg, TTData(float(s2)), float(tau))
             ham = conformal_ham(sol, bg)
-            u = np.asarray(sol.u, float)
-            rows.append((float(tau), float(s2), float(np.min(u)), float(np.max(u)), ham, bound))
+            rows.append((float(tau), float(s2), sol.u, sol.u, ham, bound))
     return rows

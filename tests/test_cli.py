@@ -60,6 +60,12 @@ def test_typed_getters():
             getter(opts, "bad", 0)
     with pytest.raises(ConfigError):
         get_floats(opts, "bad", ())
+    # NaN and ±inf are config errors that name the key, in every float option
+    for text in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="'x'"):
+            get_float({"x": text}, "x", 0.0)
+        with pytest.raises(ConfigError, match="'x'"):
+            get_floats({"x": f"1, {text}"}, "x", ())
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +175,8 @@ def test_unknown_scenario_and_missing_config(tmp_path, capsys):
 def test_numerical_failure_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
     cfgfile = tmp_path / "r.cfg"
-    cfgfile.write_text("scenario = riccati\nsteps = 0\n")  # integrator rejects
+    # a cocycle this large puts orbit sheets beyond the envelope's exponent bound
+    cfgfile.write_text("scenario = limit-experiment\ncocycle_scale = 1\nnodes = 21\n")
     assert cli.main(["--config", str(cfgfile), "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
@@ -376,8 +383,21 @@ def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
     for scenario, option, message in (("limit-experiment", "nodes = 3", "nodes"),
                                       ("limit-experiment", "extent = -1", "extent"),
                                       ("limit-experiment", "extent = nan", "extent"),
-                                      ("lichnerowicz-sweep", "grid_points = 4", "grid_points"),
-                                      ("lichnerowicz-sweep", "grid_points = -3", "grid_points")):
+                                      ("cone-flow", "base_volume = nan", "base_volume"),
+                                      ("kasner-flow", "sigma_volume = nan", "sigma_volume"),
+                                      ("kasner-flow", "circle_length = nan", "circle_length"),
+                                      ("lichnerowicz-sweep", "volume = nan", "volume"),
+                                      ("lichnerowicz-sweep", "volume = inf", "volume"),
+                                      ("lichnerowicz-sweep", "tau_values = -1, nan", "tau_values"),
+                                      ("lichnerowicz-sweep", "sigma_sq_values = 0, nan",
+                                       "sigma_sq_values"),
+                                      ("riccati", "t_values = 0.3, nan", "t_values"),
+                                      ("riccati", "steps = 0", "steps"),
+                                      ("graph-check", "hyperboloid_s = nan", "hyperboloid_s"),
+                                      ("limit-experiment", "cocycle_scale = nan", "cocycle_scale"),
+                                      ("limit-experiment", "relax_tol = nan", "relax_tol"),
+                                      ("limit-experiment", "coboundary_size = nan",
+                                       "coboundary_size")):
         code, out = _run_config(tmp_path, f"scenario = {scenario}\n{option}\n")
         assert code == 2, option
         assert message in capsys.readouterr().err
@@ -411,7 +431,7 @@ configs = {
     "cone-flow": "tau_start = -2\\ntau_end = -1\\nsteps = 200",
     "kasner-flow": "tau_start = -2\\ntau_end = -1\\nsteps = 200",
     "riccati": "trials = 1",
-    "lichnerowicz-sweep": "grid_points = 0",
+    "lichnerowicz-sweep": "dim = 4",
     "bolza-check": "words = 2",
     "graph-check": "refinement_nodes = 21, 41, 81\\nenergy_nodes = 101",
 }
