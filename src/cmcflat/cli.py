@@ -372,6 +372,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown scenario {scenario!r}; see --list-scenarios")
         opts = cfg.scoped(scenario)
         golden_tol = get_float(opts, "golden_rel_tol", 1e-10)
+        os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -379,12 +380,11 @@ def main(argv=None) -> int:
     # each scenario raises ConfigError before it writes anything
     artifacts: list = []
     try:
-        os.makedirs(args.out, exist_ok=True)
         summary = SCENARIOS[scenario](opts, args.out, artifacts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure in {scenario}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -6,11 +6,10 @@ along one flat circle factor on a uniform periodic grid; it serves only the
 lapse solve, the smallest setting where the lapse equation is a genuine
 two-point boundary problem, and it holds numpy arrays.  Its periodic
 kernels, the second difference and the periodic tridiagonal solve, live here
-too; the banded solve imports scipy.linalg only when it is called, so the
-homogeneous flow never loads scipy.  Evolution and the
-constraint residuals take homogeneous ``FlowState`` data alone, held as
-plain Python floats: on one or two blocks numpy's per-call overhead would
-dominate the arithmetic.
+too; the solve is one dense numpy solve, so flow never loads scipy.
+Evolution and the constraint residuals take homogeneous ``FlowState`` data
+alone, held as plain Python floats: on one or two blocks numpy's per-call
+overhead would dominate the arithmetic.
 
 Evolution system (CMC time t = tr K = τ, zero shift):
 
@@ -194,34 +193,16 @@ def periodic_second_difference(f: np.ndarray, h: float) -> np.ndarray:
 
 
 def solve_periodic_tridiag(lower, main, upper, rhs):
-    """Solve a periodic tridiagonal system by rank-one correction.
+    """Solve a periodic tridiagonal system.
 
-    ``lower[j]`` couples row j to j-1, ``upper[j]`` to j+1 (indices mod m);
-    the two corner entries are folded into a Sherman-Morrison update of a
-    plain banded solve.
+    ``lower[j]`` couples row j to j-1, ``upper[j]`` to j+1 (indices mod m,
+    m >= 3 so that the corners lie off the bands).  The matrix is assembled
+    dense and solved by LU: callers have a few hundred points, where that
+    costs under a millisecond.
     """
-    from scipy.linalg import solve_banded
-
-    m = main.size
-    corner_ul = lower[0]  # entry (0, m-1)
-    corner_lr = upper[-1]  # entry (m-1, 0)
-    gamma = -main[0]
-    main_adj = main.copy()
-    main_adj[0] -= gamma
-    main_adj[-1] -= corner_ul * corner_lr / gamma
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = main_adj
-    ab[2, :-1] = lower[1:]
-    u = np.zeros(m)
-    u[0] = gamma
-    u[-1] = corner_lr
-    v = np.zeros(m)
-    v[0] = 1.0
-    v[-1] = corner_ul / gamma
-    y = solve_banded((1, 1), ab, rhs)
-    q = solve_banded((1, 1), ab, u)
-    return y - q * (np.dot(v, y) / (1.0 + np.dot(v, q)))
+    a = np.diag(main) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+    a[0, -1], a[-1, 0] = lower[0], upper[-1]
+    return np.linalg.solve(a, rhs)
 
 
 def _laplacian_coefficients(prob: GridLapseProblem):
@@ -245,7 +226,7 @@ def _homogeneous_lapse(state: FlowState) -> float:
 
 
 def _grid_lapse(prob: GridLapseProblem) -> np.ndarray:
-    """Second-order central differences, banded solve plus rank-one periodic correction."""
+    """Second-order central differences and a dense periodic tridiagonal solve."""
     k2 = prob.k_norm2()
     if float(np.max(k2)) <= DEGENERATE_K2:
         raise DegenerateLapseError("lapse operator -Δ + |K|^2 is singular: |K|^2 vanishes")

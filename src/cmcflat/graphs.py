@@ -329,7 +329,7 @@ class EnergyReport:
     region_area: float
 
 
-def quotient_energy(field: HeightField, level_fn, geom: GraphGeometry | None = None) -> EnergyReport:
+def quotient_energy(field: HeightField, level_fn) -> EnergyReport:
     """Integrate |K|^2 and the volume element over a filtered region.
 
     ``level_fn`` maps a geometry to a signed node field whose >= 0 region
@@ -343,8 +343,7 @@ def quotient_energy(field: HeightField, level_fn, geom: GraphGeometry | None = N
     block builds the geometry of its node rows plus a two-row halo, which
     the stencils reach, calls ``level_fn`` on that block geometry, and adds
     its sums to running totals.  ``level_fn`` is therefore evaluated once per
-    block and must be pointwise in the block's geometry and coordinates.  A
-    ``geom`` passed in is integrated as a single block, without rebuilding.
+    block and must be pointwise in the block's geometry and coordinates.
     SpacelikeError is raised when any block's interior is not uniformly
     spacelike; ValueError when the region reaches the frame cells (the two
     outer cell rings) anywhere, or is empty.
@@ -353,24 +352,20 @@ def quotient_energy(field: HeightField, level_fn, geom: GraphGeometry | None = N
         raise ValueError("filtered quadrature is implemented for n = 2 patches")
     h = field.spacing
     cells, cols = field.shape[0] - 1, field.shape[1] - 1
-    block_rows = cells if geom is not None else QUADRATURE_BLOCK_ROWS
 
     def corners(a):
         return a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]
 
     touched = False
     area = volume = energy = tau_weight = 0.0
-    for first in range(0, cells, block_rows):
-        stop = min(first + block_rows, cells)
-        if geom is None:
-            # node rows first - 2 .. stop + 2, widened to the five the stencils need
-            hi = min(max(stop + 2, 4), cells)
-            lo = max(0, min(first - 2, hi - 4))
-            block = HeightField(field.values[lo:hi + 1], h,
-                                (field.origin[0] + lo * h, field.origin[1]))
-            block_geom = graph_geometry(block)
-        else:
-            lo, block_geom = 0, geom
+    for first in range(0, cells, QUADRATURE_BLOCK_ROWS):
+        stop = min(first + QUADRATURE_BLOCK_ROWS, cells)
+        # node rows first - 2 .. stop + 2, widened to the five the stencils need
+        hi = min(max(stop + 2, 4), cells)
+        lo = max(0, min(first - 2, hi - 4))
+        block = HeightField(field.values[lo:hi + 1], h,
+                            (field.origin[0] + lo * h, field.origin[1]))
+        block_geom = graph_geometry(block)
         nodes = slice(first - lo, stop - lo + 1)
         # cells whose corners are all interior nodes
         inner = np.zeros((stop - first, cols), dtype=bool)
@@ -404,18 +399,14 @@ def quotient_energy(field: HeightField, level_fn, geom: GraphGeometry | None = N
 
 @dataclass(frozen=True)
 class RelaxResult:
-    #: geometry of the returned iterate, built by the relaxation's last step
-    geometry: GraphGeometry
+    #: the returned iterate, the best the relaxation reached
+    field: HeightField
     residual: float
     #: accepted steps, chord and Newton
     iterations: int
     converged: bool
     #: sparse LU factorizations of the Jacobian
     factorizations: int
-
-    @property
-    def field(self) -> HeightField:
-        return self.geometry.field
 
 
 @dataclass
@@ -531,17 +522,14 @@ def _factorize(jac):
                                     options={"SymmetricMode": True})
 
 
-def _newton_step(jac, rhs: np.ndarray, lu=None) -> np.ndarray:
-    """Solve J s = rhs with the LU of J, checked by its residual.
+def _newton_step(jac, rhs: np.ndarray, lu) -> np.ndarray:
+    """Solve J s = rhs with ``lu = _factorize(jac)``, checked by its residual.
 
-    ``lu`` is the kept ``_factorize(jac)`` of an earlier step (a chord step);
-    without it ``jac`` is factored here.  Without pivoting a small pivot can
-    grow the factors without bound, so the step is accepted only if
-    ||J s - rhs||_2 <= NEWTON_STEP_RTOL * ||rhs||_2 for the factored J;
-    otherwise NewtonStepError is raised.
+    ``lu`` may have been factored for an earlier step (a chord step).
+    Without pivoting a small pivot can grow the factors without bound, so
+    the step is accepted only if ||J s - rhs||_2 <= NEWTON_STEP_RTOL *
+    ||rhs||_2 for the factored J; otherwise NewtonStepError is raised.
     """
-    if lu is None:
-        lu = _factorize(jac)
     _release_free_heap()
     step = lu.solve(rhs)
     misfit = np.linalg.norm(jac @ step - rhs)
@@ -603,7 +591,7 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iter
     factorizations = 0
     for iteration in range(max_iters):
         if current_res <= tol:
-            return RelaxResult(geom, current_res, iteration, True, factorizations)
+            return RelaxResult(current, current_res, iteration, True, factorizations)
         rhs = _newton_rhs(geom, tau_target)
         taken = None
         if chord.lu is not None:
@@ -625,10 +613,10 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iter
                     break
                 alpha *= 0.5
             else:
-                return RelaxResult(geom, current_res, iteration + 1, current_res <= tol,
+                return RelaxResult(current, current_res, iteration + 1, current_res <= tol,
                                    factorizations)
         current, geom, current_res = taken
-    return RelaxResult(geom, current_res, max_iters, current_res <= tol, factorizations)
+    return RelaxResult(current, current_res, max_iters, current_res <= tol, factorizations)
 
 
 # ---------------------------------------------------------------------------
@@ -696,13 +684,13 @@ def limit_pipeline(rep, extent: float, nodes: int, word_length: int, relax_tol: 
     """(EnergyReport, RelaxResult) of one representation.
 
     The orbit envelope is relaxed to a CMC graph at tau = -2 and the quotient
-    energy is integrated over the Gauss-map preimage of the Bolza octagon,
-    on the geometry the relaxation built for its last iterate.  ``chord``
-    carries the sparse LU into and out of the relaxation (see cmc_relax).
+    energy is integrated over the Gauss-map preimage of the Bolza octagon.
+    ``chord`` carries the sparse LU into and out of the relaxation (see
+    cmc_relax).
     """
     start = orbit_envelope_field(rep, extent, nodes, word_length)
     relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=LIMIT_MAX_ITERS, chord=chord)
-    report = quotient_energy(relaxed.field, bolza_domain_level, geom=relaxed.geometry)
+    report = quotient_energy(relaxed.field, bolza_domain_level)
     return report, relaxed
 
 
@@ -740,7 +728,6 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
         if lam <= 0:
             raise ValueError("lambda values must be positive")
         scaled = holonomy.scale_structure(rep, float(lam) ** -2)
-        # no name holds a finished relaxation's geometry while the next one runs
         rows.append(limit_row(lam, *limit_pipeline(scaled, extent, nodes, word_length,
                                                    relax_tol, chord), base_volume))
     return rows, base_volume

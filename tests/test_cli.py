@@ -182,6 +182,29 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert not (out / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("scenario, option", [
+    ("lichnerowicz-sweep", "tau_values = -1e-300"),  # ZeroDivisionError: tau * tau is 0
+    ("lichnerowicz-sweep", "tau_values = -1e-150"),  # OverflowError in u ** p
+    ("cone-flow", "tau_start = -1e200"),  # ZeroDivisionError: the scale s^2 underflows to 0
+    ("kasner-flow", "tau_start = -1e200"),
+])
+def test_arithmetic_errors_are_numerical_failures(tmp_path, capsys, scenario, option):
+    code, out = _run_config(tmp_path, f"scenario = {scenario}\n{option}\n")
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
+def test_unusable_out_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main(["--scenario", "riccati", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 def test_failed_check_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
     cfgfile = tmp_path / "r.cfg"
@@ -443,6 +466,10 @@ for scenario, options in configs.items():
     # graph-check runs its whole quadrature but resolves the energy identity
     # only on its default 2401^2 grid, so on this small one that check fails
     assert code == (3 if scenario == "graph-check" else 0), (scenario, code)
+from cmcflat import flow, models
+lapse_state = flow.grid_state_from_slice(
+    models.slice_at_tau(models.KasnerModel(3), -2.0), 128, 1.0)
+assert flow.lapse_residual(lapse_state, flow.solve_lapse(lapse_state)) <= 1e-10
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 jac = graphs._newton_system(graphs.hyperboloid_field(1.0, 1.0, 9))
@@ -454,9 +481,9 @@ print("import budget ok")
 
 
 def test_scipy_loads_only_where_it_is_called(tmp_path):
-    # scipy costs about half a second of import.  The homogeneous scenarios and
-    # graph-check never call it, so they must not load it; the sparse LU of the
-    # limit experiment must.  One fresh interpreter runs them all, on small configs.
+    # scipy costs about half a second of import.  The homogeneous scenarios,
+    # graph-check and the periodic grid lapse solve never call it, so they must
+    # not load it; the sparse LU of the limit experiment must.  One fresh interpreter runs them all, on small configs.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, src, str(tmp_path)],
                           capture_output=True, text=True, timeout=60)

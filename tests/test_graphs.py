@@ -125,14 +125,19 @@ def _relative_gap(a, b):
                for k in ("energy", "volume", "tau_mean", "region_area"))
 
 
+def _one_block_energy(monkeypatch, f, level):
+    # a block as tall as the field's cell rows: its geometry is the whole field's
+    monkeypatch.setattr(graphs, "QUADRATURE_BLOCK_ROWS", f.shape[0] - 1)
+    return graphs.quotient_energy(f, level)
+
+
 def test_blocked_quadrature_matches_one_block(monkeypatch):
-    # 7-row blocks leave a ragged last block (1 cell row of 99, 2 of 240);
-    # the caller's geometry is integrated as one block
-    monkeypatch.setattr(graphs, "QUADRATURE_BLOCK_ROWS", 7)
+    # 7-row blocks leave a ragged last block (1 cell row of 99, 2 of 240)
     for f, level in ((graphs.hyperboloid_field(1.0, 1.0, 100), _disk_level()),
                      (graphs.hyperboloid_field(1.0, 6.0, 241), graphs.bolza_domain_level)):
+        monkeypatch.setattr(graphs, "QUADRATURE_BLOCK_ROWS", 7)
         blocked = graphs.quotient_energy(f, level)
-        whole = graphs.quotient_energy(f, level, geom=graphs.graph_geometry(f))
+        whole = _one_block_energy(monkeypatch, f, level)
         assert _relative_gap(blocked, whole) <= 1e-13
 
 
@@ -150,10 +155,6 @@ def test_blocked_quadrature_guards_see_later_blocks(monkeypatch):
         graphs.quotient_energy(f, reaches_side_frame)
     with pytest.raises(ValueError, match="empty"):
         graphs.quotient_energy(f, _disk_level(radius2=-1.0))
-    # a region in later blocks only is not empty
-    late = graphs.quotient_energy(f, _disk_level(0.6, 0.04))
-    whole = graphs.quotient_energy(f, _disk_level(0.6, 0.04), geom=graphs.graph_geometry(f))
-    assert _relative_gap(late, whole) <= 1e-13
 
     steep = graphs.sample_height_field(
         lambda x, y: 0.5 * y + np.where(x > 0.6, 1.5 * (x - 0.6), 0.0), 1.0, 33)
@@ -166,6 +167,11 @@ def test_blocked_quadrature_guards_see_later_blocks(monkeypatch):
     with pytest.raises(graphs.SpacelikeError):
         graphs.quotient_energy(steep, counted)
     assert len(calls) == 3  # raised by the fourth block's geometry
+
+    # a region in later blocks only is not empty
+    late = graphs.quotient_energy(f, _disk_level(0.6, 0.04))
+    whole = _one_block_energy(monkeypatch, f, _disk_level(0.6, 0.04))
+    assert _relative_gap(late, whole) <= 1e-13
 
 
 def _dense_cut_fraction(s0, s1, s2, s3):
@@ -245,7 +251,7 @@ def test_newton_step_matches_spsolve():
     jac = graphs._newton_system(start)
     rhs = graphs._newton_rhs(graphs.graph_geometry(start), -2.0)
     expected = scipy.sparse.linalg.spsolve(jac, rhs)
-    step = graphs._newton_step(jac, rhs)
+    step = graphs._newton_step(jac, rhs, graphs._factorize(jac))
     assert np.max(np.abs(step - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
@@ -270,8 +276,8 @@ def test_cmc_relax_chord_steps_match_full_newton():
     reference = start
     for _ in range(8):
         geom = graphs.graph_geometry(reference)
-        step = graphs._newton_step(graphs._newton_system(reference),
-                                   graphs._newton_rhs(geom, -2.0))
+        jac = graphs._newton_system(reference)
+        step = graphs._newton_step(jac, graphs._newton_rhs(geom, -2.0), graphs._factorize(jac))
         reference = HeightField(reference.values + step.reshape(reference.shape),
                                 reference.spacing, reference.origin)
     assert graphs._interior_residual(graphs.graph_geometry(reference), -2.0) <= 1e-8
@@ -418,7 +424,7 @@ def test_newton_step_refuses_an_unstable_factorization():
     # check must raise rather than hand back a wrong step
     jac = scipy.sparse.csc_matrix(np.array([[1e-20, 1.0], [1.0, 1e-20]]))
     with pytest.raises(graphs.NewtonStepError, match="relative linear residual"):
-        graphs._newton_step(jac, np.array([1.0, 1.0]))
+        graphs._newton_step(jac, np.array([1.0, 1.0]), graphs._factorize(jac))
 
 
 def _stacked_sheets(rep, extent, nodes):
