@@ -9,8 +9,12 @@ from __future__ import annotations
 import csv
 import io
 
+import numpy as np
+
 
 def format_value(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, str):
         return x
     if isinstance(x, bool):
@@ -21,6 +25,14 @@ def format_value(x) -> str:
 
 
 def render_csv(header, rows) -> str:
+    """CSV text of a header and rows; a numeric ndarray renders as floats.
+
+    An ndarray is rendered row by row from lists of Python floats: the same
+    text its numpy scalars give, without building one scalar per cell and
+    without a second copy of the whole table.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = map(np.ndarray.tolist, rows.astype(float, copy=False))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -9,7 +9,9 @@ kernels, the second difference and the periodic tridiagonal solve, live here
 too; the solve is one dense numpy solve, so flow never loads scipy.
 Evolution and the constraint residuals take homogeneous ``FlowState`` data
 alone, held as plain Python floats: on one or two blocks numpy's per-call
-overhead would dominate the arithmetic.
+overhead would dominate the arithmetic.  A ``FlowState`` computes its mixed
+eigenvalues, tr K and |K|² once, and the RK4 stages run on plain lists, so a
+step builds no state but the one it returns.
 
 Evolution system (CMC time t = tr K = τ, zero shift):
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,7 +103,8 @@ class FlowState:
 
     ``scales`` and ``kcov`` are tuples of Python floats, one entry per block.
     ``tau`` is the CMC time parameter; tr K of the fields tracks it up to
-    integrator drift.
+    integrator drift.  The mixed eigenvalues, tr K and |K|² are computed on
+    first use and kept, so recording a state and stepping from it share them.
     """
 
     geometry: BlockGeometry
@@ -108,14 +112,26 @@ class FlowState:
     scales: tuple
     kcov: tuple
 
-    def mixed_k(self) -> tuple:
+    @cached_property
+    def _mixed_k(self) -> tuple:
         return tuple(k / a for a, k in zip(self.scales, self.kcov))
 
+    @cached_property
+    def _trace_k(self) -> float:
+        return sum(d * p for d, p in zip(self.geometry.dims, self._mixed_k))
+
+    @cached_property
+    def _k_norm2(self) -> float:
+        return sum(d * (p * p) for d, p in zip(self.geometry.dims, self._mixed_k))
+
+    def mixed_k(self) -> tuple:
+        return self._mixed_k
+
     def trace_k(self) -> float:
-        return sum(d * p for d, p in zip(self.geometry.dims, self.mixed_k()))
+        return self._trace_k
 
     def k_norm2(self) -> float:
-        return sum(d * (p * p) for d, p in zip(self.geometry.dims, self.mixed_k()))
+        return self._k_norm2
 
     def khat_norm2(self) -> float:
         """Squared norm of the trace-free part of K."""
@@ -218,10 +234,10 @@ def _laplacian_coefficients(prob: GridLapseProblem):
     return 1.0 / c, c1 / c
 
 
-def _homogeneous_lapse(state: FlowState) -> float:
-    k2 = state.k_norm2()
-    if k2 <= DEGENERATE_K2:
-        raise DegenerateLapseError("homogeneous lapse needs |K|^2 > 0")
+def _homogeneous_lapse(k2: float) -> float:
+    """N = 1/|K|² from |K|²; a NaN |K|² fails here too."""
+    if not k2 > DEGENERATE_K2:
+        raise DegenerateLapseError(f"homogeneous lapse needs |K|^2 > {DEGENERATE_K2:g}, got {k2!r}")
     return 1.0 / k2
 
 
@@ -245,7 +261,7 @@ def solve_lapse(state: FlowState | GridLapseProblem):
     """Solve -ΔN + |K|² N = 1: algebraic (N = 1/|K|²) on a FlowState, periodic on a grid."""
     if isinstance(state, GridLapseProblem):
         return _grid_lapse(state)
-    return _homogeneous_lapse(state)
+    return _homogeneous_lapse(state.k_norm2())
 
 
 def lapse_residual(state: FlowState | GridLapseProblem, lapse) -> float:
@@ -301,38 +317,49 @@ def volume_of(geom: BlockGeometry, scales: tuple) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rhs(state: FlowState):
-    # the lapse is constant on homogeneous data, so the Hessian term of ∂ₜK vanishes
-    lapse = _homogeneous_lapse(state)
-    return (tuple(-2.0 * lapse * k for k in state.kcov),
-            tuple(-lapse * k * k / a for a, k in zip(state.scales, state.kcov)))
+def _rates(dims, scales, kcov, k2=None):
+    """(dA/dτ, dP/dτ) as lists; pass ``k2`` when |K|² of these fields is known.
 
-
-def _advance(state: FlowState, h: float, rates) -> tuple:
-    """(A, P) of the state moved by h along the rates (dA/dτ, dP/dτ)."""
-    return tuple(tuple(x + h * r for x, r in zip(xs, rs))
-                 for xs, rs in zip((state.scales, state.kcov), rates))
+    The lapse is constant on homogeneous data, so the Hessian term of ∂ₜK
+    vanishes.
+    """
+    if k2 is None:
+        k2 = sum([d * (p * p) for d, p in zip(dims, [k / a for a, k in zip(scales, kcov)])])
+    lapse = _homogeneous_lapse(k2)
+    return ([(-2.0 * lapse) * k for k in kcov],
+            [((-lapse) * k) * k / a for a, k in zip(scales, kcov)])
 
 
 def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _depth: int = 8) -> FlowState:
     """One classical RK4 step in CMC time, with drift-triggered halving.
 
-    The lapse equation is solved at every stage.  After the step the trace of
-    K is compared with the target time; if the step *added* more than
-    ``drift_tol`` of drift it is retried as two half steps (up to 8 nested
-    halvings).  No projection is applied — drift stays an honest error meter.
+    The lapse equation is solved at every stage.  Stage 1 takes the state's
+    kept |K|²; stages 2–4 run on plain lists, and the only FlowState built
+    is the result.  A non-positive or NaN scale after the step raises
+    RuntimeError; a NaN or vanishing |K|² at any stage raises
+    DegenerateLapseError.  After the step the trace of K is compared with the
+    target time; if the step *added* more than ``drift_tol`` of drift it is
+    retried as two half steps (up to 8 nested halvings).  No projection is
+    applied — drift stays an honest error meter.
     """
-    geom, tau = state.geometry, state.tau
-    r1 = _rhs(state)
-    r2 = _rhs(FlowState(geom, tau + 0.5 * dtau, *_advance(state, 0.5 * dtau, r1)))
-    r3 = _rhs(FlowState(geom, tau + 0.5 * dtau, *_advance(state, 0.5 * dtau, r2)))
-    r4 = _rhs(FlowState(geom, tau + dtau, *_advance(state, dtau, r3)))
-    rates = tuple(tuple(q1 + 2.0 * q2 + 2.0 * q3 + q4 for q1, q2, q3, q4 in zip(*qs))
-                  for qs in zip(r1, r2, r3, r4))
-    new = FlowState(geom, tau + dtau, *_advance(state, dtau / 6.0, rates))
-    if any(a <= 0.0 for a in new.scales):
-        raise RuntimeError("metric block scale became non-positive during a step")
-    drift_before = abs(state.trace_k() - tau)
+    dims, a0, p0 = state.geometry.dims, state.scales, state.kcov
+    half = 0.5 * dtau
+    da1, dp1 = _rates(dims, a0, p0, state.k_norm2())
+    da2, dp2 = _rates(dims, [x + half * r for x, r in zip(a0, da1)],
+                      [x + half * r for x, r in zip(p0, dp1)])
+    da3, dp3 = _rates(dims, [x + half * r for x, r in zip(a0, da2)],
+                      [x + half * r for x, r in zip(p0, dp2)])
+    da4, dp4 = _rates(dims, [x + dtau * r for x, r in zip(a0, da3)],
+                      [x + dtau * r for x, r in zip(p0, dp3)])
+    h = dtau / 6.0
+    scales = tuple([x + h * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+                    for x, q1, q2, q3, q4 in zip(a0, da1, da2, da3, da4)])
+    kcov = tuple([x + h * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+                  for x, q1, q2, q3, q4 in zip(p0, dp1, dp2, dp3, dp4)])
+    if not all(a > 0.0 for a in scales):
+        raise RuntimeError(f"metric block scale became non-positive or NaN during a step: {scales}")
+    new = FlowState(state.geometry, state.tau + dtau, scales, kcov)
+    drift_before = abs(state.trace_k() - state.tau)
     drift_after = abs(new.trace_k() - new.tau)
     if drift_after - drift_before > drift_tol:
         if _depth <= 0:
@@ -340,8 +367,8 @@ def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _dept
                 f"CMC drift increment {drift_after - drift_before:.3e} "
                 "persists at minimal step size"
             )
-        half = flow_step(state, 0.5 * dtau, drift_tol, _depth - 1)
-        return flow_step(half, 0.5 * dtau, drift_tol, _depth - 1)
+        first = flow_step(state, half, drift_tol, _depth - 1)
+        return flow_step(first, half, drift_tol, _depth - 1)
     return new
 
 

@@ -173,17 +173,23 @@ def focal_times(k0) -> np.ndarray:
     return np.sort(1.0 / nonzero)
 
 
-def riccati_integrate(k0, t: float, steps: int = 2000) -> np.ndarray:
+def riccati_integrate(k0, t, steps: int = 2000) -> np.ndarray:
     """Integrate ∂ₜK = K² numerically with fixed-step RK4.
 
     Direct ODE solution of the same initial value problem that
     riccati_propagate answers in closed form; the two should agree to
-    O(steps⁻⁴) away from focal times.
+    O(steps⁻⁴) away from focal times.  ``t`` is one time or a sequence of
+    them: every time takes ``steps`` steps of its own length, all in one
+    loop over the stacked matrices, and the result is K(t) of shape (d, d)
+    for a scalar ``t`` and one such matrix per time otherwise.  A stacked
+    product multiplies each matrix as the 2-D product does, so every slice
+    equals the scalar-``t`` result bit for bit.
     """
-    k = np.array(np.asarray(k0, dtype=float))
     if steps < 1:
         raise ValueError("steps must be positive")
-    h = t / steps
+    k0 = np.asarray(k0, dtype=float)
+    h = np.asarray(t, dtype=float)[..., None, None] / steps
+    k = np.array(np.broadcast_to(k0, h.shape[:-2] + k0.shape))
     for _ in range(steps):
         f1 = k @ k
         k2 = k + 0.5 * h * f1
@@ -211,9 +217,8 @@ def riccati_trials(seed: int, trials: int, t_values, steps: int):
         a = rng.normal(size=(dim, dim))
         k0 = -(a @ a.T) - 0.1 * np.eye(dim)
         k0s.append(k0)
-        for t in t_values:
+        for t, numeric in zip(t_values, riccati_integrate(k0, t_values, steps=steps)):
             exact = riccati_propagate(k0, t)
-            numeric = riccati_integrate(k0, t, steps=steps)
             two_leg = riccati_propagate(riccati_propagate(k0, 0.4 * t), 0.6 * t)
             rows.append((trial, dim, t, float(np.max(np.abs(numeric - exact))),
                          float(np.max(np.abs(two_leg - exact)))))

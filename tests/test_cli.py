@@ -86,6 +86,17 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert [[float(x) for x in row] for row in rows] == [[1.0 / 3.0], [2.0 / 3.0]]
 
 
+def test_render_csv_of_an_ndarray_matches_python_floats():
+    # an ndarray renders through tolist(), cell for cell as repr(float(x))
+    data = np.array([[-0.0, 1e-300, np.nan], [1.0 / 3.0, -2.5e17, 7.0]])
+    as_floats = [tuple(float(x) for x in row) for row in data]
+    text = csvio.render_csv(("a", "b", "c"), data)
+    assert text == csvio.render_csv(("a", "b", "c"), as_floats)
+    assert text.splitlines()[1] == "-0.0,1e-300,nan"
+    # integer cells render as floats, as their numpy scalars do
+    assert csvio.render_csv(("i",), np.array([[3]])) == "i\n3.0\n"
+
+
 def test_read_csv_rejects_an_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -340,19 +351,23 @@ def test_graph_check_three_dimensional_orders(tmp_path, capsys):
 
 
 def test_riccati_nan_probe_fails_the_check(tmp_path, monkeypatch, capsys):
-    # a NaN on the 4th of 15 probes must not vanish into a running maximum
+    # a NaN on the 4th of 15 probes must not vanish into a running maximum;
+    # each trial integrates its 3 times in one call, so the 4th probe is the
+    # first time of the 2nd call
     integrate = models.riccati_integrate
     calls = []
 
     def nan_on_fourth(k0, t, steps=2000):
         calls.append(t)
         out = integrate(k0, t, steps=steps)
-        return np.full_like(out, np.nan) if len(calls) == 4 else out
+        if len(calls) == 2:
+            out[0] = np.nan
+        return out
 
     monkeypatch.setattr(models, "riccati_integrate", nan_on_fourth)
     assert cli.main(["--scenario", "riccati", "--out", str(tmp_path / "run")]) == 3
     assert "FAIL riccati_integration_err" in capsys.readouterr().out
-    assert len(calls) == 15
+    assert len(calls) == 5
 
 
 def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):

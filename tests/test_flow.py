@@ -129,6 +129,85 @@ def test_flow_step_halves_a_step_that_adds_drift():
         flow.flow_step(st, 8.0, drift_tol=1e-12)
 
 
+# Reference RK4 on tuples, with the per-stage arithmetic of the FlowState-based
+# stepper that the list-based flow_step replaced; flow_step must match it bit
+# for bit, halvings included.
+
+
+def _ref_mixed(scales, kcov):
+    return tuple(k / a for a, k in zip(scales, kcov))
+
+
+def _ref_rhs(dims, scales, kcov):
+    lapse = 1.0 / sum(d * (p * p) for d, p in zip(dims, _ref_mixed(scales, kcov)))
+    return (tuple(-2.0 * lapse * k for k in kcov),
+            tuple(-lapse * k * k / a for a, k in zip(scales, kcov)))
+
+
+def _ref_advance(fields, h, rates):
+    return tuple(tuple(x + h * r for x, r in zip(xs, rs)) for xs, rs in zip(fields, rates))
+
+
+def _ref_trace(dims, fields):
+    return sum(d * p for d, p in zip(dims, _ref_mixed(*fields)))
+
+
+def _ref_step(dims, tau, fields, dtau, drift_tol=flow.DRIFT_TOL, depth=8):
+    r1 = _ref_rhs(dims, *fields)
+    r2 = _ref_rhs(dims, *_ref_advance(fields, 0.5 * dtau, r1))
+    r3 = _ref_rhs(dims, *_ref_advance(fields, 0.5 * dtau, r2))
+    r4 = _ref_rhs(dims, *_ref_advance(fields, dtau, r3))
+    rates = tuple(tuple(q1 + 2.0 * q2 + 2.0 * q3 + q4 for q1, q2, q3, q4 in zip(*qs))
+                  for qs in zip(r1, r2, r3, r4))
+    new = _ref_advance(fields, dtau / 6.0, rates)
+    drift_before = abs(_ref_trace(dims, fields) - tau)
+    drift_after = abs(_ref_trace(dims, new) - (tau + dtau))
+    if drift_after - drift_before > drift_tol:
+        assert depth > 0
+        mid_tau, mid = _ref_step(dims, tau, fields, 0.5 * dtau, drift_tol, depth - 1)
+        return _ref_step(dims, mid_tau, mid, 0.5 * dtau, drift_tol, depth - 1)
+    return tau + dtau, new
+
+
+def test_flow_step_matches_the_reference_rk4_bit_for_bit():
+    models_at = [models.ConeModel(n) for n in (2, 3, 4)] + [models.KasnerModel(n) for n in (3, 4)]
+    for model in models_at:
+        st = flow.state_from_slice(models.slice_at_tau(model, -10.0))
+        dims, tau, fields = st.geometry.dims, st.tau, (st.scales, st.kcov)
+        grid = flow.tau_grid(-10.0, -0.1, 200)
+        for t0, t1 in zip(grid[:-1], grid[1:]):
+            dtau = float(t1 - t0)
+            st = flow.flow_step(st, dtau)
+            tau, fields = _ref_step(dims, tau, fields, dtau)
+            assert (st.tau, st.scales, st.kcov) == (tau, *fields)
+    # the halving case: a raw step of 0.5 on the n = 3 cone adds drift
+    st = cone_state(3, -10.0)
+    repaired = flow.flow_step(st, 0.5)
+    tau, fields = _ref_step(st.geometry.dims, st.tau, (st.scales, st.kcov), 0.5)
+    assert (repaired.tau, repaired.scales, repaired.kcov) == (tau, *fields)
+
+
+def test_nan_scale_fails_the_lapse_and_the_step():
+    # a NaN scale makes |K|^2 NaN, which no comparison with the degeneracy
+    # threshold may let through
+    st = cone_state(3, -2.0)
+    bad = flow.FlowState(st.geometry, st.tau, (float("nan"),), st.kcov)
+    with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2"):
+        flow.solve_lapse(bad)
+    with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2"):
+        flow.flow_step(bad, 0.01)
+    with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2"):
+        flow.run_flow(bad, -1.0, 4)
+
+
+def test_step_to_a_non_positive_scale_raises():
+    # a backward step of 1.8 from tau = -2 on the n = 3 cone overshoots the
+    # apex: RK4 lands on a negative metric scale
+    st = cone_state(3, -2.0)
+    with pytest.raises(RuntimeError, match="non-positive or NaN"):
+        flow.flow_step(st, -1.8, drift_tol=np.inf)
+
+
 def test_cone_flow_keeps_rescaled_volume():
     tr = flow.run_flow(cone_state(3, -2.0), -0.5, 2000)
     drift = np.max(np.abs(tr.column("ham") / 27.0 - 1.0))

@@ -117,6 +117,21 @@ def test_riccati_integrate_converges_at_fourth_order():
     assert 10.0 < e_coarse / e_fine < 24.0
 
 
+def test_riccati_integrate_stacks_times_bit_for_bit():
+    # one loop over stacked times must reproduce each scalar-time call exactly
+    rng = np.random.default_rng(5)
+    times = (0.3, 0.9, 1.5)
+    for d in (2, 3, 4):
+        a = rng.normal(size=(d, d))
+        k0 = -(a @ a.T) - 0.1 * np.eye(d)
+        stacked = models.riccati_integrate(k0, times, steps=400)
+        assert stacked.shape == (3, d, d)
+        for t, numeric in zip(times, stacked):
+            single = models.riccati_integrate(k0, t, steps=400)
+            assert single.shape == (d, d)
+            assert np.array_equal(numeric, single)
+
+
 def test_focal_times_ignore_zero_eigenvalues():
     k0 = np.diag([0.0, -2.0])
     foc = models.focal_times(k0)
