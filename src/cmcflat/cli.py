@@ -69,45 +69,39 @@ def _flow_range(opts) -> tuple:
     return tau_start, tau_end, steps
 
 
-def scenario_cone_flow(opts, out_dir, artifacts):
-    ndim = get_int(opts, "dim", 3)
-    if not 2 <= ndim <= 4:
-        raise ConfigError("dim must be 2, 3, or 4")
-    base_volume = get_float(opts, "base_volume", 1.0)
-    if base_volume <= 0:
-        raise ConfigError("base_volume must be positive")
-    tau_start, tau_end, steps = _flow_range(opts)
+def _model(cls, *args):
+    """``cls(*args)``, whose constructor checks the options' ranges, with its
+    ValueError raised as a ConfigError."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    model = models.ConeModel(ndim, base_volume)
+
+def _model_flow(model, prefix: str, opts, out_dir, artifacts):
+    """Run the flow of a model over the configured range and write
+    ``<prefix>_flow_trace.csv``; returns (trace, max |Ham / ham_closed_form - 1|)."""
+    tau_start, tau_end, steps = _flow_range(opts)
     state = flow.state_from_slice(models.slice_at_tau(model, tau_start))
     trace = flow.run_flow(state, tau_end, steps)
-    _write_artifact(out_dir, artifacts, "cone_flow_trace.csv", flow.TRACE_COLUMNS, trace.data)
+    _write_artifact(out_dir, artifacts, prefix + "_flow_trace.csv", flow.TRACE_COLUMNS,
+                    trace.data)
+    closed = np.array([models.ham_closed_form(model, t) for t in trace.column("tau")])
+    return trace, float(np.max(np.abs(trace.column("ham") / closed - 1.0)))
 
-    expected = float(ndim) ** ndim * base_volume
-    drift = float(np.max(np.abs(trace.column("ham") / expected - 1.0)))
+
+def scenario_cone_flow(opts, out_dir, artifacts):
+    model = _model(models.ConeModel, get_int(opts, "dim", 3), get_float(opts, "base_volume", 1.0))
+    trace, drift = _model_flow(model, "cone", opts, out_dir, artifacts)
     checks = [_check("cone_ham_rel_drift", drift, 0.0, 1e-8)]
-    checks += _flow_trace_checks("cone", trace, ndim)
+    checks += _flow_trace_checks("cone", trace, model.dim)
     return checks
 
 
 def scenario_kasner_flow(opts, out_dir, artifacts):
-    ndim = get_int(opts, "dim", 3)
-    if not 3 <= ndim <= 4:
-        raise ConfigError("dim must be 3 or 4 (needs a hyperbolic factor of dim >= 2)")
-    sigma_volume = get_float(opts, "sigma_volume", 1.0)
-    circle_length = get_float(opts, "circle_length", 1.0)
-    if sigma_volume <= 0 or circle_length <= 0:
-        raise ConfigError("sigma_volume and circle_length must be positive")
-    tau_start, tau_end, steps = _flow_range(opts)
-
-    model = models.KasnerModel(ndim, sigma_volume, circle_length)
-    state = flow.state_from_slice(models.slice_at_tau(model, tau_start))
-    trace = flow.run_flow(state, tau_end, steps)
-    _write_artifact(out_dir, artifacts, "kasner_flow_trace.csv", flow.TRACE_COLUMNS, trace.data)
-
-    ham = trace.column("ham")
-    closed = np.array([models.ham_closed_form(model, t) for t in trace.column("tau")])
-    match = float(np.max(np.abs(ham / closed - 1.0)))
+    model = _model(models.KasnerModel, get_int(opts, "dim", 3),
+                   get_float(opts, "sigma_volume", 1.0), get_float(opts, "circle_length", 1.0))
+    trace, match = _model_flow(model, "kasner", opts, out_dir, artifacts)
     report = flow.ham_monotonicity_check(trace)
     checks = [
         _check("kasner_closed_form_rel_err", match, 0.0, 1e-6),
@@ -115,17 +109,13 @@ def scenario_kasner_flow(opts, out_dir, artifacts):
         _check("kasner_monotonicity_identity", report.max_identity_mismatch, 0.0,
                flow.HAM_IDENTITY_TOL),
     ]
-    checks += _flow_trace_checks("kasner", trace, ndim)
+    checks += _flow_trace_checks("kasner", trace, model.dim)
     return checks
 
 
 def scenario_lichnerowicz_sweep(opts, out_dir, artifacts):
-    ndim = get_int(opts, "dim", 3)
-    if ndim not in (3, 4):
-        raise ConfigError("dim must be 3 or 4")
-    volume = get_float(opts, "volume", 1.0)
-    if volume <= 0:
-        raise ConfigError("volume must be positive")
+    bg = _model(lichnerowicz.ConformalBackground, get_int(opts, "dim", 3),
+                get_float(opts, "volume", 1.0))
     tau_values = get_floats(opts, "tau_values", (-1.0, -2.0, -3.0, -4.0, -5.0))
     sigma_values = get_floats(opts, "sigma_sq_values", (0.0, 4.0, 8.0, 12.0))
     if any(t >= 0 for t in tau_values):
@@ -135,11 +125,11 @@ def scenario_lichnerowicz_sweep(opts, out_dir, artifacts):
     if 0.0 not in sigma_values:
         raise ConfigError("sigma_sq_values must include 0 for the exact-root check")
 
-    bg = lichnerowicz.ConformalBackground(ndim, volume)
     rows = lichnerowicz.sweep_constant_sigma(bg, tau_values, sigma_values)
     _write_artifact(out_dir, artifacts, "lichnerowicz_sweep.csv",
                     lichnerowicz.SWEEP_COLUMNS, rows)
 
+    ndim = bg.dim
     data = np.asarray(rows, dtype=float)
     tau_col, sig_col = data[:, 0], data[:, 1]
     u_min, u_max = data[:, 2], data[:, 3]
@@ -152,7 +142,7 @@ def scenario_lichnerowicz_sweep(opts, out_dir, artifacts):
     barrier_viol = float(np.maximum(0.0, np.max((refs - u_min) / refs)))
     ham_viol = float(np.maximum(0.0, np.max((bound - ham) / bound)))
     report = lichnerowicz.sigma_report(ham, ndim)
-    report_expected = -((ndim - 1.0) / ndim) * (float(ndim) ** ndim * volume) ** (2.0 / ndim)
+    report_expected = lichnerowicz.sigma_report([ndim**ndim * bg.volume], ndim)
 
     return [
         _check("lich_zero_sigma_exact_err", exact_err, 0.0, 1e-12),

@@ -79,12 +79,13 @@ def get_int(options: dict, key: str, default: int) -> int:
 
 
 def get_floats(options: dict, key: str, default) -> tuple:
-    """Comma-separated list of numbers."""
+    """Comma-separated list of numbers; an empty item is an error, not skipped."""
     if key not in options:
         return tuple(default)
-    parts = [p.strip() for p in options[key].split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"option {key!r}: expected at least one number")
+    parts = [p.strip() for p in options[key].split(",")]
+    if not all(parts):
+        raise ConfigError(f"option {key!r}: expected numbers with no empty item, "
+                          f"got {options[key]!r}")
     try:
         values = tuple(float(p) for p in parts)
     except ValueError as exc:

@@ -89,12 +89,17 @@ class BlockGeometry:
                 raise ValueError("block dimensions must be positive")
         if not 2 <= self.dim <= 4:
             raise ValueError("total spatial dimension must satisfy 2 <= n <= 4")
-        if self.volume_factor <= 0:
+        if not self.volume_factor > 0:
             raise ValueError("volume_factor must be positive")
 
     @property
     def dim(self) -> int:
         return int(sum(self.dims))
+
+
+def _square_norm(dims, mixed) -> float:
+    """|K|² = Σ d·p² over the blocks, from the mixed eigenvalues p."""
+    return sum([d * (p * p) for d, p in zip(dims, mixed)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +127,7 @@ class FlowState:
 
     @cached_property
     def _k_norm2(self) -> float:
-        return sum(d * (p * p) for d, p in zip(self.geometry.dims, self._mixed_k))
+        return _square_norm(self.geometry.dims, self._mixed_k)
 
     def mixed_k(self) -> tuple:
         return self._mixed_k
@@ -324,7 +329,7 @@ def _rates(dims, scales, kcov, k2=None):
     vanishes.
     """
     if k2 is None:
-        k2 = sum([d * (p * p) for d, p in zip(dims, [k / a for a, k in zip(scales, kcov)])])
+        k2 = _square_norm(dims, [k / a for a, k in zip(scales, kcov)])
     lapse = _homogeneous_lapse(k2)
     return ([(-2.0 * lapse) * k for k in kcov],
             [((-lapse) * k) * k / a for a, k in zip(scales, kcov)])
@@ -335,22 +340,27 @@ def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _dept
 
     The lapse equation is solved at every stage.  Stage 1 takes the state's
     kept |K|²; stages 2–4 run on plain lists, and the only FlowState built
-    is the result.  A non-positive or NaN scale after the step raises
-    RuntimeError; a NaN or vanishing |K|² at any stage raises
-    DegenerateLapseError.  After the step the trace of K is compared with the
+    is the result.  A non-positive or NaN scale after the step, or a zero
+    scale at a stage, raises RuntimeError; a NaN or vanishing |K|² at any
+    stage raises DegenerateLapseError.  After the step the trace of K is compared with the
     target time; if the step *added* more than ``drift_tol`` of drift it is
     retried as two half steps (up to 8 nested halvings).  No projection is
     applied — drift stays an honest error meter.
     """
     dims, a0, p0 = state.geometry.dims, state.scales, state.kcov
     half = 0.5 * dtau
-    da1, dp1 = _rates(dims, a0, p0, state.k_norm2())
-    da2, dp2 = _rates(dims, [x + half * r for x, r in zip(a0, da1)],
-                      [x + half * r for x, r in zip(p0, dp1)])
-    da3, dp3 = _rates(dims, [x + half * r for x, r in zip(a0, da2)],
-                      [x + half * r for x, r in zip(p0, dp2)])
-    da4, dp4 = _rates(dims, [x + dtau * r for x, r in zip(a0, da3)],
-                      [x + dtau * r for x, r in zip(p0, dp3)])
+    try:
+        da1, dp1 = _rates(dims, a0, p0, state.k_norm2())
+        da2, dp2 = _rates(dims, [x + half * r for x, r in zip(a0, da1)],
+                          [x + half * r for x, r in zip(p0, dp1)])
+        da3, dp3 = _rates(dims, [x + half * r for x, r in zip(a0, da2)],
+                          [x + half * r for x, r in zip(p0, dp2)])
+        da4, dp4 = _rates(dims, [x + dtau * r for x, r in zip(a0, da3)],
+                          [x + dtau * r for x, r in zip(p0, dp3)])
+    except ZeroDivisionError as exc:
+        # only a stage scale of exactly zero divides by zero in _rates
+        raise RuntimeError(f"metric block scale became zero at an RK4 stage of the step "
+                           f"from tau = {state.tau!r} by {dtau!r}") from exc
     h = dtau / 6.0
     scales = tuple([x + h * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
                     for x, q1, q2, q3, q4 in zip(a0, da1, da2, da3, da4)])
@@ -401,7 +411,7 @@ def tau_grid(tau_start: float, tau_end: float, steps: int) -> np.ndarray:
 
     Steps shrink toward τ → 0⁻, where the solution varies fastest.
     """
-    if tau_start >= 0 or tau_end >= 0:
+    if not (tau_start < 0 and tau_end < 0):
         raise ValueError("CMC times must be negative")
     if steps < 0:
         raise ValueError("steps must be nonnegative")

@@ -40,6 +40,8 @@ RELATOR_TOL = 1e-9
 #: decimals kept when orbit elements are deduplicated: entries that agree to
 #: this many decimals (up to a rounding boundary) are one group element
 ELEMENT_KEY_DECIMALS = 9
+#: Simpson panels of octagon_area over one of the sixteen symmetric sectors
+OCTAGON_AREA_PANELS = 128
 
 Word = tuple  # signed 1-based generator indices, negative = inverse
 
@@ -66,22 +68,12 @@ class GroupPresentation:
 
 
 @dataclass(frozen=True, eq=False)
-class Cocycle:
-    """One translation vector per generator of a presentation."""
-
-    translations: tuple
-
-    @staticmethod
-    def zero(ndim: int, n_generators: int) -> "Cocycle":
-        return Cocycle(tuple(np.zeros(ndim + 1) for _ in range(n_generators)))
-
-
-@dataclass(frozen=True, eq=False)
 class HolonomyRep:
-    """Affine holonomy: a presentation together with a translation cocycle."""
+    """Affine holonomy: a presentation and its translation cocycle, a tuple
+    of one translation vector per generator."""
 
     presentation: GroupPresentation
-    cocycle: Cocycle
+    translations: tuple
 
 
 def evaluate_word(presentation: GroupPresentation, word) -> np.ndarray:
@@ -111,18 +103,18 @@ def extend_cocycle(rep: HolonomyRep, word) -> np.ndarray:
     for index in word:
         g = pres.generator(index)
         if index > 0:
-            tg = rep.cocycle.translations[index - 1]
+            tg = rep.translations[index - 1]
         else:
-            tg = -(g @ rep.cocycle.translations[-index - 1])
+            tg = -(g @ rep.translations[-index - 1])
         t = t + prefix @ tg
         prefix = prefix @ g
     return t
 
 
-def coboundary_cocycle(presentation: GroupPresentation, base_point) -> Cocycle:
+def coboundary_cocycle(presentation: GroupPresentation, base_point) -> tuple:
     """Cocycle t(g) = b - f(g) b; trivial in cohomology for any base point b."""
     b = np.asarray(base_point, dtype=float)
-    return Cocycle(tuple(b - g @ b for g in presentation.generators))
+    return tuple(b - g @ b for g in presentation.generators)
 
 
 def scale_structure(rep: HolonomyRep, factor: float) -> HolonomyRep:
@@ -131,8 +123,7 @@ def scale_structure(rep: HolonomyRep, factor: float) -> HolonomyRep:
     Conjugating the developing map by x -> factor*x multiplies every cocycle
     translation by ``factor`` and leaves the linear holonomy unchanged.
     """
-    scaled = Cocycle(tuple(factor * t for t in rep.cocycle.translations))
-    return HolonomyRep(rep.presentation, scaled)
+    return HolonomyRep(rep.presentation, tuple(factor * t for t in rep.translations))
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +168,19 @@ def bolza_presentation() -> GroupPresentation:
     return GroupPresentation(2, tuple(gens), relators)
 
 
-def bolza_rep(cocycle: Cocycle | None = None) -> HolonomyRep:
+def bolza_rep(translations: tuple | None = None) -> HolonomyRep:
+    """The Bolza presentation with a cocycle, the zero cocycle by default."""
     pres = bolza_presentation()
-    if cocycle is None:
-        cocycle = Cocycle.zero(pres.ndim, pres.n_generators)
-    return HolonomyRep(pres, cocycle)
+    if translations is None:
+        translations = tuple(np.zeros(pres.ndim + 1) for _ in range(pres.n_generators))
+    return HolonomyRep(pres, translations)
 
 
 def _side_circle_data():
-    """Euclidean centers and radii of the eight geodesic side circles in the disk."""
+    """(dist, radius) of the eight geodesic side circles in the Poincare disk:
+    the Euclidean distance of each center from the origin, and the radius."""
     rho0 = np.tanh(0.5 * octagon_inradius())
-    radius = (1.0 - rho0 * rho0) / (2.0 * rho0)
-    dist = (1.0 + rho0 * rho0) / (2.0 * rho0)
-    angles = np.arange(8) * (np.pi / 4)
-    centers = dist * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    return centers, radius
+    return (1.0 + rho0 * rho0) / (2.0 * rho0), (1.0 - rho0 * rho0) / (2.0 * rho0)
 
 
 def octagon_level(x, y) -> np.ndarray:
@@ -202,7 +191,9 @@ def octagon_level(x, y) -> np.ndarray:
     exactly on the octagon (inside lies outside every side circle), with the
     boundary as zero set, so it serves as a cut function in quadrature.
     """
-    centers, radius = _side_circle_data()
+    dist, radius = _side_circle_data()
+    angles = np.arange(8) * (np.pi / 4)
+    centers = dist * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     level = None
     for cx, cy in centers:
         d = np.sqrt((x - cx) ** 2 + (y - cy) ** 2) - radius
@@ -213,20 +204,19 @@ def octagon_level(x, y) -> np.ndarray:
 def octagon_boundary_radius(angle) -> np.ndarray:
     """Euclidean disk radius of the octagon boundary along a ray at ``angle``."""
     phi = np.abs(np.mod(np.asarray(angle, dtype=float) + np.pi / 8, np.pi / 4) - np.pi / 8)
-    rho0 = np.tanh(0.5 * octagon_inradius())
-    dist = (1.0 + rho0 * rho0) / (2.0 * rho0)
+    dist, _ = _side_circle_data()
     # nearest intersection of the ray with the side circle (orthogonal to the unit circle)
     return dist * np.cos(phi) - np.sqrt((dist * np.cos(phi)) ** 2 - 1.0)
 
 
-def octagon_area(n_panels: int = 128) -> float:
+def octagon_area() -> float:
     """Hyperbolic area of the octagon by quadrature (Gauss-Bonnet value: 4*pi).
 
     The radial integral of the disk area element 4 r/(1-r^2)^2 is done in
     closed form; the angular integral uses composite Simpson over one of the
-    sixteen symmetric sectors.
+    sixteen symmetric sectors, in OCTAGON_AREA_PANELS panels.
     """
-    phi = np.linspace(0.0, np.pi / 8, 2 * n_panels + 1)
+    phi = np.linspace(0.0, np.pi / 8, 2 * OCTAGON_AREA_PANELS + 1)
     rho = octagon_boundary_radius(phi)
     integrand = 2.0 / (1.0 - rho * rho) - 2.0
     h = phi[1] - phi[0]
@@ -274,9 +264,10 @@ def cocycle_space(presentation: GroupPresentation):
     with generator translations stacked in order.
 
     The cocycle basis is scipy's ``null_space``, imported here so that only
-    its callers load scipy.linalg.  bolza_nontrivial_cocycle takes the first
-    basis vector, so the basis must come from this one SVD routine: another
-    LAPACK call may rotate it and move every limit-experiment row.
+    its callers load scipy.linalg.  bolza_nontrivial_cocycle projects the
+    basis off the coboundaries and takes the column of largest norm, so the
+    basis must come from this one SVD routine: another LAPACK call may rotate
+    it and move every limit-experiment row.
     """
     from scipy.linalg import null_space
 
@@ -288,17 +279,18 @@ def cocycle_space(presentation: GroupPresentation):
     return z_basis, q[:, keep]
 
 
-def _stack_cocycle(presentation: GroupPresentation, vec: np.ndarray) -> Cocycle:
+def _stack_cocycle(presentation: GroupPresentation, vec: np.ndarray) -> tuple:
     d = presentation.ndim + 1
-    return Cocycle(tuple(vec[d * k : d * (k + 1)].copy() for k in range(presentation.n_generators)))
+    return tuple(vec[d * k : d * (k + 1)].copy() for k in range(presentation.n_generators))
 
 
-def bolza_nontrivial_cocycle(scale: float = 1.0) -> Cocycle:
+def bolza_nontrivial_cocycle(scale: float = 1.0) -> tuple:
     """A canonical cocycle with nonzero cohomology class.
 
-    First cocycle-space basis vector, projected orthogonal to the coboundary
-    subspace and normalized so the largest translation norm equals ``scale``.
-    Deterministic for a fixed platform (SVD-based bases).
+    The cocycle-space basis is projected orthogonal to the coboundary
+    subspace, the column of largest norm is taken, and it is normalized so
+    the largest translation norm equals ``scale``.  Deterministic for a
+    fixed platform (SVD-based bases).
     """
     pres = bolza_presentation()
     z_basis, b_basis = cocycle_space(pres)
@@ -307,8 +299,8 @@ def bolza_nontrivial_cocycle(scale: float = 1.0) -> Cocycle:
     norms = np.linalg.norm(candidates, axis=0)
     vec = candidates[:, int(np.argmax(norms))]
     cocycle = _stack_cocycle(pres, vec)
-    top = max(np.linalg.norm(t) for t in cocycle.translations)
-    return Cocycle(tuple((scale / top) * t for t in cocycle.translations))
+    top = max(np.linalg.norm(t) for t in cocycle)
+    return tuple((scale / top) * t for t in cocycle)
 
 
 def orbit_isometries(rep: HolonomyRep, max_word_length: int = 3):
@@ -336,9 +328,7 @@ def orbit_isometries(rep: HolonomyRep, max_word_length: int = 3):
             for index in range(1, pres.n_generators + 1):
                 if word and index == inverse_of.get(word[-1]):
                     continue
-                gen_iso = MinkIsometry(
-                    pres.generator(index), rep.cocycle.translations[index - 1]
-                )
+                gen_iso = MinkIsometry(pres.generator(index), rep.translations[index - 1])
                 new = iso.compose(gen_iso)
                 key = _element_key(new)
                 if key not in seen:
@@ -368,8 +358,8 @@ def bolza_suite(seed: int, words: int, word_length: int) -> list:
                           for rel in pres.relators])
 
     rng = np.random.default_rng(seed)
-    deformed = HolonomyRep(pres, Cocycle(tuple(rng.normal(scale=0.25, size=pres.ndim + 1)
-                                               for _ in range(pres.n_generators))))
+    deformed = HolonomyRep(pres, tuple(rng.normal(scale=0.25, size=pres.ndim + 1)
+                                       for _ in range(pres.n_generators)))
     cocycle_errs = []
     for _ in range(words):
         letters = rng.integers(1, pres.n_generators + 1, size=word_length)

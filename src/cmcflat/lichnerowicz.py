@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: default Newton tolerance (absolute residual)
+#: Newton tolerance (absolute residual)
 TOL_HOMOGENEOUS = 1e-12
 MAX_NEWTON_ITERATIONS = 100
 MAX_LINE_SEARCH_HALVINGS = 30
@@ -38,8 +38,8 @@ class ConformalBackground:
 
     def __post_init__(self):
         if not 3 <= self.dim <= 4:
-            raise ValueError("conformal module needs spatial dimension 3 or 4")
-        if self.volume <= 0:
+            raise ValueError("dim must be 3 or 4 for the conformal module")
+        if not self.volume > 0:
             raise ValueError("volume must be positive")
 
     @property
@@ -100,22 +100,19 @@ def _newton_direction(u, residual, bg, tt, tau):
     return -residual / diag
 
 
-def solve_lichnerowicz(bg: ConformalBackground, tt: TTData, tau: float,
-                       tol: float = TOL_HOMOGENEOUS) -> LichSolution:
+def solve_lichnerowicz(bg: ConformalBackground, tt: TTData, tau: float) -> LichSolution:
     """Damped Newton iteration from the σ = 0 seed.
 
     Backtracking halves the step (up to 30 times) until the absolute residual
     decreases and u stays positive; convergence is a residual at or below
-    ``tol``.  Non-convergence raises with the final residual attached.
+    TOL_HOMOGENEOUS.  Non-convergence raises with the final residual attached.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     u = reference_factor(bg.dim, tau)
     res = lichnerowicz_residual(u, bg, tt, tau)
     norm = abs(res)
     history = [norm]
     for _ in range(MAX_NEWTON_ITERATIONS):
-        if norm <= tol:
+        if norm <= TOL_HOMOGENEOUS:
             return LichSolution(u, tau, norm, tuple(history))
         step = _newton_direction(u, res, bg, tt, tau)
         alpha = 1.0

@@ -20,6 +20,9 @@ import numpy as np
 
 #: re-orthonormalize matrix products after this many compositions
 REORTHO_EVERY = 16
+#: Lorentz defect at which lorentz_project stops, and its iteration cap
+PROJECT_TOL = 1e-15
+PROJECT_MAX_ITER = 25
 
 
 def minkowski_metric(ndim: int) -> np.ndarray:
@@ -79,7 +82,7 @@ def make_rotation(ndim: int, axis1: int, axis2: int, angle: float) -> np.ndarray
     return a
 
 
-def lorentz_project(a: np.ndarray, tol: float = 1e-15, max_iter: int = 25) -> np.ndarray:
+def lorentz_project(a: np.ndarray) -> np.ndarray:
     """Project a near-Lorentz matrix back onto the group.
 
     Newton iteration for the eta-polar factor, ``X <- (X + eta X^-T eta)/2``,
@@ -88,8 +91,8 @@ def lorentz_project(a: np.ndarray, tol: float = 1e-15, max_iter: int = 25) -> np
     """
     x = np.array(a, dtype=float)
     eta = minkowski_metric(x.shape[0] - 1)
-    for _ in range(max_iter):
-        if lorentz_defect(x) <= tol:
+    for _ in range(PROJECT_MAX_ITER):
+        if lorentz_defect(x) <= PROJECT_TOL:
             break
         x = 0.5 * (x + eta @ np.linalg.inv(x).T @ eta)
     return x

@@ -46,26 +46,10 @@ class SliceData:
     tau: float
     volume_factor: float  # unit-scale volume of the cross-section (with circle length)
 
-    @property
-    def dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
-
-    @property
-    def volume(self) -> float:
-        scale = 1.0
-        for b in self.blocks:
-            scale *= b.metric_scale ** (b.dim / 2.0)
-        return self.volume_factor * scale
-
-    @property
-    def rescaled_volume(self) -> float:
-        """|τ|ⁿ Vol of the slice."""
-        return abs(self.tau) ** self.dim * self.volume
-
 
 def _check_dim(n: int) -> None:
     if not 2 <= n <= 4:
-        raise ValueError(f"spatial dimension must satisfy 2 <= n <= 4, got {n}")
+        raise ValueError(f"dim (spatial dimension) must satisfy 2 <= dim <= 4, got {n}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +61,7 @@ class ConeModel:
 
     def __post_init__(self):
         _check_dim(self.dim)
-        if self.base_volume <= 0:
+        if not self.base_volume > 0:
             raise ValueError("base_volume must be positive")
 
 
@@ -92,14 +76,14 @@ class KasnerModel:
     def __post_init__(self):
         _check_dim(self.dim)
         if self.dim < 3:
-            raise ValueError("the product model needs a hyperbolic factor of dimension >= 2")
-        if self.sigma_volume <= 0 or self.circle_length <= 0:
+            raise ValueError("dim must be 3 or 4 (a hyperbolic factor of dim >= 2)")
+        if not (self.sigma_volume > 0 and self.circle_length > 0):
             raise ValueError("sigma_volume and circle_length must be positive")
 
 
 def cone_slice(model: ConeModel, s: float) -> SliceData:
     """Slice ρ = s of the cone: metric s² g₀, K eigenvalue -1/s, τ = -n/s."""
-    if s <= 0:
+    if not s > 0:
         raise ValueError("slice parameter s must be positive")
     n = model.dim
     block = Block(n, "hyperbolic", s * s, -1.0 / s)
@@ -108,7 +92,7 @@ def cone_slice(model: ConeModel, s: float) -> SliceData:
 
 def kasner_slice(model: KasnerModel, rho: float) -> SliceData:
     """Slice ρ = const of the product model: τ = -(n-1)/ρ, flat factor static."""
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("slice parameter rho must be positive")
     n = model.dim
     hyp = Block(n - 1, "hyperbolic", rho * rho, -1.0 / rho)
@@ -118,7 +102,7 @@ def kasner_slice(model: KasnerModel, rho: float) -> SliceData:
 
 def slice_at_tau(model, tau: float) -> SliceData:
     """Slice of either model at prescribed CMC time τ < 0."""
-    if tau >= 0:
+    if not tau < 0:
         raise ValueError("CMC time must be negative (expanding direction is tau -> 0-)")
     if isinstance(model, ConeModel):
         return cone_slice(model, model.dim / (-tau))
@@ -133,7 +117,7 @@ def ham_closed_form(model, tau: float) -> float:
     Cone: nⁿ · base_volume, independent of τ.  Product model:
     (n-1)^{n-1} |τ| · sigma_volume · circle_length.
     """
-    if tau >= 0:
+    if not tau < 0:
         raise ValueError("CMC time must be negative")
     n = model.dim
     if isinstance(model, ConeModel):

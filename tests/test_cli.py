@@ -66,6 +66,10 @@ def test_typed_getters():
             get_float({"x": text}, "x", 0.0)
         with pytest.raises(ConfigError, match="'x'"):
             get_floats({"x": f"1, {text}"}, "x", ())
+    # an empty list item is an error that names the key, never dropped
+    for text in ("1,,2", "1, 2,", ",1", " , ", ""):
+        with pytest.raises(ConfigError, match="'x'.*empty item"):
+            get_floats({"x": text}, "x", ())
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +439,14 @@ def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
                                       ("limit-experiment", "cocycle_scale = nan", "cocycle_scale"),
                                       ("limit-experiment", "relax_tol = nan", "relax_tol"),
                                       ("limit-experiment", "coboundary_size = nan",
-                                       "coboundary_size")):
+                                       "coboundary_size"),
+                                      # the model constructors check these ranges
+                                      ("cone-flow", "dim = 5", "dim"),
+                                      ("cone-flow", "base_volume = -1", "base_volume"),
+                                      ("kasner-flow", "dim = 2", "dim"),
+                                      ("kasner-flow", "circle_length = 0", "circle_length"),
+                                      ("lichnerowicz-sweep", "dim = 5", "dim"),
+                                      ("lichnerowicz-sweep", "volume = 0", "volume")):
         code, out = _run_config(tmp_path, f"scenario = {scenario}\n{option}\n")
         assert code == 2, option
         assert message in capsys.readouterr().err
@@ -450,10 +461,20 @@ def test_summary_check_names_are_pinned(tmp_path, capsys):
                         "bolza_gauss_equivariance_err"],
         "lichnerowicz-sweep": ["lich_zero_sigma_exact_err", "lich_barrier_violation",
                                "lich_ham_bound_violation", "lich_sigma_report"],
+        "cone-flow": ["cone_ham_rel_drift", "cone_lapse_lower_bound_violation",
+                      "cone_lapse_upper_bound_violation", "cone_max_gauss_residual",
+                      "cone_max_codazzi_residual"],
+        "kasner-flow": ["kasner_closed_form_rel_err", "kasner_ham_increases",
+                        "kasner_monotonicity_identity", "kasner_lapse_lower_bound_violation",
+                        "kasner_lapse_upper_bound_violation", "kasner_max_gauss_residual",
+                        "kasner_max_codazzi_residual"],
     }
+    # the flows run a short range, as in the import-budget script below
+    short = "tau_start = -2\ntau_end = -1\nsteps = 200\n"
     for scenario, names in expected.items():
-        out = tmp_path / scenario
-        assert cli.main(["--scenario", scenario, "--out", str(out)]) == 0
+        code, out = _run_config(tmp_path, f"scenario = {scenario}\n"
+                                + (short if "flow" in scenario else ""))
+        assert code == 0
         _, rows = csvio.read_csv(out / "summary.csv")
         assert [row[0] for row in rows] == names
     capsys.readouterr()

@@ -208,6 +208,23 @@ def test_step_to_a_non_positive_scale_raises():
         flow.flow_step(st, -1.8, drift_tol=np.inf)
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_step_through_a_zero_stage_scale_raises(n):
+    # a backward step of 2 from tau = -2 puts RK4 stage 4 exactly on the
+    # apex, scale 0, where the rates divide by the scale
+    with pytest.raises(RuntimeError, match="scale became zero"):
+        flow.flow_step(cone_state(n, -2.0), -2.0, drift_tol=np.inf)
+
+
+def test_nan_times_and_volumes_are_rejected():
+    for start, end in ((np.nan, -1.0), (-2.0, np.nan)):
+        with pytest.raises(ValueError, match="negative"):
+            flow.tau_grid(start, end, 4)
+    slc = models.slice_at_tau(models.ConeModel(3), -2.0)
+    with pytest.raises(ValueError, match="volume_factor"):
+        flow.state_from_slice(models.SliceData(slc.blocks, slc.tau, np.nan))
+
+
 def test_cone_flow_keeps_rescaled_volume():
     tr = flow.run_flow(cone_state(3, -2.0), -0.5, 2000)
     drift = np.max(np.abs(tr.column("ham") / 27.0 - 1.0))

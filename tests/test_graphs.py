@@ -51,6 +51,16 @@ def test_spacelike_guard():
         graphs.graph_geometry(steep)
 
 
+def test_nan_spacing_and_gradient_are_rejected():
+    with pytest.raises(ValueError, match="spacing"):
+        HeightField(np.zeros((8, 8)), np.nan, (0.0, 0.0))
+    field = graphs.hyperboloid_field(1.0, 1.0, 17)
+    for values in (np.full((17, 17), np.nan), np.where(np.eye(17, dtype=bool), np.nan,
+                                                       field.values)):
+        with pytest.raises(graphs.SpacelikeError):
+            graphs.graph_geometry(HeightField(values, field.spacing, field.origin))
+
+
 def test_filtered_quadrature_disk():
     # coordinate-disk region on the unit hyperboloid: area -> pi/4 and
     # volume -> 2 pi (sqrt(5)/2 - 1) as the grid refines (linear cuts, O(h^2))

@@ -75,7 +75,9 @@ def test_octagon_level_components_match_stacked_points():
     rng = np.random.default_rng(5)
     r, a = np.sqrt(rng.random((40, 30))), rng.uniform(0.0, 2.0 * np.pi, (40, 30))
     pts = np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)
-    centers, radius = h._side_circle_data()
+    dist, radius = h._side_circle_data()
+    angles = np.arange(8) * (np.pi / 4)
+    centers = dist * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     expected = np.min([np.sqrt(np.sum((pts - c) ** 2, axis=-1)) - radius for c in centers],
                       axis=0)
     assert np.array_equal(h.octagon_level(pts[..., 0], pts[..., 1]), expected)
@@ -84,7 +86,7 @@ def test_octagon_level_components_match_stacked_points():
 def test_cocycle_rule_on_random_words():
     pres = h.bolza_presentation()
     rng = np.random.default_rng(5)
-    rep = h.HolonomyRep(pres, h.Cocycle(tuple(rng.normal(scale=0.2, size=3) for _ in range(8))))
+    rep = h.HolonomyRep(pres, tuple(rng.normal(scale=0.2, size=3) for _ in range(8)))
     for _ in range(25):
         length = int(rng.integers(2, 6))
         word = [int(s) * int(i) for s, i in zip(rng.choice((-1, 1), size=length),
@@ -128,7 +130,7 @@ def test_nontrivial_cocycle_is_valid_and_not_gauge():
     assert worst < 1e-9
     # distance from the coboundary subspace stays bounded away from zero
     _, bnd = h.cocycle_space(pres)
-    vec = np.concatenate([t for t in coc.translations])
+    vec = np.concatenate(coc)
     resid = vec - bnd @ np.linalg.lstsq(bnd, vec, rcond=None)[0]
     assert np.linalg.norm(resid) > 0.5 * np.linalg.norm(vec)
 
@@ -138,12 +140,15 @@ def test_scale_structure_scales_translations_only():
     scaled = h.scale_structure(rep, 0.25)
     for a, b in zip(rep.presentation.generators, scaled.presentation.generators):
         assert np.array_equal(a, b)
-    for ta, tb in zip(rep.cocycle.translations, scaled.cocycle.translations):
+    for ta, tb in zip(rep.translations, scaled.translations):
         assert np.max(np.abs(tb - 0.25 * ta)) < 1e-15
 
 
 def test_orbit_counts_by_word_length():
     rep = h.bolza_rep()
+    # the default cocycle is zero: one zero translation per generator
+    assert len(rep.translations) == 8
+    assert all(np.array_equal(t, np.zeros(3)) for t in rep.translations)
     assert len(h.orbit_isometries(rep, 1)) == 9
     assert len(h.orbit_isometries(rep, 2)) == 65
     assert len(h.orbit_isometries(rep, 3)) == 457
@@ -171,7 +176,7 @@ def test_orbit_inverse_pairs_follow_the_generators():
     gens = tuple(mk.make_boost([np.cos(a), np.sin(a)], sign * 1.0)
                  for sign in (1.0, -1.0) for a in angles)
     pres = h.GroupPresentation(2, gens, ((1, 4), (2, 5), (3, 6)))
-    rep = h.HolonomyRep(pres, h.Cocycle.zero(2, 6))
+    rep = h.HolonomyRep(pres, tuple(np.zeros(3) for _ in range(6)))
     # brute force over all 43 words of length <= 2, without pruning
     products = [np.eye(3)] + list(gens) + [a @ b for a in gens for b in gens]
     distinct = []

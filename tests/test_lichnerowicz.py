@@ -98,6 +98,11 @@ def test_sweep_rows_and_columns():
             assert abs(u_min - lich.reference_factor(3, tau)) <= 1e-12 * u_min
 
 
+def test_nan_volume_is_rejected():
+    with pytest.raises(ValueError, match="volume"):
+        ConformalBackground(3, volume=np.nan)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         ConformalBackground(2)

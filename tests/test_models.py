@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from cmcflat import models
+from cmcflat import flow, models
+
+
+def _rescaled_volume(slc):
+    # |tau|^n Vol of a slice, through the flow state it starts
+    state = flow.state_from_slice(slc)
+    return abs(state.tau) ** state.geometry.dim * flow.volume_of(state.geometry, state.scales)
 
 
 def test_cone_slice_trace_and_rescaled_volume():
@@ -11,7 +17,7 @@ def test_cone_slice_trace_and_rescaled_volume():
         for s in (0.3, 1.0, 5.0):
             slc = models.cone_slice(model, s)
             assert slc.tau == -n / s
-            assert abs(slc.rescaled_volume - expect) < 1e-12 * expect
+            assert abs(_rescaled_volume(slc) - expect) < 1e-12 * expect
             (block,) = slc.blocks
             assert block.curvature == "hyperbolic"
             assert abs(block.k_eigenvalue - slc.tau / n) < 1e-15
@@ -19,7 +25,7 @@ def test_cone_slice_trace_and_rescaled_volume():
 
 def test_cone_rescaled_volume_scales_with_base_volume():
     slc = models.slice_at_tau(models.ConeModel(3, 2.5), -1.7)
-    assert abs(slc.rescaled_volume - 27.0 * 2.5) < 1e-12 * 67.5
+    assert abs(_rescaled_volume(slc) - 27.0 * 2.5) < 1e-12 * 67.5
 
 
 def test_kasner_slice_structure():
@@ -38,7 +44,7 @@ def test_kasner_closed_form_frozen_value():
     model = models.KasnerModel(3, 1.0, 1.0)
     assert abs(models.ham_closed_form(model, -2.0) - 8.0) < 1e-14
     slc = models.slice_at_tau(model, -2.0)
-    assert abs(slc.rescaled_volume - 8.0) < 1e-13
+    assert abs(_rescaled_volume(slc) - 8.0) < 1e-13
 
 
 def test_ham_closed_form_matches_slices_along_tau():
@@ -48,7 +54,7 @@ def test_ham_closed_form_matches_slices_along_tau():
         for model in (cone, kasner):
             slc = models.slice_at_tau(model, tau)
             closed = models.ham_closed_form(model, tau)
-            assert abs(slc.rescaled_volume - closed) < 1e-12 * abs(closed)
+            assert abs(_rescaled_volume(slc) - closed) < 1e-12 * abs(closed)
 
 
 def test_slice_rejects_nonnegative_tau():
@@ -65,6 +71,19 @@ def test_model_dimension_bounds():
         models.ConeModel(5, 1.0)
     with pytest.raises(ValueError):
         models.KasnerModel(2, 1.0, 1.0)  # needs a hyperbolic factor of dim >= 2
+
+
+def test_nan_inputs_are_rejected():
+    nan = float("nan")
+    for build in (lambda: models.ConeModel(3, nan),
+                  lambda: models.KasnerModel(3, nan, 1.0),
+                  lambda: models.KasnerModel(3, 1.0, nan),
+                  lambda: models.slice_at_tau(models.ConeModel(3), nan),
+                  lambda: models.cone_slice(models.ConeModel(3), nan),
+                  lambda: models.kasner_slice(models.KasnerModel(3), nan),
+                  lambda: models.ham_closed_form(models.KasnerModel(3), nan)):
+        with pytest.raises(ValueError):
+            build()
 
 
 def test_riccati_closed_form_on_diagonal_oracle():
