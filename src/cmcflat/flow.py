@@ -89,8 +89,8 @@ class BlockGeometry:
                 raise ValueError("block dimensions must be positive")
         if not 2 <= self.dim <= 4:
             raise ValueError("total spatial dimension must satisfy 2 <= n <= 4")
-        if not self.volume_factor > 0:
-            raise ValueError("volume_factor must be positive")
+        if not 0 < self.volume_factor < math.inf:
+            raise ValueError("volume_factor must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -118,30 +118,21 @@ class FlowState:
     kcov: tuple
 
     @cached_property
-    def _mixed_k(self) -> tuple:
+    def mixed_k(self) -> tuple:
         return tuple(k / a for a, k in zip(self.scales, self.kcov))
 
     @cached_property
-    def _trace_k(self) -> float:
-        return sum(d * p for d, p in zip(self.geometry.dims, self._mixed_k))
+    def trace_k(self) -> float:
+        return sum(d * p for d, p in zip(self.geometry.dims, self.mixed_k))
 
     @cached_property
-    def _k_norm2(self) -> float:
-        return _square_norm(self.geometry.dims, self._mixed_k)
-
-    def mixed_k(self) -> tuple:
-        return self._mixed_k
-
-    def trace_k(self) -> float:
-        return self._trace_k
-
     def k_norm2(self) -> float:
-        return self._k_norm2
+        return _square_norm(self.geometry.dims, self.mixed_k)
 
     def khat_norm2(self) -> float:
         """Squared norm of the trace-free part of K."""
-        mean = self.trace_k() / self.geometry.dim
-        devs = (p - mean for p in self.mixed_k())
+        mean = self.trace_k / self.geometry.dim
+        devs = (p - mean for p in self.mixed_k)
         return sum(d * (x * x) for d, x in zip(self.geometry.dims, devs))
 
 
@@ -160,6 +151,7 @@ class GridLapseProblem:
     scales: np.ndarray
     kcov: np.ndarray
 
+    @property
     def k_norm2(self) -> np.ndarray:
         p = self.kcov / self.scales
         return np.einsum("b,bm->m", np.asarray(self.dims, float), p * p)
@@ -248,7 +240,7 @@ def _homogeneous_lapse(k2: float) -> float:
 
 def _grid_lapse(prob: GridLapseProblem) -> np.ndarray:
     """Second-order central differences and a dense periodic tridiagonal solve."""
-    k2 = prob.k_norm2()
+    k2 = prob.k_norm2
     if float(np.max(k2)) <= DEGENERATE_K2:
         raise DegenerateLapseError("lapse operator -Δ + |K|^2 is singular: |K|^2 vanishes")
     h = prob.spacing
@@ -266,12 +258,12 @@ def solve_lapse(state: FlowState | GridLapseProblem):
     """Solve -ΔN + |K|² N = 1: algebraic (N = 1/|K|²) on a FlowState, periodic on a grid."""
     if isinstance(state, GridLapseProblem):
         return _grid_lapse(state)
-    return _homogeneous_lapse(state.k_norm2())
+    return _homogeneous_lapse(state.k_norm2)
 
 
 def lapse_residual(state: FlowState | GridLapseProblem, lapse) -> float:
     """max |-ΔN + |K|²N - 1| for a given lapse."""
-    k2 = state.k_norm2()
+    k2 = state.k_norm2
     if not isinstance(state, GridLapseProblem):
         return abs(k2 * lapse - 1.0)
     c2, c1 = _laplacian_coefficients(state)
@@ -294,10 +286,10 @@ def flat_constraint_residual(state: FlowState):
     keeps a NaN first entry, so the Gauss residual is then NaN.
     """
     geom = state.geometry
-    trk = state.trace_k()
+    trk = state.trace_k
     gauss = max(
         abs((-(d - 1.0) / a if curv == "hyperbolic" else 0.0) - p * p + trk * p)
-        for d, curv, a, p in zip(geom.dims, geom.curvatures, state.scales, state.mixed_k())
+        for d, curv, a, p in zip(geom.dims, geom.curvatures, state.scales, state.mixed_k)
     )
     return gauss, 0.0
 
@@ -350,7 +342,7 @@ def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _dept
     dims, a0, p0 = state.geometry.dims, state.scales, state.kcov
     half = 0.5 * dtau
     try:
-        da1, dp1 = _rates(dims, a0, p0, state.k_norm2())
+        da1, dp1 = _rates(dims, a0, p0, state.k_norm2)
         da2, dp2 = _rates(dims, [x + half * r for x, r in zip(a0, da1)],
                           [x + half * r for x, r in zip(p0, dp1)])
         da3, dp3 = _rates(dims, [x + half * r for x, r in zip(a0, da2)],
@@ -369,8 +361,8 @@ def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _dept
     if not all(a > 0.0 for a in scales):
         raise RuntimeError(f"metric block scale became non-positive or NaN during a step: {scales}")
     new = FlowState(state.geometry, state.tau + dtau, scales, kcov)
-    drift_before = abs(state.trace_k() - state.tau)
-    drift_after = abs(new.trace_k() - new.tau)
+    drift_before = abs(state.trace_k - state.tau)
+    drift_after = abs(new.trace_k - new.tau)
     if drift_after - drift_before > drift_tol:
         if _depth <= 0:
             raise RuntimeError(

@@ -271,9 +271,8 @@ def curvature_convergence(s: float, extent: float, nodes_list, ndim: int = 2):
     for nodes in nodes_list:
         field = hyperboloid_field(s, extent, nodes, ndim=ndim)
         geom = graph_geometry(field)
-        err = float(np.max(np.abs(geom.mean_curvature[geom.interior] + ndim / s)))
         det_errs.append(geom.det_identity_error())
-        rows.append((nodes, field.spacing, err))
+        rows.append((nodes, field.spacing, _interior_residual(geom, -ndim / s)))
     return rows, float(np.max(det_errs))
 
 

@@ -13,7 +13,8 @@ vector per generator, extended to arbitrary words via
 
     t(alpha beta) = t(alpha) + f(alpha) t(beta)
 
-where f is the linear holonomy.  Coboundaries t(g) = b - f(g) b correspond to
+where f is the linear holonomy; ``MinkIsometry.compose`` is the one place
+that rule is written.  Coboundaries t(g) = b - f(g) b correspond to
 moving the base point and deform nothing geometrically.
 """
 
@@ -24,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import (
-    REORTHO_EVERY,
     MinkIsometry,
     hyperboloid_lift,
-    lorentz_project,
     make_boost,
     make_rotation,
     minkowski_metric,
@@ -59,7 +58,13 @@ class GroupPresentation:
         return len(self.generators)
 
     def generator(self, index: int) -> np.ndarray:
-        """Matrix for a signed 1-based index (negative index means inverse)."""
+        """Matrix for a signed 1-based index (negative index means inverse).
+
+        Index 0 and indices beyond the generator count raise IndexError.
+        """
+        if not 1 <= abs(index) <= self.n_generators:
+            raise IndexError(f"generator index {index}: expected a nonzero index "
+                             f"of magnitude at most {self.n_generators}")
         g = self.generators[abs(index) - 1]
         if index < 0:
             eta = minkowski_metric(self.ndim)
@@ -77,38 +82,29 @@ class HolonomyRep:
 
 
 def evaluate_word(presentation: GroupPresentation, word) -> np.ndarray:
-    """Multiply out a word of signed generator indices.
-
-    The running product is re-orthonormalized (polar projection back onto the
-    Lorentz group) after every REORTHO_EVERY factors so that long chains keep
-    the group-membership defect at the 1e-12 scale.
-    """
+    """Multiply out a word of signed generator indices."""
     out = np.eye(presentation.ndim + 1)
-    for count, index in enumerate(word, start=1):
+    for index in word:
         out = out @ presentation.generator(index)
-        if count % REORTHO_EVERY == 0:
-            out = lorentz_project(out)
     return out
 
 
-def extend_cocycle(rep: HolonomyRep, word) -> np.ndarray:
-    """Translation part of the affine holonomy of a word.
+def _letter(rep: HolonomyRep, index: int) -> MinkIsometry:
+    """Affine holonomy of one signed generator; the inverse of (g, t) is
+    (g^-1, -g^-1 t)."""
+    g = rep.presentation.generator(index)
+    if index > 0:
+        return MinkIsometry(g, rep.translations[index - 1])
+    return MinkIsometry(g, -(g @ rep.translations[-index - 1]))
 
-    Recursive use of t(alpha beta) = t(alpha) + f(alpha) t(beta); the
-    translation of an inverse generator is -f(g)^-1 t(g).
-    """
-    pres = rep.presentation
-    t = np.zeros(pres.ndim + 1)
-    prefix = np.eye(pres.ndim + 1)
+
+def extend_cocycle(rep: HolonomyRep, word) -> np.ndarray:
+    """Translation part of the affine holonomy of a word: the composition
+    of its letters' affine holonomies."""
+    iso = MinkIsometry.identity(rep.presentation.ndim)
     for index in word:
-        g = pres.generator(index)
-        if index > 0:
-            tg = rep.translations[index - 1]
-        else:
-            tg = -(g @ rep.translations[-index - 1])
-        t = t + prefix @ tg
-        prefix = prefix @ g
-    return t
+        iso = iso.compose(_letter(rep, index))
+    return iso.translation
 
 
 def coboundary_cocycle(presentation: GroupPresentation, base_point) -> tuple:
@@ -322,14 +318,14 @@ def orbit_isometries(rep: HolonomyRep, max_word_length: int = 3):
             if np.max(np.abs(g - inverse)) <= RELATOR_TOL:
                 inverse_of[i] = j
                 break
+    letters = [_letter(rep, i) for i in range(1, pres.n_generators + 1)]
     for _ in range(max_word_length):
         nxt = []
         for word, iso in frontier:
-            for index in range(1, pres.n_generators + 1):
+            for index, letter in enumerate(letters, start=1):
                 if word and index == inverse_of.get(word[-1]):
                     continue
-                gen_iso = MinkIsometry(pres.generator(index), rep.translations[index - 1])
-                new = iso.compose(gen_iso)
+                new = iso.compose(letter)
                 key = _element_key(new)
                 if key not in seen:
                     seen[key] = new

@@ -39,8 +39,8 @@ class ConformalBackground:
     def __post_init__(self):
         if not 3 <= self.dim <= 4:
             raise ValueError("dim must be 3 or 4 for the conformal module")
-        if not self.volume > 0:
-            raise ValueError("volume must be positive")
+        if not 0 < self.volume < math.inf:
+            raise ValueError("volume must be finite and positive")
 
     @property
     def scalar_curvature(self) -> float:

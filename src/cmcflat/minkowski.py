@@ -18,12 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: re-orthonormalize matrix products after this many compositions
-REORTHO_EVERY = 16
-#: Lorentz defect at which lorentz_project stops, and its iteration cap
-PROJECT_TOL = 1e-15
-PROJECT_MAX_ITER = 25
-
 
 def minkowski_metric(ndim: int) -> np.ndarray:
     """diag(-1, 1, ..., 1) acting on ndim spatial + 1 time coordinates."""
@@ -80,22 +74,6 @@ def make_rotation(ndim: int, axis1: int, axis2: int, angle: float) -> np.ndarray
     a[i, j] = -s
     a[j, i] = s
     return a
-
-
-def lorentz_project(a: np.ndarray) -> np.ndarray:
-    """Project a near-Lorentz matrix back onto the group.
-
-    Newton iteration for the eta-polar factor, ``X <- (X + eta X^-T eta)/2``,
-    which converges quadratically and fixes exact Lorentz matrices.  Used to
-    keep long composition chains from drifting off the group.
-    """
-    x = np.array(a, dtype=float)
-    eta = minkowski_metric(x.shape[0] - 1)
-    for _ in range(PROJECT_MAX_ITER):
-        if lorentz_defect(x) <= PROJECT_TOL:
-            break
-        x = 0.5 * (x + eta @ np.linalg.inv(x).T @ eta)
-    return x
 
 
 @dataclass(frozen=True, eq=False)

@@ -61,8 +61,8 @@ class ConeModel:
 
     def __post_init__(self):
         _check_dim(self.dim)
-        if not self.base_volume > 0:
-            raise ValueError("base_volume must be positive")
+        if not 0 < self.base_volume < np.inf:
+            raise ValueError("base_volume must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class KasnerModel:
         _check_dim(self.dim)
         if self.dim < 3:
             raise ValueError("dim must be 3 or 4 (a hyperbolic factor of dim >= 2)")
-        if not (self.sigma_volume > 0 and self.circle_length > 0):
-            raise ValueError("sigma_volume and circle_length must be positive")
+        if not (0 < self.sigma_volume < np.inf and 0 < self.circle_length < np.inf):
+            raise ValueError("sigma_volume and circle_length must be finite and positive")
 
 
 def cone_slice(model: ConeModel, s: float) -> SliceData:

@@ -231,6 +231,15 @@ def test_failed_check_exit_code(tmp_path, capsys):
     assert any(row[-1] == "false" for row in rows)
 
 
+def test_long_bolza_words_fail_the_check_and_keep_the_artifacts(tmp_path, capsys):
+    # 17 letters amplify rounding far past the 1e-9 bound: the cocycle-rule
+    # check fails, and both CSV files are still written
+    code, out = _run_config(tmp_path, "scenario = bolza-check\nword_length = 17\n")
+    assert code == 3
+    assert "FAIL bolza_cocycle_rule_err" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["bolza_quantities.csv", "summary.csv"]
+
+
 def test_config_sections_scope_options(tmp_path):
     out = tmp_path / "run"
     cfgfile = tmp_path / "s.cfg"

@@ -191,5 +191,10 @@ def test_word_evaluation_respects_inverses():
     pres = h.bolza_presentation()
     w = h.evaluate_word(pres, [2, -2])
     assert np.max(np.abs(w - np.eye(3))) < 1e-13
-    with pytest.raises(IndexError):
-        h.evaluate_word(pres, [9])
+    # index 0 would read generators[-1]; only 1..8 and their negatives name letters
+    rep = h.bolza_rep()
+    for bad in (0, 9, -9):
+        with pytest.raises(IndexError, match=f"generator index {bad}"):
+            h.evaluate_word(pres, [bad])
+        with pytest.raises(IndexError, match=f"generator index {bad}"):
+            h.extend_cocycle(rep, [bad])

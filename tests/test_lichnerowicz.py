@@ -99,8 +99,9 @@ def test_sweep_rows_and_columns():
 
 
 def test_nan_volume_is_rejected():
-    with pytest.raises(ValueError, match="volume"):
-        ConformalBackground(3, volume=np.nan)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="volume"):
+            ConformalBackground(3, volume=bad)
 
 
 def test_input_validation():

@@ -42,17 +42,6 @@ def test_boost_composition_adds_rapidity():
                        mk.make_boost(d, 1.3))
 
 
-def test_lorentz_project_recovers_group_element():
-    rng = np.random.default_rng(42)
-    for n in (2, 3):
-        axis = rng.normal(size=n)
-        a = mk.make_boost(axis, 0.5) @ mk.make_rotation(n, 0, 1, 0.7)
-        noisy = a + 1e-8 * rng.normal(size=a.shape)
-        fixed = mk.lorentz_project(noisy)
-        assert mk.lorentz_defect(fixed) < 1e-12
-        assert np.max(np.abs(fixed - a)) < 1e-7
-
-
 def test_isometry_compose_inverse_roundtrip():
     rng = np.random.default_rng(3)
     n = 3
@@ -71,20 +60,6 @@ def test_hyperboloid_lift_is_unit_timelike():
     norms = np.einsum("ij,jk,ik->i", p, mk.minkowski_metric(3), p)
     assert np.max(np.abs(norms + 1.0)) < 1e-12
     assert np.all(p[:, 0] >= 1.0)
-
-
-def test_reortho_keeps_long_products_in_group():
-    # alternate boosts in opposing directions so the product stays
-    # well-conditioned while the factor count grows
-    b_fwd = mk.make_boost(np.array([1.0, 0.0]), 0.9)
-    b_back = mk.make_boost(np.array([-1.0, 0.2]), 0.8)
-    r = mk.make_rotation(2, 0, 1, 0.37)
-    acc = np.eye(3)
-    for k in range(240):
-        acc = acc @ (b_fwd, r, b_back)[k % 3]
-        if (k + 1) % mk.REORTHO_EVERY == 0:
-            acc = mk.lorentz_project(acc)
-    assert mk.lorentz_defect(acc) < 1e-11
 
 
 def test_degenerate_boost_direction_rejected():

@@ -74,10 +74,13 @@ def test_model_dimension_bounds():
 
 
 def test_nan_inputs_are_rejected():
-    nan = float("nan")
+    nan, inf = float("nan"), float("inf")
     for build in (lambda: models.ConeModel(3, nan),
+                  lambda: models.ConeModel(3, inf),
                   lambda: models.KasnerModel(3, nan, 1.0),
+                  lambda: models.KasnerModel(3, inf, 1.0),
                   lambda: models.KasnerModel(3, 1.0, nan),
+                  lambda: models.KasnerModel(3, 1.0, inf),
                   lambda: models.slice_at_tau(models.ConeModel(3), nan),
                   lambda: models.cone_slice(models.ConeModel(3), nan),
                   lambda: models.kasner_slice(models.KasnerModel(3), nan),
