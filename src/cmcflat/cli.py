@@ -86,7 +86,7 @@ def _model_flow(model, prefix: str, opts, out_dir, artifacts):
     trace = flow.run_flow(state, tau_end, steps)
     _write_artifact(out_dir, artifacts, prefix + "_flow_trace.csv", flow.TRACE_COLUMNS,
                     trace.data)
-    closed = np.array([models.ham_closed_form(model, t) for t in trace.column("tau")])
+    closed = np.array([models.ham_closed_form(model, t) for t in trace.column("tau").tolist()])
     return trace, float(np.max(np.abs(trace.column("ham") / closed - 1.0)))
 
 

@@ -17,27 +17,28 @@ def format_value(x) -> str:
         return repr(x)
     if isinstance(x, str):
         return x
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
     return repr(float(x))
 
 
 def render_csv(header, rows) -> str:
     """CSV text of a header and rows; a numeric ndarray renders as floats.
 
-    An ndarray is rendered row by row from lists of Python floats: the same
-    text its numpy scalars give, without building one scalar per cell and
-    without a second copy of the whole table.
+    An ndarray row is written as the joined reprs of its Python floats: the
+    text that ``csv.writer`` and ``format_value`` give its numpy scalars (a
+    float repr never needs quoting), without a second copy of the table.
     """
-    if isinstance(rows, np.ndarray):
-        rows = map(np.ndarray.tolist, rows.astype(float, copy=False))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_value(x) for x in row])
+    if isinstance(rows, np.ndarray):
+        for row in rows.astype(float, copy=False):
+            buf.write(",".join(map(repr, row.tolist())) + "\n")
+    else:
+        writer.writerows([format_value(x) for x in row] for row in rows)
     return buf.getvalue()
 
 

@@ -1,5 +1,7 @@
 """Config parsing, deterministic CSV io, and the scenario runner contract."""
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -101,6 +103,33 @@ def test_render_csv_of_an_ndarray_matches_python_floats():
     assert csvio.render_csv(("i",), np.array([[3]])) == "i\n3.0\n"
 
 
+def _csv_writer_text(header, rows) -> str:
+    # the reference rendering: csv.writer over format_value of every cell
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([csvio.format_value(x) for x in row] for row in rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("data", [
+    np.array([[np.nan, np.inf, -np.inf, -0.0],
+              [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+              [0.1 + 0.2, 1.0 / 3.0, 1e16, 1e-5]]),
+    np.array([[0.1, -np.inf, 3.0e38], [np.nan, -0.0, 1e-45]], dtype=np.float32),
+    np.array([[5, -7, 0], [2**53 + 1, -(2**62), 1]]),
+], ids=["float64", "float32", "int64"])
+def test_joined_ndarray_rows_match_the_csv_writer(data):
+    # an ndarray's rows are written as joined reprs; the numpy scalars of the
+    # array as floats, through csv.writer and format_value, give the same text
+    header = tuple("abcd"[:data.shape[1]])
+    text = csvio.render_csv(header, data)
+    assert text == _csv_writer_text(header, data.astype(float))
+    if data.dtype == np.float32:
+        # format_value of a float32 scalar is the repr of its exact double
+        assert text == _csv_writer_text(header, data)
+
+
 def test_read_csv_rejects_an_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -113,6 +142,13 @@ def test_format_value():
     assert csvio.format_value(3) == "3"
     assert csvio.format_value("abc") == "abc"
     assert csvio.format_value(0.5) == "0.5"
+    # numpy integers and bools render as Python ints and bools do
+    assert csvio.format_value(np.int64(5)) == "5"
+    assert csvio.format_value(np.int32(-3)) == "-3"
+    assert csvio.format_value(np.uint8(255)) == "255"
+    assert csvio.format_value(np.bool_(True)) == "true"
+    assert csvio.format_value(np.bool_(False)) == "false"
+    assert csvio.format_value(np.float32(0.5)) == "0.5"
 
 
 # ---------------------------------------------------------------------------

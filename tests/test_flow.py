@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,42 @@ def test_flow_step_matches_the_reference_rk4_bit_for_bit():
     repaired = flow.flow_step(st, 0.5)
     tau, fields = _ref_step(st.geometry.dims, st.tau, (st.scales, st.kcov), 0.5)
     assert (repaired.tau, repaired.scales, repaired.kcov) == (tau, *fields)
+
+
+# volumes other than 1, so that the volume factor takes part in the rounding
+_FLOW_MODELS = ([models.ConeModel(n, 0.7) for n in (2, 3, 4)]
+                + [models.KasnerModel(n, 1.3, 0.9) for n in (3, 4)])
+
+
+@pytest.mark.parametrize("model", _FLOW_MODELS, ids=lambda m: f"{type(m).__name__}{m.dim}")
+def test_run_flow_rows_match_rows_rebuilt_from_each_state(model):
+    # the trace row shares one volume density between the volume and
+    # ∫ N|K̂|² dμ; it must be the row the public integrals give, bit for bit
+    st = flow.state_from_slice(models.slice_at_tau(model, -10.0))
+    trace = flow.run_flow(st, -0.1, 200)
+    grid = flow.tau_grid(-10.0, -0.1, 200).tolist()
+    rows = []
+    for i, t1 in enumerate(grid):
+        if i:
+            st = flow.flow_step(st, t1 - grid[i - 1])
+        geom, scales = st.geometry, st.scales
+        lapse = flow.solve_lapse(st)
+        vol = flow.volume_of(geom, scales)
+        gauss, codazzi = flow.flat_constraint_residual(st)
+        rows.append((st.tau, vol, abs(st.tau) ** geom.dim * vol,
+                     flow.integrate_scalar(geom, scales, lapse * st.khat_norm2()),
+                     gauss, codazzi, lapse, lapse))
+    assert trace.data.tobytes() == np.array(rows).tobytes()
+
+
+def test_flow_state_is_frozen_and_keeps_its_derived_values():
+    st = kasner_state()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.tau = -1.0
+    mixed = tuple(k / a for a, k in zip(st.scales, st.kcov))
+    assert st.mixed_k == mixed
+    assert st.trace_k == sum(d * p for d, p in zip(st.geometry.dims, mixed))
+    assert st.k_norm2 == sum(d * (p * p) for d, p in zip(st.geometry.dims, mixed))
 
 
 def test_nan_scale_fails_the_lapse_and_the_step():
