@@ -41,12 +41,19 @@ limit experiment's relaxations load scipy; graph-check does not.
 The initial data of the limit experiment is a soft-min envelope of orbit
 sheets, built in one pass against the identity element's sheet; a sheet
 too far from that reference for exp to stay finite raises
-EnvelopeRangeError.
+EnvelopeRangeError.  The limit experiment range-checks every orbit before
+it relaxes anything, then builds the envelopes one ahead on a worker
+thread while this thread relaxes the one before (SuperLU and numpy's
+ufuncs release the GIL).  The worker touches only numpy, never a function
+of this package that a tracer may wrap, and the results are unchanged,
+byte for byte.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -628,31 +635,20 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iter
 # ---------------------------------------------------------------------------
 
 
-def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -> HeightField:
-    """Smoothed lower envelope of the orbit of the unit hyperboloid.
+def _envelope_translations(rep, word_length: int) -> np.ndarray:
+    """Orbit translations of ``rep``, one row per group element, the identity's first.
 
-    Each group element (A, t) maps the hyperboloid to its translate by t, the
-    graph of t0 + sqrt(1 + |x - ts|^2).  The sheets are combined with a soft
-    minimum -s log sum exp(-sheet/s), s = ENVELOPE_SMOOTHING: its gradient is
-    a convex combination of sheet gradients, so the result is smooth and
-    uniformly spacelike whenever every sheet is (a hard minimum has creases
-    whose discrete gradients can cross the light cone).  At zero cocycle all
-    sheets coincide and the envelope is the exact hyperboloid shifted down by
-    s*log(#sheets) — a vertical translation, which is an isometry.
-
-    The soft minimum does not depend on the surface it is taken relative to,
-    so the first orbit sheet (the identity element's, translation 0) serves
-    as the reference r, ref - s log sum exp(-(sheet - ref)/s), and each sheet
-    is built once.  sqrt(1 + |x|^2) is 1-Lipschitz, so |sheet - ref| <=
-    |t0 - r0| + |ts - rs| at every node; when that bound over s exceeds
-    ENVELOPE_MAX_EXPONENT, EnvelopeRangeError is raised before any sheet is
-    built.
+    The rows are checked against the one-pass envelope's exponent bound:
+    sqrt(1 + |x|^2) is 1-Lipschitz, so a sheet differs from the identity
+    element's reference sheet r by at most |t0 - r0| + |ts - rs| at every
+    node, and when that bound over ENVELOPE_SMOOTHING exceeds
+    ENVELOPE_MAX_EXPONENT, EnvelopeRangeError is raised.
     """
     if rep.presentation.ndim != 2:
         raise ValueError("orbit envelopes are implemented for n = 2")
-    spacing, xs = _centered_axis(extent, nodes)
-    translations = [iso.translation for iso in holonomy.orbit_isometries(rep, word_length)]
-    offsets = np.array(translations) - translations[0]
+    translations = np.array([iso.translation
+                             for iso in holonomy.orbit_isometries(rep, word_length)])
+    offsets = translations - translations[0]
     bound = float(np.max(np.abs(offsets[:, 0]) + np.hypot(offsets[:, 1], offsets[:, 2])))
     if bound / ENVELOPE_SMOOTHING > ENVELOPE_MAX_EXPONENT:
         raise EnvelopeRangeError(
@@ -660,6 +656,16 @@ def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -
             f"{bound / ENVELOPE_SMOOTHING:.6g} smoothing widths; the one-pass envelope "
             f"allows ENVELOPE_MAX_EXPONENT = {ENVELOPE_MAX_EXPONENT:g}"
         )
+    return translations
+
+
+def _envelope_sum(translations: np.ndarray, extent: float, nodes: int) -> HeightField:
+    """Soft minimum of the sheets of checked ``_envelope_translations`` rows.
+
+    Pure numpy: the limit experiment runs it on a worker thread, where no
+    function that a tracer may wrap is called.
+    """
+    spacing, xs = _centered_axis(extent, nodes)
 
     def sheet(t, out):
         # built in place, one at a time (457 sheets at 321^2 nodes would hold
@@ -678,30 +684,85 @@ def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -
         term -= ref
         term /= -ENVELOPE_SMOOTHING
         acc += np.exp(term, out=term)
-    envelope = ref - ENVELOPE_SMOOTHING * np.log(acc)
-    return HeightField(envelope, spacing, (-extent, -extent))
+    # ref - s log(acc), formed in place: the same operations, no temporaries
+    np.log(acc, out=acc)
+    acc *= ENVELOPE_SMOOTHING
+    return HeightField(np.subtract(ref, acc, out=acc), spacing, (-extent, -extent))
 
 
-def limit_pipeline(rep, extent: float, nodes: int, word_length: int, relax_tol: float,
-                   chord: ChordLU | None = None):
-    """(EnergyReport, RelaxResult) of one representation.
+def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -> HeightField:
+    """Smoothed lower envelope of the orbit of the unit hyperboloid.
 
-    The orbit envelope is relaxed to a CMC graph at tau = -2 and the quotient
+    Each group element (A, t) maps the hyperboloid to its translate by t, the
+    graph of t0 + sqrt(1 + |x - ts|^2).  The sheets are combined with a soft
+    minimum -s log sum exp(-sheet/s), s = ENVELOPE_SMOOTHING: its gradient is
+    a convex combination of sheet gradients, so the result is smooth and
+    uniformly spacelike whenever every sheet is (a hard minimum has creases
+    whose discrete gradients can cross the light cone).  At zero cocycle all
+    sheets coincide and the envelope is the exact hyperboloid shifted down by
+    s*log(#sheets) — a vertical translation, which is an isometry.
+
+    The soft minimum does not depend on the surface it is taken relative to,
+    so the first orbit sheet (the identity element's, translation 0) serves
+    as the reference r, ref - s log sum exp(-(sheet - ref)/s), and each sheet
+    is built once.  The translations are range-checked first
+    (_envelope_translations, which raises EnvelopeRangeError before any
+    sheet is built), and _envelope_sum takes the soft minimum.
+    """
+    return _envelope_sum(_envelope_translations(rep, word_length), extent, nodes)
+
+
+class _Ahead:
+    """``fn(*args)`` running on a worker thread.
+
+    The worker runs in a copy of the caller's context, so a caller's
+    np.errstate holds there too.  ``result`` joins the worker and returns
+    what ``fn`` returned, or raises what it raised.
+    """
+
+    def __init__(self, fn, *args):
+        self._outcome = None
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._run, fn, args))
+        self._thread.start()
+
+    def _run(self, fn, args):
+        try:
+            self._outcome = (fn(*args), None)
+        except BaseException as exc:  # raised again by result(), on the caller's thread
+            self._outcome = (None, exc)
+
+    def join(self) -> None:
+        self._thread.join()
+
+    def result(self):
+        self.join()
+        value, error = self._outcome
+        if error is not None:
+            raise error
+        return value
+
+
+def _relax_and_integrate(start: HeightField, relax_tol: float, chord: ChordLU | None):
+    """(EnergyReport, residual, steps, factorizations) of one orbit envelope.
+
+    The envelope is relaxed to a CMC graph at tau = -2 and the quotient
     energy is integrated over the Gauss-map preimage of the Bolza octagon.
     ``chord`` carries the sparse LU into and out of the relaxation (see
-    cmc_relax).
+    cmc_relax).  The relaxed field is not returned, so a caller that keeps
+    the results of several relaxations holds none of their fields.
     """
-    start = orbit_envelope_field(rep, extent, nodes, word_length)
     relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=LIMIT_MAX_ITERS, chord=chord)
-    report = quotient_energy(relaxed.field, bolza_domain_level)
-    return report, relaxed
+    return (quotient_energy(relaxed.field, bolza_domain_level), relaxed.residual,
+            relaxed.iterations, relaxed.factorizations)
 
 
-def limit_row(lam: float, report: EnergyReport, relaxed: RelaxResult, base_volume: float):
+def limit_row(lam: float, base_volume: float, report: EnergyReport, residual: float,
+              steps: int, factorizations: int):
     """One LIMIT_COLUMNS row: the quotient integrals, the volume ratio to the
     zero-cocycle baseline, and the relaxation's residual and solver counts."""
     return (float(lam), report.tau_mean, report.volume, report.volume / base_volume,
-            relaxed.residual, relaxed.iterations, relaxed.factorizations)
+            residual, steps, factorizations)
 
 
 def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
@@ -719,20 +780,39 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     relax_tol marks a relaxation failure.  All relaxations share ``chord``
     (a new ChordLU when none is given), so each starts from the LU the one
     before it left; on return it holds the last relaxation's LU.
+
+    Every lambda is checked, and every representation's orbit translations
+    are built and range-checked, before anything is relaxed.  The envelopes
+    are then built one ahead on a worker thread: while this thread relaxes
+    and integrates one representation, the worker takes the soft-minimum
+    sum of the next.  The worker runs numpy only, so a tracer that wraps
+    this module's functions sees every call on this thread, and each
+    envelope is the same array a sequential orbit_envelope_field gives; the
+    results do not change.  The worker is joined before any exception
+    leaves.
     """
+    lambdas = tuple(lambdas)
+    if not all(lam > 0 for lam in lambdas):
+        raise ValueError("lambda values must be positive")
     if chord is None:
         chord = ChordLU()
     zero = holonomy.HolonomyRep(
         rep.presentation, tuple(np.zeros(3) for _ in range(rep.presentation.n_generators))
     )
-    base_volume = limit_pipeline(zero, extent, nodes, word_length, relax_tol, chord)[0].volume
-    rows = []
-    for lam in lambdas:
-        if lam <= 0:
-            raise ValueError("lambda values must be positive")
-        scaled = holonomy.scale_structure(rep, float(lam) ** -2)
-        rows.append(limit_row(lam, *limit_pipeline(scaled, extent, nodes, word_length,
-                                                   relax_tol, chord), base_volume))
+    reps = [zero] + [holonomy.scale_structure(rep, float(lam) ** -2) for lam in lambdas]
+    translations = [_envelope_translations(r, word_length) for r in reps]
+    results = []
+    ahead = _Ahead(_envelope_sum, translations[0], extent, nodes)
+    try:
+        for following in translations[1:] + [None]:
+            start = ahead.result()
+            if following is not None:
+                ahead = _Ahead(_envelope_sum, following, extent, nodes)
+            results.append(_relax_and_integrate(start, relax_tol, chord))
+    finally:
+        ahead.join()
+    base_volume = results[0][0].volume
+    rows = [limit_row(lam, base_volume, *result) for lam, result in zip(lambdas, results[1:])]
     return rows, base_volume
 
 
@@ -741,9 +821,10 @@ def coboundary_control(rep, base_volume: float, size: float, extent: float, node
     """The lambda = 1 LIMIT_COLUMNS row of the limit experiment's pure-gauge control.
 
     The coboundary of a base point along COBOUNDARY_DIRECTION, scaled to a
-    largest orbit translation of ``size``, goes through limit_pipeline (with
-    ``chord``).  It only moves the base point, so its ham_ratio to
-    ``base_volume`` differs from 1 by quadrature noise alone.
+    largest orbit translation of ``size``, is relaxed from its orbit envelope
+    (with ``chord``) and integrated as in limit_experiment.  It only moves the
+    base point, so its ham_ratio to ``base_volume`` differs from 1 by
+    quadrature noise alone.
     """
     pres = rep.presentation
     b_unit = np.array(COBOUNDARY_DIRECTION)
@@ -751,6 +832,5 @@ def coboundary_control(rep, base_volume: float, size: float, extent: float, node
     amp = np.max([np.max(np.abs(iso.translation))
                   for iso in holonomy.orbit_isometries(unit, word_length)])
     cob = holonomy.coboundary_cocycle(pres, (size / amp) * b_unit)
-    report, relaxed = limit_pipeline(holonomy.HolonomyRep(pres, cob), extent, nodes,
-                                     word_length, relax_tol, chord)
-    return limit_row(1.0, report, relaxed, base_volume)
+    start = orbit_envelope_field(holonomy.HolonomyRep(pres, cob), extent, nodes, word_length)
+    return limit_row(1.0, base_volume, *_relax_and_integrate(start, relax_tol, chord))

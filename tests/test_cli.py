@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -346,6 +347,28 @@ def test_limit_experiment_rejects_empty_orbit(tmp_path, capsys):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_limit_experiment_relaxation_error_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # an error of the second relaxation, raised while the next envelope is
+    # being built on the worker thread, still ends the run with exit 3
+    before = threading.active_count()
+    calls = []
+    relax = graphs.cmc_relax
+
+    def failing_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise graphs.NewtonStepError("planted in the second relaxation")
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "cmc_relax", failing_second)
+    code, out = _run_config(tmp_path, "scenario = limit-experiment\nnodes = 41\n")
+    assert code == 3
+    assert ("numerical failure in limit-experiment: planted in the second relaxation"
+            in capsys.readouterr().err)
+    assert not (out / "summary.csv").exists()
+    assert threading.active_count() == before
+
+
 def test_limit_experiment_carries_the_lu_to_the_coboundary(tmp_path, capsys):
     # one sparse LU runs through the whole scenario: the coboundary control
     # starts from the LU the last lambda left and needs no factorization
@@ -547,6 +570,9 @@ for scenario, options in configs.items():
     # graph-check runs its whole quadrature but resolves the energy identity
     # only on its default 2401^2 grid, so on this small one that check fails
     assert code == (3 if scenario == "graph-check" else 0), (scenario, code)
+# concurrent.futures would pull in logging, about 6 ms of import for every run
+for module in ("concurrent.futures", "logging"):
+    assert module not in sys.modules, module
 from cmcflat import flow, models
 lapse_state = flow.grid_state_from_slice(
     models.slice_at_tau(models.KasnerModel(3), -2.0), 128, 1.0)
@@ -564,7 +590,9 @@ print("import budget ok")
 def test_scipy_loads_only_where_it_is_called(tmp_path):
     # scipy costs about half a second of import.  The homogeneous scenarios,
     # graph-check and the periodic grid lapse solve never call it, so they must
-    # not load it; the sparse LU of the limit experiment must.  One fresh interpreter runs them all, on small configs.
+    # not load it; the sparse LU of the limit experiment must.  Neither the CLI
+    # nor these scenarios may load concurrent.futures or logging.  One fresh
+    # interpreter runs them all, on small configs.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, src, str(tmp_path)],
                           capture_output=True, text=True, timeout=60)

@@ -1,5 +1,7 @@
 """Spacelike-graph geometry tests: stencils, quadrature, relaxation, envelopes."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -506,3 +508,114 @@ def test_limit_experiment_small_grid():
     for row in rows:
         assert abs(row[1] + 2.0) < 1e-6  # tau_mean pinned by the relaxation
         assert row[4] <= 1e-8
+
+
+def test_limit_experiment_equals_the_sequential_pipeline():
+    # the envelopes built one ahead on a worker thread must leave every row
+    # bit for bit as a sequential loop gives it: envelope, relaxation with one
+    # shared LU, quotient energy, in the order baseline, lambda = 1, 2
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    lambdas = (1.0, 2.0)
+    rows, base = graphs.limit_experiment(rep, lambdas, extent=6.4, nodes=161)
+    zero = holonomy.HolonomyRep(
+        rep.presentation, tuple(np.zeros(3) for _ in range(rep.presentation.n_generators)))
+    chord = graphs.ChordLU()
+    sequential = []
+    for r in [zero] + [holonomy.scale_structure(rep, lam ** -2) for lam in lambdas]:
+        relaxed = graphs.cmc_relax(graphs.orbit_envelope_field(r, 6.4, 161), -2.0, tol=1e-8,
+                                   max_iters=graphs.LIMIT_MAX_ITERS, chord=chord)
+        sequential.append((graphs.quotient_energy(relaxed.field, graphs.bolza_domain_level),
+                           relaxed))
+    assert base == sequential[0][0].volume
+    expected = [(lam, report.tau_mean, report.volume, report.volume / base, relaxed.residual,
+                 relaxed.iterations, relaxed.factorizations)
+                for lam, (report, relaxed) in zip(lambdas, sequential[1:])]
+    assert rows == expected
+
+
+def test_limit_experiment_fails_before_the_first_relaxation(monkeypatch):
+    # a bad lambda and an orbit beyond the envelope's exponent bound are both
+    # found before the baseline is relaxed
+    calls = []
+    relax = graphs.cmc_relax
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "cmc_relax", counted)
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    with pytest.raises(ValueError, match="lambda values must be positive"):
+        graphs.limit_experiment(rep, (1.0, -1.0), nodes=41)
+    assert calls == []
+    far = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.2))
+    with pytest.raises(graphs.EnvelopeRangeError, match="ENVELOPE_MAX_EXPONENT = 600"):
+        graphs.limit_experiment(far, (1.0, 2.0), nodes=41)
+    assert calls == []
+
+
+def test_limit_experiment_keeps_traced_calls_on_the_calling_thread(monkeypatch):
+    # a span tracer keeps one stack for all threads, so every function it may
+    # wrap must run on the caller's thread; only the envelope sums leave it
+    threads: dict = {}
+
+    def record(module, name):
+        fn = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for name in ("graph_geometry", "cmc_relax", "quotient_energy", "orbit_envelope_field",
+                 "_envelope_sum"):
+        record(graphs, name)
+    for name in ("orbit_isometries", "octagon_level"):
+        record(holonomy, name)
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    graphs.limit_experiment(rep, (1.0, 2.0), nodes=41)
+    main = threading.get_ident()
+    summed_on = threads.pop("_envelope_sum")
+    assert set().union(*threads.values()) == {main}
+    assert set(threads) == {"graph_geometry", "cmc_relax", "quotient_energy",
+                            "orbit_isometries", "octagon_level"}
+    assert main not in summed_on
+
+
+def test_limit_experiment_raises_a_relaxation_error_unchanged(monkeypatch):
+    before = threading.active_count()
+    planted = graphs.NewtonStepError("planted in the second relaxation")
+    calls = []
+    relax = graphs.cmc_relax
+
+    def failing_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise planted
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "cmc_relax", failing_second)
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    with pytest.raises(graphs.NewtonStepError) as raised:
+        graphs.limit_experiment(rep, (1.0, 2.0, 4.0), nodes=41)
+    assert raised.value is planted
+    assert len(calls) == 2
+    assert threading.active_count() == before
+
+
+def test_limit_experiment_worker_keeps_the_callers_errstate(monkeypatch):
+    # the envelope sums run in a copy of the caller's context, so a caller's
+    # np.errstate holds there and a floating-point error reaches the caller
+    before = threading.active_count()
+    envelope_sum = graphs._envelope_sum
+
+    def dividing_by_zero(*args):
+        np.log(0.0)
+        return envelope_sum(*args)
+
+    monkeypatch.setattr(graphs, "_envelope_sum", dividing_by_zero)
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        graphs.limit_experiment(rep, (1.0, 2.0), nodes=41)
+    assert threading.active_count() == before
