@@ -152,8 +152,16 @@ def scenario_lichnerowicz_sweep(opts, out_dir, artifacts):
     ]
 
 
+def _seed(opts, default: int) -> int:
+    """The ``seed`` option; np.random.default_rng takes no negative seed."""
+    seed = get_int(opts, "seed", default)
+    if seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
+    return seed
+
+
 def scenario_riccati(opts, out_dir, artifacts):
-    seed = get_int(opts, "seed", 2024)
+    seed = _seed(opts, 2024)
     trials = get_int(opts, "trials", 5)
     steps = get_int(opts, "steps", 2000)
     t_values = get_floats(opts, "t_values", (0.3, 0.9, 1.5))
@@ -175,7 +183,7 @@ def scenario_riccati(opts, out_dir, artifacts):
 
 
 def scenario_bolza_check(opts, out_dir, artifacts):
-    seed = get_int(opts, "seed", 7)
+    seed = _seed(opts, 7)
     n_words = get_int(opts, "words", 20)
     # Boost factors amplify rounding by ~cosh(l)+sinh(l) per letter, so the
     # random-word length and translation size are kept where the exact
@@ -309,9 +317,10 @@ SCENARIOS = {
 def compare_golden(artifact_path: str, golden_path: str, rel_tol: float) -> bool:
     """Elementwise relative comparison of two CSV files.
 
-    Headers must match exactly (ValueError otherwise).  Numeric cells pass
-    when |a - b| <= rel_tol * max(|a|, |b|); NaN never passes; non-numeric
-    cells must be equal strings.
+    Headers must match exactly (ValueError otherwise).  Finite numeric cells
+    pass when |a - b| <= rel_tol * max(|a|, |b|); an infinite cell passes only
+    against the same infinity, and NaN never passes; non-numeric cells must
+    be equal strings.
     """
     header_a, rows_a = csvio.read_csv(artifact_path)
     header_b, rows_b = csvio.read_csv(golden_path)
@@ -329,9 +338,12 @@ def compare_golden(artifact_path: str, golden_path: str, rel_tol: float) -> bool
                 if cell_a != cell_b:
                     return False
                 continue
-            if math.isnan(x) or math.isnan(y):
-                return False
-            if abs(x - y) > rel_tol * max(abs(x), abs(y)):
+            if x == y:
+                continue
+            # the tolerance test alone never fails for an infinite cell (inf > inf
+            # and inf > nan are False), so unequal non-finite cells fail outright
+            finite = math.isfinite(x) and math.isfinite(y)
+            if not finite or abs(x - y) > rel_tol * max(abs(x), abs(y)):
                 return False
     return True
 
@@ -362,6 +374,8 @@ def main(argv=None) -> int:
             raise ConfigError(f"unknown scenario {scenario!r}; see --list-scenarios")
         opts = cfg.scoped(scenario)
         golden_tol = get_float(opts, "golden_rel_tol", 1e-10)
+        if golden_tol < 0:
+            raise ConfigError("golden_rel_tol must be non-negative")
         os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -42,18 +42,15 @@ The initial data of the limit experiment is a soft-min envelope of orbit
 sheets, built in one pass against the identity element's sheet; a sheet
 too far from that reference for exp to stay finite raises
 EnvelopeRangeError.  The limit experiment range-checks every orbit before
-it relaxes anything, then builds the envelopes one ahead on a worker
-thread while this thread relaxes the one before (SuperLU and numpy's
-ufuncs release the GIL).  The worker touches only numpy, never a function
-of this package that a tracer may wrap, and the results are unchanged,
-byte for byte.
+it relaxes anything, then builds the envelopes one ahead on a one-worker
+ThreadPoolExecutor while this thread relaxes the one before (the rules the
+worker keeps are in limit_experiment).
 """
 
 from __future__ import annotations
 
 import contextvars
 import ctypes
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +72,7 @@ ENVELOPE_SMOOTHING = 0.08
 #: envelope accepts: each exp term stays below e^600, so a sum over any
 #: orbit of fewer than e^109 sheets stays finite
 ENVELOPE_MAX_EXPONENT = 600.0
-#: Newton iterations allowed to each relaxation of the limit experiment
+#: steps, chord and Newton, allowed to each CMC relaxation (cmc_relax)
 LIMIT_MAX_ITERS = 25
 #: cell rows per block of the quotient quadrature: a block's geometry at
 #: 2401 columns holds about 2.5 MB per field where the whole grid holds 46 MB
@@ -564,7 +561,7 @@ def _trial_step(field: HeightField, step: np.ndarray, tau: float):
     return trial, geom, _interior_residual(geom, tau)
 
 
-def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iters: int = 30,
+def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6,
               chord: ChordLU | None = None) -> RelaxResult:
     """Relax a spacelike graph toward constant mean curvature tau_target.
 
@@ -578,8 +575,9 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iter
     interior uniformly spacelike and decreases the residual; otherwise it is
     halved, and after MAX_STEP_REJECTIONS consecutive rejections the current
     iterate is returned.  Every step taken lowers the residual, so the
-    current iterate is always the best so far.  ``iterations`` counts the
-    steps taken, chord and Newton; ``factorizations`` the Jacobians factored.
+    current iterate is always the best so far.  At most LIMIT_MAX_ITERS steps
+    are taken; ``iterations`` counts them, chord and Newton, and
+    ``factorizations`` the Jacobians factored.
     The contract is the achieved residual, not convergence.
 
     A ``chord`` handed in holding the LU of an earlier relaxation on the same
@@ -600,7 +598,7 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iter
     current, geom = field, graph_geometry(field)
     current_res = _interior_residual(geom, tau_target)
     factorizations = 0
-    for iteration in range(max_iters):
+    for iteration in range(LIMIT_MAX_ITERS):
         if current_res <= tol:
             return RelaxResult(current, current_res, iteration, True, factorizations)
         rhs = _newton_rhs(geom, tau_target)
@@ -627,7 +625,7 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6, max_iter
                 return RelaxResult(current, current_res, iteration + 1, current_res <= tol,
                                    factorizations)
         current, geom, current_res = taken
-    return RelaxResult(current, current_res, max_iters, current_res <= tol, factorizations)
+    return RelaxResult(current, current_res, LIMIT_MAX_ITERS, current_res <= tol, factorizations)
 
 
 # ---------------------------------------------------------------------------
@@ -712,37 +710,6 @@ def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -
     return _envelope_sum(_envelope_translations(rep, word_length), extent, nodes)
 
 
-class _Ahead:
-    """``fn(*args)`` running on a worker thread.
-
-    The worker runs in a copy of the caller's context, so a caller's
-    np.errstate holds there too.  ``result`` joins the worker and returns
-    what ``fn`` returned, or raises what it raised.
-    """
-
-    def __init__(self, fn, *args):
-        self._outcome = None
-        self._thread = threading.Thread(target=contextvars.copy_context().run,
-                                        args=(self._run, fn, args))
-        self._thread.start()
-
-    def _run(self, fn, args):
-        try:
-            self._outcome = (fn(*args), None)
-        except BaseException as exc:  # raised again by result(), on the caller's thread
-            self._outcome = (None, exc)
-
-    def join(self) -> None:
-        self._thread.join()
-
-    def result(self):
-        self.join()
-        value, error = self._outcome
-        if error is not None:
-            raise error
-        return value
-
-
 def _relax_and_integrate(start: HeightField, relax_tol: float, chord: ChordLU | None):
     """(EnergyReport, residual, steps, factorizations) of one orbit envelope.
 
@@ -752,7 +719,7 @@ def _relax_and_integrate(start: HeightField, relax_tol: float, chord: ChordLU | 
     cmc_relax).  The relaxed field is not returned, so a caller that keeps
     the results of several relaxations holds none of their fields.
     """
-    relaxed = cmc_relax(start, -2.0, tol=relax_tol, max_iters=LIMIT_MAX_ITERS, chord=chord)
+    relaxed = cmc_relax(start, -2.0, tol=relax_tol, chord=chord)
     return (quotient_energy(relaxed.field, bolza_domain_level), relaxed.residual,
             relaxed.iterations, relaxed.factorizations)
 
@@ -783,13 +750,15 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
 
     Every lambda is checked, and every representation's orbit translations
     are built and range-checked, before anything is relaxed.  The envelopes
-    are then built one ahead on a worker thread: while this thread relaxes
-    and integrates one representation, the worker takes the soft-minimum
-    sum of the next.  The worker runs numpy only, so a tracer that wraps
-    this module's functions sees every call on this thread, and each
-    envelope is the same array a sequential orbit_envelope_field gives; the
-    results do not change.  The worker is joined before any exception
-    leaves.
+    are then built one ahead by a one-worker ThreadPoolExecutor: while this
+    thread relaxes and integrates one representation, the worker takes the
+    soft-minimum sum of the next (SuperLU and numpy's ufuncs release the
+    GIL).  The worker runs numpy only, in a copy of the caller's context (so
+    a caller's np.errstate holds there), and a tracer that wraps this
+    module's functions sees every call on this thread.  Each envelope is the
+    array a sequential orbit_envelope_field gives, so the results are
+    unchanged, byte for byte.  The executor's exit joins the worker before
+    any exception leaves, and a worker's error is raised again here.
     """
     lambdas = tuple(lambdas)
     if not all(lam > 0 for lam in lambdas):
@@ -801,16 +770,17 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     )
     reps = [zero] + [holonomy.scale_structure(rep, float(lam) ** -2) for lam in lambdas]
     translations = [_envelope_translations(r, word_length) for r in reps]
-    results = []
-    ahead = _Ahead(_envelope_sum, translations[0], extent, nodes)
-    try:
-        for following in translations[1:] + [None]:
+    # imported here, as scipy is: no other scenario loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    results, start = [], None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for t in translations:
+            ahead = pool.submit(contextvars.copy_context().run, _envelope_sum, t, extent, nodes)
+            if start is not None:
+                results.append(_relax_and_integrate(start, relax_tol, chord))
             start = ahead.result()
-            if following is not None:
-                ahead = _Ahead(_envelope_sum, following, extent, nodes)
-            results.append(_relax_and_integrate(start, relax_tol, chord))
-    finally:
-        ahead.join()
+    results.append(_relax_and_integrate(start, relax_tol, chord))
     base_volume = results[0][0].volume
     rows = [limit_row(lam, base_volume, *result) for lam, result in zip(lambdas, results[1:])]
     return rows, base_volume

@@ -176,6 +176,14 @@ def test_compare_golden_semantics(tmp_path):
     assert cli.compare_golden(a, far, 1e-2)
     assert not cli.compare_golden(a, text, 1e-10)
     assert not cli.compare_golden(nan, nan, 1e-10)  # NaN never passes
+    inf = _write(tmp_path / "h.csv", "x,y\ninf,foo\n")
+    minus_inf = _write(tmp_path / "i.csv", "x,y\n-inf,foo\n")
+    for rel_tol in (0.0, 1e-10):
+        assert cli.compare_golden(inf, inf, rel_tol)  # an infinity matches only itself
+        assert not cli.compare_golden(inf, a, rel_tol)
+        assert not cli.compare_golden(a, inf, rel_tol)
+        assert not cli.compare_golden(inf, minus_inf, rel_tol)
+        assert not cli.compare_golden(inf, nan, rel_tol)
     assert not cli.compare_golden(a, short, 1e-10)
     with pytest.raises(ValueError):
         cli.compare_golden(a, other_header, 1e-10)
@@ -514,7 +522,11 @@ def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
                                       ("kasner-flow", "dim = 2", "dim"),
                                       ("kasner-flow", "circle_length = 0", "circle_length"),
                                       ("lichnerowicz-sweep", "dim = 5", "dim"),
-                                      ("lichnerowicz-sweep", "volume = 0", "volume")):
+                                      ("lichnerowicz-sweep", "volume = 0", "volume"),
+                                      # np.random.default_rng takes no negative seed
+                                      ("riccati", "seed = -1", "seed"),
+                                      ("bolza-check", "seed = -1", "seed"),
+                                      ("riccati", "golden_rel_tol = -1", "golden_rel_tol")):
         code, out = _run_config(tmp_path, f"scenario = {scenario}\n{option}\n")
         assert code == 2, option
         assert message in capsys.readouterr().err

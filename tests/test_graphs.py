@@ -233,7 +233,7 @@ def test_cmc_relax_pullback():
         return np.sqrt(1.0 + r2) + 0.03 * np.exp(-2.0 * r2)
 
     start = graphs.sample_height_field(bumped, 1.5, 81)
-    result = graphs.cmc_relax(start, -2.0, tol=1e-8, max_iters=30)
+    result = graphs.cmc_relax(start, -2.0, tol=1e-8)
     assert result.converged
     assert result.residual <= 1e-8
     assert result.iterations <= 10
@@ -274,15 +274,14 @@ def _limit_start(nodes, lam=1.0):
 
 
 def _relax(start, chord=None):
-    return graphs.cmc_relax(start, -2.0, tol=1e-8, max_iters=graphs.LIMIT_MAX_ITERS,
-                            chord=chord)
+    return graphs.cmc_relax(start, -2.0, tol=1e-8, chord=chord)
 
 
 def test_cmc_relax_chord_steps_match_full_newton():
     # reusing the LU as chord steps saves factorizations but must land on the
     # field that plain full-step Newton reaches
     start = _limit_start(81)
-    result = graphs.cmc_relax(start, -2.0, tol=1e-8, max_iters=graphs.LIMIT_MAX_ITERS)
+    result = graphs.cmc_relax(start, -2.0, tol=1e-8)
     assert result.converged and result.residual <= 1e-8
     assert result.factorizations < result.iterations
     reference = start
@@ -315,7 +314,7 @@ def test_cmc_relax_takes_only_contracting_chord_steps(monkeypatch):
     monkeypatch.setattr(graphs, "_factorize", record_factorize)
     monkeypatch.setattr(graphs, "_trial_step", record_trial)
     start = _limit_start(81)
-    result = graphs.cmc_relax(start, -2.0, tol=1e-8, max_iters=graphs.LIMIT_MAX_ITERS)
+    result = graphs.cmc_relax(start, -2.0, tol=1e-8)
     assert result.converged
     # replay: after a factorization the trials are the Newton line search
     # until one lowers the residual; any later trial is a chord trial, and it
@@ -523,7 +522,7 @@ def test_limit_experiment_equals_the_sequential_pipeline():
     sequential = []
     for r in [zero] + [holonomy.scale_structure(rep, lam ** -2) for lam in lambdas]:
         relaxed = graphs.cmc_relax(graphs.orbit_envelope_field(r, 6.4, 161), -2.0, tol=1e-8,
-                                   max_iters=graphs.LIMIT_MAX_ITERS, chord=chord)
+                                   chord=chord)
         sequential.append((graphs.quotient_energy(relaxed.field, graphs.bolza_domain_level),
                            relaxed))
     assert base == sequential[0][0].volume
@@ -601,6 +600,35 @@ def test_limit_experiment_raises_a_relaxation_error_unchanged(monkeypatch):
         graphs.limit_experiment(rep, (1.0, 2.0, 4.0), nodes=41)
     assert raised.value is planted
     assert len(calls) == 2
+    assert threading.active_count() == before
+
+
+def test_limit_experiment_raises_a_worker_error_unchanged(monkeypatch):
+    # the third envelope sum (lambda = 2) fails on the worker while the
+    # lambda = 1 envelope is relaxed; the error reaches the caller when that
+    # envelope is asked for, after two relaxations and with the worker joined
+    before = threading.active_count()
+    planted = RuntimeError("planted in the third envelope sum")
+    sums, relaxations = [], []
+    envelope_sum, relax = graphs._envelope_sum, graphs.cmc_relax
+
+    def failing_third(*args):
+        sums.append(None)
+        if len(sums) == 3:
+            raise planted
+        return envelope_sum(*args)
+
+    def counted(*args, **kwargs):
+        relaxations.append(None)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_envelope_sum", failing_third)
+    monkeypatch.setattr(graphs, "cmc_relax", counted)
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    with pytest.raises(RuntimeError) as raised:
+        graphs.limit_experiment(rep, (1.0, 2.0, 4.0), nodes=41)
+    assert raised.value is planted
+    assert len(relaxations) == 2
     assert threading.active_count() == before
 
 
