@@ -36,18 +36,14 @@ def _write_artifact(out_dir: str, artifacts: list, name: str, header, rows) -> N
     artifacts.append(name)
 
 
-def _bound_violation(trace: flow.HamTrace, ndim: int):
-    """Dimensionless worst violation of 1/tau^2 <= N <= n/tau^2 along a trace."""
+def _flow_trace_checks(prefix: str, trace: flow.HamTrace):
+    """The trace's lapse-bound and constraint checks; the bound checks measure
+    the dimensionless worst violation of 1/tau^2 <= N <= n/tau^2."""
     tau = trace.column("tau")
     lo = 1.0 / tau**2
-    hi = ndim / tau**2
-    low_viol = np.max((lo - trace.column("lapse_min")) / lo)
-    high_viol = np.max((trace.column("lapse_max") - hi) / hi)
-    return float(np.maximum(0.0, low_viol)), float(np.maximum(0.0, high_viol))
-
-
-def _flow_trace_checks(prefix: str, trace: flow.HamTrace, ndim: int):
-    lo_viol, hi_viol = _bound_violation(trace, ndim)
+    hi = trace.ndim / tau**2
+    lo_viol = np.maximum(0.0, np.max((lo - trace.column("lapse_min")) / lo))
+    hi_viol = np.maximum(0.0, np.max((trace.column("lapse_max") - hi) / hi))
     return [
         _check(prefix + "_lapse_lower_bound_violation", lo_viol, 0.0, 1e-12),
         _check(prefix + "_lapse_upper_bound_violation", hi_viol, 0.0, 1e-12),
@@ -94,7 +90,7 @@ def scenario_cone_flow(opts, out_dir, artifacts):
     model = _model(models.ConeModel, get_int(opts, "dim", 3), get_float(opts, "base_volume", 1.0))
     trace, drift = _model_flow(model, "cone", opts, out_dir, artifacts)
     checks = [_check("cone_ham_rel_drift", drift, 0.0, 1e-8)]
-    checks += _flow_trace_checks("cone", trace, model.dim)
+    checks += _flow_trace_checks("cone", trace)
     return checks
 
 
@@ -109,7 +105,7 @@ def scenario_kasner_flow(opts, out_dir, artifacts):
         _check("kasner_monotonicity_identity", report.max_identity_mismatch, 0.0,
                flow.HAM_IDENTITY_TOL),
     ]
-    checks += _flow_trace_checks("kasner", trace, model.dim)
+    checks += _flow_trace_checks("kasner", trace)
     return checks
 
 

@@ -42,9 +42,10 @@ The initial data of the limit experiment is a soft-min envelope of orbit
 sheets, built in one pass against the identity element's sheet; a sheet
 too far from that reference for exp to stay finite raises
 EnvelopeRangeError.  The limit experiment range-checks every orbit before
-it relaxes anything, then builds the envelopes one ahead on a one-worker
-ThreadPoolExecutor while this thread relaxes the one before (the rules the
-worker keeps are in limit_experiment).
+it relaxes anything, then builds the envelopes in order, ahead of the
+relaxations, on a one-worker ThreadPoolExecutor while this thread relaxes;
+the queue holds one grid array per envelope built and not yet relaxed (the
+rules the worker keeps are in limit_experiment).
 """
 
 from __future__ import annotations
@@ -134,10 +135,10 @@ class HeightField:
         axes = [self.axis_coords(i) for i in range(self.ndim)]
         return np.meshgrid(*axes, indexing="ij")
 
-    def interior_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[tuple(slice(2, -2) for _ in range(self.ndim))] = True
-        return mask
+    @property
+    def interior(self) -> tuple:
+        """Index of the interior nodes (two-node margin): values[interior]."""
+        return (slice(2, -2),) * self.ndim
 
 
 def _centered_axis(extent: float, nodes: int):
@@ -207,7 +208,7 @@ class GraphGeometry:
     """Pointwise geometry of a spacelike graph (lean scalar fields).
 
     Stores the gradient, W, mean curvature H, and |K|^2 (squared norm in the
-    induced metric); the induced metric tensor is materialized on demand.
+    induced metric); only det_identity_error builds the induced metric tensor.
     Only interior nodes (two-node margin) are contractual.
     """
 
@@ -217,7 +218,7 @@ class GraphGeometry:
         n = field.ndim
         grads, hess = _derivatives(np.asarray(field.values, float), h)
         grad2 = sum(g * g for g in grads)
-        interior = field.interior_mask()
+        interior = field.interior
         # np.max keeps a NaN, which fails the guard
         if not float(np.max(grad2[interior])) <= (1.0 - SPACELIKE_MARGIN) ** 2:
             raise SpacelikeError(
@@ -237,22 +238,14 @@ class GraphGeometry:
         self.k_norm2 = (hnorm2 + 2.0 * sum(ui * ui for ui in u) / w2 + (t / w2) ** 2) / w2
         self.interior = interior
 
-    @property
-    def ndim(self) -> int:
-        return self.field.ndim
-
-    @property
-    def induced_metric(self) -> np.ndarray:
-        n = self.ndim
+    def det_identity_error(self) -> float:
+        """max interior |det(g) - W^2| — an exact identity up to rounding."""
+        n = self.field.ndim
         g = np.empty(self.field.shape + (n, n))
         for i in range(n):
             for j in range(n):
                 g[..., i, j] = (1.0 if i == j else 0.0) - self.grads[i] * self.grads[j]
-        return g
-
-    def det_identity_error(self) -> float:
-        """max interior |det(g) - W^2| — an exact identity up to rounding."""
-        det = np.linalg.det(self.induced_metric)
+        det = np.linalg.det(g)
         return float(np.max(np.abs(det - self.volume_density**2)[self.interior]))
 
     def disk_coordinates(self) -> list:
@@ -410,7 +403,7 @@ class RelaxResult:
     #: the returned iterate, the best the relaxation reached
     field: HeightField
     residual: float
-    #: accepted steps, chord and Newton
+    #: steps, chord and Newton: the accepted ones, plus one whose line search ran out
     iterations: int
     converged: bool
     #: sparse LU factorizations of the Jacobian
@@ -431,12 +424,14 @@ class ChordLU:
 
 
 def _interior_residual(geom: GraphGeometry, tau: float) -> float:
-    return float(np.max(np.abs(geom.mean_curvature - tau)[geom.interior]))
+    return float(np.max(np.abs(geom.mean_curvature[geom.interior] - tau)))
 
 
 def _newton_rhs(geom: GraphGeometry, tau: float) -> np.ndarray:
     """Right-hand side -(H - tau) of a Newton or chord step (0 on the frame), flattened."""
-    return np.where(geom.interior, tau - geom.mean_curvature, 0.0).ravel()
+    rhs = np.zeros(geom.field.shape)
+    rhs[geom.interior] = tau - geom.mean_curvature[geom.interior]
+    return rhs.ravel()
 
 
 def _newton_system(field: HeightField):
@@ -470,14 +465,14 @@ def _newton_system(field: HeightField):
     d_y = -(gy * lap / w3 + 2.0 * (gx * hxy + gy * hyy) / w3 + 3.0 * gy * t / w5)
 
     idx = np.arange(m1 * m2).reshape(m1, m2)
-    ii = idx[2:-2, 2:-2].ravel()
+    ii = idx[field.interior].ravel()
     h2 = h * h
     rows, cols, data = [], [], []
 
     def add(di, dj, coeff):
         rows.append(ii)
         cols.append(idx[2 + di : m1 - 2 + di, 2 + dj : m2 - 2 + dj].ravel())
-        data.append(coeff[2:-2, 2:-2].ravel())
+        data.append(coeff[field.interior].ravel())
 
     add(0, 0, -2.0 * (c_xx + c_yy) / h2)
     add(1, 0, c_xx / h2 + d_x / (2.0 * h))
@@ -576,8 +571,8 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6,
     halved, and after MAX_STEP_REJECTIONS consecutive rejections the current
     iterate is returned.  Every step taken lowers the residual, so the
     current iterate is always the best so far.  At most LIMIT_MAX_ITERS steps
-    are taken; ``iterations`` counts them, chord and Newton, and
-    ``factorizations`` the Jacobians factored.
+    are tried; ``iterations`` counts them, chord and Newton, the one whose
+    line search ran out included, and ``factorizations`` the Jacobians factored.
     The contract is the achieved residual, not convergence.
 
     A ``chord`` handed in holding the LU of an earlier relaxation on the same
@@ -597,10 +592,9 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6,
                          f"the field has {field.values.size}")
     current, geom = field, graph_geometry(field)
     current_res = _interior_residual(geom, tau_target)
-    factorizations = 0
-    for iteration in range(LIMIT_MAX_ITERS):
-        if current_res <= tol:
-            return RelaxResult(current, current_res, iteration, True, factorizations)
+    steps = factorizations = 0
+    while steps < LIMIT_MAX_ITERS and not current_res <= tol:
+        steps += 1
         rhs = _newton_rhs(geom, tau_target)
         taken = None
         if chord.lu is not None:
@@ -622,10 +616,9 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6,
                     break
                 alpha *= 0.5
             else:
-                return RelaxResult(current, current_res, iteration + 1, current_res <= tol,
-                                   factorizations)
+                break
         current, geom, current_res = taken
-    return RelaxResult(current, current_res, LIMIT_MAX_ITERS, current_res <= tol, factorizations)
+    return RelaxResult(current, current_res, steps, current_res <= tol, factorizations)
 
 
 # ---------------------------------------------------------------------------
@@ -750,14 +743,16 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
 
     Every lambda is checked, and every representation's orbit translations
     are built and range-checked, before anything is relaxed.  The envelopes
-    are then built one ahead by a one-worker ThreadPoolExecutor: while this
-    thread relaxes and integrates one representation, the worker takes the
-    soft-minimum sum of the next (SuperLU and numpy's ufuncs release the
-    GIL).  The worker runs numpy only, in a copy of the caller's context (so
-    a caller's np.errstate holds there), and a tracer that wraps this
-    module's functions sees every call on this thread.  Each envelope is the
-    array a sequential orbit_envelope_field gives, so the results are
-    unchanged, byte for byte.  The executor's exit joins the worker before
+    are then built in order, ahead of the relaxations, by the map of a
+    one-worker ThreadPoolExecutor: while this thread relaxes and integrates
+    one representation, the worker takes the soft-minimum sums of the next
+    ones (SuperLU and numpy's ufuncs release the GIL).  The queue holds one
+    nodes^2 array per envelope built and not yet relaxed: with four lambdas
+    at 321^2 nodes, at most four of 0.8 MB.  The worker runs numpy only, in
+    one copy of the caller's context (so a caller's np.errstate holds
+    there), and a tracer that wraps this module's functions sees every call
+    on this thread.  Each envelope is the array a sequential
+    orbit_envelope_field gives.  The executor's exit joins the worker before
     any exception leaves, and a worker's error is raised again here.
     """
     lambdas = tuple(lambdas)
@@ -773,14 +768,11 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     # imported here, as scipy is: no other scenario loads it
     from concurrent.futures import ThreadPoolExecutor
 
-    results, start = [], None
+    run = contextvars.copy_context().run
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for t in translations:
-            ahead = pool.submit(contextvars.copy_context().run, _envelope_sum, t, extent, nodes)
-            if start is not None:
-                results.append(_relax_and_integrate(start, relax_tol, chord))
-            start = ahead.result()
-    results.append(_relax_and_integrate(start, relax_tol, chord))
+        results = [_relax_and_integrate(start, relax_tol, chord)
+                   for start in pool.map(lambda t: run(_envelope_sum, t, extent, nodes),
+                                         translations)]
     base_volume = results[0][0].volume
     rows = [limit_row(lam, base_volume, *result) for lam, result in zip(lambdas, results[1:])]
     return rows, base_volume

@@ -227,12 +227,14 @@ def test_cut_fraction_matches_dense_cases():
     assert np.array_equal(graphs._cut_fraction(*levels), expected)
 
 
-def test_cmc_relax_pullback():
-    def bumped(x, y):
-        r2 = x * x + y * y
-        return np.sqrt(1.0 + r2) + 0.03 * np.exp(-2.0 * r2)
+def _bumped(x, y):
+    # the unit hyperboloid with a small bump: not CMC, but close to it
+    r2 = x * x + y * y
+    return np.sqrt(1.0 + r2) + 0.03 * np.exp(-2.0 * r2)
 
-    start = graphs.sample_height_field(bumped, 1.5, 81)
+
+def test_cmc_relax_pullback():
+    start = graphs.sample_height_field(_bumped, 1.5, 81)
     result = graphs.cmc_relax(start, -2.0, tol=1e-8)
     assert result.converged
     assert result.residual <= 1e-8
@@ -253,6 +255,22 @@ def test_cmc_relax_validation():
     graphs.cmc_relax(f, -2.0, chord=chord)
     with pytest.raises(ValueError, match="carried LU is for 1089 unknowns"):
         graphs.cmc_relax(graphs.hyperboloid_field(1.0, 1.0, 41), -2.0, chord=chord)
+
+
+def test_cmc_relax_stopping_rules(monkeypatch):
+    # (iterations, converged, factorizations, field is start) at each of the
+    # three exits: the tolerance met, a line search run out, the step limit
+    start = graphs.sample_height_field(_bumped, 1.5, 33)
+
+    def outcome(result):
+        return result.iterations, result.converged, result.factorizations, result.field is start
+
+    assert outcome(graphs.cmc_relax(start, -2.0, tol=1e3)) == (0, True, 0, True)
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "_trial_step", lambda *args: None)
+        assert outcome(graphs.cmc_relax(start, -2.0)) == (1, False, 1, True)
+    monkeypatch.setattr(graphs, "LIMIT_MAX_ITERS", 2)
+    assert outcome(graphs.cmc_relax(start, -2.0, tol=0.0))[:3] == (2, False, 1)
 
 
 def test_newton_step_matches_spsolve():
