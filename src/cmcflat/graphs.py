@@ -19,9 +19,12 @@ Gauss map cuts out exactly one copy of the quotient.  Boundary cells of the
 filtered region are resolved by a linear (marching-squares) cut, and only
 those: a cell with all four corners inside counts whole.  Every quantity in
 that integral is a local stencil, so the grid is integrated in blocks of
-QUADRATURE_BLOCK_ROWS cell rows, each with the geometry of its own node rows
-plus a two-row halo; no whole-grid geometry is built (a 2401^2 field is
-46 MB, and the geometry holds about two dozen such arrays).
+QUADRATURE_BLOCK_ROWS (32) cell rows, each with the geometry of its own node
+rows plus a two-row halo; no whole-grid geometry is built (a 2401^2 field is
+46 MB, a 32-row block's field 0.65 MB).  The kernels a block runs through,
+GraphGeometry, octagon_level and the cell sums of quotient_energy, form
+their sums in place on a few scratch arrays, so a block makes no temporary
+array per operation.
 
 CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
@@ -76,8 +79,8 @@ ENVELOPE_MAX_EXPONENT = 600.0
 #: steps, chord and Newton, allowed to each CMC relaxation (cmc_relax)
 LIMIT_MAX_ITERS = 25
 #: cell rows per block of the quotient quadrature: a block's geometry at
-#: 2401 columns holds about 2.5 MB per field where the whole grid holds 46 MB
-QUADRATURE_BLOCK_ROWS = 128
+#: 2401 columns holds about 0.65 MB per field where the whole grid holds 46 MB
+QUADRATURE_BLOCK_ROWS = 32
 
 try:  # glibc; other C libraries have no malloc_trim and skip the release
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
@@ -158,9 +161,16 @@ def sample_height_field(fn, extent: float, nodes: int, ndim: int = 2) -> HeightF
 
 def hyperboloid_field(s: float, extent: float, nodes: int, ndim: int = 2) -> HeightField:
     """The CMC model graph phi = sqrt(s^2 + |x|^2) (mean curvature -n/s)."""
-    return sample_height_field(
-        lambda *xs: np.sqrt(s * s + sum(x * x for x in xs)), extent, nodes, ndim
-    )
+
+    def phi(*xs):
+        # one grid array: |x|^2 summed axis by axis, then s^2 and the root in place
+        out = np.zeros(np.broadcast_shapes(*(x.shape for x in xs)))
+        for x in xs:
+            out += x * x
+        out += s * s
+        return np.sqrt(out, out=out)
+
+    return sample_height_field(phi, extent, nodes, ndim)
 
 
 def _second_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -210,32 +220,73 @@ class GraphGeometry:
     Stores the gradient, W, mean curvature H, and |K|^2 (squared norm in the
     induced metric); only det_identity_error builds the induced metric tensor.
     Only interior nodes (two-node margin) are contractual.
+
+    With lap = sum_i phi_ii, u_i = sum_j phi_j phi_ij, t = sum_i phi_i u_i
+    and |Hess|^2 = sum_ij phi_ij^2,
+
+        H = -(lap + t/W^2)/W    |K|^2 = (|Hess|^2 + 2|u|^2/W^2 + (t/W^2)^2)/W^2.
+
+    Each sum is accumulated in place, term by term in the order of its index
+    loop, and spent arrays are reused, so besides the derivatives and the
+    stored fields the build allocates only W^2, the u_i and one scratch term.
     """
 
     def __init__(self, field: HeightField):
         self.field = field
-        h = field.spacing
         n = field.ndim
-        grads, hess = _derivatives(np.asarray(field.values, float), h)
-        grad2 = sum(g * g for g in grads)
+        grads, hess = _derivatives(np.asarray(field.values, float), field.spacing)
         interior = field.interior
+
+        def hs(i, j):
+            return hess[(i, j) if i <= j else (j, i)]
+
+        scratch = np.empty_like(grads[0])
+
+        def dot(a, b, out):
+            """sum_k a[k] * b[k] into ``out``, one term at a time."""
+            np.multiply(a[0], b[0], out=out)
+            for ak, bk in zip(a[1:], b[1:]):
+                out += np.multiply(ak, bk, out=scratch)
+            return out
+
+        w2 = dot(grads, grads, np.empty_like(scratch))
         # np.max keeps a NaN, which fails the guard
-        if not float(np.max(grad2[interior])) <= (1.0 - SPACELIKE_MARGIN) ** 2:
+        if not float(np.max(w2[interior])) <= (1.0 - SPACELIKE_MARGIN) ** 2:
             raise SpacelikeError(
                 "graph is not uniformly spacelike on the interior "
-                f"(max |grad phi| = {float(np.sqrt(np.max(grad2[interior]))):.8f})"
+                f"(max |grad phi| = {float(np.sqrt(np.max(w2[interior]))):.8f})"
             )
-        w2 = np.maximum(1.0 - grad2, SPACELIKE_MARGIN**2)
+        np.subtract(1.0, w2, out=w2)
+        np.maximum(w2, SPACELIKE_MARGIN**2, out=w2)
         w = np.sqrt(w2)
-        lap = sum(hess[(i, i)] for i in range(n))
-        u = [sum(grads[j] * hess[tuple(sorted((i, j)))] for j in range(n)) for i in range(n)]
-        t = sum(grads[i] * u[i] for i in range(n))
-        hnorm2 = sum((2.0 if i != j else 1.0) * hess[tuple(sorted((i, j)))] ** 2
-                     for i in range(n) for j in range(i, n))
+        u = [dot(grads, [hs(i, j) for j in range(n)], np.empty_like(scratch)) for i in range(n)]
+        t = dot(grads, u, np.empty_like(scratch))
+        t /= w2
+        # 2|u|^2/W^2 into u[0]; |Hess|^2, then |K|^2, into u[-1] (u is spent)
+        u2 = dot(u, u, u[0])
+        u2 *= 2.0
+        u2 /= w2
+        k_norm2 = u[-1] if n > 1 else np.empty_like(scratch)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        np.square(hs(*pairs[0]), out=k_norm2)
+        for i, j in pairs[1:]:
+            np.square(hs(i, j), out=scratch)
+            if i != j:
+                scratch *= 2.0
+            k_norm2 += scratch
+        k_norm2 += u2
+        k_norm2 += np.square(t, out=u2)
+        k_norm2 /= w2
+        # the Laplacian in the first diagonal entry, then H in t's slot
+        lap = hs(0, 0)
+        for i in range(1, n):
+            lap += hs(i, i)
+        t += lap
+        t /= w
         self.grads = grads
         self.volume_density = w
-        self.mean_curvature = -(lap + t / w2) / w
-        self.k_norm2 = (hnorm2 + 2.0 * sum(ui * ui for ui in u) / w2 + (t / w2) ** 2) / w2
+        self.mean_curvature = np.negative(t, out=t)
+        self.k_norm2 = k_norm2
         self.interior = interior
 
     def det_identity_error(self) -> float:
@@ -250,7 +301,8 @@ class GraphGeometry:
 
     def disk_coordinates(self) -> list:
         """Poincare-disk image of the Gauss map, grad phi/(1 + W), one array per axis."""
-        return [g / (1.0 + self.volume_density) for g in self.grads]
+        denom = 1.0 + self.volume_density
+        return [g / denom for g in self.grads]
 
 
 def graph_geometry(field: HeightField) -> GraphGeometry:
@@ -300,7 +352,7 @@ def _cut_fraction(s0, s1, s2, s3):
     inside the cell (marching squares); the two saddle cases are resolved by
     the cell-center average.
     """
-    case = (s0 >= 0) * 1 + (s1 >= 0) * 2 + (s2 >= 0) * 4 + (s3 >= 0) * 8
+    case = sum((s >= 0) * np.uint8(1 << k) for k, s in enumerate((s0, s1, s2, s3)))
     frac = (case == 15).astype(float)
     cut = (case != 0) & (case != 15)
     s0, s1, s2, s3, case = s0[cut], s1[cut], s2[cut], s3[cut], case[cut]
@@ -373,17 +425,25 @@ def quotient_energy(field: HeightField, level_fn) -> EnergyReport:
         inner[max(2 - first, 0):max(cells - 2 - first, 0), 2:-2] = True
         frac = _cut_fraction(*corners(np.asarray(level_fn(block_geom), float)[nodes]))
         touched = touched or bool(np.any((frac > 0) & ~inner))
-        frac = frac * inner
+        frac *= inner
         area += float(np.sum(frac))
+        w = block_geom.volume_density[nodes]
+        weighted = np.empty_like(w)
+        cell = np.empty_like(frac)
 
         def cell_sum(values):
-            c = corners(values[nodes])
-            return float(np.sum(0.25 * (c[0] + c[1] + c[2] + c[3]) * frac))
+            # 0.25 * (c0 + c1 + c2 + c3) * frac, formed in the one cell buffer
+            c = corners(values)
+            total = np.add(c[0], c[1], out=cell)
+            total += c[2]
+            total += c[3]
+            total *= 0.25
+            total *= frac
+            return float(np.sum(total))
 
-        w = block_geom.volume_density
         volume += cell_sum(w)
-        energy += cell_sum(block_geom.k_norm2 * w)
-        tau_weight += cell_sum(block_geom.mean_curvature * w)
+        energy += cell_sum(np.multiply(block_geom.k_norm2[nodes], w, out=weighted))
+        tau_weight += cell_sum(np.multiply(block_geom.mean_curvature[nodes], w, out=weighted))
     if touched:
         raise ValueError("filtered region touches the patch frame; enlarge the patch")
     area = h * h * area
@@ -667,10 +727,15 @@ def _envelope_sum(translations: np.ndarray, extent: float, nodes: int) -> Height
         return out
 
     ref = sheet(translations[0], np.empty((nodes, nodes)))
-    # the reference sheet's own term exp(0) = 1 starts the sum
+    # the reference sheet's own term exp(0) = 1 starts the sum, and every row
+    # equal to the reference row adds the 1.0 that exp(-0.0) gives its sheet
     acc = np.ones_like(ref)
     term = np.empty_like(ref)
-    for t in translations[1:]:
+    repeats = np.all(translations == translations[0], axis=1)
+    for t, repeat in zip(translations[1:], repeats[1:]):
+        if repeat:
+            acc += 1.0
+            continue
         sheet(t, term)
         term -= ref
         term /= -ENVELOPE_SMOOTHING
@@ -752,8 +817,10 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     one copy of the caller's context (so a caller's np.errstate holds
     there), and a tracer that wraps this module's functions sees every call
     on this thread.  Each envelope is the array a sequential
-    orbit_envelope_field gives.  The executor's exit joins the worker before
-    any exception leaves, and a worker's error is raised again here.
+    orbit_envelope_field gives.  An error, in a relaxation or in the worker,
+    cancels the envelopes the worker has not started; the executor's exit
+    joins the worker before the exception leaves, and a worker's error is
+    raised again here.
     """
     lambdas = tuple(lambdas)
     if not all(lam > 0 for lam in lambdas):
@@ -769,10 +836,16 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     from concurrent.futures import ThreadPoolExecutor
 
     run = contextvars.copy_context().run
+    results = []
     with ThreadPoolExecutor(max_workers=1) as pool:
-        results = [_relax_and_integrate(start, relax_tol, chord)
-                   for start in pool.map(lambda t: run(_envelope_sum, t, extent, nodes),
-                                         translations)]
+        starts = pool.map(lambda t: run(_envelope_sum, t, extent, nodes), translations)
+        try:
+            for start in starts:
+                results.append(_relax_and_integrate(start, relax_tol, chord))
+        finally:
+            # cancels the envelopes not yet started, so an error waits for
+            # the running one alone before the executor's exit joins the worker
+            starts.close()
     base_volume = results[0][0].volume
     rows = [limit_row(lam, base_volume, *result) for lam, result in zip(lambdas, results[1:])]
     return rows, base_volume

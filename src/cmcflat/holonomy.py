@@ -186,14 +186,24 @@ def octagon_level(x, y) -> np.ndarray:
     radius), elementwise over the coordinate arrays ``x`` and ``y``: >= 0
     exactly on the octagon (inside lies outside every side circle), with the
     boundary as zero set, so it serves as a cut function in quadrature.
+
+    sqrt and the shift by the radius are monotone and correctly rounded, so
+    they are applied once, to the least squared distance: the result is the
+    eight-circle min(sqrt(d^2) - radius) bit for bit.  The squared distances
+    are formed in place on two scratch arrays.
     """
     dist, radius = _side_circle_data()
     angles = np.arange(8) * (np.pi / 4)
     centers = dist * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    level = None
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    level = np.full(np.broadcast_shapes(x.shape, y.shape), np.inf)
+    d2, dy = np.empty_like(level), np.empty_like(level)
     for cx, cy in centers:
-        d = np.sqrt((x - cx) ** 2 + (y - cy) ** 2) - radius
-        level = d if level is None else np.minimum(level, d)
+        np.square(np.subtract(x, cx, out=d2), out=d2)
+        d2 += np.square(np.subtract(y, cy, out=dy), out=dy)
+        np.minimum(level, d2, out=level)
+    np.sqrt(level, out=level)
+    level -= radius
     return level
 
 

@@ -1,6 +1,7 @@
 """Spacelike-graph geometry tests: stencils, quadrature, relaxation, envelopes."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,61 @@ def test_det_identity_generic_field():
     )
     geom = graphs.graph_geometry(f)
     assert geom.det_identity_error() < 1e-12
+
+
+def test_geometry_equals_the_summed_formulas():
+    # the in-place accumulation must give the values of the plain sum()
+    # formulas exactly, term for term, in every dimension
+    for ndim, nodes in ((2, 33), (3, 13), (4, 9)):
+        weights = np.arange(1, ndim + 1) / (1.5 * ndim)
+
+        def phi(*xs, weights=weights):
+            tilt = sum(a * x for a, x in zip(weights, xs))
+            return 0.3 * np.sin(tilt + 0.4) + 0.15 * np.cos(2.0 * xs[-1] - xs[0]) * xs[0]
+
+        field = graphs.sample_height_field(phi, 1.0, nodes, ndim)
+        geom = graphs.graph_geometry(field)
+        grads, hess = graphs._derivatives(np.asarray(field.values, float), field.spacing)
+        n = ndim
+        w2 = np.maximum(1.0 - sum(g * g for g in grads), graphs.SPACELIKE_MARGIN**2)
+        lap = sum(hess[(i, i)] for i in range(n))
+        u = [sum(grads[j] * hess[tuple(sorted((i, j)))] for j in range(n)) for i in range(n)]
+        t = sum(grads[i] * u[i] for i in range(n))
+        hnorm2 = sum((2.0 if i != j else 1.0) * hess[tuple(sorted((i, j)))] ** 2
+                     for i in range(n) for j in range(i, n))
+        k_norm2 = (hnorm2 + 2.0 * sum(ui * ui for ui in u) / w2 + (t / w2) ** 2) / w2
+        assert all(np.array_equal(a, b) for a, b in zip(geom.grads, grads))
+        assert np.array_equal(geom.volume_density, np.sqrt(w2))
+        assert np.array_equal(geom.mean_curvature, -(lap + t / w2) / np.sqrt(w2))
+        assert np.array_equal(geom.k_norm2, k_norm2)
+        assert np.ptp(geom.k_norm2[geom.interior]) > 0.1  # the field is not a hyperboloid
+
+
+def _traced_peak(fn):
+    """(result, peak bytes tracemalloc saw above what was traced at the start)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_hyperboloid_field_builds_one_grid_array():
+    # measured 1.01 times the field's bytes (2.00 when |x|^2 + s^2 was a
+    # second grid array); the bound leaves a quarter of the field as margin
+    field, peak = _traced_peak(lambda: graphs.hyperboloid_field(1.0, 6.0, 1201))
+    assert peak <= 1.25 * field.values.nbytes
+
+
+def test_quadrature_memory_stays_below_the_field():
+    # 32-row blocks whose kernels run in place: measured 0.58 times the
+    # field's bytes (2.45 with 128-row blocks and whole-block temporaries);
+    # the bound leaves about 30 % margin
+    field = graphs.hyperboloid_field(1.0, 6.0, 1201)
+    _, peak = _traced_peak(lambda: graphs.quotient_energy(field, graphs.bolza_domain_level))
+    assert peak <= 0.75 * field.values.nbytes
 
 
 def test_spacelike_guard():
@@ -477,6 +533,32 @@ def test_envelope_matches_stacked_reference():
     assert np.array_equal(env.values, expected)
 
 
+def test_envelope_sum_adds_one_for_each_reference_row():
+    # a row equal to the reference (first) row adds the 1.0 that exp(-0.0)
+    # gives its sheet, so that sheet is not built; with reference rows
+    # interleaved among distinct ones the envelope must equal, bit for bit,
+    # a loop that builds every sheet
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.05))
+    distinct = graphs._envelope_translations(rep, 1)
+    rows = [distinct[0]]
+    for t in distinct[1:]:
+        rows += [t, distinct[0]]
+    translations = np.array(rows + [distinct[0]] * 3)
+    assert np.sum(np.all(translations == distinct[0], axis=1)) == len(distinct) + 3
+    env = graphs._envelope_sum(translations, 3.0, 81)
+    xs = -3.0 + (6.0 / 80) * np.arange(81)
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+
+    def sheet(t):
+        return t[0] + np.sqrt(1.0 + (gx - t[1]) ** 2 + (gy - t[2]) ** 2)
+
+    ref = sheet(translations[0])
+    acc = np.ones_like(ref)
+    for t in translations[1:]:
+        acc = acc + np.exp(-(sheet(t) - ref) / 0.08)
+    assert np.array_equal(env.values, ref - 0.08 * np.log(acc))
+
+
 def test_envelope_matches_hard_minimum_form():
     # the soft minimum does not depend on its reference surface: taking it
     # relative to the hard minimum of the sheets changes only round-off
@@ -618,6 +700,31 @@ def test_limit_experiment_raises_a_relaxation_error_unchanged(monkeypatch):
         graphs.limit_experiment(rep, (1.0, 2.0, 4.0), nodes=41)
     assert raised.value is planted
     assert len(calls) == 2
+    assert threading.active_count() == before
+
+
+def test_limit_experiment_relaxation_error_cancels_the_queued_envelopes(monkeypatch):
+    # an error in the baseline's relaxation leaves without waiting for the
+    # envelopes queued behind it: only the one the worker has started runs on
+    before = threading.active_count()
+    planted = graphs.NewtonStepError("planted in the first relaxation")
+    sums = []
+    envelope_sum = graphs._envelope_sum
+
+    def counted(*args):
+        sums.append(None)
+        return envelope_sum(*args)
+
+    def failing(*args):
+        raise planted
+
+    monkeypatch.setattr(graphs, "_envelope_sum", counted)
+    monkeypatch.setattr(graphs, "_relax_and_integrate", failing)
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    with pytest.raises(graphs.NewtonStepError) as raised:
+        graphs.limit_experiment(rep, (1.0, 2.0, 4.0, 8.0), nodes=161)
+    assert raised.value is planted
+    assert 1 <= len(sums) <= 2
     assert threading.active_count() == before
 
 

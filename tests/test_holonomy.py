@@ -83,6 +83,34 @@ def test_octagon_level_components_match_stacked_points():
     assert np.array_equal(h.octagon_level(pts[..., 0], pts[..., 1]), expected)
 
 
+def test_octagon_level_equals_the_eight_circle_minimum():
+    # one sqrt of the least squared distance gives, bit for bit, the least
+    # of the eight sqrt(squared distance) - radius: inside and outside the
+    # disk, and on the side circles where the level is near zero
+    rng = np.random.default_rng(11)
+    dist, radius = h._side_circle_data()
+    angles = np.arange(8) * (np.pi / 4)
+    centers = dist * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    r, a = np.sqrt(rng.random(2000)), rng.uniform(0.0, 2.0 * np.pi, 2000)
+    far = rng.uniform(1.0, 3.0, 2000)
+    side = rng.uniform(0.0, 2.0 * np.pi, (8, 250))
+    x = np.concatenate([r * np.cos(a), far * np.cos(a),
+                        (centers[:, :1] + radius * np.cos(side)).ravel()])
+    y = np.concatenate([r * np.sin(a), far * np.sin(a),
+                        (centers[:, 1:] + radius * np.sin(side)).ravel()])
+    expected = np.min([np.sqrt((x - cx) ** 2 + (y - cy) ** 2) - radius for cx, cy in centers],
+                      axis=0)
+    level = h.octagon_level(x, y)
+    assert level.tobytes() == expected.tobytes()
+    assert np.min(np.abs(level)) < 1e-15  # some points land on a side circle
+    # broadcast coordinates and scalars take the same path
+    assert h.octagon_level(x[:40, None], y[None, :40]).tobytes() == np.min(
+        [np.sqrt((x[:40, None] - cx) ** 2 + (y[None, :40] - cy) ** 2) - radius
+         for cx, cy in centers], axis=0).tobytes()
+    assert float(h.octagon_level(0.3, -0.2)) == float(
+        min(np.sqrt((0.3 - cx) ** 2 + (-0.2 - cy) ** 2) - radius for cx, cy in centers))
+
+
 def test_cocycle_rule_on_random_words():
     pres = h.bolza_presentation()
     rng = np.random.default_rng(5)
