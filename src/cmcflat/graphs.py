@@ -33,9 +33,9 @@ symmetric-mode, no-pivot sparse LU (minimum degree on A^T + A).  The LU is
 kept in a caller-owned ChordLU and first tried again as a chord step, also
 by the next relaxation that is handed the same ChordLU (the limit
 experiment carries one LU through all its relaxations); the chord step is
-taken only if it shrinks the residual by CHORD_CONTRACTION, and otherwise
-the kept LU is dropped and the Jacobian is factored afresh at the current
-iterate, so at most one LU is alive.  Every solve, chord or Newton, is
+taken only if it at least halves the residual (CHORD_CONTRACTION), and
+otherwise the kept LU is dropped and the Jacobian is factored afresh at the
+current iterate, so at most one LU is alive.  Every solve, chord or Newton, is
 checked against the linear residual of the matrix that was factored and
 raises NewtonStepError when that check fails.  scipy.sparse and its LU are
 imported by the functions that assemble and factor the Jacobian, so only the
@@ -68,8 +68,11 @@ MAX_STEP_REJECTIONS = 40
 #: relative linear residual allowed for one Newton or chord step of the relaxation
 NEWTON_STEP_RTOL = 1e-10
 #: residual reduction a chord step (the kept LU of an earlier Newton step) must
-#: reach to be taken; a chord step that falls short makes the Jacobian refactored
-CHORD_CONTRACTION = 0.1
+#: reach to be taken: it must at least halve the residual, the refactoring rule
+#: of the Newton-chord solver nsold (rsham = 0.5) in C. T. Kelley, Solving
+#: Nonlinear Equations with Newton's Method (SIAM, 2003); a chord step that
+#: falls short makes the Jacobian refactored
+CHORD_CONTRACTION = 0.5
 #: soft-minimum width of the orbit envelope
 ENVELOPE_SMOOTHING = 0.08
 #: largest bound on |sheet - reference sheet| / ENVELOPE_SMOOTHING the one-pass
@@ -623,8 +626,8 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6,
     Damped Newton with the frame held at the initial (barrier) data.  The
     sparse LU of the last Newton Jacobian is kept in ``chord``, and each step
     first tries it as a full chord step: the chord step is taken only if it
-    keeps the interior uniformly spacelike and shrinks the interior residual
-    max|H - tau| by at least CHORD_CONTRACTION.  Otherwise it is discarded,
+    keeps the interior uniformly spacelike and at least halves the interior
+    residual max|H - tau| (CHORD_CONTRACTION).  Otherwise it is discarded,
     the kept LU is dropped, and a Newton step is taken from the Jacobian at
     the current iterate.  A Newton step is accepted only if it keeps the
     interior uniformly spacelike and decreases the residual; otherwise it is

@@ -371,8 +371,9 @@ def test_cmc_relax_chord_steps_match_full_newton():
 
 
 def test_cmc_relax_takes_only_contracting_chord_steps(monkeypatch):
-    # a chord step is taken only if it shrinks the residual tenfold; a weaker
-    # one is refused and the Jacobian is factored afresh
+    # a chord step is taken only if it at least halves the residual
+    # (CHORD_CONTRACTION); a weaker one is refused and the Jacobian is
+    # factored afresh
     events = []
     factorize, trial_step = graphs._factorize, graphs._trial_step
 
@@ -409,7 +410,7 @@ def test_cmc_relax_takes_only_contracting_chord_steps(monkeypatch):
     assert events.count("factor") == result.factorizations
     assert len(taken) == result.iterations - result.factorizations
     assert refused > 0
-    assert max(taken) <= 0.1
+    assert max(taken) <= graphs.CHORD_CONTRACTION
 
 
 def test_every_superlu_call_follows_a_heap_release(monkeypatch):
@@ -469,13 +470,14 @@ def test_cmc_relax_carries_the_lu_across_relaxations():
 
 
 def test_cmc_relax_refuses_a_carried_lu_that_does_not_contract(monkeypatch):
-    # the zero-cocycle baseline's LU handed to the lambda = 1 relaxation: its
-    # chord step falls short of CHORD_CONTRACTION, so it is refused and the
-    # relaxation runs as from a cold start; the kept LU is dropped before
-    # every factorization, so no two LUs are ever alive at once
+    # the LU of a far-off surface, the radius-3 hyperboloid, handed to the
+    # lambda = 1 relaxation: its first chord trial leaves the light cone, so
+    # it is refused and the relaxation runs as from a cold start; the kept LU
+    # is dropped before every factorization, so no two LUs are ever alive at once
     start = _limit_start(81)
     cold = _relax(start)
-    chord = graphs.ChordLU()
+    far = graphs._newton_system(graphs.hyperboloid_field(3.0, 6.4, 81))
+    chord = graphs.ChordLU(far, graphs._factorize(far))
     events, held_at_factor = [], []
     factorize, trial_step = graphs._factorize, graphs._trial_step
 
@@ -491,16 +493,11 @@ def test_cmc_relax_refuses_a_carried_lu_that_does_not_contract(monkeypatch):
 
     monkeypatch.setattr(graphs, "_factorize", record_factorize)
     monkeypatch.setattr(graphs, "_trial_step", record_trial)
-    baseline = _relax(graphs.orbit_envelope_field(holonomy.bolza_rep(), 6.4, 81), chord)
-    assert baseline.converged and chord.lu is not None
-    events.clear()
     carried = _relax(start, chord)
-    res = graphs._interior_residual(graphs.graph_geometry(start), -2.0)
-    assert events[0] is None or events[0] > 0.1 * res
-    assert events[1] == "factor"
+    assert events[:2] == [None, "factor"]
     assert carried.factorizations == cold.factorizations
     assert np.array_equal(carried.field.values, cold.field.values)
-    assert len(held_at_factor) == baseline.factorizations + carried.factorizations
+    assert len(held_at_factor) == carried.factorizations
     assert all(held == (None, None) for held in held_at_factor)
 
 
@@ -630,6 +627,33 @@ def test_limit_experiment_equals_the_sequential_pipeline():
                  relaxed.iterations, relaxed.factorizations)
                 for lam, (report, relaxed) in zip(lambdas, sequential[1:])]
     assert rows == expected
+
+
+def test_limit_experiment_factors_once(monkeypatch):
+    # the zero-cocycle baseline's LU carries every later relaxation, the
+    # coboundary control's too, as chord steps: one factorization in all, and
+    # every relaxation converges with steps to spare
+    factors, relaxed = [], []
+    factorize, relax = graphs._factorize, graphs.cmc_relax
+
+    def counted_factorize(jac):
+        factors.append(None)
+        return factorize(jac)
+
+    def recorded_relax(*args, **kwargs):
+        relaxed.append(relax(*args, **kwargs))
+        return relaxed[-1]
+
+    monkeypatch.setattr(graphs, "_factorize", counted_factorize)
+    monkeypatch.setattr(graphs, "cmc_relax", recorded_relax)
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    chord = graphs.ChordLU()
+    _, base = graphs.limit_experiment(rep, (1.0, 2.0, 4.0, 8.0), nodes=81, chord=chord)
+    graphs.coboundary_control(rep, base, 0.15, 6.4, 81, 3, 1e-8, chord)
+    assert len(relaxed) == 6
+    assert len(factors) == 1 and relaxed[0].factorizations == 1
+    assert all(r.converged and r.residual <= 1e-8 for r in relaxed)
+    assert max(r.iterations for r in relaxed) <= graphs.LIMIT_MAX_ITERS - 5
 
 
 def test_limit_experiment_fails_before_the_first_relaxation(monkeypatch):
