@@ -218,24 +218,21 @@ def scenario_limit_experiment(opts, out_dir, artifacts):
         raise ConfigError("nodes must be at least 5 and extent positive")
 
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(scale))
-    # one sparse LU carried through every relaxation, the coboundary's too
-    chord = graphs.ChordLU()
-    rows, base_volume = graphs.limit_experiment(
-        rep, lambdas, extent=extent, nodes=nodes,
-        word_length=word_length, relax_tol=relax_tol, chord=chord)
+    # Pure-gauge control: a coboundary sized to the same orbit-translation
+    # magnitude must not move the volume ratio beyond quadrature noise.  Its
+    # envelope joins the lambdas' queue, and it is relaxed last, with the one
+    # sparse LU carried through every relaxation.
+    rows, base_volume, cob_row = graphs.limit_experiment_with_control(
+        rep, lambdas, coboundary_size, extent=extent, nodes=nodes,
+        word_length=word_length, relax_tol=relax_tol)
     _write_artifact(out_dir, artifacts, "limit_experiment.csv", graphs.LIMIT_COLUMNS, rows)
+    _write_artifact(out_dir, artifacts, "coboundary_control.csv",
+                    graphs.LIMIT_COLUMNS, [cob_row])
 
     devs = [abs(r[3] - 1.0) for r in rows]
     # a NaN deviation is not a decrease, and a NaN residual makes np.max NaN
     increases = sum(1 for i in range(len(devs) - 1) if not devs[i + 1] < devs[i])
     worst_resid = np.max([r[4] for r in rows])
-
-    # Pure-gauge control: a coboundary sized to the same orbit-translation
-    # magnitude must not move the volume ratio beyond quadrature noise.
-    cob_row = graphs.coboundary_control(rep, base_volume, coboundary_size, extent, nodes,
-                                        word_length, relax_tol, chord)
-    _write_artifact(out_dir, artifacts, "coboundary_control.csv",
-                    graphs.LIMIT_COLUMNS, [cob_row])
 
     return [
         _check("limit_dev_increases", float(increases), 0.0, 0.0),

@@ -22,9 +22,9 @@ that integral is a local stencil, so the grid is integrated in blocks of
 QUADRATURE_BLOCK_ROWS (32) cell rows, each with the geometry of its own node
 rows plus a two-row halo; no whole-grid geometry is built (a 2401^2 field is
 46 MB, a 32-row block's field 0.65 MB).  The kernels a block runs through,
-GraphGeometry, octagon_level and the cell sums of quotient_energy, form
-their sums in place on a few scratch arrays, so a block makes no temporary
-array per operation.
+the derivative stencils, GraphGeometry, octagon_level and the cell sums of
+quotient_energy, form their sums in place on a few scratch arrays, so a
+block makes no temporary array per operation.
 
 CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
@@ -44,11 +44,13 @@ limit experiment's relaxations load scipy; graph-check does not.
 The initial data of the limit experiment is a soft-min envelope of orbit
 sheets, built in one pass against the identity element's sheet; a sheet
 too far from that reference for exp to stay finite raises
-EnvelopeRangeError.  The limit experiment range-checks every orbit before
-it relaxes anything, then builds the envelopes in order, ahead of the
-relaxations, on a one-worker ThreadPoolExecutor while this thread relaxes;
-the queue holds one grid array per envelope built and not yet relaxed (the
-rules the worker keeps are in limit_experiment).
+EnvelopeRangeError.  The limit experiment and its coboundary control run
+through one pipeline (_relax_orbits): it range-checks every orbit before it
+relaxes anything, then builds the envelopes in order, ahead of the
+relaxations, on a one-worker ThreadPoolExecutor while this thread relaxes.
+The queue holds one grid array per envelope built and not yet relaxed: at
+defaults (321^2 nodes, four lambdas, the control last) at most five arrays
+of 0.8 MB.  The rules the worker keeps are in _relax_orbits.
 """
 
 from __future__ import annotations
@@ -176,44 +178,74 @@ def hyperboloid_field(s: float, extent: float, nodes: int, ndim: int = 2) -> Hei
     return sample_height_field(phi, extent, nodes, ndim)
 
 
+def _along(ndim: int, axis: int):
+    """index(s): the index tuple that applies slice or integer ``s`` on ``axis``."""
+
+    def index(s):
+        key = [slice(None)] * ndim
+        key[axis] = s
+        return tuple(key)
+
+    return index
+
+
+def _first_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """np.gradient(values, h, axis=axis, edge_order=2), bit for bit, formed in place.
+
+    The interior central difference (f[k+1] - f[k-1])/(2h) is written into
+    its output slice by the same two operations np.gradient applies; the two
+    one-sided second-order edge planes are formed as np.gradient forms them.
+    """
+    at = _along(values.ndim, axis)
+    out = np.empty_like(values)
+    mid = out[at(slice(1, -1))]
+    np.subtract(values[at(slice(2, None))], values[at(slice(None, -2))], out=mid)
+    mid /= 2.0 * h
+    out[at(0)] = ((-1.5 / h) * values[at(0)] + (2.0 / h) * values[at(1)]
+                  + (-0.5 / h) * values[at(2)])
+    out[at(-1)] = ((0.5 / h) * values[at(-3)] + (-2.0 / h) * values[at(-2)]
+                   + (1.5 / h) * values[at(-1)])
+    return out
+
+
 def _second_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Compact central second difference along one axis (edges copy inward).
 
     The compact stencil (f[k-1] - 2f[k] + f[k+1])/h^2 keeps the linearization
-    of the mean-curvature operator on the 9-point box; edge planes are filled
-    with their neighbors' values, which the interior contract never sees.
+    of the mean-curvature operator on the 9-point box; it is written into its
+    output slice term by term, in the order of that formula.  Edge planes are
+    filled with their neighbors' values, which the interior contract never sees.
     """
+    at = _along(values.ndim, axis)
     out = np.empty_like(values)
-    mid = [slice(None)] * values.ndim
-    lo = [slice(None)] * values.ndim
-    hi = [slice(None)] * values.ndim
-    mid[axis], lo[axis], hi[axis] = slice(1, -1), slice(0, -2), slice(2, None)
-    out[tuple(mid)] = (values[tuple(lo)] - 2.0 * values[tuple(mid)] + values[tuple(hi)]) / (h * h)
-    first = [slice(None)] * values.ndim
-    second = [slice(None)] * values.ndim
-    first[axis], second[axis] = slice(0, 1), slice(1, 2)
-    out[tuple(first)] = out[tuple(second)]
-    first[axis], second[axis] = slice(-1, None), slice(-2, -1)
-    out[tuple(first)] = out[tuple(second)]
+    mid = out[at(slice(1, -1))]
+    np.multiply(values[at(slice(1, -1))], 2.0, out=mid)
+    np.subtract(values[at(slice(None, -2))], mid, out=mid)
+    mid += values[at(slice(2, None))]
+    mid /= h * h
+    out[at(0)] = out[at(1)]
+    out[at(-1)] = out[at(-2)]
     return out
 
 
 def _derivatives(values: np.ndarray, h: float):
     """Central-difference gradient list and symmetric Hessian dict {(i,j): array}.
 
-    Pure second derivatives use the compact three-point stencil; mixed ones
-    are central differences of the central gradient (the 4-point cross).
+    The gradient is np.gradient's (second-order edges) and pure second
+    derivatives use the compact three-point stencil; mixed ones are central
+    differences of the central gradient (the 4-point cross).  Every stencil
+    is formed in place in its output array, so besides the n gradients and
+    n(n+1)/2 Hessian entries only edge planes are allocated.
     """
-    grads = np.gradient(values, h, edge_order=2)
-    if values.ndim == 1:
-        grads = [grads]
+    n = values.ndim
+    grads = [_first_derivative(values, h, i) for i in range(n)]
     hess = {}
-    for i in range(values.ndim):
-        for j in range(i, values.ndim):
+    for i in range(n):
+        for j in range(i, n):
             if i == j:
                 hess[(i, j)] = _second_derivative(values, h, i)
             else:
-                hess[(i, j)] = np.gradient(grads[i], h, axis=j, edge_order=2)
+                hess[(i, j)] = _first_derivative(grads[i], h, j)
     return grads, hess
 
 
@@ -793,6 +825,77 @@ def limit_row(lam: float, base_volume: float, report: EnergyReport, residual: fl
             residual, steps, factorizations)
 
 
+def _coboundary_rep(rep, size: float, word_length: int):
+    """The pure-gauge control's representation: the coboundary of a base point
+    along COBOUNDARY_DIRECTION, scaled so that the largest entry of its orbit
+    translations (words up to ``word_length``) is ``size``."""
+    pres = rep.presentation
+    b_unit = np.array(COBOUNDARY_DIRECTION)
+    unit = holonomy.HolonomyRep(pres, holonomy.coboundary_cocycle(pres, b_unit))
+    amp = np.max([np.max(np.abs(iso.translation))
+                  for iso in holonomy.orbit_isometries(unit, word_length)])
+    return holonomy.HolonomyRep(pres, holonomy.coboundary_cocycle(pres, (size / amp) * b_unit))
+
+
+def _limit_reps(rep, lambdas) -> list:
+    """The zero cocycle, then ``rep`` scaled by lambda**-2 for each lambda."""
+    if not all(lam > 0 for lam in lambdas):
+        raise ValueError("lambda values must be positive")
+    zero = holonomy.HolonomyRep(
+        rep.presentation, tuple(np.zeros(3) for _ in range(rep.presentation.n_generators))
+    )
+    return [zero] + [holonomy.scale_structure(rep, float(lam) ** -2) for lam in lambdas]
+
+
+def _limit_rows(lambdas, results):
+    """(rows, baseline volume) from the results of the baseline and the lambdas."""
+    base_volume = results[0][0].volume
+    return [limit_row(lam, base_volume, *result)
+            for lam, result in zip(lambdas, results[1:])], base_volume
+
+
+def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: float,
+                  chord: ChordLU | None):
+    """_relax_and_integrate of each representation's orbit envelope, in order.
+
+    The one pipeline of the limit experiment and its coboundary control.
+    Every representation's orbit translations are built and range-checked
+    on this thread before anything is relaxed.  The envelopes are then built
+    in order, ahead of the relaxations, by the map of a one-worker
+    ThreadPoolExecutor: while this thread relaxes and integrates one
+    representation, the worker takes the soft-minimum sums of the next ones
+    (SuperLU and numpy's ufuncs release the GIL).  The queue holds one
+    nodes^2 array per envelope built and not yet relaxed.  The worker runs
+    _envelope_sum only, numpy alone, in one copy of the caller's context (so
+    a caller's np.errstate holds there); a tracer that wraps this module's
+    functions sees every call on this thread.  Each envelope is the array a
+    sequential orbit_envelope_field gives.  All relaxations share ``chord``
+    (a new ChordLU when none is given), so each starts from the LU the one
+    before it left.  An error, in a relaxation or in the worker, cancels the
+    envelopes the worker has not started; the executor's exit joins the
+    worker before the exception leaves, and a worker's error is raised again
+    here when its envelope is asked for.
+    """
+    if chord is None:
+        chord = ChordLU()
+    translations = [_envelope_translations(r, word_length) for r in reps]
+    # imported here, as scipy is: no other scenario loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    run = contextvars.copy_context().run
+    results = []
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        starts = pool.map(lambda t: run(_envelope_sum, t, extent, nodes), translations)
+        try:
+            for start in starts:
+                results.append(_relax_and_integrate(start, relax_tol, chord))
+        finally:
+            # cancels the envelopes not yet started, so an error waits for
+            # the running one alone before the executor's exit joins the worker
+            starts.close()
+    return results
+
+
 def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
                      word_length: int = 3, relax_tol: float = 1e-8,
                      chord: ChordLU | None = None):
@@ -809,49 +912,16 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     (a new ChordLU when none is given), so each starts from the LU the one
     before it left; on return it holds the last relaxation's LU.
 
-    Every lambda is checked, and every representation's orbit translations
-    are built and range-checked, before anything is relaxed.  The envelopes
-    are then built in order, ahead of the relaxations, by the map of a
-    one-worker ThreadPoolExecutor: while this thread relaxes and integrates
-    one representation, the worker takes the soft-minimum sums of the next
-    ones (SuperLU and numpy's ufuncs release the GIL).  The queue holds one
-    nodes^2 array per envelope built and not yet relaxed: with four lambdas
-    at 321^2 nodes, at most four of 0.8 MB.  The worker runs numpy only, in
-    one copy of the caller's context (so a caller's np.errstate holds
-    there), and a tracer that wraps this module's functions sees every call
-    on this thread.  Each envelope is the array a sequential
-    orbit_envelope_field gives.  An error, in a relaxation or in the worker,
-    cancels the envelopes the worker has not started; the executor's exit
-    joins the worker before the exception leaves, and a worker's error is
-    raised again here.
+    Every lambda is checked, and every orbit is range-checked, before
+    anything is relaxed; the envelopes are built ahead of the relaxations on
+    a one-worker executor (see _relax_orbits).  With four lambdas at 321^2
+    nodes the queue holds at most four arrays of 0.8 MB, and at most five
+    when limit_experiment_with_control queues the control behind them.
     """
     lambdas = tuple(lambdas)
-    if not all(lam > 0 for lam in lambdas):
-        raise ValueError("lambda values must be positive")
-    if chord is None:
-        chord = ChordLU()
-    zero = holonomy.HolonomyRep(
-        rep.presentation, tuple(np.zeros(3) for _ in range(rep.presentation.n_generators))
-    )
-    reps = [zero] + [holonomy.scale_structure(rep, float(lam) ** -2) for lam in lambdas]
-    translations = [_envelope_translations(r, word_length) for r in reps]
-    # imported here, as scipy is: no other scenario loads it
-    from concurrent.futures import ThreadPoolExecutor
-
-    run = contextvars.copy_context().run
-    results = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        starts = pool.map(lambda t: run(_envelope_sum, t, extent, nodes), translations)
-        try:
-            for start in starts:
-                results.append(_relax_and_integrate(start, relax_tol, chord))
-        finally:
-            # cancels the envelopes not yet started, so an error waits for
-            # the running one alone before the executor's exit joins the worker
-            starts.close()
-    base_volume = results[0][0].volume
-    rows = [limit_row(lam, base_volume, *result) for lam, result in zip(lambdas, results[1:])]
-    return rows, base_volume
+    results = _relax_orbits(_limit_reps(rep, lambdas), extent, nodes, word_length, relax_tol,
+                            chord)
+    return _limit_rows(lambdas, results)
 
 
 def coboundary_control(rep, base_volume: float, size: float, extent: float, nodes: int,
@@ -864,11 +934,24 @@ def coboundary_control(rep, base_volume: float, size: float, extent: float, node
     base point, so its ham_ratio to ``base_volume`` differs from 1 by
     quadrature noise alone.
     """
-    pres = rep.presentation
-    b_unit = np.array(COBOUNDARY_DIRECTION)
-    unit = holonomy.HolonomyRep(pres, holonomy.coboundary_cocycle(pres, b_unit))
-    amp = np.max([np.max(np.abs(iso.translation))
-                  for iso in holonomy.orbit_isometries(unit, word_length)])
-    cob = holonomy.coboundary_cocycle(pres, (size / amp) * b_unit)
-    start = orbit_envelope_field(holonomy.HolonomyRep(pres, cob), extent, nodes, word_length)
-    return limit_row(1.0, base_volume, *_relax_and_integrate(start, relax_tol, chord))
+    (result,) = _relax_orbits([_coboundary_rep(rep, size, word_length)], extent, nodes,
+                              word_length, relax_tol, chord)
+    return limit_row(1.0, base_volume, *result)
+
+
+def limit_experiment_with_control(rep, lambdas, control_size: float, extent: float = 6.4,
+                                  nodes: int = 321, word_length: int = 3,
+                                  relax_tol: float = 1e-8, chord: ChordLU | None = None):
+    """(rows, baseline_volume, control_row): limit_experiment, then
+    coboundary_control of size ``control_size``, through one envelope queue.
+
+    The values are those of limit_experiment followed by coboundary_control
+    with the same ``chord``: the control's orbit is built and range-checked
+    with the others, before the first relaxation, its envelope is the last in
+    the queue, and it is relaxed last, from the LU the last lambda left.
+    """
+    lambdas = tuple(lambdas)
+    reps = _limit_reps(rep, lambdas) + [_coboundary_rep(rep, control_size, word_length)]
+    *results, control = _relax_orbits(reps, extent, nodes, word_length, relax_tol, chord)
+    rows, base_volume = _limit_rows(lambdas, results)
+    return rows, base_volume, limit_row(1.0, base_volume, *control)

@@ -457,9 +457,8 @@ def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):
     rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 1),
             (2.0, -2.0, base, np.nan, 1e-10, 3, 0),
             (4.0, -2.0, base, 1.001, np.nan, 3, 0)]
-    monkeypatch.setattr(graphs, "limit_experiment", lambda *a, **k: (rows, base))
-    monkeypatch.setattr(graphs, "coboundary_control",
-                        lambda *a, **k: (1.0, -2.0, base, 1.0, 1e-10, 2, 0))
+    monkeypatch.setattr(graphs, "limit_experiment_with_control",
+                        lambda *a, **k: (rows, base, (1.0, -2.0, base, 1.0, 1e-10, 2, 0)))
     code, out = _run_config(tmp_path, "scenario = limit-experiment\nlambdas = 1, 2, 4\n")
     assert code == 3
     stdout = capsys.readouterr().out

@@ -76,6 +76,47 @@ def test_geometry_equals_the_summed_formulas():
         assert np.ptp(geom.k_norm2[geom.interior]) > 0.1  # the field is not a hyperboloid
 
 
+def _stencil_fields():
+    """(values, spacing): random fields of 1 to 4 axes, with 5-node and odd
+    axes, one with a NaN entry, and the read-only broadcast of a field that
+    ignores an axis."""
+    rng = np.random.default_rng(5)
+    fields = [(rng.normal(size=shape), spacing)
+              for shape, spacing in (((5,), 0.3), ((11,), 0.07), ((5, 5), 0.25),
+                                     ((7, 13), 0.1), ((9, 5, 6), 0.2), ((5, 7, 5, 6), 0.5))]
+    with_nan = rng.normal(size=(9, 7))
+    with_nan[4, 3] = np.nan
+    fields.append((with_nan, 0.15))
+    tilt = graphs.sample_height_field(lambda x, y: x, 1.0, 17)
+    assert not tilt.values.flags.writeable and 0 in tilt.values.strides
+    fields.append((np.asarray(tilt.values, float), tilt.spacing))
+    return fields
+
+
+def test_first_derivative_is_numpys_gradient():
+    # formed in place, it must give np.gradient's second-order-edge result
+    # byte for byte, NaN propagation included
+    for values, h in _stencil_fields():
+        for axis in range(values.ndim):
+            expected = np.gradient(values, h, axis=axis, edge_order=2)
+            assert graphs._first_derivative(values, h, axis).tobytes() == expected.tobytes()
+
+
+def test_second_derivative_is_the_compact_formula():
+    # (lo - 2 mid + hi)/h^2 on the inner planes, each edge plane a copy of
+    # its neighbor, byte for byte
+    for values, h in _stencil_fields():
+        for axis in range(values.ndim):
+            moved = np.moveaxis(values, axis, 0)
+            expected = np.empty_like(moved)
+            expected[1:-1] = (moved[:-2] - 2.0 * moved[1:-1] + moved[2:]) / (h * h)
+            expected[0], expected[-1] = expected[1], expected[-2]
+            got = np.moveaxis(graphs._second_derivative(values, h, axis), axis, 0)
+            assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+    nan_field = _stencil_fields()[-2][0]
+    assert np.isnan(graphs._second_derivative(nan_field, 0.15, 1)[4, 2:5]).all()
+
+
 def _traced_peak(fn):
     """(result, peak bytes tracemalloc saw above what was traced at the start)."""
     tracemalloc.start()
@@ -674,19 +715,23 @@ def test_limit_experiment_fails_before_the_first_relaxation(monkeypatch):
     far = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.2))
     with pytest.raises(graphs.EnvelopeRangeError, match="ENVELOPE_MAX_EXPONENT = 600"):
         graphs.limit_experiment(far, (1.0, 2.0), nodes=41)
+    # the control's orbit, last in the queue, is range-checked with the others
+    with pytest.raises(graphs.EnvelopeRangeError, match="ENVELOPE_MAX_EXPONENT = 600"):
+        graphs.limit_experiment_with_control(rep, (1.0, 2.0), 100.0, nodes=41)
     assert calls == []
 
 
 def test_limit_experiment_keeps_traced_calls_on_the_calling_thread(monkeypatch):
     # a span tracer keeps one stack for all threads, so every function it may
-    # wrap must run on the caller's thread; only the envelope sums leave it
+    # wrap must run on the caller's thread; only the envelope sums leave it,
+    # the control's too when it shares the lambdas' queue
     threads: dict = {}
 
     def record(module, name):
         fn = getattr(module, name)
 
         def recorded(*args, **kwargs):
-            threads.setdefault(name, set()).add(threading.get_ident())
+            threads.setdefault(name, []).append(threading.get_ident())
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, recorded)
@@ -697,13 +742,40 @@ def test_limit_experiment_keeps_traced_calls_on_the_calling_thread(monkeypatch):
     for name in ("orbit_isometries", "octagon_level"):
         record(holonomy, name)
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
-    graphs.limit_experiment(rep, (1.0, 2.0), nodes=41)
     main = threading.get_ident()
+    graphs.limit_experiment(rep, (1.0, 2.0), nodes=41)
     summed_on = threads.pop("_envelope_sum")
-    assert set().union(*threads.values()) == {main}
+    assert len(summed_on) == 3 and main not in summed_on
+    assert {t for ids in threads.values() for t in ids} == {main}
     assert set(threads) == {"graph_geometry", "cmc_relax", "quotient_energy",
                             "orbit_isometries", "octagon_level"}
-    assert main not in summed_on
+
+    threads.clear()
+    graphs.limit_experiment_with_control(rep, (1.0, 2.0, 4.0, 8.0), 0.15, nodes=41)
+    summed_on = threads.pop("_envelope_sum")
+    assert len(summed_on) == 6 and main not in summed_on
+    assert {t for ids in threads.values() for t in ids} == {main}
+    # the control's unit orbit and its own, then the baseline's and four lambdas'
+    assert len(threads["orbit_isometries"]) == 7
+    assert len(threads["cmc_relax"]) == 6
+    assert "orbit_envelope_field" not in threads
+
+
+def test_limit_experiment_with_control_equals_the_split_run():
+    # the control relaxed last from the shared queue must give, bit for bit,
+    # the row of coboundary_control run after limit_experiment on one ChordLU
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    lambdas = (1.0, 2.0, 4.0, 8.0)
+    chord = graphs.ChordLU()
+    rows, base, control = graphs.limit_experiment_with_control(rep, lambdas, 0.15, nodes=81,
+                                                               chord=chord)
+    split_chord = graphs.ChordLU()
+    split_rows, split_base = graphs.limit_experiment(rep, lambdas, nodes=81, chord=split_chord)
+    split_control = graphs.coboundary_control(rep, split_base, 0.15, 6.4, 81, 3, 1e-8,
+                                              split_chord)
+    assert (rows, base, control) == (split_rows, split_base, split_control)
+    assert control[-1] == 0  # the carried LU took the control, unfactored
+    assert (chord.jac != split_chord.jac).nnz == 0  # both hold the baseline's Jacobian
 
 
 def test_limit_experiment_raises_a_relaxation_error_unchanged(monkeypatch):
@@ -778,6 +850,36 @@ def test_limit_experiment_raises_a_worker_error_unchanged(monkeypatch):
         graphs.limit_experiment(rep, (1.0, 2.0, 4.0), nodes=41)
     assert raised.value is planted
     assert len(relaxations) == 2
+    assert threading.active_count() == before
+
+
+def test_limit_experiment_raises_a_control_envelope_error_unchanged(monkeypatch):
+    # the sixth envelope sum, the coboundary control's, fails on the worker;
+    # the error reaches the caller when the control's envelope is asked for,
+    # after the baseline and the four lambdas are relaxed, with the worker joined
+    before = threading.active_count()
+    planted = RuntimeError("planted in the control's envelope sum")
+    sums, relaxations = [], []
+    envelope_sum, relax = graphs._envelope_sum, graphs.cmc_relax
+
+    def failing_sixth(*args):
+        sums.append(None)
+        if len(sums) == 6:
+            raise planted
+        return envelope_sum(*args)
+
+    def counted(*args, **kwargs):
+        relaxations.append(None)
+        return relax(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_envelope_sum", failing_sixth)
+    monkeypatch.setattr(graphs, "cmc_relax", counted)
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    with pytest.raises(RuntimeError) as raised:
+        graphs.limit_experiment_with_control(rep, (1.0, 2.0, 4.0, 8.0), 0.15, nodes=41)
+    assert raised.value is planted
+    assert len(sums) == 6
+    assert len(relaxations) == 5
     assert threading.active_count() == before
 
 
