@@ -44,10 +44,12 @@ limit experiment's relaxations load scipy; graph-check does not.
 The initial data of the limit experiment is a soft-min envelope of orbit
 sheets, built in one pass against the identity element's sheet; a sheet
 too far from that reference for exp to stay finite raises
-EnvelopeRangeError.  The limit experiment and its coboundary control run
-through one pipeline (_relax_orbits): it range-checks every orbit before it
-relaxes anything, then builds the envelopes in order, ahead of the
-relaxations, on a one-worker ThreadPoolExecutor while this thread relaxes.
+EnvelopeRangeError.  The limit experiment, with or without its coboundary
+control queued last, runs through one pipeline (_relax_orbits): it
+range-checks every orbit before it relaxes anything, then builds the
+envelopes in order, ahead of the relaxations, on a one-worker
+ThreadPoolExecutor while this thread relaxes.  coboundary_control alone
+builds its one envelope on this thread.
 The queue holds one grid array per envelope built and not yet relaxed: at
 defaults (321^2 nodes, four lambdas, the control last) at most five arrays
 of 0.8 MB.  The rules the worker keeps are in _relax_orbits.
@@ -858,7 +860,7 @@ def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: 
                   chord: ChordLU | None):
     """_relax_and_integrate of each representation's orbit envelope, in order.
 
-    The one pipeline of the limit experiment and its coboundary control.
+    The one pipeline of limit_experiment and limit_experiment_with_control.
     Every representation's orbit translations are built and range-checked
     on this thread before anything is relaxed.  The envelopes are then built
     in order, ahead of the relaxations, by the map of a one-worker
@@ -934,24 +936,24 @@ def coboundary_control(rep, base_volume: float, size: float, extent: float, node
     base point, so its ham_ratio to ``base_volume`` differs from 1 by
     quadrature noise alone.
     """
-    (result,) = _relax_orbits([_coboundary_rep(rep, size, word_length)], extent, nodes,
-                              word_length, relax_tol, chord)
-    return limit_row(1.0, base_volume, *result)
+    start = orbit_envelope_field(_coboundary_rep(rep, size, word_length), extent, nodes,
+                                 word_length)
+    return limit_row(1.0, base_volume, *_relax_and_integrate(start, relax_tol, chord))
 
 
 def limit_experiment_with_control(rep, lambdas, control_size: float, extent: float = 6.4,
                                   nodes: int = 321, word_length: int = 3,
-                                  relax_tol: float = 1e-8, chord: ChordLU | None = None):
+                                  relax_tol: float = 1e-8):
     """(rows, baseline_volume, control_row): limit_experiment, then
     coboundary_control of size ``control_size``, through one envelope queue.
 
     The values are those of limit_experiment followed by coboundary_control
-    with the same ``chord``: the control's orbit is built and range-checked
-    with the others, before the first relaxation, its envelope is the last in
-    the queue, and it is relaxed last, from the LU the last lambda left.
+    on one ChordLU: the control's orbit is built and range-checked with the
+    others, before the first relaxation, its envelope is the last in the
+    queue, and it is relaxed last, from the LU the last lambda left.
     """
     lambdas = tuple(lambdas)
     reps = _limit_reps(rep, lambdas) + [_coboundary_rep(rep, control_size, word_length)]
-    *results, control = _relax_orbits(reps, extent, nodes, word_length, relax_tol, chord)
+    *results, control = _relax_orbits(reps, extent, nodes, word_length, relax_tol, None)
     rows, base_volume = _limit_rows(lambdas, results)
     return rows, base_volume, limit_row(1.0, base_volume, *control)
