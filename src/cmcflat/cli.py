@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure in {scenario}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

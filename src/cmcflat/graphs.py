@@ -45,14 +45,15 @@ The initial data of the limit experiment is a soft-min envelope of orbit
 sheets, built in one pass against the identity element's sheet; a sheet
 too far from that reference for exp to stay finite raises
 EnvelopeRangeError.  The limit experiment, with or without its coboundary
-control queued last, runs through one pipeline (_relax_orbits): it
-range-checks every orbit before it relaxes anything, then builds the
-envelopes in order, ahead of the relaxations, on a one-worker
-ThreadPoolExecutor while this thread relaxes.  coboundary_control alone
-builds its one envelope on this thread.
-The queue holds one grid array per envelope built and not yet relaxed: at
-defaults (321^2 nodes, four lambdas, the control last) at most five arrays
-of 0.8 MB.  The rules the worker keeps are in _relax_orbits.
+control queued last, takes the Bolza presentation only (_require_bolza)
+and runs through one pipeline (_relax_orbits): it range-checks every orbit
+before it relaxes anything, then builds the envelopes in order, ahead of
+the relaxations, on a one-worker ThreadPoolExecutor while this thread
+relaxes.  coboundary_control alone builds its one envelope on this thread
+and relaxes it on a fresh ChordLU.  The queue holds one grid array per
+envelope built and not yet relaxed: at defaults (321^2 nodes, four lambdas,
+the control last) at most five arrays of 0.8 MB.  The rules the worker
+keeps are in _relax_orbits.
 """
 
 from __future__ import annotations
@@ -502,7 +503,6 @@ class RelaxResult:
     residual: float
     #: steps, chord and Newton: the accepted ones, plus one whose line search ran out
     iterations: int
-    converged: bool
     #: sparse LU factorizations of the Jacobian
     factorizations: int
 
@@ -715,7 +715,7 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6,
             else:
                 break
         current, geom, current_res = taken
-    return RelaxResult(current, current_res, steps, current_res <= tol, factorizations)
+    return RelaxResult(current, current_res, steps, factorizations)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +805,7 @@ def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -
     return _envelope_sum(_envelope_translations(rep, word_length), extent, nodes)
 
 
-def _relax_and_integrate(start: HeightField, relax_tol: float, chord: ChordLU | None):
+def _relax_and_integrate(start: HeightField, relax_tol: float, chord: ChordLU):
     """(EnergyReport, residual, steps, factorizations) of one orbit envelope.
 
     The envelope is relaxed to a CMC graph at tau = -2 and the quotient
@@ -827,6 +827,13 @@ def limit_row(lam: float, base_volume: float, report: EnergyReport, residual: fl
             residual, steps, factorizations)
 
 
+def _require_bolza(rep) -> None:
+    """ValueError unless ``rep`` is over the Bolza presentation, whose octagon is the domain."""
+    if not np.array_equal(rep.presentation.generators, holonomy.bolza_presentation().generators):
+        raise ValueError("the limit experiment integrates over the Bolza octagon; "
+                         "rep must be over holonomy.bolza_presentation()")
+
+
 def _coboundary_rep(rep, size: float, word_length: int):
     """The pure-gauge control's representation: the coboundary of a base point
     along COBOUNDARY_DIRECTION, scaled so that the largest entry of its orbit
@@ -840,13 +847,12 @@ def _coboundary_rep(rep, size: float, word_length: int):
 
 
 def _limit_reps(rep, lambdas) -> list:
-    """The zero cocycle, then ``rep`` scaled by lambda**-2 for each lambda."""
+    """The zero cocycle bolza_rep(), then ``rep`` scaled by lambda**-2 for each lambda."""
+    _require_bolza(rep)
     if not all(lam > 0 for lam in lambdas):
         raise ValueError("lambda values must be positive")
-    zero = holonomy.HolonomyRep(
-        rep.presentation, tuple(np.zeros(3) for _ in range(rep.presentation.n_generators))
-    )
-    return [zero] + [holonomy.scale_structure(rep, float(lam) ** -2) for lam in lambdas]
+    return [holonomy.bolza_rep()] + [holonomy.scale_structure(rep, float(lam) ** -2)
+                                     for lam in lambdas]
 
 
 def _limit_rows(lambdas, results):
@@ -856,8 +862,7 @@ def _limit_rows(lambdas, results):
             for lam, result in zip(lambdas, results[1:])], base_volume
 
 
-def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: float,
-                  chord: ChordLU | None):
+def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: float):
     """_relax_and_integrate of each representation's orbit envelope, in order.
 
     The one pipeline of limit_experiment and limit_experiment_with_control.
@@ -871,15 +876,13 @@ def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: 
     _envelope_sum only, numpy alone, in one copy of the caller's context (so
     a caller's np.errstate holds there); a tracer that wraps this module's
     functions sees every call on this thread.  Each envelope is the array a
-    sequential orbit_envelope_field gives.  All relaxations share ``chord``
-    (a new ChordLU when none is given), so each starts from the LU the one
-    before it left.  An error, in a relaxation or in the worker, cancels the
-    envelopes the worker has not started; the executor's exit joins the
-    worker before the exception leaves, and a worker's error is raised again
-    here when its envelope is asked for.
+    sequential orbit_envelope_field gives.  All relaxations share one ChordLU,
+    each starting from the LU the one before it left.  An error, in a
+    relaxation or in the worker, cancels the envelopes the worker has not
+    started; the executor's exit joins the worker before the exception leaves,
+    and a worker's error is raised again here when its envelope is asked for.
     """
-    if chord is None:
-        chord = ChordLU()
+    chord = ChordLU()
     translations = [_envelope_translations(r, word_length) for r in reps]
     # imported here, as scipy is: no other scenario loads it
     from concurrent.futures import ThreadPoolExecutor
@@ -899,8 +902,7 @@ def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: 
 
 
 def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
-                     word_length: int = 3, relax_tol: float = 1e-8,
-                     chord: ChordLU | None = None):
+                     word_length: int = 3, relax_tol: float = 1e-8):
     """Rescaled-volume convergence experiment over a cocycle-scaling family.
 
     For each lambda the cocycle is scaled by lambda**-2, a CMC graph at
@@ -910,35 +912,33 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     through the identical pipeline, so the exact-cone case gives 1 by
     construction and quadrature bias cancels.  Returns (rows, baseline_volume)
     with one LIMIT_COLUMNS row per lambda; a row whose residual exceeds
-    relax_tol marks a relaxation failure.  All relaxations share ``chord``
-    (a new ChordLU when none is given), so each starts from the LU the one
-    before it left; on return it holds the last relaxation's LU.
+    relax_tol marks a relaxation failure.  All relaxations share one
+    ChordLU, so each starts from the LU the one before it left.  ``rep``
+    must be over the Bolza presentation, whose octagon is the domain.
 
     Every lambda is checked, and every orbit is range-checked, before
     anything is relaxed; the envelopes are built ahead of the relaxations on
-    a one-worker executor (see _relax_orbits).  With four lambdas at 321^2
-    nodes the queue holds at most four arrays of 0.8 MB, and at most five
-    when limit_experiment_with_control queues the control behind them.
+    a one-worker executor (see _relax_orbits).
     """
     lambdas = tuple(lambdas)
-    results = _relax_orbits(_limit_reps(rep, lambdas), extent, nodes, word_length, relax_tol,
-                            chord)
+    results = _relax_orbits(_limit_reps(rep, lambdas), extent, nodes, word_length, relax_tol)
     return _limit_rows(lambdas, results)
 
 
 def coboundary_control(rep, base_volume: float, size: float, extent: float, nodes: int,
-                       word_length: int, relax_tol: float, chord: ChordLU | None = None):
+                       word_length: int, relax_tol: float):
     """The lambda = 1 LIMIT_COLUMNS row of the limit experiment's pure-gauge control.
 
     The coboundary of a base point along COBOUNDARY_DIRECTION, scaled to a
     largest orbit translation of ``size``, is relaxed from its orbit envelope
-    (with ``chord``) and integrated as in limit_experiment.  It only moves the
-    base point, so its ham_ratio to ``base_volume`` differs from 1 by
+    on a fresh ChordLU and integrated as in limit_experiment.  It only moves
+    the base point, so its ham_ratio to ``base_volume`` differs from 1 by
     quadrature noise alone.
     """
+    _require_bolza(rep)
     start = orbit_envelope_field(_coboundary_rep(rep, size, word_length), extent, nodes,
                                  word_length)
-    return limit_row(1.0, base_volume, *_relax_and_integrate(start, relax_tol, chord))
+    return limit_row(1.0, base_volume, *_relax_and_integrate(start, relax_tol, ChordLU()))
 
 
 def limit_experiment_with_control(rep, lambdas, control_size: float, extent: float = 6.4,
@@ -947,13 +947,12 @@ def limit_experiment_with_control(rep, lambdas, control_size: float, extent: flo
     """(rows, baseline_volume, control_row): limit_experiment, then
     coboundary_control of size ``control_size``, through one envelope queue.
 
-    The values are those of limit_experiment followed by coboundary_control
-    on one ChordLU: the control's orbit is built and range-checked with the
-    others, before the first relaxation, its envelope is the last in the
-    queue, and it is relaxed last, from the LU the last lambda left.
+    The rows and baseline are limit_experiment's.  The control's orbit is
+    range-checked with the others, before the first relaxation, and its
+    envelope is queued and relaxed last, from the LU the last lambda left.
     """
     lambdas = tuple(lambdas)
     reps = _limit_reps(rep, lambdas) + [_coboundary_rep(rep, control_size, word_length)]
-    *results, control = _relax_orbits(reps, extent, nodes, word_length, relax_tol, None)
+    *results, control = _relax_orbits(reps, extent, nodes, word_length, relax_tol)
     rows, base_volume = _limit_rows(lambdas, results)
     return rows, base_volume, limit_row(1.0, base_volume, *control)

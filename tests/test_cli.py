@@ -377,6 +377,20 @@ def test_limit_experiment_relaxation_error_is_a_numerical_failure(tmp_path, monk
     assert threading.active_count() == before
 
 
+def test_a_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError subclasses ValueError, so the numerical-failure
+    # exit catches it without naming it
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("planted singular matrix")
+
+    monkeypatch.setattr(graphs, "limit_experiment_with_control", singular)
+    code, out = _run_config(tmp_path, "scenario = limit-experiment\nnodes = 41\n")
+    assert code == 3
+    assert ("numerical failure in limit-experiment: planted singular matrix"
+            in capsys.readouterr().err)
+    assert not (out / "summary.csv").exists()
+
+
 def test_limit_experiment_carries_the_lu_to_the_coboundary(tmp_path, capsys):
     # one sparse LU runs through the whole scenario: the coboundary control
     # starts from the LU the last lambda left and needs no factorization

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from cmcflat import graphs, holonomy
+from cmcflat import graphs, holonomy, minkowski
 from cmcflat.graphs import HeightField
 
 
@@ -333,7 +333,6 @@ def _bumped(x, y):
 def test_cmc_relax_pullback():
     start = graphs.sample_height_field(_bumped, 1.5, 81)
     result = graphs.cmc_relax(start, -2.0, tol=1e-8)
-    assert result.converged
     assert result.residual <= 1e-8
     assert result.iterations <= 10
     geom = graphs.graph_geometry(result.field)
@@ -355,19 +354,21 @@ def test_cmc_relax_validation():
 
 
 def test_cmc_relax_stopping_rules(monkeypatch):
-    # (iterations, converged, factorizations, field is start) at each of the
-    # three exits: the tolerance met, a line search run out, the step limit
+    # (iterations, residual <= tol, factorizations, field is start) at each of
+    # the three exits: the tolerance met, a line search run out, the step limit
     start = graphs.sample_height_field(_bumped, 1.5, 33)
 
-    def outcome(result):
-        return result.iterations, result.converged, result.factorizations, result.field is start
+    def outcome(tol):
+        result = graphs.cmc_relax(start, -2.0, tol=tol)
+        return (result.iterations, result.residual <= tol, result.factorizations,
+                result.field is start)
 
-    assert outcome(graphs.cmc_relax(start, -2.0, tol=1e3)) == (0, True, 0, True)
+    assert outcome(1e3) == (0, True, 0, True)
     with monkeypatch.context() as patch:
         patch.setattr(graphs, "_trial_step", lambda *args: None)
-        assert outcome(graphs.cmc_relax(start, -2.0)) == (1, False, 1, True)
+        assert outcome(1e-6) == (1, False, 1, True)
     monkeypatch.setattr(graphs, "LIMIT_MAX_ITERS", 2)
-    assert outcome(graphs.cmc_relax(start, -2.0, tol=0.0))[:3] == (2, False, 1)
+    assert outcome(0.0)[:3] == (2, False, 1)
 
 
 def test_newton_step_matches_spsolve():
@@ -397,7 +398,7 @@ def test_cmc_relax_chord_steps_match_full_newton():
     # field that plain full-step Newton reaches
     start = _limit_start(81)
     result = graphs.cmc_relax(start, -2.0, tol=1e-8)
-    assert result.converged and result.residual <= 1e-8
+    assert result.residual <= 1e-8
     assert result.factorizations < result.iterations
     reference = start
     for _ in range(8):
@@ -431,7 +432,7 @@ def test_cmc_relax_takes_only_contracting_chord_steps(monkeypatch):
     monkeypatch.setattr(graphs, "_trial_step", record_trial)
     start = _limit_start(81)
     result = graphs.cmc_relax(start, -2.0, tol=1e-8)
-    assert result.converged
+    assert result.residual <= 1e-8
     # replay: after a factorization the trials are the Newton line search
     # until one lowers the residual; any later trial is a chord trial, and it
     # was refused exactly when a factorization follows it
@@ -477,7 +478,7 @@ def test_every_superlu_call_follows_a_heap_release(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", record_splu)
     chord = graphs.ChordLU()
     result = _relax(_limit_start(81), chord)
-    assert result.converged
+    assert result.residual <= 1e-8
     assert events.count("factor") == result.factorizations
     assert events.count("solve") > result.factorizations
     assert all(events[k - 1] == "release" for k, event in enumerate(events)
@@ -486,7 +487,7 @@ def test_every_superlu_call_follows_a_heap_release(monkeypatch):
     # must follow a release as well
     events.clear()
     carried = _relax(_limit_start(81, 2.0), chord)
-    assert carried.converged
+    assert carried.residual <= 1e-8
     assert events[:2] == ["release", "solve"]
     assert events.count("factor") == carried.factorizations
     assert all(events[k - 1] == "release" for k, event in enumerate(events)
@@ -498,12 +499,12 @@ def test_cmc_relax_carries_the_lu_across_relaxations():
     # relaxation as chord steps: no factorization, and the field of a cold start
     chord = graphs.ChordLU()
     first = _relax(_limit_start(81, 2.0), chord)
-    assert first.converged and first.factorizations == 1
+    assert first.residual <= 1e-8 and first.factorizations == 1
     kept = chord.lu
     start = _limit_start(81, 4.0)
     carried = _relax(start, chord)
     cold = _relax(start)
-    assert carried.converged and carried.residual <= 1e-8
+    assert carried.residual <= 1e-8
     assert carried.factorizations == 0 and chord.lu is kept
     assert cold.factorizations == 1
     diff = np.max(np.abs(carried.field.values - cold.field.values))
@@ -648,26 +649,30 @@ def test_limit_experiment_small_grid():
 
 
 def test_limit_experiment_equals_the_sequential_pipeline():
-    # the envelopes built one ahead on a worker thread must leave every row
-    # bit for bit as a sequential loop gives it: envelope, relaxation with one
-    # shared LU, quotient energy, in the order baseline, lambda = 1, 2
+    # the envelopes built ahead on a worker thread must leave every row, the
+    # control's too, bit for bit as a sequential loop gives it: envelope,
+    # relaxation on one shared ChordLU, quotient energy, in the order
+    # baseline, each lambda, then the coboundary control
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
-    lambdas = (1.0, 2.0)
-    rows, base = graphs.limit_experiment(rep, lambdas, extent=6.4, nodes=161)
-    zero = holonomy.HolonomyRep(
-        rep.presentation, tuple(np.zeros(3) for _ in range(rep.presentation.n_generators)))
+    lambdas = (1.0, 2.0, 4.0, 8.0)
+    rows, base, control = graphs.limit_experiment_with_control(rep, lambdas, 0.15, nodes=81)
+    reps = ([holonomy.bolza_rep()] + [holonomy.scale_structure(rep, lam ** -2) for lam in lambdas]
+            + [graphs._coboundary_rep(rep, 0.15, 3)])
     chord = graphs.ChordLU()
     sequential = []
-    for r in [zero] + [holonomy.scale_structure(rep, lam ** -2) for lam in lambdas]:
-        relaxed = graphs.cmc_relax(graphs.orbit_envelope_field(r, 6.4, 161), -2.0, tol=1e-8,
+    for r in reps:
+        relaxed = graphs.cmc_relax(graphs.orbit_envelope_field(r, 6.4, 81), -2.0, tol=1e-8,
                                    chord=chord)
         sequential.append((graphs.quotient_energy(relaxed.field, graphs.bolza_domain_level),
                            relaxed))
     assert base == sequential[0][0].volume
     expected = [(lam, report.tau_mean, report.volume, report.volume / base, relaxed.residual,
                  relaxed.iterations, relaxed.factorizations)
-                for lam, (report, relaxed) in zip(lambdas, sequential[1:])]
-    assert rows == expected
+                for lam, (report, relaxed) in zip(lambdas + (1.0,), sequential[1:])]
+    assert rows + [control] == expected
+    assert control[-1] == 0  # the carried LU took the control, unfactored
+    # the same pipeline without the control gives the same rows
+    assert graphs.limit_experiment(rep, lambdas, nodes=81) == (rows, base)
 
 
 def test_limit_experiment_factors_once(monkeypatch):
@@ -688,12 +693,10 @@ def test_limit_experiment_factors_once(monkeypatch):
     monkeypatch.setattr(graphs, "_factorize", counted_factorize)
     monkeypatch.setattr(graphs, "cmc_relax", recorded_relax)
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
-    chord = graphs.ChordLU()
-    _, base = graphs.limit_experiment(rep, (1.0, 2.0, 4.0, 8.0), nodes=81, chord=chord)
-    graphs.coboundary_control(rep, base, 0.15, 6.4, 81, 3, 1e-8, chord)
+    graphs.limit_experiment_with_control(rep, (1.0, 2.0, 4.0, 8.0), 0.15, nodes=81)
     assert len(relaxed) == 6
     assert len(factors) == 1 and relaxed[0].factorizations == 1
-    assert all(r.converged and r.residual <= 1e-8 for r in relaxed)
+    assert all(r.residual <= 1e-8 for r in relaxed)
     assert max(r.iterations for r in relaxed) <= graphs.LIMIT_MAX_ITERS - 5
 
 
@@ -761,18 +764,26 @@ def test_limit_experiment_keeps_traced_calls_on_the_calling_thread(monkeypatch):
     assert "orbit_envelope_field" not in threads
 
 
-def test_limit_experiment_with_control_equals_the_split_run():
-    # the control relaxed last from the shared queue must give, bit for bit,
-    # the row of coboundary_control run after limit_experiment on one ChordLU
-    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
-    lambdas = (1.0, 2.0, 4.0, 8.0)
-    rows, base, control = graphs.limit_experiment_with_control(rep, lambdas, 0.15, nodes=81)
-    split_chord = graphs.ChordLU()
-    split_rows, split_base = graphs.limit_experiment(rep, lambdas, nodes=81, chord=split_chord)
-    split_control = graphs.coboundary_control(rep, split_base, 0.15, 6.4, 81, 3, 1e-8,
-                                              split_chord)
-    assert (rows, base, control) == (split_rows, split_base, split_control)
-    assert control[-1] == 0  # the carried LU took the control, unfactored
+def test_limit_experiment_refuses_a_presentation_other_than_bolza(monkeypatch):
+    # the quadrature domain is the Bolza octagon; the Bolza group conjugated
+    # by a rotation through pi/8 has another fundamental octagon, so all three
+    # entries refuse it before any orbit is built or any relaxation runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("called before the presentation was checked")
+
+    monkeypatch.setattr(holonomy, "orbit_isometries", refuse)
+    monkeypatch.setattr(graphs, "cmc_relax", refuse)
+    bolza = holonomy.bolza_presentation()
+    rot = minkowski.make_rotation(2, 0, 1, np.pi / 8)
+    rotated = holonomy.GroupPresentation(2, tuple(rot @ g @ rot.T for g in bolza.generators),
+                                         bolza.relators)
+    rep = holonomy.HolonomyRep(rotated, tuple(rot @ t for t in
+                                              holonomy.bolza_nontrivial_cocycle(0.002)))
+    for run in (lambda: graphs.limit_experiment(rep, (1.0, 2.0), nodes=41),
+                lambda: graphs.limit_experiment_with_control(rep, (1.0, 2.0), 0.15, nodes=41),
+                lambda: graphs.coboundary_control(rep, 4.0 * np.pi, 0.15, 6.4, 41, 3, 1e-8)):
+        with pytest.raises(ValueError, match="integrates over the Bolza octagon"):
+            run()
 
 
 def test_limit_experiment_raises_a_relaxation_error_unchanged(monkeypatch):
