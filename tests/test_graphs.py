@@ -671,8 +671,22 @@ def test_limit_experiment_equals_the_sequential_pipeline():
                 for lam, (report, relaxed) in zip(lambdas + (1.0,), sequential[1:])]
     assert rows + [control] == expected
     assert control[-1] == 0  # the carried LU took the control, unfactored
-    # the same pipeline without the control gives the same rows
-    assert graphs.limit_experiment(rep, lambdas, nodes=81) == (rows, base)
+
+
+def test_limit_experiment_with_control_equals_the_split_run():
+    # limit_experiment then coboundary_control gives the rows and baseline
+    # bit for bit; the split control relaxes on a fresh ChordLU, so it factors
+    # once and reaches the shared queue's control row within the tolerance
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
+    lambdas = (1.0, 2.0, 4.0, 8.0)
+    rows, base, control = graphs.limit_experiment_with_control(rep, lambdas, 0.15, nodes=81)
+    split_rows, split_base = graphs.limit_experiment(rep, lambdas, nodes=81)
+    split_control = graphs.coboundary_control(rep, split_base, 0.15, 6.4, 81, 3, 1e-8)
+    assert (rows, base) == (split_rows, split_base)
+    assert (control[0], control[-1], split_control[-1]) == (1.0, 0, 1)
+    assert control[4] <= 1e-8 and split_control[4] <= 1e-8
+    assert abs(control[1] - split_control[1]) < 1e-7
+    assert control[2:4] == pytest.approx(split_control[2:4], rel=1e-7, abs=0.0)
 
 
 def test_limit_experiment_factors_once(monkeypatch):
