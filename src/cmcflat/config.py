@@ -2,7 +2,8 @@
 
 The format is a small subset of INI: blank lines and `#` comments are
 ignored, `[section]` headers open a scenario-specific block, and everything
-before the first header is global.  Values keep their string form here;
+before the first header is global.  A key given twice in one block is an
+error that names both lines.  Values keep their string form here;
 consumers coerce them with the typed getters, which reject NaN and ±inf.
 """
 from __future__ import annotations
@@ -31,7 +32,8 @@ class RunConfig:
 
 def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
-    current = cfg.options
+    current, section = cfg.options, None
+    first_line = {}  # (section, or None for the globals, key) -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -40,7 +42,7 @@ def parse_config(text: str) -> RunConfig:
             name = line[1:-1].strip()
             if not name:
                 raise ConfigError(f"line {lineno}: empty section name")
-            current = cfg.sections.setdefault(name, {})
+            current, section = cfg.sections.setdefault(name, {}), name
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
@@ -48,6 +50,9 @@ def parse_config(text: str) -> RunConfig:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        first = first_line.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {first}")
         current[key] = value.strip()
     return cfg
 

@@ -54,7 +54,6 @@ TRACE_COLUMNS = (
     "ham",
     "n_khat2_integral",
     "gauss_residual",
-    "codazzi_residual",
     "lapse_min",
     "lapse_max",
 )
@@ -268,22 +267,22 @@ def lapse_residual(state: FlowState | GridLapseProblem, lapse) -> float:
 # ---------------------------------------------------------------------------
 
 
-def flat_constraint_residual(state: FlowState):
-    """(max Gauss residual, Codazzi residual) for flat vacuum data.
+def flat_constraint_residual(state: FlowState) -> float:
+    """Max Gauss residual of flat vacuum data over the blocks.
 
     Per block the mixed Gauss equation reads R - K² + (tr K) K = 0, with Ricci
     eigenvalue -(d-1)/A on hyperbolic blocks and zero on flat ones.  Codazzi
-    holds identically on homogeneous data.  A NaN scale or K value makes tr K
-    NaN and so every block's residual, the first included; the built-in max
-    keeps a NaN first entry, so the Gauss residual is then NaN.
+    holds identically on homogeneous data, so it has no residual.  A NaN
+    scale or K value makes tr K NaN and so every block's residual, the first
+    included; the built-in max keeps a NaN first entry, so the residual is
+    then NaN.
     """
     geom = state.geometry
     trk = state.trace_k
-    gauss = max(
+    return max(
         abs((-(d - 1.0) / a if curv == "hyperbolic" else 0.0) - p * p + trk * p)
         for d, curv, a, p in zip(geom.dims, geom.curvatures, state.scales, state.mixed_k)
     )
-    return gauss, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +396,7 @@ def _record(state: FlowState) -> tuple:
     vol = geom.volume_factor * density
     ham = abs(state.tau) ** geom.dim * vol
     nk2 = geom.volume_factor * (density * (lapse * state.khat_norm2()))
-    gauss, codazzi = flat_constraint_residual(state)
-    return (state.tau, vol, ham, nk2, gauss, codazzi, lapse, lapse)
+    return (state.tau, vol, ham, nk2, flat_constraint_residual(state), lapse, lapse)
 
 
 def tau_grid(tau_start: float, tau_end: float, steps: int) -> np.ndarray:

@@ -12,13 +12,14 @@ that constant is a lower barrier for every other solution, which is what
 drives the rescaled-volume bound Ham ≥ nⁿ Vol(M,h).
 
 The solver takes homogeneous data only: |σ|² is a constant, so Δu drops out
-and the equation is algebraic in the constant u, solved by damped Newton on
+and the equation is algebraic in the constant u, solved by plain Newton on
 Python floats.  Integrals are Vol(M,h) times the constant integrand.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ import numpy as np
 #: Newton tolerance (absolute residual)
 TOL_HOMOGENEOUS = 1e-12
 MAX_NEWTON_ITERATIONS = 100
-MAX_LINE_SEARCH_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -93,44 +93,41 @@ def lichnerowicz_residual(u: float, bg: ConformalBackground, tt: TTData, tau: fl
     return bg.scalar_curvature * u + b * tau * tau * u**p - tt.sigma_sq * u ** (-m)
 
 
-def _newton_direction(u, residual, bg, tt, tau):
-    """Solve F'(u) d = -residual for the Newton update d."""
-    b, p, m = _exponents(bg.dim)
-    diag = bg.scalar_curvature + b * tau * tau * p * u ** (p - 1) + m * tt.sigma_sq * u ** (-m - 1)
-    return -residual / diag
-
-
 def solve_lichnerowicz(bg: ConformalBackground, tt: TTData, tau: float) -> LichSolution:
-    """Damped Newton iteration from the σ = 0 seed.
+    """Plain Newton iteration from the σ = 0 seed u₀ = ``reference_factor``.
 
-    Backtracking halves the step (up to 30 times) until the absolute residual
-    decreases and u stays positive; convergence is a residual at or below
-    TOL_HOMOGENEOUS.  Non-convergence raises with the final residual attached.
+    It stops when the absolute residual is at or below TOL_HOMOGENEOUS, or
+    when the Newton step is at most 4·eps·u, so that u is the root to
+    rounding; the returned u is then the iterate before that step.  More
+    than MAX_NEWTON_ITERATIONS steps raise with the final residual attached.
+
+    No damping is needed.  Write F(u) = G(u) - |σ|² u^(-m) with
+    G(u) = R u + ((n-1)/n) τ² u^p, R = -n(n-1), so that G(u₀) = 0 and G is
+    convex.  Then F'(u) ≥ -R(p-1) > 0 on [u₀, ∞), and the tangent of F at
+    any u ≥ u₀ is at most 0 at u₀ (G lies above its tangents; the σ term is
+    negative and increasing), so every Newton point stays in [u₀, ∞).  F''
+    changes sign at most once, from negative to positive, and F(u₀) ≤ 0: the
+    iterates rise toward the root, overshoot it at most once, and converge.
     """
+    b, p, m = _exponents(bg.dim)
     u = reference_factor(bg.dim, tau)
     res = lichnerowicz_residual(u, bg, tt, tau)
     norm = abs(res)
     history = [norm]
     for _ in range(MAX_NEWTON_ITERATIONS):
         if norm <= TOL_HOMOGENEOUS:
-            return LichSolution(u, tau, norm, tuple(history))
-        step = _newton_direction(u, res, bg, tt, tau)
-        alpha = 1.0
-        for _ in range(MAX_LINE_SEARCH_HALVINGS):
-            trial = u + alpha * step
-            if trial > 0:
-                trial_res = lichnerowicz_residual(trial, bg, tt, tau)
-                trial_norm = abs(trial_res)
-                if trial_norm < norm:
-                    break
-            alpha *= 0.5
-        else:
-            raise RuntimeError(
-                f"line search failed to keep u positive and decreasing (residual {norm:.3e})"
-            )
-        u, res, norm = trial, trial_res, trial_norm
+            break
+        step = -res / (bg.scalar_curvature + b * tau * tau * p * u ** (p - 1)
+                       + m * tt.sigma_sq * u ** (-m - 1))
+        if abs(step) <= 4.0 * sys.float_info.epsilon * u:
+            break
+        u = u + step
+        res = lichnerowicz_residual(u, bg, tt, tau)
+        norm = abs(res)
         history.append(norm)
-    raise RuntimeError(f"Newton did not converge in {MAX_NEWTON_ITERATIONS} iterations (residual {norm:.3e})")
+    else:
+        raise RuntimeError(f"Newton did not converge in {MAX_NEWTON_ITERATIONS} iterations (residual {norm:.3e})")
+    return LichSolution(u, tau, norm, tuple(history))
 
 
 def integrate(bg: ConformalBackground, value: float) -> float:

@@ -119,10 +119,10 @@ def ham_closed_form(model, tau: float) -> float:
     """
     if not tau < 0:
         raise ValueError("CMC time must be negative")
-    n = model.dim
     if isinstance(model, ConeModel):
-        return float(n**n) * model.base_volume
+        return float(model.dim**model.dim) * model.base_volume
     if isinstance(model, KasnerModel):
+        n = model.dim
         return float((n - 1) ** (n - 1)) * abs(tau) * model.sigma_volume * model.circle_length
     raise TypeError(f"unsupported model {type(model).__name__}")
 

@@ -49,6 +49,11 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config("= 3\n")
     with pytest.raises(ConfigError, match="empty section"):
         parse_config("[ ]\n")
+    # a key given twice in one section names both lines, also across two
+    # headers of that section; the same key in two blocks is no repeat
+    with pytest.raises(ConfigError, match="line 5: key 'dim' repeats line 2"):
+        parse_config("[cone-flow]\ndim = 3\n[riccati]\n[cone-flow]\ndim = 4\n")
+    assert parse_config("dim = 3\n[cone-flow]\ndim = 4\n").scoped("cone-flow") == {"dim": "4"}
 
 
 def test_typed_getters():
@@ -321,6 +326,19 @@ def test_bitwise_determinism_and_golden_check(tmp_path, capsys):
     assert code == 4
     assert "golden mismatch" in capsys.readouterr().err
 
+    # a golden file the run did not write -> exit 4
+    extra = tmp_path / "extra"
+    extra.mkdir()
+    for name in ("riccati_checks.csv", "summary.csv"):
+        (extra / name).write_bytes((out_b / name).read_bytes())
+    (extra / "extra_artifact.csv").write_text("x\n1.0\n")
+    code = cli.main(["--scenario", "riccati", "--out", str(tmp_path / "f"),
+                     "--check-golden", str(extra)])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == "golden mismatch: extra_artifact.csv: not written by this run\n"
+    assert "golden check" not in captured.out
+
     # empty golden directory -> missing counterparts -> exit 4
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -486,7 +504,7 @@ def test_nan_lapse_and_barrier_fail_the_clipped_checks(tmp_path, monkeypatch, ca
     tau = np.array([-10.0, -5.0, -1.0])
     lapse = 2.0 / tau**2
     data = np.column_stack([tau, np.ones(3), np.full(3, 27.0), np.zeros(3), np.zeros(3),
-                            np.zeros(3), lapse, lapse])
+                            lapse, lapse])
     data[1, flow.TRACE_COLUMNS.index("lapse_min")] = np.nan
     monkeypatch.setattr(flow, "run_flow", lambda *a, **k: flow.HamTrace(3, data))
     code, _ = _run_config(tmp_path, "scenario = cone-flow\nsteps = 2\n")
@@ -539,11 +557,115 @@ def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
                                       # np.random.default_rng takes no negative seed
                                       ("riccati", "seed = -1", "seed"),
                                       ("bolza-check", "seed = -1", "seed"),
-                                      ("riccati", "golden_rel_tol = -1", "golden_rel_tol")):
+                                      ("riccati", "golden_rel_tol = -1", "golden_rel_tol"),
+                                      # each scenario's own range checks
+                                      ("cone-flow", "steps = 1", "steps"),
+                                      ("lichnerowicz-sweep", "tau_values = -1, 0",
+                                       "tau_values"),
+                                      ("lichnerowicz-sweep", "sigma_sq_values = 0, -1",
+                                       "non-negative"),
+                                      ("lichnerowicz-sweep", "sigma_sq_values = 1, 2",
+                                       "include 0"),
+                                      ("riccati", "trials = 0", "trials"),
+                                      ("riccati", "t_values = 0.3, 0", "t_values"),
+                                      ("bolza-check", "words = 0", "words"),
+                                      ("bolza-check", "word_length = 1", "word_length"),
+                                      ("limit-experiment", "cocycle_scale = 0", "cocycle_scale"),
+                                      ("limit-experiment", "coboundary_size = -1",
+                                       "coboundary_size"),
+                                      ("limit-experiment", "lambdas = 1", "lambdas"),
+                                      ("limit-experiment", "lambdas = 1, -2", "lambdas"),
+                                      ("limit-experiment", "relax_tol = 0", "relax_tol"),
+                                      ("graph-check", "dim = 5", "dim"),
+                                      ("graph-check", "hyperboloid_s = 0", "hyperboloid_s"),
+                                      ("graph-check", "refinement_nodes = 21, 41",
+                                       "three sizes"),
+                                      ("graph-check", "refinement_nodes = 5, 21, 41",
+                                       "three sizes")):
         code, out = _run_config(tmp_path, f"scenario = {scenario}\n{option}\n")
         assert code == 2, option
         assert message in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("scenario = riccati\ntrails = 1\n", "no scenario reads the global option 'trails'"),
+    ("scenario = riccati\n[riccatti]\ntrials = 1\n",
+     "section [riccatti] names no scenario"),
+    ("scenario = riccati\ntrials = 1\ntrials = 3\n", "line 3: key 'trials' repeats line 2"),
+    ("scenario = riccati\n[riccati]\ndim = 3\n", "section [riccati]: riccati reads no option 'dim'"),
+    ("scenario = riccati\n[cone-flow]\nseed = 3\n",
+     "section [cone-flow]: cone-flow reads no option 'seed'"),
+    ("[riccati]\nscenario = riccati\n", "riccati reads no option 'scenario'"),
+])
+def test_unread_and_repeated_keys_are_config_errors(tmp_path, capsys, text, message):
+    # a misspelt key or section, or a repeated key, would leave a value other
+    # than the one written in force; the run stops before writing anything
+    for extra in ([], ["--scenario", "riccati"]):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "run"
+        assert cli.main(["--config", str(cfg), "--out", str(out)] + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _readme_config() -> str:
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```ini\n") + len("```ini\n")
+    return text[start:text.index("```", start)]
+
+
+def test_documented_and_benchmarked_configs_read_every_key():
+    # the README example, criterion 11's and the goldens' configs, and the
+    # options the benchmark passes (dim for the flows, seed for the random scenarios)
+    configs = [_readme_config(),
+               "scenario = cone-flow\ndim = 4\n", "scenario = kasner-flow\ndim = 4\n",
+               "scenario = riccati\nseed = 2025\n", "scenario = bolza-check\nseed = 8\n",
+               "scenario = cone-flow\nsteps = 2000\n", "scenario = kasner-flow\nsteps = 2000\n",
+               "scenario = graph-check\ngolden_rel_tol = 0\n"
+               "refinement_nodes = 41, 81, 161\nenergy_nodes = 1201\n",
+               "scenario = limit-experiment\ngolden_rel_tol = 0\nnodes = 161\nlambdas = 1, 2\n"]
+    assert "[cone-flow]" in configs[0]
+    for text in configs:
+        cli._check_option_names(parse_config(text))
+
+
+def test_scenario_options_are_the_keys_each_scenario_reads(tmp_path, monkeypatch, capsys):
+    # record every key passed to the typed getters while each scenario runs on
+    # a small config; they must be SCENARIO_OPTIONS plus main's golden_rel_tol
+    read = set()
+    for name in ("get_float", "get_int", "get_floats"):
+        def recording(opts, key, default, _getter=getattr(cli, name)):
+            read.add(key)
+            return _getter(opts, key, default)
+        monkeypatch.setattr(cli, name, recording)
+    small = {"cone-flow": "tau_start = -2\ntau_end = -1\nsteps = 20\n",
+             "kasner-flow": "tau_start = -2\ntau_end = -1\nsteps = 20\n",
+             "riccati": "trials = 1\nsteps = 20\n",
+             "bolza-check": "words = 1\n",
+             # the envelope range check ends the run after every option is read
+             "limit-experiment": "cocycle_scale = 1\nnodes = 21\n",
+             "graph-check": "refinement_nodes = 21, 41, 81\nenergy_nodes = 101\n"}
+    assert set(cli.SCENARIO_OPTIONS) == set(cli.SCENARIOS)
+    for scenario in cli.SCENARIOS:
+        read.clear()
+        _run_config(tmp_path, f"scenario = {scenario}\n" + small.get(scenario, ""))
+        assert read == set(cli.SCENARIO_OPTIONS[scenario]) | {"golden_rel_tol"}, scenario
+        assert len(cli.SCENARIO_OPTIONS[scenario]) == len(read) - 1
+    capsys.readouterr()
+
+
+def test_a_large_sigma_sweep_passes(tmp_path, capsys):
+    # at |sigma|^2 = 1e6, tau = -4 the residual near the root rounds above the
+    # absolute tolerance; the solve ends on its step rule and the sweep passes
+    code, out = _run_config(tmp_path, "scenario = lichnerowicz-sweep\n"
+                                      "sigma_sq_values = 0, 1000000\n")
+    assert code == 0
+    assert "FAIL" not in capsys.readouterr().out
+    _, rows = csvio.read_csv(out / "lichnerowicz_sweep.csv")
+    assert len(rows) == 10
 
 
 def test_summary_check_names_are_pinned(tmp_path, capsys):
@@ -555,12 +677,10 @@ def test_summary_check_names_are_pinned(tmp_path, capsys):
         "lichnerowicz-sweep": ["lich_zero_sigma_exact_err", "lich_barrier_violation",
                                "lich_ham_bound_violation", "lich_sigma_report"],
         "cone-flow": ["cone_ham_rel_drift", "cone_lapse_lower_bound_violation",
-                      "cone_lapse_upper_bound_violation", "cone_max_gauss_residual",
-                      "cone_max_codazzi_residual"],
+                      "cone_lapse_upper_bound_violation", "cone_max_gauss_residual"],
         "kasner-flow": ["kasner_closed_form_rel_err", "kasner_ham_increases",
                         "kasner_monotonicity_identity", "kasner_lapse_lower_bound_violation",
-                        "kasner_lapse_upper_bound_violation", "kasner_max_gauss_residual",
-                        "kasner_max_codazzi_residual"],
+                        "kasner_lapse_upper_bound_violation", "kasner_max_gauss_residual"],
     }
     # the flows run a short range, as in the import-budget script below
     short = "tau_start = -2\ntau_end = -1\nsteps = 200\n"

@@ -92,9 +92,7 @@ def test_lapse_identity_on_model_slices():
 
 def test_constraints_vanish_on_model_slices():
     for st in (cone_state(2), cone_state(3), cone_state(4), kasner_state()):
-        gauss, codazzi = flow.flat_constraint_residual(st)
-        assert gauss < 1e-13
-        assert codazzi < 1e-13
+        assert flow.flat_constraint_residual(st) < 1e-13
 
 
 def test_tau_grid_modes():
@@ -107,6 +105,8 @@ def test_tau_grid_modes():
     assert np.max(np.abs(ratios - ratios[0])) < 1e-12
     with pytest.raises(ValueError):
         flow.tau_grid(-1.0, 1.0, 10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        flow.tau_grid(-1.0, -0.5, -1)
 
 
 def test_flow_step_keeps_mean_curvature_pinned():
@@ -208,10 +208,9 @@ def test_run_flow_rows_match_rows_rebuilt_from_each_state(model):
         geom, scales = st.geometry, st.scales
         lapse = flow.solve_lapse(st)
         vol = flow.volume_of(geom, scales)
-        gauss, codazzi = flow.flat_constraint_residual(st)
         rows.append((st.tau, vol, abs(st.tau) ** geom.dim * vol,
                      flow.integrate_scalar(geom, scales, lapse * st.khat_norm2()),
-                     gauss, codazzi, lapse, lapse))
+                     flow.flat_constraint_residual(st), lapse, lapse))
     assert trace.data.tobytes() == np.array(rows).tobytes()
 
 
@@ -236,6 +235,23 @@ def test_nan_scale_fails_the_lapse_and_the_step():
         flow.flow_step(bad, 0.01)
     with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2"):
         flow.run_flow(bad, -1.0, 4)
+
+
+def test_grid_lapse_failures_raise():
+    # |K|^2 vanishing on the whole grid makes -Δ + |K|^2 singular
+    m = 8
+    still = flow.GridLapseProblem((1, 2), 0, 1.0, np.ones((2, m)), np.zeros((2, m)))
+    with pytest.raises(flow.DegenerateLapseError, match="singular"):
+        flow.solve_lapse(still)
+    # a steep ramp of the 2-D block's scale along the circle makes the
+    # first-derivative coefficient outweigh the second, so the discrete
+    # operator is no M-matrix; with |K|^2 at one node only, the lapse goes negative
+    kcov = np.zeros((2, m))
+    kcov[0, 0] = 1.0
+    scales = np.stack([np.ones(m), np.exp(np.arange(m, dtype=float))])
+    steep = flow.GridLapseProblem((1, 2), 0, 1.0, scales, kcov)
+    with pytest.raises(flow.DegenerateLapseError, match="non-positive lapse"):
+        flow.solve_lapse(steep)
 
 
 def test_step_to_a_non_positive_scale_raises():
@@ -269,7 +285,6 @@ def test_cone_flow_keeps_rescaled_volume():
     drift = np.max(np.abs(tr.column("ham") / 27.0 - 1.0))
     assert drift < 1e-11
     assert np.max(tr.column("gauss_residual")) < 1e-12
-    assert np.max(tr.column("codazzi_residual")) < 1e-12
 
 
 def test_kasner_flow_matches_closed_form():
@@ -325,8 +340,7 @@ def test_nan_scale_gives_a_nan_gauss_residual():
     assert len(st.scales) == 2
     for scales in ((st.scales[0], float("nan")), (float("nan"), st.scales[1])):
         bad = flow.FlowState(st.geometry, st.tau, scales, st.kcov)
-        gauss, _ = flow.flat_constraint_residual(bad)
-        assert np.isnan(gauss)
+        assert np.isnan(flow.flat_constraint_residual(bad))
 
 
 def test_lapse_bounds_hold_along_flow():
@@ -361,6 +375,12 @@ def test_geometry_validation():
         flow.BlockGeometry((1,), ("hyperbolic",), 1.0)  # hyperbolic factor too thin
     with pytest.raises(ValueError):
         flow.BlockGeometry((3, 2), ("hyperbolic", "hyperbolic"), 1.0)  # total dim 5
+    with pytest.raises(ValueError, match="align"):
+        flow.BlockGeometry((2, 1), ("hyperbolic",), 1.0)
+    with pytest.raises(ValueError, match="curvature type 'spherical'"):
+        flow.BlockGeometry((2,), ("spherical",), 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        flow.BlockGeometry((3, 0), ("hyperbolic", "flat"), 1.0)
     kasner = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
     with pytest.raises(ValueError, match="8 points"):
         flow.grid_state_from_slice(kasner, 4, 1.0)

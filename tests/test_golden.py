@@ -39,24 +39,24 @@ GOLDEN_CONFIGS = {
 #: (scenario, dim) at default options -> {artifact: sha256 of its bytes}
 DEFAULT_FLOW_DIGESTS = {
     ("cone-flow", 2): {
-        "cone_flow_trace.csv": "e14f6be7a46efe2ab5b984ae33b4b845e97e978695bca878fa86aafd96bd9e74",
-        "summary.csv": "1998356e9654bb242fbdb2fa08ef789d48d374cf5475349b6af41db2543b6abd",
+        "cone_flow_trace.csv": "2f341a4fafa190ed91f0c55950c2bd5aa5f1c86507c0d00e7bfa825cfe1b10e6",
+        "summary.csv": "eb011e4e15e84a3ace143a5ff95426285fbaa69b1d028b0d1bff8fc350b8ac0b",
     },
     ("cone-flow", 3): {
-        "cone_flow_trace.csv": "7d3da7a37706b06e753acad3d60096be0a74148b0edf7988c70ba05c81c16e15",
-        "summary.csv": "16c7c7bb54b2d988eefe189c909cbaf81beac98da7d1df9c487760c11eaa9da1",
+        "cone_flow_trace.csv": "99001327d0c43ef72ddf90766fd6b3628eee3b80bda7caad9f25fb65a604bbe2",
+        "summary.csv": "b98e5ba3173f9ab4713be60078edbb50fc96e4d4a3c8396119f4add7a8efb84e",
     },
     ("cone-flow", 4): {
-        "cone_flow_trace.csv": "045c1c43c4e1462119e0a077fd03174cf0af8752dccb2b03189465c7d7c8440c",
-        "summary.csv": "0502680c10d0c241d8a54193d07df85610d7f36229c1a4d86711fa58a55ede06",
+        "cone_flow_trace.csv": "14615910e4cdbd20bdd273afc074156dea358cd8d593d0e5dd274617525bd17f",
+        "summary.csv": "5cf4fe0eccbba714939ae7f62327b1f6d3db39f3640ca531313dcf9972c75758",
     },
     ("kasner-flow", 3): {
-        "kasner_flow_trace.csv": "8120acedd853995f32c2b6cd6fd8c9ea5ecde18fe34847b8520495b0299fd004",
-        "summary.csv": "69bbf70c314a5ee50b2d60a19b2dad700bf1bdee51449ce74bf680fbbc7cb83b",
+        "kasner_flow_trace.csv": "373464024e085edc127ca9f13dabc3f0891482c73788b6ccafbf8f1c4152b0d2",
+        "summary.csv": "ae3a62aa7d59e6a5bfc4d25a47b248a413b17c825d1d86c3b54acef3826993ea",
     },
     ("kasner-flow", 4): {
-        "kasner_flow_trace.csv": "0455dfa6429b28a05f45611e93f332d3597951e33c9d070892d4a24a9662ac2a",
-        "summary.csv": "8a716cb1efd02283372e232fbac61677626e309e7f7f0660ab385f3b348efb27",
+        "kasner_flow_trace.csv": "d47716a4bb2f12bebccbd7595de7e0e37933fdf64c5914258a6b8a034daa13b7",
+        "summary.csv": "e80248b1dbae1fcac7819282aa9512062c732492b4ea919e10fa03d5b48e1c22",
     },
 }
 

@@ -618,6 +618,16 @@ def test_envelope_refuses_sheets_beyond_the_exponent_bound():
         graphs.orbit_envelope_field(rep, 3.0, 9)
 
 
+def test_quadrature_and_envelopes_refuse_other_dimensions():
+    # the octagon filter and the orbit envelopes are 2-D constructions
+    with pytest.raises(ValueError, match="n = 2 patches"):
+        graphs.quotient_energy(graphs.hyperboloid_field(1.0, 2.0, 9, ndim=3),
+                               graphs.bolza_domain_level)
+    pres = holonomy.GroupPresentation(3, (np.eye(4),), ())
+    with pytest.raises(ValueError, match="implemented for n = 2"):
+        graphs.orbit_envelope_field(holonomy.HolonomyRep(pres, (np.zeros(4),)), 3.0, 9)
+
+
 def test_envelope_zero_cocycle_is_shifted_hyperboloid():
     # with zero cocycle all orbit sheets coincide, so the soft minimum is the
     # hyperboloid minus smoothing*log(#sheets); 457 elements at word length 3

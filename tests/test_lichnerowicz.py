@@ -46,6 +46,52 @@ def test_newton_history_decreases():
     assert hist[-1] == sol.residual_norm
 
 
+def _newton_step(u, n, s2, tau):
+    # the Newton step of the constant-u equation, from its derivative in closed form
+    b, p, m = lich._exponents(n)
+    res = lich.lichnerowicz_residual(u, ConformalBackground(n), TTData(s2), tau)
+    return -res / (-n * (n - 1) + b * tau * tau * p * u ** (p - 1) + m * s2 * u ** (-m - 1))
+
+
+def test_plain_newton_converges_over_a_wide_grid():
+    # 2 x 46 x 31 = 2,852 cases; |sigma|^2 up to 1e12 puts the root far above
+    # the seed, where an absolute residual of 1e-12 is below rounding, so the
+    # solve ends on a step of at most 4 eps u instead
+    eps = np.finfo(float).eps
+    sigmas = [0.0] + np.geomspace(1e-10, 1e12, 45).tolist()
+    taus = (-np.geomspace(1e-3, 1e3, 31)).tolist()
+    for n in (3, 4):
+        bg = ConformalBackground(n)
+        for tau in taus:
+            ref = lich.reference_factor(n, tau)
+            for s2 in sigmas:
+                sol = lich.solve_lichnerowicz(bg, TTData(s2), tau)
+                assert sol.u >= ref, (n, tau, s2)
+                assert len(sol.residual_history) <= lich.MAX_NEWTON_ITERATIONS + 1
+                assert sol.residual_history[-1] == sol.residual_norm
+                assert (sol.residual_norm <= lich.TOL_HOMOGENEOUS
+                        or abs(_newton_step(sol.u, n, s2, tau)) <= 4.0 * eps * sol.u), (n, tau, s2)
+
+
+def test_large_sigma_ends_on_the_step_rule():
+    # at |sigma|^2 = 1e6, tau = -4 the residual near the root rounds to a few
+    # 1e-12, above the absolute tolerance; the solve stops on the step rule
+    # with u the root to rounding, where the sweep used to fail
+    sol = lich.solve_lichnerowicz(ConformalBackground(3), TTData(1e6), -4.0)
+    assert sol.residual_norm > lich.TOL_HOMOGENEOUS
+    assert abs(_newton_step(sol.u, 3, 1e6, -4.0)) <= 4.0 * np.finfo(float).eps * sol.u
+    # F changes sign within 1e-14 of u, relative
+    lo, hi = (lich.lichnerowicz_residual(sol.u * f, ConformalBackground(3), TTData(1e6), -4.0)
+              for f in (1.0 - 1e-14, 1.0 + 1e-14))
+    assert lo < 0.0 < hi
+
+
+def test_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(lich, "MAX_NEWTON_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 iterations"):
+        lich.solve_lichnerowicz(ConformalBackground(3), TTData(12.0), -3.0)
+
+
 def test_barrier_and_volume_bound():
     # the sigma=0 constant is a lower barrier, and the rescaled volume is
     # bounded below by n^n * Vol for every (tau, sigma) pair

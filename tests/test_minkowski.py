@@ -67,4 +67,6 @@ def test_degenerate_boost_direction_rejected():
         mk.make_boost(np.zeros(3), 1.0)
     with pytest.raises(ValueError):
         mk.make_rotation(2, 1, 1, 0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        mk.make_rotation(2, 0, 2, 0.5)
     assert mk.lorentz_defect(np.diag([1.0, 2.0, 1.0])) > 1e-12

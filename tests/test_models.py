@@ -64,6 +64,12 @@ def test_slice_rejects_nonnegative_tau():
         models.cone_slice(models.ConeModel(3, 1.0), -1.0)
 
 
+def test_unknown_models_are_refused():
+    for fn in (models.slice_at_tau, models.ham_closed_form):
+        with pytest.raises(TypeError, match="unsupported model object"):
+            fn(object(), -1.0)
+
+
 def test_model_dimension_bounds():
     with pytest.raises(ValueError):
         models.ConeModel(1, 1.0)
@@ -117,6 +123,8 @@ def test_riccati_focal_crossing_raises():
         models.riccati_propagate(k0, 2.0)
     with pytest.raises(ValueError):
         models.riccati_propagate(k0, 2.5)
+    with pytest.raises(ValueError, match="steps"):
+        models.riccati_integrate(k0, 1.0, steps=0)
 
 
 def test_riccati_numeric_integration_matches_closed_form():
