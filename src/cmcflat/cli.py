@@ -8,6 +8,7 @@ error (nothing written), 3 numerical failure (partial artifacts retained),
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import os
 import sys
@@ -52,17 +53,6 @@ def _flow_trace_checks(prefix: str, trace: flow.HamTrace):
     ]
 
 
-def _flow_range(opts) -> tuple:
-    tau_start = get_float(opts, "tau_start", -10.0)
-    tau_end = get_float(opts, "tau_end", -0.1)
-    steps = get_int(opts, "steps", 10000)
-    if not (tau_start < tau_end < 0.0):
-        raise ConfigError("require tau_start < tau_end < 0")
-    if steps < 2:
-        raise ConfigError("steps must be at least 2")
-    return tau_start, tau_end, steps
-
-
 def _model(cls, *args):
     """``cls(*args)``, whose constructor checks the options' ranges, with its
     ValueError raised as a ConfigError."""
@@ -72,10 +62,13 @@ def _model(cls, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _model_flow(model, prefix: str, opts, out_dir, artifacts):
-    """Run the flow of a model over the configured range and write
-    ``<prefix>_flow_trace.csv``; returns (trace, max |Ham / ham_closed_form - 1|)."""
-    tau_start, tau_end, steps = _flow_range(opts)
+def _model_flow(model, prefix: str, tau_start, tau_end, steps, out_dir, artifacts):
+    """Run the flow of a model from ``tau_start`` to ``tau_end`` in ``steps`` steps
+    and write ``<prefix>_flow_trace.csv``; returns (trace, max |Ham / ham_closed_form - 1|)."""
+    if not (tau_start < tau_end < 0.0):
+        raise ConfigError("require tau_start < tau_end < 0")
+    if steps < 2:
+        raise ConfigError("steps must be at least 2")
     state = flow.state_from_slice(models.slice_at_tau(model, tau_start))
     trace = flow.run_flow(state, tau_end, steps)
     _write_artifact(out_dir, artifacts, prefix + "_flow_trace.csv", flow.TRACE_COLUMNS,
@@ -84,18 +77,19 @@ def _model_flow(model, prefix: str, opts, out_dir, artifacts):
     return trace, float(np.max(np.abs(trace.column("ham") / closed - 1.0)))
 
 
-def scenario_cone_flow(opts, out_dir, artifacts):
-    model = _model(models.ConeModel, get_int(opts, "dim", 3), get_float(opts, "base_volume", 1.0))
-    trace, drift = _model_flow(model, "cone", opts, out_dir, artifacts)
+def scenario_cone_flow(out_dir, artifacts, *, dim=3, base_volume=1.0, tau_start=-10.0,
+                       tau_end=-0.1, steps=10000):
+    model = _model(models.ConeModel, dim, base_volume)
+    trace, drift = _model_flow(model, "cone", tau_start, tau_end, steps, out_dir, artifacts)
     checks = [_check("cone_ham_rel_drift", drift, 0.0, 1e-8)]
     checks += _flow_trace_checks("cone", trace)
     return checks
 
 
-def scenario_kasner_flow(opts, out_dir, artifacts):
-    model = _model(models.KasnerModel, get_int(opts, "dim", 3),
-                   get_float(opts, "sigma_volume", 1.0), get_float(opts, "circle_length", 1.0))
-    trace, match = _model_flow(model, "kasner", opts, out_dir, artifacts)
+def scenario_kasner_flow(out_dir, artifacts, *, dim=3, sigma_volume=1.0, circle_length=1.0,
+                         tau_start=-10.0, tau_end=-0.1, steps=10000):
+    model = _model(models.KasnerModel, dim, sigma_volume, circle_length)
+    trace, match = _model_flow(model, "kasner", tau_start, tau_end, steps, out_dir, artifacts)
     report = flow.ham_monotonicity_check(trace)
     checks = [
         _check("kasner_closed_form_rel_err", match, 0.0, 1e-6),
@@ -107,36 +101,34 @@ def scenario_kasner_flow(opts, out_dir, artifacts):
     return checks
 
 
-def scenario_lichnerowicz_sweep(opts, out_dir, artifacts):
-    bg = _model(lichnerowicz.ConformalBackground, get_int(opts, "dim", 3),
-                get_float(opts, "volume", 1.0))
-    tau_values = get_floats(opts, "tau_values", (-1.0, -2.0, -3.0, -4.0, -5.0))
-    sigma_values = get_floats(opts, "sigma_sq_values", (0.0, 4.0, 8.0, 12.0))
+def scenario_lichnerowicz_sweep(out_dir, artifacts, *, dim=3, volume=1.0,
+                                tau_values=(-1.0, -2.0, -3.0, -4.0, -5.0),
+                                sigma_sq_values=(0.0, 4.0, 8.0, 12.0)):
+    bg = _model(lichnerowicz.ConformalBackground, dim, volume)
     if any(t >= 0 for t in tau_values):
         raise ConfigError("tau_values must be negative")
-    if any(s < 0 for s in sigma_values):
+    if any(s < 0 for s in sigma_sq_values):
         raise ConfigError("sigma_sq_values must be non-negative")
-    if 0.0 not in sigma_values:
+    if 0.0 not in sigma_sq_values:
         raise ConfigError("sigma_sq_values must include 0 for the exact-root check")
 
-    rows = lichnerowicz.sweep_constant_sigma(bg, tau_values, sigma_values)
+    rows = lichnerowicz.sweep_constant_sigma(bg, tau_values, sigma_sq_values)
     _write_artifact(out_dir, artifacts, "lichnerowicz_sweep.csv",
                     lichnerowicz.SWEEP_COLUMNS, rows)
 
-    ndim = bg.dim
     data = np.asarray(rows, dtype=float)
     tau_col, sig_col = data[:, 0], data[:, 1]
     u_min, u_max = data[:, 2], data[:, 3]
     ham, bound = data[:, 4], data[:, 5]
 
-    refs = np.array([lichnerowicz.reference_factor(ndim, t) for t in tau_col])
+    refs = np.array([lichnerowicz.reference_factor(dim, t) for t in tau_col])
     zero = sig_col == 0.0
     exact_err = float(np.max(np.maximum(np.abs(u_min[zero] - refs[zero]),
                                         np.abs(u_max[zero] - refs[zero]))))
     barrier_viol = float(np.maximum(0.0, np.max((refs - u_min) / refs)))
     ham_viol = float(np.maximum(0.0, np.max((bound - ham) / bound)))
-    report = lichnerowicz.sigma_report(ham, ndim)
-    report_expected = lichnerowicz.sigma_report([ndim**ndim * bg.volume], ndim)
+    report = lichnerowicz.sigma_report(ham, dim)
+    report_expected = lichnerowicz.sigma_report([dim**dim * volume], dim)
 
     return [
         _check("lich_zero_sigma_exact_err", exact_err, 0.0, 1e-12),
@@ -146,19 +138,15 @@ def scenario_lichnerowicz_sweep(opts, out_dir, artifacts):
     ]
 
 
-def _seed(opts, default: int) -> int:
-    """The ``seed`` option; np.random.default_rng takes no negative seed."""
-    seed = get_int(opts, "seed", default)
+def _check_seed(seed: int) -> None:
+    """np.random.default_rng takes no negative seed."""
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    return seed
 
 
-def scenario_riccati(opts, out_dir, artifacts):
-    seed = _seed(opts, 2024)
-    trials = get_int(opts, "trials", 5)
-    steps = get_int(opts, "steps", 2000)
-    t_values = get_floats(opts, "t_values", (0.3, 0.9, 1.5))
+def scenario_riccati(out_dir, artifacts, *, seed=2024, trials=5, steps=2000,
+                     t_values=(0.3, 0.9, 1.5)):
+    _check_seed(seed)
     if trials < 1:
         raise ConfigError("trials must be positive")
     if steps < 1:
@@ -176,17 +164,15 @@ def scenario_riccati(opts, out_dir, artifacts):
     ]
 
 
-def scenario_bolza_check(opts, out_dir, artifacts):
-    seed = _seed(opts, 7)
-    n_words = get_int(opts, "words", 20)
-    # Boost factors amplify rounding by ~cosh(l)+sinh(l) per letter, so the
-    # random-word length and translation size are kept where the exact
-    # cocycle rule is still resolvable at the 1e-9 scale.
-    word_length = get_int(opts, "word_length", 5)
-    if n_words < 1 or word_length < 2:
+# Boost factors amplify rounding by ~cosh(l)+sinh(l) per letter, so the default
+# random-word length and translation size are kept where the exact cocycle rule
+# is still resolvable at the 1e-9 scale.
+def scenario_bolza_check(out_dir, artifacts, *, seed=7, words=20, word_length=5):
+    _check_seed(seed)
+    if words < 1 or word_length < 2:
         raise ConfigError("words must be >= 1 and word_length >= 2")
 
-    rows = holonomy.bolza_suite(seed, n_words, word_length)
+    rows = holonomy.bolza_suite(seed, words, word_length)
     _write_artifact(out_dir, artifacts, "bolza_quantities.csv", ("quantity", "value"), rows)
 
     value = dict(rows)
@@ -196,15 +182,10 @@ def scenario_bolza_check(opts, out_dir, artifacts):
     return [_check("bolza_" + name, value[name], expected, tol) for name, expected, tol in bounds]
 
 
-def scenario_limit_experiment(opts, out_dir, artifacts):
-    scale = get_float(opts, "cocycle_scale", 0.002)
-    lambdas = get_floats(opts, "lambdas", (1.0, 2.0, 4.0, 8.0))
-    extent = get_float(opts, "extent", 6.4)
-    nodes = get_int(opts, "nodes", 321)
-    word_length = get_int(opts, "word_length", 3)
-    relax_tol = get_float(opts, "relax_tol", 1e-8)
-    coboundary_size = get_float(opts, "coboundary_size", 0.15)
-    if scale <= 0 or coboundary_size <= 0:
+def scenario_limit_experiment(out_dir, artifacts, *, cocycle_scale=0.002,
+                              lambdas=(1.0, 2.0, 4.0, 8.0), extent=6.4, nodes=321,
+                              word_length=3, relax_tol=1e-8, coboundary_size=0.15):
+    if cocycle_scale <= 0 or coboundary_size <= 0:
         raise ConfigError("cocycle_scale and coboundary_size must be positive")
     if word_length < 1:
         raise ConfigError("word_length must be at least 1")
@@ -215,7 +196,7 @@ def scenario_limit_experiment(opts, out_dir, artifacts):
     if nodes < 5 or not extent > 0:
         raise ConfigError("nodes must be at least 5 and extent positive")
 
-    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(scale))
+    rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(cocycle_scale))
     # Pure-gauge control: a coboundary sized to the same orbit-translation
     # magnitude must not move the volume ratio beyond quadrature noise.  Its
     # envelope joins the lambdas' queue, and it is relaxed last, with the one
@@ -230,7 +211,7 @@ def scenario_limit_experiment(opts, out_dir, artifacts):
     devs = [abs(r[3] - 1.0) for r in rows]
     # a NaN deviation is not a decrease, and a NaN residual makes np.max NaN
     increases = sum(1 for i in range(len(devs) - 1) if not devs[i + 1] < devs[i])
-    worst_resid = np.max([r[4] for r in rows])
+    worst_resid = np.max([r[4] for r in rows] + [cob_row[4]])
 
     return [
         _check("limit_dev_increases", float(increases), 0.0, 0.0),
@@ -247,18 +228,17 @@ GRAPH_REFINEMENT_NODES = {2: (81, 161, 321), 3: (21, 41, 81), 4: (11, 21, 41)}
 GRAPH_MAX_GRID_NODES = 2401**2
 
 
-def scenario_graph_check(opts, out_dir, artifacts):
-    ndim = get_int(opts, "dim", 2)
-    if not 2 <= ndim <= 4:
+def scenario_graph_check(out_dir, artifacts, *, dim=2, hyperboloid_s=1.0, extent=2.0,
+                         energy_extent=6.0, refinement_nodes=(), energy_nodes=2401):
+    """``refinement_nodes = ()``, which no config text can give, selects
+    ``GRAPH_REFINEMENT_NODES[dim]``."""
+    if not 2 <= dim <= 4:
         raise ConfigError("dim must be 2, 3, or 4")
-    s = get_float(opts, "hyperboloid_s", 1.0)
-    if s <= 0:
+    if hyperboloid_s <= 0:
         raise ConfigError("hyperboloid_s must be positive")
-    extent = get_float(opts, "extent", 2.0)
-    fine_extent = get_float(opts, "energy_extent", 6.0)
-    if not (extent > 0 and fine_extent > 0):
+    if not (extent > 0 and energy_extent > 0):
         raise ConfigError("extent and energy_extent must be positive")
-    sizes = get_floats(opts, "refinement_nodes", GRAPH_REFINEMENT_NODES[ndim])
+    sizes = refinement_nodes or GRAPH_REFINEMENT_NODES[dim]
     if not all(float(v).is_integer() for v in sizes):
         raise ConfigError("refinement_nodes must be integers")
     nodes_list = [int(v) for v in sizes]
@@ -266,15 +246,14 @@ def scenario_graph_check(opts, out_dir, artifacts):
         raise ConfigError("refinement_nodes needs at least three sizes of 9+ nodes")
     if any(a >= b for a, b in zip(nodes_list, nodes_list[1:])):
         raise ConfigError("refinement_nodes must be strictly increasing")
-    if nodes_list[-1] ** ndim > GRAPH_MAX_GRID_NODES:
-        raise ConfigError(f"refinement_nodes: {nodes_list[-1]}^{ndim} grid nodes exceed "
+    if nodes_list[-1] ** dim > GRAPH_MAX_GRID_NODES:
+        raise ConfigError(f"refinement_nodes: {nodes_list[-1]}^{dim} grid nodes exceed "
                           f"the limit of {GRAPH_MAX_GRID_NODES} (2401^2)")
-    fine_nodes = get_int(opts, "energy_nodes", 2401)
-    if fine_nodes < 9 or fine_nodes**2 > GRAPH_MAX_GRID_NODES:
+    if energy_nodes < 9 or energy_nodes**2 > GRAPH_MAX_GRID_NODES:
         raise ConfigError(f"energy_nodes must lie in 9..2401 (the limit of "
-                          f"{GRAPH_MAX_GRID_NODES} grid nodes), got {fine_nodes}")
+                          f"{GRAPH_MAX_GRID_NODES} grid nodes), got {energy_nodes}")
 
-    conv_rows, det_err = graphs.curvature_convergence(s, extent, nodes_list, ndim)
+    conv_rows, det_err = graphs.curvature_convergence(hyperboloid_s, extent, nodes_list, dim)
     orders = [math.log2(a[2] / b[2]) for a, b in zip(conv_rows, conv_rows[1:])]
     _write_artifact(out_dir, artifacts, "graph_convergence.csv",
                     ("nodes", "spacing", "max_mean_curvature_err"), conv_rows)
@@ -283,7 +262,7 @@ def scenario_graph_check(opts, out_dir, artifacts):
               for i, order in enumerate(orders)]
     checks.append(_check("graph_det_identity_err", det_err, 0.0, 1e-12))
 
-    field = graphs.hyperboloid_field(1.0, fine_extent, fine_nodes, ndim=2)
+    field = graphs.hyperboloid_field(1.0, energy_extent, energy_nodes, ndim=2)
     report = graphs.quotient_energy(field, graphs.bolza_domain_level)
     tau, chi = -2.0, -2
     identity = report.energy - (4.0 * math.pi * chi + tau**2 * report.volume)
@@ -304,18 +283,11 @@ SCENARIOS = {
     "graph-check": scenario_graph_check,
 }
 
-#: the options each scenario reads through the typed getters
+#: scenario -> {option: default}, the keyword-only parameters of its function
 SCENARIO_OPTIONS = {
-    "cone-flow": ("dim", "base_volume", "tau_start", "tau_end", "steps"),
-    "kasner-flow": ("dim", "sigma_volume", "circle_length", "tau_start", "tau_end", "steps"),
-    "lichnerowicz-sweep": ("dim", "volume", "tau_values", "sigma_sq_values"),
-    "riccati": ("seed", "trials", "steps", "t_values"),
-    "bolza-check": ("seed", "words", "word_length"),
-    "limit-experiment": ("cocycle_scale", "lambdas", "extent", "nodes", "word_length",
-                         "relax_tol", "coboundary_size"),
-    "graph-check": ("dim", "hyperboloid_s", "extent", "energy_extent", "refinement_nodes",
-                    "energy_nodes"),
-}
+    name: {p.name: p.default for p in inspect.signature(run).parameters.values()
+           if p.kind is p.KEYWORD_ONLY}
+    for name, run in SCENARIOS.items()}
 #: the options ``main`` reads: ``scenario`` from the globals only, ``golden_rel_tol``
 #: from the selected scenario's scoped options
 MAIN_OPTIONS = ("scenario", "golden_rel_tol")
@@ -323,7 +295,9 @@ MAIN_OPTIONS = ("scenario", "golden_rel_tol")
 
 def _check_option_names(cfg: RunConfig) -> None:
     """Raise ConfigError for a section or key that nothing reads, which would
-    otherwise leave a default in force without a word."""
+    otherwise leave a default in force without a word.  Sections are checked
+    against their own scenarios; ``_scenario_kwargs`` checks the globals
+    against the selected one."""
     for name, entries in cfg.sections.items():
         if name not in SCENARIOS:
             raise ConfigError(f"section [{name}] names no scenario; see --list-scenarios")
@@ -334,6 +308,19 @@ def _check_option_names(cfg: RunConfig) -> None:
     for key in cfg.options:
         if key not in known:
             raise ConfigError(f"no scenario reads the global option {key!r}")
+
+
+def _scenario_kwargs(scenario: str, opts: dict) -> dict:
+    """Each option of the scenario read from its scoped ``opts`` with the getter
+    for its default's type; a key in force that neither the scenario nor
+    ``main`` reads is a ConfigError."""
+    declared = SCENARIO_OPTIONS[scenario]
+    for key in opts:
+        if key not in declared and key not in MAIN_OPTIONS:
+            raise ConfigError(f"{scenario} reads no option {key!r}")
+    # looked up on each call, so that a test can record the keys the getters read
+    getters = {int: get_int, float: get_float, tuple: get_floats}
+    return {key: getters[type(default)](opts, key, default) for key, default in declared.items()}
 
 
 def compare_golden(artifact_path: str, golden_path: str, rel_tol: float) -> bool:
@@ -399,6 +386,7 @@ def main(argv=None) -> int:
         golden_tol = get_float(opts, "golden_rel_tol", 1e-10)
         if golden_tol < 0:
             raise ConfigError("golden_rel_tol must be non-negative")
+        kwargs = _scenario_kwargs(scenario, opts)
         os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -407,7 +395,7 @@ def main(argv=None) -> int:
     # each scenario raises ConfigError before it writes anything
     artifacts: list = []
     try:
-        summary = SCENARIOS[scenario](opts, args.out, artifacts)
+        summary = SCENARIOS[scenario](args.out, artifacts, **kwargs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -498,6 +498,18 @@ def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):
     assert "FAIL limit_relax_residual: measured=nan" in stdout
     assert "PASS limit_coboundary_ratio" in stdout
 
+    # a control relaxation that stalls fails the residual check even when its
+    # ratio and every lambda row pass
+    rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 1), (2.0, -2.0, base, 1.001, 1e-10, 3, 0)]
+    monkeypatch.setattr(graphs, "limit_experiment_with_control",
+                        lambda *a, **k: (rows, base, (1.0, -2.0, base, 1.0, np.nan, 2, 0)))
+    code, out = _run_config(tmp_path, "scenario = limit-experiment\nlambdas = 1, 2\n")
+    assert code == 3
+    stdout = capsys.readouterr().out
+    assert "PASS limit_dev_increases" in stdout
+    assert "FAIL limit_relax_residual: measured=nan" in stdout
+    assert "PASS limit_coboundary_ratio" in stdout
+
 
 def test_nan_lapse_and_barrier_fail_the_clipped_checks(tmp_path, monkeypatch, capsys):
     # violations are clipped at 0; a NaN after a finite value must survive the clip
@@ -597,6 +609,8 @@ def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
     ("scenario = riccati\n[cone-flow]\nseed = 3\n",
      "section [cone-flow]: cone-flow reads no option 'seed'"),
     ("[riccati]\nscenario = riccati\n", "riccati reads no option 'scenario'"),
+    # a global key that only another scenario reads
+    ("scenario = riccati\ndim = 3\n", "riccati reads no option 'dim'"),
 ])
 def test_unread_and_repeated_keys_are_config_errors(tmp_path, capsys, text, message):
     # a misspelt key or section, or a repeated key, would leave a value other
@@ -606,6 +620,17 @@ def test_unread_and_repeated_keys_are_config_errors(tmp_path, capsys, text, mess
         cfg.write_text(text)
         out = tmp_path / "run"
         assert cli.main(["--config", str(cfg), "--out", str(out)] + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_options_of_the_wrong_type_exit_before_out_is_created(tmp_path, capsys):
+    # main reads every option of the selected scenario before it creates --out
+    for scenario, option, message in (("riccati", "steps = ten", "expected an integer"),
+                                      ("cone-flow", "tau_end = soon", "expected a number"),
+                                      ("riccati", "t_values = 0.3, x", "expected numbers")):
+        code, out = _run_config(tmp_path, f"scenario = {scenario}\n{option}\n")
+        assert code == 2, option
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -629,7 +654,10 @@ def test_documented_and_benchmarked_configs_read_every_key():
                "scenario = limit-experiment\ngolden_rel_tol = 0\nnodes = 161\nlambdas = 1, 2\n"]
     assert "[cone-flow]" in configs[0]
     for text in configs:
-        cli._check_option_names(parse_config(text))
+        cfg = parse_config(text)
+        cli._check_option_names(cfg)
+        scenario = cfg.options["scenario"]
+        cli._scenario_kwargs(scenario, cfg.scoped(scenario))
 
 
 def test_scenario_options_are_the_keys_each_scenario_reads(tmp_path, monkeypatch, capsys):
