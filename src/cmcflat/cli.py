@@ -1,9 +1,11 @@
 """Scenario runner: dispatch a config to the library and write CSV artifacts.
 
 Each scenario produces deterministic CSV files plus a ``summary.csv`` of
-pass/fail check records.  Exit codes: 0 all checks pass, 2 configuration
-error (nothing written), 3 numerical failure (partial artifacts retained),
-4 golden-file mismatch.
+pass/fail check records.  ``--check-golden DIR`` requires every artifact to
+have a counterpart in ``DIR`` with the same bytes, and every file in ``DIR``
+to be an artifact of the run; there is no tolerance.  Exit codes: 0 all
+checks pass, 2 configuration error (nothing written), 3 numerical failure
+(partial artifacts retained), 4 golden-file mismatch.
 """
 from __future__ import annotations
 
@@ -193,15 +195,15 @@ def scenario_limit_experiment(out_dir, artifacts, *, cocycle_scale=0.002,
         raise ConfigError("lambdas must be positive and at least two values")
     if relax_tol <= 0:
         raise ConfigError("relax_tol must be positive")
-    if nodes < 5 or not extent > 0:
-        raise ConfigError("nodes must be at least 5 and extent positive")
+    if not 5 <= nodes <= LIMIT_MAX_NODES or not extent > 0:
+        raise ConfigError(f"nodes must lie in 5..{LIMIT_MAX_NODES} and extent be positive")
 
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(cocycle_scale))
     # Pure-gauge control: a coboundary sized to the same orbit-translation
     # magnitude must not move the volume ratio beyond quadrature noise.  Its
     # envelope joins the lambdas' queue, and it is relaxed last, with the one
     # sparse LU carried through every relaxation.
-    rows, base_volume, cob_row = graphs.limit_experiment_with_control(
+    rows, base_row, cob_row = graphs.limit_experiment_with_control(
         rep, lambdas, coboundary_size, extent=extent, nodes=nodes,
         word_length=word_length, relax_tol=relax_tol)
     _write_artifact(out_dir, artifacts, "limit_experiment.csv", graphs.LIMIT_COLUMNS, rows)
@@ -211,12 +213,12 @@ def scenario_limit_experiment(out_dir, artifacts, *, cocycle_scale=0.002,
     devs = [abs(r[3] - 1.0) for r in rows]
     # a NaN deviation is not a decrease, and a NaN residual makes np.max NaN
     increases = sum(1 for i in range(len(devs) - 1) if not devs[i + 1] < devs[i])
-    worst_resid = np.max([r[4] for r in rows] + [cob_row[4]])
+    worst_resid = np.max([r[4] for r in [base_row, *rows, cob_row]])
 
     return [
         _check("limit_dev_increases", float(increases), 0.0, 0.0),
         _check("limit_relax_residual", worst_resid, 0.0, 10.0 * relax_tol),
-        _check("limit_baseline_volume", base_volume, 4.0 * math.pi, 5e-3),
+        _check("limit_baseline_volume", base_row[2], 4.0 * math.pi, 5e-3),
         _check("limit_coboundary_ratio", cob_row[3], 1.0, 2e-4),
     ]
 
@@ -226,6 +228,9 @@ def scenario_limit_experiment(out_dir, artifacts, *, cocycle_scale=0.002,
 GRAPH_REFINEMENT_NODES = {2: (81, 161, 321), 3: (21, 41, 81), 4: (11, 21, 41)}
 #: largest grid graph-check builds, the default energy grid
 GRAPH_MAX_GRID_NODES = 2401**2
+#: largest side of the limit-experiment grid: at its other defaults a run peaks
+#: at 214, 431 and 750 MB of RSS on 321^2, 481^2 and 641^2 nodes
+LIMIT_MAX_NODES = 641
 
 
 def scenario_graph_check(out_dir, artifacts, *, dim=2, hyperboloid_s=1.0, extent=2.0,
@@ -288,73 +293,44 @@ SCENARIO_OPTIONS = {
     name: {p.name: p.default for p in inspect.signature(run).parameters.values()
            if p.kind is p.KEYWORD_ONLY}
     for name, run in SCENARIOS.items()}
-#: the options ``main`` reads: ``scenario`` from the globals only, ``golden_rel_tol``
-#: from the selected scenario's scoped options
-MAIN_OPTIONS = ("scenario", "golden_rel_tol")
 
 
-def _check_option_names(cfg: RunConfig) -> None:
-    """Raise ConfigError for a section or key that nothing reads, which would
-    otherwise leave a default in force without a word.  Sections are checked
-    against their own scenarios; ``_scenario_kwargs`` checks the globals
-    against the selected one."""
+def _scenario_kwargs(cfg: RunConfig, requested: str | None) -> tuple:
+    """(scenario, keyword arguments): the scenario ``requested``, or else the
+    config's, and each of its options read from its scoped options with the
+    getter for its default's type.
+
+    A section or key that nothing reads would leave a default in force
+    without a word, so it is a ConfigError: each section is checked against
+    its own scenario, and each global but ``scenario`` against the selected one.
+    """
     for name, entries in cfg.sections.items():
         if name not in SCENARIOS:
             raise ConfigError(f"section [{name}] names no scenario; see --list-scenarios")
         for key in entries:
-            if key not in SCENARIO_OPTIONS[name] and key != "golden_rel_tol":
+            if key not in SCENARIO_OPTIONS[name]:
                 raise ConfigError(f"section [{name}]: {name} reads no option {key!r}")
-    known = set(MAIN_OPTIONS).union(*SCENARIO_OPTIONS.values())
-    for key in cfg.options:
-        if key not in known:
-            raise ConfigError(f"no scenario reads the global option {key!r}")
-
-
-def _scenario_kwargs(scenario: str, opts: dict) -> dict:
-    """Each option of the scenario read from its scoped ``opts`` with the getter
-    for its default's type; a key in force that neither the scenario nor
-    ``main`` reads is a ConfigError."""
+    scenario = requested or cfg.options.get("scenario")
+    if not scenario:
+        raise ConfigError("no scenario selected: pass --scenario or set scenario= in the config")
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; see --list-scenarios")
     declared = SCENARIO_OPTIONS[scenario]
-    for key in opts:
-        if key not in declared and key not in MAIN_OPTIONS:
+    for key in cfg.options:
+        if key not in declared and key != "scenario":
             raise ConfigError(f"{scenario} reads no option {key!r}")
+    opts = cfg.scoped(scenario)
     # looked up on each call, so that a test can record the keys the getters read
     getters = {int: get_int, float: get_float, tuple: get_floats}
-    return {key: getters[type(default)](opts, key, default) for key, default in declared.items()}
+    return scenario, {key: getters[type(default)](opts, key, default)
+                      for key, default in declared.items()}
 
 
-def compare_golden(artifact_path: str, golden_path: str, rel_tol: float) -> bool:
-    """Elementwise relative comparison of two CSV files.
-
-    Headers must match exactly (ValueError otherwise).  Finite numeric cells
-    pass when |a - b| <= rel_tol * max(|a|, |b|); an infinite cell passes only
-    against the same infinity, and NaN never passes; non-numeric cells must
-    be equal strings.
-    """
-    header_a, rows_a = csvio.read_csv(artifact_path)
-    header_b, rows_b = csvio.read_csv(golden_path)
-    if header_a != header_b:
-        raise ValueError(f"header mismatch: {header_a!r} vs {header_b!r}")
-    if len(rows_a) != len(rows_b):
-        return False
-    for row_a, row_b in zip(rows_a, rows_b):
-        if len(row_a) != len(row_b):
-            return False
-        for cell_a, cell_b in zip(row_a, row_b):
-            try:
-                x, y = float(cell_a), float(cell_b)
-            except ValueError:
-                if cell_a != cell_b:
-                    return False
-                continue
-            if x == y:
-                continue
-            # the tolerance test alone never fails for an infinite cell (inf > inf
-            # and inf > nan are False), so unequal non-finite cells fail outright
-            finite = math.isfinite(x) and math.isfinite(y)
-            if not finite or abs(x - y) > rel_tol * max(abs(x), abs(y)):
-                return False
-    return True
+def _same_bytes(path_a: str, path_b: str) -> bool:
+    """Whether two files hold the same bytes, both read afresh: filecmp.cmp reuses
+    a verdict while path, size and mtime match, which a rewrite can leave so."""
+    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+        return fa.read() == fb.read()
 
 
 def main(argv=None) -> int:
@@ -366,7 +342,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", help="scenario name (overrides the config)")
     parser.add_argument("--list-scenarios", action="store_true")
     parser.add_argument("--check-golden", metavar="DIR",
-                        help="after the run, compare artifacts against this directory")
+                        help="after the run, compare artifacts byte for byte with this directory")
     args = parser.parse_args(argv)
 
     if args.list_scenarios:
@@ -376,17 +352,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
-        _check_option_names(cfg)
-        scenario = args.scenario or cfg.options.get("scenario")
-        if not scenario:
-            raise ConfigError("no scenario selected: pass --scenario or set scenario= in the config")
-        if scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {scenario!r}; see --list-scenarios")
-        opts = cfg.scoped(scenario)
-        golden_tol = get_float(opts, "golden_rel_tol", 1e-10)
-        if golden_tol < 0:
-            raise ConfigError("golden_rel_tol must be non-negative")
-        kwargs = _scenario_kwargs(scenario, opts)
+        scenario, kwargs = _scenario_kwargs(cfg, args.scenario)
         os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -417,16 +383,10 @@ def main(argv=None) -> int:
         mismatches = []
         for name in artifacts:
             golden_path = os.path.join(args.check_golden, name)
-            if not os.path.exists(golden_path):
+            if not os.path.isfile(golden_path):
                 mismatches.append(f"{name}: no golden counterpart")
-                continue
-            try:
-                same = compare_golden(os.path.join(args.out, name), golden_path, golden_tol)
-            except ValueError as exc:
-                mismatches.append(f"{name}: {exc}")
-                continue
-            if not same:
-                mismatches.append(f"{name}: differs beyond rel_tol {golden_tol}")
+            elif not _same_bytes(os.path.join(args.out, name), golden_path):
+                mismatches.append(f"{name}: differs from its golden file")
         if os.path.isdir(args.check_golden):
             mismatches += [f"{name}: not written by this run"
                            for name in sorted(os.listdir(args.check_golden))

@@ -856,10 +856,14 @@ def _limit_reps(rep, lambdas) -> list:
 
 
 def _limit_rows(lambdas, results):
-    """(rows, baseline volume) from the results of the baseline and the lambdas."""
+    """(rows, baseline row) from the results of the baseline and the lambdas.
+
+    The zero-cocycle baseline's row stands at lambda = inf, the limit in which
+    the cocycle scaled by lambda**-2 vanishes, with a ham_ratio of 1.
+    """
     base_volume = results[0][0].volume
-    return [limit_row(lam, base_volume, *result)
-            for lam, result in zip(lambdas, results[1:])], base_volume
+    return ([limit_row(lam, base_volume, *result) for lam, result in zip(lambdas, results[1:])],
+            limit_row(np.inf, base_volume, *results[0]))
 
 
 def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: float):
@@ -922,7 +926,8 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     """
     lambdas = tuple(lambdas)
     results = _relax_orbits(_limit_reps(rep, lambdas), extent, nodes, word_length, relax_tol)
-    return _limit_rows(lambdas, results)
+    rows, base_row = _limit_rows(lambdas, results)
+    return rows, base_row[2]
 
 
 def coboundary_control(rep, base_volume: float, size: float, extent: float, nodes: int,
@@ -944,15 +949,17 @@ def coboundary_control(rep, base_volume: float, size: float, extent: float, node
 def limit_experiment_with_control(rep, lambdas, control_size: float, extent: float = 6.4,
                                   nodes: int = 321, word_length: int = 3,
                                   relax_tol: float = 1e-8):
-    """(rows, baseline_volume, control_row): limit_experiment, then
+    """(rows, baseline_row, control_row): limit_experiment, then
     coboundary_control of size ``control_size``, through one envelope queue.
 
-    The rows and baseline are limit_experiment's.  The control's orbit is
-    range-checked with the others, before the first relaxation, and its
-    envelope is queued and relaxed last, from the LU the last lambda left.
+    The rows are limit_experiment's.  The baseline row is the zero cocycle's,
+    at lambda = inf: its volume is limit_experiment's baseline volume, and its
+    residual shows whether the baseline relaxation converged.  The control's
+    orbit is range-checked with the others, before the first relaxation, and
+    its envelope is queued and relaxed last, from the LU the last lambda left.
     """
     lambdas = tuple(lambdas)
     reps = _limit_reps(rep, lambdas) + [_coboundary_rep(rep, control_size, word_length)]
     *results, control = _relax_orbits(reps, extent, nodes, word_length, relax_tol)
-    rows, base_volume = _limit_rows(lambdas, results)
-    return rows, base_volume, limit_row(1.0, base_volume, *control)
+    rows, base_row = _limit_rows(lambdas, results)
+    return rows, base_row, limit_row(1.0, base_row[2], *control)

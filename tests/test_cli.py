@@ -161,37 +161,22 @@ def test_format_value():
 # golden comparison
 # ---------------------------------------------------------------------------
 
-def _write(path, text):
-    path.write_text(text)
-    return str(path)
-
-
-def test_compare_golden_semantics(tmp_path):
-    a = _write(tmp_path / "a.csv", "x,y\n1.0,foo\n")
-    same = _write(tmp_path / "b.csv", "x,y\n1.0000000000000002,foo\n")
-    far = _write(tmp_path / "c.csv", "x,y\n1.001,foo\n")
-    text = _write(tmp_path / "d.csv", "x,y\n1.0,bar\n")
-    nan = _write(tmp_path / "e.csv", "x,y\nnan,foo\n")
-    short = _write(tmp_path / "f.csv", "x,y\n")
-    other_header = _write(tmp_path / "g.csv", "x,z\n1.0,foo\n")
-
-    assert cli.compare_golden(a, a, 1e-10)
-    assert cli.compare_golden(a, same, 1e-10)
-    assert not cli.compare_golden(a, far, 1e-10)
-    assert cli.compare_golden(a, far, 1e-2)
-    assert not cli.compare_golden(a, text, 1e-10)
-    assert not cli.compare_golden(nan, nan, 1e-10)  # NaN never passes
-    inf = _write(tmp_path / "h.csv", "x,y\ninf,foo\n")
-    minus_inf = _write(tmp_path / "i.csv", "x,y\n-inf,foo\n")
-    for rel_tol in (0.0, 1e-10):
-        assert cli.compare_golden(inf, inf, rel_tol)  # an infinity matches only itself
-        assert not cli.compare_golden(inf, a, rel_tol)
-        assert not cli.compare_golden(a, inf, rel_tol)
-        assert not cli.compare_golden(inf, minus_inf, rel_tol)
-        assert not cli.compare_golden(inf, nan, rel_tol)
-    assert not cli.compare_golden(a, short, 1e-10)
-    with pytest.raises(ValueError):
-        cli.compare_golden(a, other_header, 1e-10)
+def test_golden_check_is_byte_exact(tmp_path, capsys):
+    # a golden file that holds the same numbers in other digits, or differs
+    # in its header alone, is a mismatch that names the file
+    golden = tmp_path / "golden"
+    assert cli.main(["--scenario", "riccati", "--out", str(golden)]) == 0
+    for name, old, new in (("riccati_checks.csv", "\n0,2,0.3,", "\n0.00,2,0.3,"),
+                           ("summary.csv", ",0.0,", ",-0.0,"),
+                           ("riccati_checks.csv", "integration_err", "integration_error")):
+        text = (golden / name).read_text()
+        assert old in text
+        (golden / name).write_text(text.replace(old, new, 1))
+        code = cli.main(["--scenario", "riccati", "--out", str(tmp_path / "run"),
+                         "--check-golden", str(golden)])
+        assert code == 4, new
+        assert capsys.readouterr().err == f"golden mismatch: {name}: differs from its golden file\n"
+        (golden / name).write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +339,8 @@ def test_empty_golden_file_is_a_mismatch(tmp_path, capsys):
     code = cli.main(["--scenario", "riccati", "--out", str(tmp_path / "run"),
                      "--check-golden", str(golden)])
     assert code == 4
-    err = capsys.readouterr().err
-    assert "golden mismatch: riccati_checks.csv" in err
-    assert "empty CSV file" in err
+    assert (capsys.readouterr().err
+            == "golden mismatch: riccati_checks.csv: differs from its golden file\n")
 
 
 def _run_config(tmp_path, text):
@@ -486,11 +470,12 @@ def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):
     # canned LIMIT_COLUMNS rows: a NaN ratio between two decreasing
     # deviations, and a NaN residual after a finite one
     base = 4.0 * np.pi
-    rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 1),
+    base_row = (np.inf, -2.0, base, 1.0, 1e-10, 4, 1)
+    rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 0),
             (2.0, -2.0, base, np.nan, 1e-10, 3, 0),
             (4.0, -2.0, base, 1.001, np.nan, 3, 0)]
     monkeypatch.setattr(graphs, "limit_experiment_with_control",
-                        lambda *a, **k: (rows, base, (1.0, -2.0, base, 1.0, 1e-10, 2, 0)))
+                        lambda *a, **k: (rows, base_row, (1.0, -2.0, base, 1.0, 1e-10, 2, 0)))
     code, out = _run_config(tmp_path, "scenario = limit-experiment\nlambdas = 1, 2, 4\n")
     assert code == 3
     stdout = capsys.readouterr().out
@@ -498,17 +483,48 @@ def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):
     assert "FAIL limit_relax_residual: measured=nan" in stdout
     assert "PASS limit_coboundary_ratio" in stdout
 
-    # a control relaxation that stalls fails the residual check even when its
-    # ratio and every lambda row pass
-    rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 1), (2.0, -2.0, base, 1.001, 1e-10, 3, 0)]
-    monkeypatch.setattr(graphs, "limit_experiment_with_control",
-                        lambda *a, **k: (rows, base, (1.0, -2.0, base, 1.0, np.nan, 2, 0)))
-    code, out = _run_config(tmp_path, "scenario = limit-experiment\nlambdas = 1, 2\n")
-    assert code == 3
-    stdout = capsys.readouterr().out
-    assert "PASS limit_dev_increases" in stdout
-    assert "FAIL limit_relax_residual: measured=nan" in stdout
-    assert "PASS limit_coboundary_ratio" in stdout
+    # a control or zero-cocycle baseline relaxation that stalls fails the
+    # residual check even when every ratio and every lambda row pass
+    rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 0), (2.0, -2.0, base, 1.001, 1e-10, 3, 0)]
+    control_row = (1.0, -2.0, base, 1.0, 1e-10, 2, 0)
+    stalled_base = base_row[:4] + (1e-3,) + base_row[5:]
+    stalled_control = control_row[:4] + (np.nan,) + control_row[5:]
+    for baseline, control, worst in ((base_row, stalled_control, "nan"),
+                                     (stalled_base, control_row, "0.001")):
+        monkeypatch.setattr(graphs, "limit_experiment_with_control",
+                            lambda *a, **k: (rows, baseline, control))
+        code, out = _run_config(tmp_path, "scenario = limit-experiment\nlambdas = 1, 2\n")
+        assert code == 3
+        stdout = capsys.readouterr().out
+        assert "PASS limit_dev_increases" in stdout
+        assert f"FAIL limit_relax_residual: measured={worst} " in stdout
+        assert "PASS limit_baseline_volume" in stdout
+        assert "PASS limit_coboundary_ratio" in stdout
+
+
+def test_limit_experiment_caps_its_grid(tmp_path, monkeypatch, capsys):
+    # nodes = 20001 would ask the envelope worker for a 3.2 GB array; a grid
+    # beyond the cap is a config error before anything is built or written
+    # (main has made --out, as for every range check of a scenario)
+    base = 4.0 * np.pi
+    row = (1.0, -2.0, base, 1.0, 1e-10, 2, 0)
+    rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 0), (2.0, -2.0, base, 1.001, 1e-10, 3, 0)]
+    grids = []
+
+    def canned(*args, nodes, **kwargs):
+        grids.append(nodes)
+        return rows, row, row
+
+    monkeypatch.setattr(graphs, "limit_experiment_with_control", canned)
+    for nodes in (20001, cli.LIMIT_MAX_NODES + 1):
+        code, out = _run_config(tmp_path, f"scenario = limit-experiment\nnodes = {nodes}\n")
+        assert code == 2
+        assert f"nodes must lie in 5..{cli.LIMIT_MAX_NODES}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+    assert grids == []
+    code, _ = _run_config(tmp_path, f"scenario = limit-experiment\nnodes = {cli.LIMIT_MAX_NODES}\n")
+    capsys.readouterr()
+    assert (code, grids) == (0, [cli.LIMIT_MAX_NODES])
 
 
 def test_nan_lapse_and_barrier_fail_the_clipped_checks(tmp_path, monkeypatch, capsys):
@@ -569,7 +585,6 @@ def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
                                       # np.random.default_rng takes no negative seed
                                       ("riccati", "seed = -1", "seed"),
                                       ("bolza-check", "seed = -1", "seed"),
-                                      ("riccati", "golden_rel_tol = -1", "golden_rel_tol"),
                                       # each scenario's own range checks
                                       ("cone-flow", "steps = 1", "steps"),
                                       ("lichnerowicz-sweep", "tau_values = -1, 0",
@@ -601,7 +616,9 @@ def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("scenario = riccati\ntrails = 1\n", "no scenario reads the global option 'trails'"),
+    ("scenario = riccati\ntrails = 1\n", "riccati reads no option 'trails'"),
+    # the golden check compares bytes and reads no option
+    ("scenario = riccati\ngolden_rel_tol = 0\n", "riccati reads no option 'golden_rel_tol'"),
     ("scenario = riccati\n[riccatti]\ntrials = 1\n",
      "section [riccatti] names no scenario"),
     ("scenario = riccati\ntrials = 1\ntrials = 3\n", "line 3: key 'trials' repeats line 2"),
@@ -649,20 +666,16 @@ def test_documented_and_benchmarked_configs_read_every_key():
                "scenario = cone-flow\ndim = 4\n", "scenario = kasner-flow\ndim = 4\n",
                "scenario = riccati\nseed = 2025\n", "scenario = bolza-check\nseed = 8\n",
                "scenario = cone-flow\nsteps = 2000\n", "scenario = kasner-flow\nsteps = 2000\n",
-               "scenario = graph-check\ngolden_rel_tol = 0\n"
-               "refinement_nodes = 41, 81, 161\nenergy_nodes = 1201\n",
-               "scenario = limit-experiment\ngolden_rel_tol = 0\nnodes = 161\nlambdas = 1, 2\n"]
+               "scenario = graph-check\nrefinement_nodes = 41, 81, 161\nenergy_nodes = 1201\n",
+               "scenario = limit-experiment\nnodes = 161\nlambdas = 1, 2\n"]
     assert "[cone-flow]" in configs[0]
     for text in configs:
-        cfg = parse_config(text)
-        cli._check_option_names(cfg)
-        scenario = cfg.options["scenario"]
-        cli._scenario_kwargs(scenario, cfg.scoped(scenario))
+        cli._scenario_kwargs(parse_config(text), None)
 
 
 def test_scenario_options_are_the_keys_each_scenario_reads(tmp_path, monkeypatch, capsys):
     # record every key passed to the typed getters while each scenario runs on
-    # a small config; they must be SCENARIO_OPTIONS plus main's golden_rel_tol
+    # a small config; they must be SCENARIO_OPTIONS
     read = set()
     for name in ("get_float", "get_int", "get_floats"):
         def recording(opts, key, default, _getter=getattr(cli, name)):
@@ -680,8 +693,7 @@ def test_scenario_options_are_the_keys_each_scenario_reads(tmp_path, monkeypatch
     for scenario in cli.SCENARIOS:
         read.clear()
         _run_config(tmp_path, f"scenario = {scenario}\n" + small.get(scenario, ""))
-        assert read == set(cli.SCENARIO_OPTIONS[scenario]) | {"golden_rel_tol"}, scenario
-        assert len(cli.SCENARIO_OPTIONS[scenario]) == len(read) - 1
+        assert read == set(cli.SCENARIO_OPTIONS[scenario]), scenario
     capsys.readouterr()
 
 

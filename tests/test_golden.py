@@ -1,7 +1,7 @@
 """Golden artifacts: every scenario's CSV files, byte for byte.
 
 The configs are criterion 11's, with the two flows cut to 200 steps.  Each
-run goes through ``cli.main --check-golden`` at ``golden_rel_tol = 0`` and
+run goes through ``cli.main --check-golden``, which compares bytes, and
 must reproduce its recorded exit code and every file of
 ``tests/golden/<scenario>/`` exactly.  After a change that is meant to move
 numbers, regenerate the files from the current code with
@@ -62,8 +62,7 @@ DEFAULT_FLOW_DIGESTS = {
 
 
 def _write_config(path: Path, scenario: str) -> Path:
-    path.write_text(f"scenario = {scenario}\ngolden_rel_tol = 0\n"
-                    + GOLDEN_CONFIGS[scenario][0])
+    path.write_text(f"scenario = {scenario}\n" + GOLDEN_CONFIGS[scenario][0])
     return path
 
 
