@@ -1,11 +1,16 @@
 """Scenario runner: dispatch a config to the library and write CSV artifacts.
 
-Each scenario produces deterministic CSV files plus a ``summary.csv`` of
-pass/fail check records.  ``--check-golden DIR`` requires every artifact to
-have a counterpart in ``DIR`` with the same bytes, and every file in ``DIR``
-to be an artifact of the run; there is no tolerance.  Exit codes: 0 all
-checks pass, 2 configuration error (nothing written), 3 numerical failure
-(partial artifacts retained), 4 golden-file mismatch.
+Each scenario is a pure function of its keyword-only options.  It returns
+``(tables, checks)``: its ``(name, header, rows)`` tables and the pass/fail
+records of ``summary.csv``.  Only ``main`` creates ``--out``, once the scenario
+has returned, and writes every table and ``summary.csv`` there as
+deterministic CSV.  ``--check-golden DIR`` requires every artifact to have a
+counterpart in ``DIR`` with the same bytes, and every file in ``DIR`` to be
+an artifact of the run; there is no tolerance.  Exit codes: 0 all checks
+pass; 2 configuration error (a bad key, type or range, or an unusable
+``--out``: nothing written, and no ``--out`` created for a bad config); 3
+numerical failure (a failed check writes every artifact, an exception in the
+scenario writes nothing); 4 golden-file mismatch (every artifact written).
 """
 from __future__ import annotations
 
@@ -33,12 +38,6 @@ def _check(name: str, measured: float, expected: float, tolerance: float):
     return (name, float(measured), float(expected), float(tolerance), bool(ok))
 
 
-def _write_artifact(out_dir: str, artifacts: list, name: str, header, rows) -> None:
-    path = os.path.join(out_dir, name)
-    csvio.write_csv(path, header, rows)
-    artifacts.append(name)
-
-
 def _flow_trace_checks(prefix: str, trace: flow.HamTrace):
     """The trace's lapse-bound and Gauss-constraint checks; the bound checks measure
     the dimensionless worst violation of 1/tau^2 <= N <= n/tau^2."""
@@ -64,34 +63,31 @@ def _model(cls, *args):
         raise ConfigError(str(exc)) from exc
 
 
-def _model_flow(model, prefix: str, tau_start, tau_end, steps, out_dir, artifacts):
-    """Run the flow of a model from ``tau_start`` to ``tau_end`` in ``steps`` steps
-    and write ``<prefix>_flow_trace.csv``; returns (trace, max |Ham / ham_closed_form - 1|)."""
+def _model_flow(model, tau_start, tau_end, steps):
+    """Run the flow of a model from ``tau_start`` to ``tau_end`` in ``steps`` steps;
+    returns (trace, max |Ham / ham_closed_form - 1|)."""
     if not (tau_start < tau_end < 0.0):
         raise ConfigError("require tau_start < tau_end < 0")
     if steps < 2:
         raise ConfigError("steps must be at least 2")
     state = flow.state_from_slice(models.slice_at_tau(model, tau_start))
     trace = flow.run_flow(state, tau_end, steps)
-    _write_artifact(out_dir, artifacts, prefix + "_flow_trace.csv", flow.TRACE_COLUMNS,
-                    trace.data)
     closed = np.array([models.ham_closed_form(model, t) for t in trace.column("tau").tolist()])
     return trace, float(np.max(np.abs(trace.column("ham") / closed - 1.0)))
 
 
-def scenario_cone_flow(out_dir, artifacts, *, dim=3, base_volume=1.0, tau_start=-10.0,
-                       tau_end=-0.1, steps=10000):
+def scenario_cone_flow(*, dim=3, base_volume=1.0, tau_start=-10.0, tau_end=-0.1, steps=10000):
     model = _model(models.ConeModel, dim, base_volume)
-    trace, drift = _model_flow(model, "cone", tau_start, tau_end, steps, out_dir, artifacts)
+    trace, drift = _model_flow(model, tau_start, tau_end, steps)
     checks = [_check("cone_ham_rel_drift", drift, 0.0, 1e-8)]
     checks += _flow_trace_checks("cone", trace)
-    return checks
+    return [("cone_flow_trace.csv", flow.TRACE_COLUMNS, trace.data)], checks
 
 
-def scenario_kasner_flow(out_dir, artifacts, *, dim=3, sigma_volume=1.0, circle_length=1.0,
+def scenario_kasner_flow(*, dim=3, sigma_volume=1.0, circle_length=1.0,
                          tau_start=-10.0, tau_end=-0.1, steps=10000):
     model = _model(models.KasnerModel, dim, sigma_volume, circle_length)
-    trace, match = _model_flow(model, "kasner", tau_start, tau_end, steps, out_dir, artifacts)
+    trace, match = _model_flow(model, tau_start, tau_end, steps)
     report = flow.ham_monotonicity_check(trace)
     checks = [
         _check("kasner_closed_form_rel_err", match, 0.0, 1e-6),
@@ -100,10 +96,10 @@ def scenario_kasner_flow(out_dir, artifacts, *, dim=3, sigma_volume=1.0, circle_
                flow.HAM_IDENTITY_TOL),
     ]
     checks += _flow_trace_checks("kasner", trace)
-    return checks
+    return [("kasner_flow_trace.csv", flow.TRACE_COLUMNS, trace.data)], checks
 
 
-def scenario_lichnerowicz_sweep(out_dir, artifacts, *, dim=3, volume=1.0,
+def scenario_lichnerowicz_sweep(*, dim=3, volume=1.0,
                                 tau_values=(-1.0, -2.0, -3.0, -4.0, -5.0),
                                 sigma_sq_values=(0.0, 4.0, 8.0, 12.0)):
     bg = _model(lichnerowicz.ConformalBackground, dim, volume)
@@ -115,8 +111,6 @@ def scenario_lichnerowicz_sweep(out_dir, artifacts, *, dim=3, volume=1.0,
         raise ConfigError("sigma_sq_values must include 0 for the exact-root check")
 
     rows = lichnerowicz.sweep_constant_sigma(bg, tau_values, sigma_sq_values)
-    _write_artifact(out_dir, artifacts, "lichnerowicz_sweep.csv",
-                    lichnerowicz.SWEEP_COLUMNS, rows)
 
     data = np.asarray(rows, dtype=float)
     tau_col, sig_col = data[:, 0], data[:, 1]
@@ -132,7 +126,7 @@ def scenario_lichnerowicz_sweep(out_dir, artifacts, *, dim=3, volume=1.0,
     report = lichnerowicz.sigma_report(ham, dim)
     report_expected = lichnerowicz.sigma_report([dim**dim * volume], dim)
 
-    return [
+    return [("lichnerowicz_sweep.csv", lichnerowicz.SWEEP_COLUMNS, rows)], [
         _check("lich_zero_sigma_exact_err", exact_err, 0.0, 1e-12),
         _check("lich_barrier_violation", barrier_viol, 0.0, 1e-12),
         _check("lich_ham_bound_violation", ham_viol, 0.0, 1e-12),
@@ -146,8 +140,7 @@ def _check_seed(seed: int) -> None:
         raise ConfigError("seed must be a non-negative integer")
 
 
-def scenario_riccati(out_dir, artifacts, *, seed=2024, trials=5, steps=2000,
-                     t_values=(0.3, 0.9, 1.5)):
+def scenario_riccati(*, seed=2024, trials=5, steps=2000, t_values=(0.3, 0.9, 1.5)):
     _check_seed(seed)
     if trials < 1:
         raise ConfigError("trials must be positive")
@@ -157,10 +150,8 @@ def scenario_riccati(out_dir, artifacts, *, seed=2024, trials=5, steps=2000,
         raise ConfigError("t_values must be positive")
 
     rows, _ = models.riccati_trials(seed, trials, t_values, steps)
-    _write_artifact(out_dir, artifacts, "riccati_checks.csv",
-                    ("trial", "dim", "t", "integration_err", "semigroup_err"), rows)
-
-    return [
+    header = ("trial", "dim", "t", "integration_err", "semigroup_err")
+    return [("riccati_checks.csv", header, rows)], [
         _check("riccati_integration_err", np.max([r[3] for r in rows]), 0.0, 1e-8),
         _check("riccati_semigroup_err", np.max([r[4] for r in rows]), 0.0, 1e-10),
     ]
@@ -169,24 +160,24 @@ def scenario_riccati(out_dir, artifacts, *, seed=2024, trials=5, steps=2000,
 # Boost factors amplify rounding by ~cosh(l)+sinh(l) per letter, so the default
 # random-word length and translation size are kept where the exact cocycle rule
 # is still resolvable at the 1e-9 scale.
-def scenario_bolza_check(out_dir, artifacts, *, seed=7, words=20, word_length=5):
+def scenario_bolza_check(*, seed=7, words=20, word_length=5):
     _check_seed(seed)
     if words < 1 or word_length < 2:
         raise ConfigError("words must be >= 1 and word_length >= 2")
 
     rows = holonomy.bolza_suite(seed, words, word_length)
-    _write_artifact(out_dir, artifacts, "bolza_quantities.csv", ("quantity", "value"), rows)
-
     value = dict(rows)
     bounds = (("relator_residual", 0.0, 1e-9), ("octagon_area", 4.0 * math.pi, 1e-3),
               ("cocycle_rule_err", 0.0, 1e-9), ("coboundary_relator_residual", 0.0, 1e-9),
               ("gauss_equivariance_err", 0.0, 1e-9))
-    return [_check("bolza_" + name, value[name], expected, tol) for name, expected, tol in bounds]
+    checks = [_check("bolza_" + name, value[name], expected, tol)
+              for name, expected, tol in bounds]
+    return [("bolza_quantities.csv", ("quantity", "value"), rows)], checks
 
 
-def scenario_limit_experiment(out_dir, artifacts, *, cocycle_scale=0.002,
-                              lambdas=(1.0, 2.0, 4.0, 8.0), extent=6.4, nodes=321,
-                              word_length=3, relax_tol=1e-8, coboundary_size=0.15):
+def scenario_limit_experiment(*, cocycle_scale=0.002, lambdas=(1.0, 2.0, 4.0, 8.0),
+                              extent=6.4, nodes=321, word_length=3, relax_tol=1e-8,
+                              coboundary_size=0.15):
     if cocycle_scale <= 0 or coboundary_size <= 0:
         raise ConfigError("cocycle_scale and coboundary_size must be positive")
     if word_length < 1:
@@ -206,16 +197,15 @@ def scenario_limit_experiment(out_dir, artifacts, *, cocycle_scale=0.002,
     rows, base_row, cob_row = graphs.limit_experiment_with_control(
         rep, lambdas, coboundary_size, extent=extent, nodes=nodes,
         word_length=word_length, relax_tol=relax_tol)
-    _write_artifact(out_dir, artifacts, "limit_experiment.csv", graphs.LIMIT_COLUMNS, rows)
-    _write_artifact(out_dir, artifacts, "coboundary_control.csv",
-                    graphs.LIMIT_COLUMNS, [cob_row])
 
     devs = [abs(r[3] - 1.0) for r in rows]
     # a NaN deviation is not a decrease, and a NaN residual makes np.max NaN
     increases = sum(1 for i in range(len(devs) - 1) if not devs[i + 1] < devs[i])
     worst_resid = np.max([r[4] for r in [base_row, *rows, cob_row]])
 
-    return [
+    tables = [("limit_experiment.csv", graphs.LIMIT_COLUMNS, rows),
+              ("coboundary_control.csv", graphs.LIMIT_COLUMNS, [cob_row])]
+    return tables, [
         _check("limit_dev_increases", float(increases), 0.0, 0.0),
         _check("limit_relax_residual", worst_resid, 0.0, 10.0 * relax_tol),
         _check("limit_baseline_volume", base_row[2], 4.0 * math.pi, 5e-3),
@@ -233,7 +223,7 @@ GRAPH_MAX_GRID_NODES = 2401**2
 LIMIT_MAX_NODES = 641
 
 
-def scenario_graph_check(out_dir, artifacts, *, dim=2, hyperboloid_s=1.0, extent=2.0,
+def scenario_graph_check(*, dim=2, hyperboloid_s=1.0, extent=2.0,
                          energy_extent=6.0, refinement_nodes=(), energy_nodes=2401):
     """``refinement_nodes = ()``, which no config text can give, selects
     ``GRAPH_REFINEMENT_NODES[dim]``."""
@@ -260,8 +250,6 @@ def scenario_graph_check(out_dir, artifacts, *, dim=2, hyperboloid_s=1.0, extent
 
     conv_rows, det_err = graphs.curvature_convergence(hyperboloid_s, extent, nodes_list, dim)
     orders = [math.log2(a[2] / b[2]) for a, b in zip(conv_rows, conv_rows[1:])]
-    _write_artifact(out_dir, artifacts, "graph_convergence.csv",
-                    ("nodes", "spacing", "max_mean_curvature_err"), conv_rows)
 
     checks = [_check(f"graph_convergence_order_{i}", order, 2.0, 0.2)
               for i, order in enumerate(orders)]
@@ -271,11 +259,12 @@ def scenario_graph_check(out_dir, artifacts, *, dim=2, hyperboloid_s=1.0, extent
     report = graphs.quotient_energy(field, graphs.bolza_domain_level)
     tau, chi = -2.0, -2
     identity = report.energy - (4.0 * math.pi * chi + tau**2 * report.volume)
-    _write_artifact(out_dir, artifacts, "graph_energy.csv",
-                    ("energy", "volume", "tau_mean", "identity_residual"),
-                    [(report.energy, report.volume, report.tau_mean, identity)])
     checks.append(_check("graph_energy_identity", identity, 0.0, 1e-3))
-    return checks
+    tables = [("graph_convergence.csv", ("nodes", "spacing", "max_mean_curvature_err"),
+               conv_rows),
+              ("graph_energy.csv", ("energy", "volume", "tau_mean", "identity_residual"),
+               [(report.energy, report.volume, report.tau_mean, identity)])]
+    return tables, checks
 
 
 SCENARIOS = {
@@ -353,25 +342,19 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         scenario, kwargs = _scenario_kwargs(cfg, args.scenario)
+        tables, summary = SCENARIOS[scenario](**kwargs)
         os.makedirs(args.out, exist_ok=True)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    # each scenario raises ConfigError before it writes anything
-    artifacts: list = []
-    try:
-        summary = SCENARIOS[scenario](args.out, artifacts, **kwargs)
-    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure in {scenario}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    summary_rows = [(n, m, e, t, "true" if ok else "false") for n, m, e, t, ok in summary]
-    csvio.write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_HEADER, summary_rows)
-    artifacts.append("summary.csv")
+    tables.append(("summary.csv", SUMMARY_HEADER, summary))
+    for name, header, rows in tables:
+        csvio.write_csv(os.path.join(args.out, name), header, rows)
+    artifacts = [name for name, _, _ in tables]
 
     all_pass = all(ok for *_, ok in summary)
     for name, measured, expected, tol, ok in summary:

@@ -59,7 +59,10 @@ def parse_config(text: str) -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            return parse_config(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def get_float(options: dict, key: str, default: float) -> float:

@@ -211,8 +211,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfgfile.write_text("scenario = cone-flow\ntau_start = 0.5\n")
     assert cli.main(["--config", str(cfgfile), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
-    # nothing was written
-    assert not out.exists() or not list(out.iterdir())
+    # --out was not created
+    assert not out.exists()
 
 
 def test_unknown_scenario_and_missing_config(tmp_path, capsys):
@@ -220,6 +220,12 @@ def test_unknown_scenario_and_missing_config(tmp_path, capsys):
     assert cli.main(["--config", str(tmp_path / "absent.cfg")]) == 2
     assert cli.main(["--out", str(tmp_path / "y")]) == 2  # no scenario at all
     capsys.readouterr()
+    # a config file that is not UTF-8 text is a config error too
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"scenario = riccati\n\xff\n")
+    assert cli.main(["--config", str(binary), "--out", str(tmp_path / "z")]) == 2
+    assert "binary.cfg: not UTF-8 text" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["binary.cfg"]
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -229,7 +235,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     cfgfile.write_text("scenario = limit-experiment\ncocycle_scale = 1\nnodes = 21\n")
     assert cli.main(["--config", str(cfgfile), "--out", str(out)]) == 3
     assert "numerical failure" in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("scenario, option", [
@@ -242,7 +248,17 @@ def test_arithmetic_errors_are_numerical_failures(tmp_path, capsys, scenario, op
     code, out = _run_config(tmp_path, f"scenario = {scenario}\n{option}\n")
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()
+
+
+def test_graph_check_exception_writes_nothing(tmp_path, capsys):
+    # the convergence table is computed before the energy quadrature raises;
+    # an exception in a scenario writes none of its tables and no --out
+    code, out = _run_config(tmp_path, "scenario = graph-check\nenergy_extent = 1.0\n"
+                                      "energy_nodes = 201\nrefinement_nodes = 21, 41, 81\n")
+    assert code == 3
+    assert "filtered region touches the patch frame" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unusable_out_is_a_config_error(tmp_path, capsys):
@@ -354,7 +370,7 @@ def test_limit_experiment_rejects_empty_orbit(tmp_path, capsys):
     code, out = _run_config(tmp_path, "scenario = limit-experiment\nword_length = 0\n")
     assert code == 2
     assert "word_length" in capsys.readouterr().err
-    assert not out.exists() or not list(out.iterdir())
+    assert not out.exists()
 
 
 def test_limit_experiment_relaxation_error_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
@@ -375,7 +391,7 @@ def test_limit_experiment_relaxation_error_is_a_numerical_failure(tmp_path, monk
     assert code == 3
     assert ("numerical failure in limit-experiment: planted in the second relaxation"
             in capsys.readouterr().err)
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()
     assert threading.active_count() == before
 
 
@@ -390,7 +406,7 @@ def test_a_linalg_error_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert ("numerical failure in limit-experiment: planted singular matrix"
             in capsys.readouterr().err)
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()
 
 
 def test_limit_experiment_carries_the_lu_to_the_coboundary(tmp_path, capsys):
@@ -416,7 +432,7 @@ def test_graph_check_rejects_bad_refinement_sizes(tmp_path, capsys):
             f"refinement_nodes = {sizes}\n")
         assert code == 2
         assert message in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
 
 def test_graph_check_rejects_bad_energy_and_extent_options(tmp_path, capsys):
@@ -429,7 +445,7 @@ def test_graph_check_rejects_bad_energy_and_extent_options(tmp_path, capsys):
         code, out = _run_config(tmp_path, f"scenario = graph-check\ndim = 3\n{option}\n")
         assert code == 2
         assert message in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
 
 def test_graph_check_three_dimensional_orders(tmp_path, capsys):
@@ -504,8 +520,8 @@ def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):
 
 def test_limit_experiment_caps_its_grid(tmp_path, monkeypatch, capsys):
     # nodes = 20001 would ask the envelope worker for a 3.2 GB array; a grid
-    # beyond the cap is a config error before anything is built or written
-    # (main has made --out, as for every range check of a scenario)
+    # beyond the cap is a config error before anything is built, and --out is
+    # not created, as for every range check of a scenario
     base = 4.0 * np.pi
     row = (1.0, -2.0, base, 1.0, 1e-10, 2, 0)
     rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 0), (2.0, -2.0, base, 1.001, 1e-10, 3, 0)]
@@ -520,7 +536,7 @@ def test_limit_experiment_caps_its_grid(tmp_path, monkeypatch, capsys):
         code, out = _run_config(tmp_path, f"scenario = limit-experiment\nnodes = {nodes}\n")
         assert code == 2
         assert f"nodes must lie in 5..{cli.LIMIT_MAX_NODES}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
     assert grids == []
     code, _ = _run_config(tmp_path, f"scenario = limit-experiment\nnodes = {cli.LIMIT_MAX_NODES}\n")
     capsys.readouterr()
@@ -612,7 +628,7 @@ def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
         code, out = _run_config(tmp_path, f"scenario = {scenario}\n{option}\n")
         assert code == 2, option
         assert message in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -695,6 +711,31 @@ def test_scenario_options_are_the_keys_each_scenario_reads(tmp_path, monkeypatch
         _run_config(tmp_path, f"scenario = {scenario}\n" + small.get(scenario, ""))
         assert read == set(cli.SCENARIO_OPTIONS[scenario]), scenario
     capsys.readouterr()
+
+
+def test_scenarios_return_their_tables_and_write_nothing(tmp_path, monkeypatch):
+    # each scenario, called directly on small options, returns the tables and
+    # checks its golden files name, and writes nothing to the working directory
+    small = {"cone-flow": dict(tau_start=-2.0, tau_end=-1.0, steps=20),
+             "kasner-flow": dict(tau_start=-2.0, tau_end=-1.0, steps=20),
+             "lichnerowicz-sweep": {},
+             "riccati": dict(trials=1, steps=20),
+             "bolza-check": dict(words=1),
+             "limit-experiment": dict(nodes=21, lambdas=(1.0, 2.0)),
+             "graph-check": dict(refinement_nodes=(21, 41, 81), energy_nodes=101)}
+    golden_root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    monkeypatch.chdir(tmp_path)
+    assert set(small) == set(cli.SCENARIOS)
+    for scenario, options in small.items():
+        tables, checks = cli.SCENARIOS[scenario](**options)
+        golden = os.path.join(golden_root, scenario)
+        assert sorted([name for name, _, _ in tables] + ["summary.csv"]) \
+            == sorted(os.listdir(golden)), scenario
+        for name, header, _ in tables:
+            assert list(header) == csvio.read_csv(os.path.join(golden, name))[0], name
+        _, summary = csvio.read_csv(os.path.join(golden, "summary.csv"))
+        assert [check[0] for check in checks] == [row[0] for row in summary], scenario
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_large_sigma_sweep_passes(tmp_path, capsys):
