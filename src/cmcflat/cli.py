@@ -11,6 +11,12 @@ pass; 2 configuration error (a bad key, type or range, or an unusable
 ``--out``: nothing written, and no ``--out`` created for a bad config); 3
 numerical failure (a failed check writes every artifact, an exception in the
 scenario writes nothing); 4 golden-file mismatch (every artifact written).
+
+The flows and the Lichnerowicz sweep compute on Python floats, and this
+module imports numpy nowhere: ``--list-scenarios``, ``cone-flow``,
+``kasner-flow`` and ``lichnerowicz-sweep`` start and finish without loading
+it.  The other scenarios import ``graphs``, ``holonomy`` and numpy where
+they run.
 """
 from __future__ import annotations
 
@@ -20,9 +26,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import csvio, flow, graphs, holonomy, lichnerowicz, models
+from . import csvio, flow, lichnerowicz, models
 from .config import ConfigError, RunConfig, get_float, get_floats, get_int, load_config
 
 SUMMARY_HEADER = ("name", "measured", "expected", "tolerance", "pass")
@@ -40,17 +44,17 @@ def _check(name: str, measured: float, expected: float, tolerance: float):
 
 def _flow_trace_checks(prefix: str, trace: flow.HamTrace):
     """The trace's lapse-bound and Gauss-constraint checks; the bound checks measure
-    the dimensionless worst violation of 1/tau^2 <= N <= n/tau^2."""
-    tau = trace.column("tau")
-    lo = 1.0 / tau**2
-    hi = trace.ndim / tau**2
-    lo_viol = np.maximum(0.0, np.max((lo - trace.column("lapse_min")) / lo))
-    hi_viol = np.maximum(0.0, np.max((trace.column("lapse_max") - hi) / hi))
+    the dimensionless worst violation of 1/tau^2 <= N <= n/tau^2, clipped at 0.
+    A NaN anywhere in a column fails its check (``flow.max_or_nan``)."""
+    lo = [1.0 / (t * t) for t in trace.floats("tau")]
+    hi = [trace.ndim / (t * t) for t in trace.floats("tau")]
+    lo_viol = flow.max_or_nan((b - lapse) / b for b, lapse in zip(lo, trace.floats("lapse_min")))
+    hi_viol = flow.max_or_nan((lapse - b) / b for b, lapse in zip(hi, trace.floats("lapse_max")))
     return [
         _check(prefix + "_lapse_lower_bound_violation", lo_viol, 0.0, 1e-12),
         _check(prefix + "_lapse_upper_bound_violation", hi_viol, 0.0, 1e-12),
         _check(prefix + "_max_gauss_residual",
-               float(np.max(trace.column("gauss_residual"))), 0.0, 1e-8),
+               flow.max_or_nan(trace.floats("gauss_residual")), 0.0, 1e-8),
     ]
 
 
@@ -72,8 +76,9 @@ def _model_flow(model, tau_start, tau_end, steps):
         raise ConfigError("steps must be at least 2")
     state = flow.state_from_slice(models.slice_at_tau(model, tau_start))
     trace = flow.run_flow(state, tau_end, steps)
-    closed = np.array([models.ham_closed_form(model, t) for t in trace.column("tau").tolist()])
-    return trace, float(np.max(np.abs(trace.column("ham") / closed - 1.0)))
+    closed = [models.ham_closed_form(model, t) for t in trace.floats("tau")]
+    return trace, flow.max_or_nan(abs(ham / c - 1.0)
+                                  for ham, c in zip(trace.floats("ham"), closed))
 
 
 def scenario_cone_flow(*, dim=3, base_volume=1.0, tau_start=-10.0, tau_end=-0.1, steps=10000):
@@ -112,18 +117,14 @@ def scenario_lichnerowicz_sweep(*, dim=3, volume=1.0,
 
     rows = lichnerowicz.sweep_constant_sigma(bg, tau_values, sigma_sq_values)
 
-    data = np.asarray(rows, dtype=float)
-    tau_col, sig_col = data[:, 0], data[:, 1]
-    u_min, u_max = data[:, 2], data[:, 3]
-    ham, bound = data[:, 4], data[:, 5]
-
-    refs = np.array([lichnerowicz.reference_factor(dim, t) for t in tau_col])
-    zero = sig_col == 0.0
-    exact_err = float(np.max(np.maximum(np.abs(u_min[zero] - refs[zero]),
-                                        np.abs(u_max[zero] - refs[zero]))))
-    barrier_viol = float(np.maximum(0.0, np.max((refs - u_min) / refs)))
-    ham_viol = float(np.maximum(0.0, np.max((bound - ham) / bound)))
-    report = lichnerowicz.sigma_report(ham, dim)
+    # a SWEEP_COLUMNS row is (tau, sigma_sq, u_min, u_max, ham, bound_nn_vol);
+    # each worst case is a max_or_nan, so a NaN in any row fails its check
+    refs = [lichnerowicz.reference_factor(dim, row[0]) for row in rows]
+    exact_err = flow.max_or_nan(abs(u - ref) for row, ref in zip(rows, refs)
+                                if row[1] == 0.0 for u in row[2:4])
+    barrier_viol = flow.max_or_nan((ref - row[2]) / ref for row, ref in zip(rows, refs))
+    ham_viol = flow.max_or_nan((row[5] - row[4]) / row[5] for row in rows)
+    report = lichnerowicz.sigma_report([row[4] for row in rows], dim)
     report_expected = lichnerowicz.sigma_report([dim**dim * volume], dim)
 
     return [("lichnerowicz_sweep.csv", lichnerowicz.SWEEP_COLUMNS, rows)], [
@@ -135,7 +136,7 @@ def scenario_lichnerowicz_sweep(*, dim=3, volume=1.0,
 
 
 def _check_seed(seed: int) -> None:
-    """np.random.default_rng takes no negative seed."""
+    """numpy.random.default_rng takes no negative seed."""
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
 
@@ -152,8 +153,8 @@ def scenario_riccati(*, seed=2024, trials=5, steps=2000, t_values=(0.3, 0.9, 1.5
     rows, _ = models.riccati_trials(seed, trials, t_values, steps)
     header = ("trial", "dim", "t", "integration_err", "semigroup_err")
     return [("riccati_checks.csv", header, rows)], [
-        _check("riccati_integration_err", np.max([r[3] for r in rows]), 0.0, 1e-8),
-        _check("riccati_semigroup_err", np.max([r[4] for r in rows]), 0.0, 1e-10),
+        _check("riccati_integration_err", flow.max_or_nan(r[3] for r in rows), 0.0, 1e-8),
+        _check("riccati_semigroup_err", flow.max_or_nan(r[4] for r in rows), 0.0, 1e-10),
     ]
 
 
@@ -164,6 +165,7 @@ def scenario_bolza_check(*, seed=7, words=20, word_length=5):
     _check_seed(seed)
     if words < 1 or word_length < 2:
         raise ConfigError("words must be >= 1 and word_length >= 2")
+    from . import holonomy
 
     rows = holonomy.bolza_suite(seed, words, word_length)
     value = dict(rows)
@@ -188,6 +190,7 @@ def scenario_limit_experiment(*, cocycle_scale=0.002, lambdas=(1.0, 2.0, 4.0, 8.
         raise ConfigError("relax_tol must be positive")
     if not 5 <= nodes <= LIMIT_MAX_NODES or not extent > 0:
         raise ConfigError(f"nodes must lie in 5..{LIMIT_MAX_NODES} and extent be positive")
+    from . import graphs, holonomy
 
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(cocycle_scale))
     # Pure-gauge control: a coboundary sized to the same orbit-translation
@@ -199,9 +202,9 @@ def scenario_limit_experiment(*, cocycle_scale=0.002, lambdas=(1.0, 2.0, 4.0, 8.
         word_length=word_length, relax_tol=relax_tol)
 
     devs = [abs(r[3] - 1.0) for r in rows]
-    # a NaN deviation is not a decrease, and a NaN residual makes np.max NaN
+    # a NaN deviation is not a decrease, and a NaN residual makes max_or_nan NaN
     increases = sum(1 for i in range(len(devs) - 1) if not devs[i + 1] < devs[i])
-    worst_resid = np.max([r[4] for r in [base_row, *rows, cob_row]])
+    worst_resid = flow.max_or_nan(r[4] for r in [base_row, *rows, cob_row])
 
     tables = [("limit_experiment.csv", graphs.LIMIT_COLUMNS, rows),
               ("coboundary_control.csv", graphs.LIMIT_COLUMNS, [cob_row])]
@@ -247,6 +250,7 @@ def scenario_graph_check(*, dim=2, hyperboloid_s=1.0, extent=2.0,
     if energy_nodes < 9 or energy_nodes**2 > GRAPH_MAX_GRID_NODES:
         raise ConfigError(f"energy_nodes must lie in 9..2401 (the limit of "
                           f"{GRAPH_MAX_GRID_NODES} grid nodes), got {energy_nodes}")
+    from . import graphs
 
     conv_rows, det_err = graphs.curvature_convergence(hyperboloid_s, extent, nodes_list, dim)
     orders = [math.log2(a[2] / b[2]) for a, b in zip(conv_rows, conv_rows[1:])]

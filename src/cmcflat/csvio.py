@@ -2,14 +2,16 @@
 
 Floats are rendered with Python's shortest round-trip repr so files are
 bitwise reproducible across runs and parse back to the exact same doubles.
+The module does not import numpy: it renders numpy values once a caller has
+loaded numpy, and plain Python values without it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-
-import numpy as np
+import numbers
+import sys
 
 
 def format_value(x) -> str:
@@ -17,9 +19,11 @@ def format_value(x) -> str:
         return repr(x)
     if isinstance(x, str):
         return x
-    if isinstance(x, (bool, np.bool_)):
+    # a numpy bool is no Python bool, and can exist only once numpy is loaded
+    np = sys.modules.get("numpy")
+    if isinstance(x, bool) or (np is not None and isinstance(x, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     return repr(float(x))
 
@@ -27,18 +31,25 @@ def format_value(x) -> str:
 def render_csv(header, rows) -> str:
     """CSV text of a header and rows; a numeric ndarray renders as floats.
 
-    An ndarray row is written as the joined reprs of its Python floats: the
-    text that ``csv.writer`` and ``format_value`` give its numpy scalars (a
-    float repr never needs quoting), without a second copy of the table.
+    A row of floats is written as the joined reprs of its cells: the text
+    that ``csv.writer`` and ``format_value`` give it (a float repr never
+    needs quoting), without a list of strings per row.  An ndarray is
+    written as its rows of Python floats.  Any other row goes through
+    ``csv.writer`` and ``format_value``.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    if isinstance(rows, np.ndarray):
-        for row in rows.astype(float, copy=False):
-            buf.write(",".join(map(repr, row.tolist())) + "\n")
-    else:
-        writer.writerows([format_value(x) for x in row] for row in rows)
+    if hasattr(rows, "astype"):
+        rows = rows.astype(float, copy=False).tolist()
+    for row in rows:
+        try:
+            # float.__repr__ takes floats and their subclasses, numpy's float64 among them
+            line = ",".join(map(float.__repr__, row))
+        except TypeError:
+            writer.writerow([format_value(x) for x in row])
+        else:
+            buf.write(line + "\n")
     return buf.getvalue()
 
 

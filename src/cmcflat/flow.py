@@ -6,10 +6,15 @@ along one flat circle factor on a uniform periodic grid; it serves only the
 lapse solve, the smallest setting where the lapse equation is a genuine
 two-point boundary problem, and it holds numpy arrays.  Its periodic
 kernels, the second difference and the periodic tridiagonal solve, live here
-too; the solve is one dense numpy solve, so flow never loads scipy.
-Evolution and the constraint residuals take homogeneous ``FlowState`` data
-alone, held as plain Python floats: on one or two blocks numpy's per-call
-overhead would dominate the arithmetic.  A slotted ``FlowState`` computes its
+too; the solve is one dense numpy solve, so flow never loads scipy.  These
+grid functions import numpy where they run, and ``HamTrace.column`` where it
+returns an array; nothing else here touches numpy, so a homogeneous flow
+starts and finishes without loading it.
+Evolution, the τ grid, the trace and its checks, and the constraint
+residuals take homogeneous ``FlowState`` data alone, held as plain Python
+floats: on one or two blocks numpy's per-call overhead would dominate the
+arithmetic, and Python's float arithmetic and libm do not change with the
+host's SIMD extensions.  A slotted ``FlowState`` computes its
 mixed eigenvalues, tr K and |K|² when built; RK4 stages 2–4 advance the fields
 and sum |K|² in one pass over plain lists, so a step builds one state.
 
@@ -34,8 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .models import SliceData
 
@@ -144,6 +147,8 @@ class GridLapseProblem:
 
     @property
     def k_norm2(self) -> np.ndarray:
+        import numpy as np
+
         p = self.kcov / self.scales
         return np.einsum("b,bm->m", np.asarray(self.dims, float), p * p)
 
@@ -174,6 +179,8 @@ def grid_state_from_slice(slc: SliceData, grid_points: int, circle_length: float
     ]
     if not flat_blocks:
         raise ValueError("grid mode needs a flat one-dimensional block in the slice")
+    import numpy as np
+
     ones = np.ones(grid_points)
     scales = np.stack([b.metric_scale * ones for b in slc.blocks])
     kcov = np.stack([b.k_eigenvalue * b.metric_scale * ones for b in slc.blocks])
@@ -188,11 +195,15 @@ def grid_state_from_slice(slc: SliceData, grid_points: int, circle_length: float
 
 
 def _ddr(f: np.ndarray, h: float) -> np.ndarray:
+    import numpy as np
+
     return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * h)
 
 
 def periodic_second_difference(f: np.ndarray, h: float) -> np.ndarray:
     """(f[j+1] - 2 f[j] + f[j-1]) / h², indices mod the grid size."""
+    import numpy as np
+
     return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / (h * h)
 
 
@@ -204,6 +215,8 @@ def solve_periodic_tridiag(lower, main, upper, rhs):
     dense and solved by LU: callers have a few hundred points, where that
     costs under a millisecond.
     """
+    import numpy as np
+
     a = np.diag(main) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
     a[0, -1], a[-1, 0] = lower[0], upper[-1]
     return np.linalg.solve(a, rhs)
@@ -231,6 +244,8 @@ def _homogeneous_lapse(k2: float) -> float:
 
 def _grid_lapse(prob: GridLapseProblem) -> np.ndarray:
     """Second-order central differences and a dense periodic tridiagonal solve."""
+    import numpy as np
+
     k2 = prob.k_norm2
     if float(np.max(k2)) <= DEGENERATE_K2:
         raise DegenerateLapseError("lapse operator -Δ + |K|^2 is singular: |K|^2 vanishes")
@@ -257,6 +272,8 @@ def lapse_residual(state: FlowState | GridLapseProblem, lapse) -> float:
     k2 = state.k_norm2
     if not isinstance(state, GridLapseProblem):
         return abs(k2 * lapse - 1.0)
+    import numpy as np
+
     c2, c1 = _laplacian_coefficients(state)
     lap = c2 * periodic_second_difference(lapse, state.spacing) + c1 * _ddr(lapse, state.spacing)
     return float(np.max(np.abs(-lap + k2 * lapse - 1.0)))
@@ -376,16 +393,25 @@ def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _dept
 
 @dataclass
 class HamTrace:
-    """Record of a flow run: one row per τ grid point (columns TRACE_COLUMNS)."""
+    """Record of a flow run: one row per τ grid point, a tuple of Python floats
+    in the order of TRACE_COLUMNS."""
 
     ndim: int
-    data: np.ndarray
+    data: list
+
+    def floats(self, name: str) -> list:
+        """One column as a list of Python floats."""
+        j = TRACE_COLUMNS.index(name)
+        return [row[j] for row in self.data]
 
     def column(self, name: str) -> np.ndarray:
-        return self.data[:, TRACE_COLUMNS.index(name)]
+        """One column as a numpy array, for callers that compute on arrays."""
+        import numpy as np
+
+        return np.array(self.floats(name))
 
     def __len__(self) -> int:
-        return self.data.shape[0]
+        return len(self.data)
 
 
 def _record(state: FlowState) -> tuple:
@@ -399,39 +425,76 @@ def _record(state: FlowState) -> tuple:
     return (state.tau, vol, ham, nk2, flat_constraint_residual(state), lapse, lapse)
 
 
-def tau_grid(tau_start: float, tau_end: float, steps: int) -> np.ndarray:
-    """CMC time grid between two negative times, uniform in log|τ|.
+def tau_grid(tau_start: float, tau_end: float, steps: int) -> list:
+    """CMC time grid between two negative times, uniform in log|τ|: a list of
+    ``steps + 1`` Python floats from ``tau_start`` to ``tau_end``, both exact.
 
-    Steps shrink toward τ → 0⁻, where the solution varies fastest.
+    Steps shrink toward τ → 0⁻, where the solution varies fastest.  The
+    interior points follow numpy 2.x's ``-geomspace(-tau_start, -tau_end,
+    steps + 1)``: a linspace in log10|τ|, i·step + log10|tau_start|, mapped
+    back by ``10.0 ** y``.  Python's ``**`` and ``math.log10`` are libm's, so
+    the grid does not change with numpy's SIMD dispatch (numpy's AVX-512
+    power rounds some of these points differently from libm).
     """
     if not (tau_start < 0 and tau_end < 0):
         raise ValueError("CMC times must be negative")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if steps == 0 or tau_start == tau_end:
-        return np.array([tau_start])
-    return -np.geomspace(-tau_start, -tau_end, steps + 1)
+        return [tau_start]
+    lo = math.log10(-tau_start)
+    step = (math.log10(-tau_end) - lo) / steps
+    return [tau_start, *[-(10.0 ** (i * step + lo)) for i in range(1, steps)], tau_end]
 
 
 def run_flow(initial: FlowState, tau_end: float, steps: int,
              drift_tol: float = DRIFT_TOL) -> HamTrace:
     """Integrate the CMC flow and record the Ham diagnostics at every grid time.
 
-    drift_tol is forwarded to flow_step; pass numpy.inf to disable the
+    drift_tol is forwarded to flow_step; pass math.inf to disable the
     per-step re-stepping (useful when measuring the raw integrator order).
     """
-    grid = tau_grid(initial.tau, tau_end, steps).tolist()
+    grid = tau_grid(initial.tau, tau_end, steps)
     state = initial
     rows = [_record(state)]
     for t0, t1 in zip(grid, grid[1:]):
         state = flow_step(state, t1 - t0, drift_tol=drift_tol)
         rows.append(_record(state))
-    return HamTrace(initial.geometry.dim, np.array(rows))
+    return HamTrace(initial.geometry.dim, rows)
 
 
 # ---------------------------------------------------------------------------
 # trace diagnostics
 # ---------------------------------------------------------------------------
+
+
+def max_or_nan(values) -> float:
+    """The largest of 0.0 and ``values``, or NaN if any value is NaN: the worst
+    case of errors and of violations clipped at 0.
+
+    The built-in max keeps a NaN only in first place, and drops it anywhere
+    else; a check's worst case must fail on a NaN wherever it sits, as
+    np.max does.
+    """
+    worst = 0.0
+    for value in values:
+        if value > worst:
+            worst = value
+        elif value != value:
+            return value
+    return worst
+
+
+def _identity_mismatches(tau, ham, nk2, n):
+    """Relative mismatch of the three-point dHam/dτ and -n|τ|^{n-1} ∫ N|K̂|² dμ
+    at each interior record."""
+    for t0, t1, t2, a, b, c, q in zip(tau, tau[1:], tau[2:], ham, ham[1:], ham[2:], nk2[1:]):
+        h1, h2 = t1 - t0, t2 - t1
+        deriv = (-h2 / (h1 * (h1 + h2)) * a + (h2 - h1) / (h1 * h2) * b
+                 + h1 / (h2 * (h1 + h2)) * c)
+        rhs = -n * abs(t1) ** (n - 1) * q
+        # a NaN deriv or rhs makes the numerator NaN, whatever max keeps
+        yield abs(deriv - rhs) / max(1.0, abs(deriv), abs(rhs))
 
 
 @dataclass
@@ -447,26 +510,15 @@ def ham_monotonicity_check(trace: HamTrace) -> MonotonicityReport:
     Any relative increase beyond HAM_INCREASE_REL_TOL between consecutive
     records is flagged.  At interior records the three-point (nonuniform)
     central difference of Ham is compared with -n |τ|^{n-1} ∫ N|K̂|² dμ using
-    a mixed absolute/relative tolerance, HAM_IDENTITY_TOL.
+    a mixed absolute/relative tolerance, HAM_IDENTITY_TOL.  A NaN anywhere
+    in the trace fails the check: max_or_nan keeps a NaN mismatch.
     """
-    tau = trace.column("tau")
-    ham = trace.column("ham")
-    nk2 = trace.column("n_khat2_integral")
-    n = trace.ndim
-    increases = np.nonzero(np.diff(ham) > HAM_INCREASE_REL_TOL * np.abs(ham[:-1]))[0]
-    h1 = tau[1:-1] - tau[:-2]
-    h2 = tau[2:] - tau[1:-1]
-    deriv = (
-        -h2 / (h1 * (h1 + h2)) * ham[:-2]
-        + (h2 - h1) / (h1 * h2) * ham[1:-1]
-        + h1 / (h2 * (h1 + h2)) * ham[2:]
-    )
-    rhs = -n * np.abs(tau[1:-1]) ** (n - 1) * nk2[1:-1]
-    mismatch = np.abs(deriv - rhs) / np.maximum(1.0, np.maximum(np.abs(deriv), np.abs(rhs)))
-    # np.max propagates a NaN mismatch, so a NaN anywhere in the trace fails the check
-    max_mismatch = float(np.max(mismatch, initial=0.0))
-    ok = bool(increases.size == 0 and max_mismatch <= HAM_IDENTITY_TOL)
-    return MonotonicityReport(ok, int(increases.size), max_mismatch)
+    tau, ham = trace.floats("tau"), trace.floats("ham")
+    increases = sum(1 for a, b in zip(ham, ham[1:]) if b - a > HAM_INCREASE_REL_TOL * abs(a))
+    max_mismatch = max_or_nan(
+        _identity_mismatches(tau, ham, trace.floats("n_khat2_integral"), trace.ndim))
+    ok = increases == 0 and max_mismatch <= HAM_IDENTITY_TOL
+    return MonotonicityReport(ok, increases, max_mismatch)
 
 
 def lapse_identity_check(state: FlowState):

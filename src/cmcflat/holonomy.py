@@ -20,6 +20,7 @@ moving the base point and deform nothing geometrically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,15 +133,17 @@ def octagon_inradius() -> float:
 
     Closed form of the vertex-angle condition: the regular octagon with
     interior angle pi/4 has cosh(r) sin(pi/8) = cos(pi/8), so
-    r = arccosh(cot(pi/8)).  It is numpy's arccosh because math.acosh rounds
-    this argument one ulp lower, which would move every Bolza generator.
+    r = arccosh(cot(pi/8)).  The scalar functions of this module and of
+    ``minkowski`` come from ``math``, libm's, not from numpy's ufuncs: numpy's
+    AVX-512 arccosh gives this radius one ulp more than math.acosh, which
+    would make every Bolza generator depend on the host's SIMD extensions.
     """
-    return float(np.arccosh(1.0 / np.tan(np.pi / 8)))
+    return math.acosh(1.0 / math.tan(math.pi / 8))
 
 
 def octagon_circumradius() -> float:
     """Hyperbolic distance from the octagon center to each vertex."""
-    return float(np.arccosh(1.0 / np.tan(np.pi / 8) ** 2))
+    return math.acosh(1.0 / math.tan(math.pi / 8) ** 2)
 
 
 def bolza_translation_length() -> float:
@@ -158,7 +161,7 @@ def bolza_presentation() -> GroupPresentation:
     ell = bolza_translation_length()
     gens = []
     for k in range(8):
-        rot = make_rotation(2, 0, 1, k * np.pi / 4)
+        rot = make_rotation(2, 0, 1, k * math.pi / 4)
         gens.append(rot @ make_boost([1.0, 0.0], ell) @ rot.T)
     relators = ((1, 5), (2, 6), (3, 7), (4, 8), BOLZA_RELATOR)
     return GroupPresentation(2, tuple(gens), relators)
@@ -175,7 +178,7 @@ def bolza_rep(translations: tuple | None = None) -> HolonomyRep:
 def _side_circle_data():
     """(dist, radius) of the eight geodesic side circles in the Poincare disk:
     the Euclidean distance of each center from the origin, and the radius."""
-    rho0 = np.tanh(0.5 * octagon_inradius())
+    rho0 = math.tanh(0.5 * octagon_inradius())
     return (1.0 + rho0 * rho0) / (2.0 * rho0), (1.0 - rho0 * rho0) / (2.0 * rho0)
 
 

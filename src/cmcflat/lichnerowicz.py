@@ -19,10 +19,9 @@ Python floats.  Integrals are Vol(M,h) times the constant integrand.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 #: Newton tolerance (absolute residual)
 TOL_HOMOGENEOUS = 1e-12
@@ -54,8 +53,8 @@ class TTData:
     sigma_sq: float = 0.0
 
     def __post_init__(self):
-        if np.ndim(self.sigma_sq) != 0:
-            raise ValueError("sigma_sq must be a scalar")
+        if not isinstance(self.sigma_sq, numbers.Real):
+            raise ValueError("sigma_sq must be a real scalar")
         sigma_sq = float(self.sigma_sq)
         if not (sigma_sq >= 0 and math.isfinite(sigma_sq)):
             raise ValueError("sigma_sq must be finite and nonnegative")
@@ -138,8 +137,9 @@ def integrate(bg: ConformalBackground, value: float) -> float:
 def conformal_ham(sol: LichSolution, bg: ConformalBackground) -> float:
     """Rescaled volume of the solved data: |τ|ⁿ ∫ u^(2n/(n-2)) dμ_h."""
     n = bg.dim
-    # numpy's power, not Python's: the two differ in the last bit on some sweep rows
-    dens = np.asarray(sol.u, float) ** (2.0 * n / (n - 2))
+    # Python's power, libm's pow: numpy's AVX-512 power differs from it in
+    # the last bit on some sweep rows, so numpy would tie Ham to the host
+    dens = sol.u ** (2.0 * n / (n - 2))
     return abs(sol.tau) ** n * integrate(bg, dens)
 
 

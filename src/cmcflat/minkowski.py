@@ -14,6 +14,7 @@ hyperbolic n-space used throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,9 @@ def make_boost(direction, rapidity: float) -> np.ndarray:
     ``direction`` is a spatial n-vector (normalized internally); the boost
     acts in the plane spanned by the time axis and the direction, and fixes
     the orthogonal spatial complement.  Rapidity equals hyperbolic distance
-    translated along the corresponding geodesic of H^n.
+    translated along the corresponding geodesic of H^n.  cosh and sinh are
+    libm's, from ``math``, so the boost does not change with numpy's SIMD
+    dispatch.
     """
     d = np.asarray(direction, dtype=float)
     nrm = np.linalg.norm(d)
@@ -47,7 +50,7 @@ def make_boost(direction, rapidity: float) -> np.ndarray:
         raise ValueError("boost direction must be a nonzero spatial vector")
     d = d / nrm
     n = d.size
-    ch, sh = np.cosh(rapidity), np.sinh(rapidity)
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
     a = np.eye(n + 1)
     a[0, 0] = ch
     a[0, 1:] = sh * d
@@ -60,14 +63,15 @@ def make_rotation(ndim: int, axis1: int, axis2: int, angle: float) -> np.ndarray
     """Spatial rotation by ``angle`` in the plane of two spatial axes.
 
     Axes are indices into the spatial part (0-based, so axis 0 is the first
-    spatial coordinate).  The time axis is fixed.
+    spatial coordinate).  The time axis is fixed.  cos and sin are libm's,
+    from ``math``, as in make_boost.
     """
     if axis1 == axis2:
         raise ValueError("rotation plane needs two distinct spatial axes")
     if not (0 <= axis1 < ndim and 0 <= axis2 < ndim):
         raise ValueError("rotation axes out of range")
     i, j = axis1 + 1, axis2 + 1
-    c, s = np.cos(angle), np.sin(angle)
+    c, s = math.cos(angle), math.sin(angle)
     a = np.eye(ndim + 1)
     a[i, i] = c
     a[j, j] = c

@@ -13,14 +13,14 @@ hyperbolic manifolds:
 
 Slice data is stored per metric block as (dimension, curvature type, metric
 scale a², mixed second-fundamental-form eigenvalue p); this is the exact
-format consumed by the flow integrator.
+format consumed by the flow integrator.  The models and slices are Python
+floats; only the Riccati functions use numpy, and import it where they run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class ConeModel:
 
     def __post_init__(self):
         _check_dim(self.dim)
-        if not 0 < self.base_volume < np.inf:
+        if not 0 < self.base_volume < math.inf:
             raise ValueError("base_volume must be finite and positive")
 
 
@@ -77,7 +77,7 @@ class KasnerModel:
         _check_dim(self.dim)
         if self.dim < 3:
             raise ValueError("dim must be 3 or 4 (a hyperbolic factor of dim >= 2)")
-        if not (0 < self.sigma_volume < np.inf and 0 < self.circle_length < np.inf):
+        if not (0 < self.sigma_volume < math.inf and 0 < self.circle_length < math.inf):
             raise ValueError("sigma_volume and circle_length must be finite and positive")
 
 
@@ -140,6 +140,8 @@ def riccati_propagate(k0, t: float) -> np.ndarray:
     (zero eigenvalues stay zero).  Valid strictly before the first focal
     time; crossing one raises ValueError.
     """
+    import numpy as np
+
     k0 = np.asarray(k0, dtype=float)
     vals, vecs = np.linalg.eigh(0.5 * (k0 + k0.T))
     denom = 1.0 - t * vals
@@ -150,6 +152,8 @@ def riccati_propagate(k0, t: float) -> np.ndarray:
 
 def focal_times(k0) -> np.ndarray:
     """Focal times 1/κ for the nonzero eigenvalues κ of the shape operator."""
+    import numpy as np
+
     k0 = np.asarray(k0, dtype=float)
     vals = np.linalg.eigvalsh(0.5 * (k0 + k0.T))
     cutoff = 1e-14 * max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
@@ -162,18 +166,23 @@ def riccati_integrate(k0, t, steps: int = 2000) -> np.ndarray:
 
     Direct ODE solution of the same initial value problem that
     riccati_propagate answers in closed form; the two should agree to
-    O(steps⁻⁴) away from focal times.  ``t`` is one time or a sequence of
+    O(steps⁻⁴) away from focal times.  ``k0`` is one (d, d) matrix or a
+    stack of them, shape (..., d, d), and ``t`` is one time or an array of
     them: every time takes ``steps`` steps of its own length, all in one
-    loop over the stacked matrices, and the result is K(t) of shape (d, d)
-    for a scalar ``t`` and one such matrix per time otherwise.  A stacked
-    product multiplies each matrix as the 2-D product does, so every slice
-    equals the scalar-``t`` result bit for bit.
+    loop over the matrices of ``k0`` and ``t`` broadcast together, shape
+    ``np.broadcast_shapes(k0.shape[:-2], np.shape(t)) + (d, d)``.  So a
+    (d, d) ``k0`` and a sequence of times give one matrix per time, and a
+    (m, 1, d, d) stack gives an (m, len(t), d, d) result.  A stacked product
+    multiplies each matrix as the 2-D product does, so every slice equals
+    the single-matrix, scalar-``t`` result bit for bit.
     """
+    import numpy as np
+
     if steps < 1:
         raise ValueError("steps must be positive")
     k0 = np.asarray(k0, dtype=float)
     h = np.asarray(t, dtype=float)[..., None, None] / steps
-    k = np.array(np.broadcast_to(k0, h.shape[:-2] + k0.shape))
+    k = np.array(np.broadcast_to(k0, np.broadcast_shapes(k0.shape, h.shape)))
     for _ in range(steps):
         f1 = k @ k
         k2 = k + 0.5 * h * f1
@@ -193,15 +202,26 @@ def riccati_trials(seed: int, trials: int, t_values, steps: int):
     from one generator seeded with ``seed``.  Returns (rows, k0s): a row
     (trial, dim, t, integration_err, semigroup_err) per t in ``t_values``,
     the largest entries of |RK4 - K(t)| and |K(0.4t) propagated by 0.6t - K(t)|.
+    The trials of one size share one stacked riccati_integrate loop over all
+    their times, so at most three loops run, whatever the number of trials.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
-    rows, k0s = [], []
+    k0s = []
     for trial in range(trials):
         dim = 2 + trial % 3
         a = rng.normal(size=(dim, dim))
-        k0 = -(a @ a.T) - 0.1 * np.eye(dim)
-        k0s.append(k0)
-        for t, numeric in zip(t_values, riccati_integrate(k0, t_values, steps=steps)):
+        k0s.append(-(a @ a.T) - 0.1 * np.eye(dim))
+    numerics = {}
+    for first in range(min(3, trials)):
+        same_size = range(first, trials, 3)
+        stack = np.stack([k0s[trial] for trial in same_size])[:, None]
+        numerics.update(zip(same_size, riccati_integrate(stack, t_values, steps=steps)))
+    rows = []
+    for trial, k0 in enumerate(k0s):
+        dim = k0.shape[0]
+        for t, numeric in zip(t_values, numerics[trial]):
             exact = riccati_propagate(k0, t)
             two_leg = riccati_propagate(riccati_propagate(k0, 0.4 * t), 0.6 * t)
             rows.append((trial, dim, t, float(np.max(np.abs(numeric - exact))),

@@ -464,22 +464,25 @@ def test_graph_check_three_dimensional_orders(tmp_path, capsys):
 
 def test_riccati_nan_probe_fails_the_check(tmp_path, monkeypatch, capsys):
     # a NaN on the 4th of 15 probes must not vanish into a running maximum;
-    # each trial integrates its 3 times in one call, so the 4th probe is the
-    # first time of the 2nd call
+    # the trials of one size integrate their 3 times in one stacked call, so
+    # the 2nd call holds trials 1 and 4 (size 3), and the 4th probe is the
+    # first time of its first trial
     integrate = models.riccati_integrate
     calls = []
 
     def nan_on_fourth(k0, t, steps=2000):
-        calls.append(t)
+        calls.append(np.shape(k0))
         out = integrate(k0, t, steps=steps)
         if len(calls) == 2:
-            out[0] = np.nan
+            out[0, 0] = np.nan
         return out
 
     monkeypatch.setattr(models, "riccati_integrate", nan_on_fourth)
     assert cli.main(["--scenario", "riccati", "--out", str(tmp_path / "run")]) == 3
     assert "FAIL riccati_integration_err" in capsys.readouterr().out
-    assert len(calls) == 5
+    assert calls == [(2, 1, 2, 2), (2, 1, 3, 3), (1, 1, 4, 4)]
+    _, rows = csvio.read_csv(tmp_path / "run" / "riccati_checks.csv")
+    assert [row[3] for row in rows].index("nan") == 3
 
 
 def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):
@@ -545,11 +548,8 @@ def test_limit_experiment_caps_its_grid(tmp_path, monkeypatch, capsys):
 
 def test_nan_lapse_and_barrier_fail_the_clipped_checks(tmp_path, monkeypatch, capsys):
     # violations are clipped at 0; a NaN after a finite value must survive the clip
-    tau = np.array([-10.0, -5.0, -1.0])
-    lapse = 2.0 / tau**2
-    data = np.column_stack([tau, np.ones(3), np.full(3, 27.0), np.zeros(3), np.zeros(3),
-                            lapse, lapse])
-    data[1, flow.TRACE_COLUMNS.index("lapse_min")] = np.nan
+    data = [(tau, 1.0, 27.0, 0.0, 0.0, 2.0 / tau**2, 2.0 / tau**2) for tau in (-10.0, -5.0, -1.0)]
+    data[1] = data[1][:5] + (float("nan"),) + data[1][6:]
     monkeypatch.setattr(flow, "run_flow", lambda *a, **k: flow.HamTrace(3, data))
     code, _ = _run_config(tmp_path, "scenario = cone-flow\nsteps = 2\n")
     assert code == 3
@@ -570,6 +570,23 @@ def test_nan_lapse_and_barrier_fail_the_clipped_checks(tmp_path, monkeypatch, ca
     stdout = capsys.readouterr().out
     assert "FAIL lich_barrier_violation: measured=nan" in stdout
     assert "PASS lich_zero_sigma_exact_err" in stdout
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("column, failing", [
+    ("lapse_min", "cone_lapse_lower_bound_violation"),
+    ("lapse_max", "cone_lapse_upper_bound_violation"),
+    ("gauss_residual", "cone_max_gauss_residual"),
+])
+def test_a_nan_at_either_end_of_the_trace_fails_its_check(row, column, failing):
+    # the built-in max keeps a NaN in first place and drops it in last place;
+    # each trace check must fail on it at both ends, and the others pass
+    data = [(tau, 1.0, 27.0, 0.0, 0.0, 2.0 / tau**2, 2.0 / tau**2) for tau in (-10.0, -5.0, -1.0)]
+    cells = list(data[row])
+    cells[flow.TRACE_COLUMNS.index(column)] = float("nan")
+    data[row] = tuple(cells)
+    for name, measured, _, _, ok in cli._flow_trace_checks("cone", flow.HamTrace(3, data)):
+        assert (bool(np.isnan(measured)), ok) == (name == failing, name != failing), name
 
 
 def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
@@ -778,28 +795,31 @@ _IMPORT_BUDGET_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 out = sys.argv[2]
-from cmcflat import cli, graphs
+from cmcflat import cli
 assert cli.main(["--list-scenarios"]) == 0
-configs = {
-    "cone-flow": "tau_start = -2\\ntau_end = -1\\nsteps = 200",
-    "kasner-flow": "tau_start = -2\\ntau_end = -1\\nsteps = 200",
-    "riccati": "trials = 1",
-    "lichnerowicz-sweep": "dim = 4",
-    "bolza-check": "words = 2",
-    "graph-check": "refinement_nodes = 21, 41, 81\\nenergy_nodes = 101",
-}
-for scenario, options in configs.items():
+
+def run(scenario, options, expected=0):
     cfg = f"{out}/{scenario}.cfg"
     with open(cfg, "w") as fh:
         fh.write(f"scenario = {scenario}\\n{options}\\n")
     code = cli.main(["--config", cfg, "--out", f"{out}/{scenario}"])
-    # graph-check runs its whole quadrature but resolves the energy identity
-    # only on its default 2401^2 grid, so on this small one that check fails
-    assert code == (3 if scenario == "graph-check" else 0), (scenario, code)
+    assert code == expected, (scenario, code)
+
+run("cone-flow", "tau_start = -2\\ntau_end = -1\\nsteps = 200")
+run("kasner-flow", "tau_start = -2\\ntau_end = -1\\nsteps = 200")
+run("lichnerowicz-sweep", "dim = 4")
+# numpy costs about 0.1 s of import: the flows and the sweep run on Python
+# floats, and neither they nor the CLI may load it
+assert "numpy" not in sys.modules
+run("riccati", "trials = 1")
+run("bolza-check", "words = 2")
+# graph-check runs its whole quadrature but resolves the energy identity
+# only on its default 2401^2 grid, so on this small one that check fails
+run("graph-check", "refinement_nodes = 21, 41, 81\\nenergy_nodes = 101", expected=3)
 # concurrent.futures would pull in logging, about 6 ms of import for every run
 for module in ("concurrent.futures", "logging"):
     assert module not in sys.modules, module
-from cmcflat import flow, models
+from cmcflat import flow, graphs, models
 lapse_state = flow.grid_state_from_slice(
     models.slice_at_tau(models.KasnerModel(3), -2.0), 128, 1.0)
 assert flow.lapse_residual(lapse_state, flow.solve_lapse(lapse_state)) <= 1e-10
@@ -816,8 +836,9 @@ print("import budget ok")
 def test_scipy_loads_only_where_it_is_called(tmp_path):
     # scipy costs about half a second of import.  The homogeneous scenarios,
     # graph-check and the periodic grid lapse solve never call it, so they must
-    # not load it; the sparse LU of the limit experiment must.  Neither the CLI
-    # nor these scenarios may load concurrent.futures or logging.  One fresh
+    # not load it; the sparse LU of the limit experiment must.  --list-scenarios,
+    # the two flows and the sweep load no numpy either.  Neither the CLI nor
+    # these scenarios may load concurrent.futures or logging.  One fresh
     # interpreter runs them all, on small configs.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, src, str(tmp_path)],

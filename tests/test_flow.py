@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -97,12 +98,15 @@ def test_constraints_vanish_on_model_slices():
 
 def test_tau_grid_modes():
     grid = flow.tau_grid(-10.0, -0.1, 100)
-    assert grid[0] == -10.0
-    assert abs(grid[-1] + 0.1) < 1e-14
+    # Python floats, with both ends the given times exactly
+    assert len(grid) == 101 and all(type(t) is float for t in grid)
+    assert (grid[0], grid[-1]) == (-10.0, -0.1)
     assert np.all(np.diff(grid) > 0)
     # log spacing: uniform steps in log|tau|
-    ratios = grid[1:] / grid[:-1]
+    ratios = np.array(grid[1:]) / np.array(grid[:-1])
     assert np.max(np.abs(ratios - ratios[0])) < 1e-12
+    assert flow.tau_grid(-2.0, -1.0, 0) == [-2.0]
+    assert flow.tau_grid(-2.0, -2.0, 5) == [-2.0]
     with pytest.raises(ValueError):
         flow.tau_grid(-1.0, 1.0, 10)
     with pytest.raises(ValueError, match="nonnegative"):
@@ -200,7 +204,7 @@ def test_run_flow_rows_match_rows_rebuilt_from_each_state(model):
     # ∫ N|K̂|² dμ; it must be the row the public integrals give, bit for bit
     st = flow.state_from_slice(models.slice_at_tau(model, -10.0))
     trace = flow.run_flow(st, -0.1, 200)
-    grid = flow.tau_grid(-10.0, -0.1, 200).tolist()
+    grid = flow.tau_grid(-10.0, -0.1, 200)
     rows = []
     for i, t1 in enumerate(grid):
         if i:
@@ -211,7 +215,7 @@ def test_run_flow_rows_match_rows_rebuilt_from_each_state(model):
         rows.append((st.tau, vol, abs(st.tau) ** geom.dim * vol,
                      flow.integrate_scalar(geom, scales, lapse * st.khat_norm2()),
                      flow.flat_constraint_residual(st), lapse, lapse))
-    assert trace.data.tobytes() == np.array(rows).tobytes()
+    assert np.array(trace.data).tobytes() == np.array(rows).tobytes()
 
 
 def test_flow_state_is_frozen_and_keeps_its_derived_values():
@@ -324,14 +328,42 @@ def test_monotonicity_mismatch_matches_the_loop_reference():
             assert report.max_identity_mismatch == _loop_identity_mismatch(part)
 
 
+def _with_nan(trace, row, column):
+    """A copy of ``trace`` with a NaN in one cell."""
+    data = list(trace.data)
+    cells = list(data[row])
+    cells[flow.TRACE_COLUMNS.index(column)] = float("nan")
+    data[row] = tuple(cells)
+    return flow.HamTrace(trace.ndim, data)
+
+
 def test_nan_in_the_trace_fails_the_monotonicity_check():
     # a NaN after finite mismatches must not be dropped by the running max
     tr = flow.run_flow(kasner_state(-2.0), -1.0, 20)
     assert flow.ham_monotonicity_check(tr).ok
-    tr.data[5, flow.TRACE_COLUMNS.index("n_khat2_integral")] = np.nan
-    report = flow.ham_monotonicity_check(tr)
+    report = flow.ham_monotonicity_check(_with_nan(tr, 5, "n_khat2_integral"))
     assert not report.ok
     assert np.isnan(report.max_identity_mismatch)
+
+
+@pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
+def test_nan_in_the_first_or_last_row_fails_the_monotonicity_check(row):
+    # the built-in max keeps a NaN in first place and drops it in last place;
+    # the check must fail on a NaN Ham at either end of the trace
+    tr = flow.run_flow(kasner_state(-2.0), -1.0, 20)
+    report = flow.ham_monotonicity_check(_with_nan(tr, row, "ham"))
+    assert not report.ok
+    assert np.isnan(report.max_identity_mismatch)
+
+
+def test_max_or_nan_keeps_a_nan_anywhere():
+    nan = float("nan")
+    for values in ([nan, 1.0, 2.0], [1.0, nan, 2.0], [1.0, 2.0, nan], (v for v in [3.0, nan])):
+        assert math.isnan(flow.max_or_nan(values))
+    assert flow.max_or_nan([1.0, 3.0, 2.0]) == 3.0
+    # 0.0 is the floor: a clipped violation, and the value of no values
+    assert flow.max_or_nan([-1.0, -2.0]) == 0.0
+    assert flow.max_or_nan([]) == 0.0
 
 
 def test_nan_scale_gives_a_nan_gauss_residual():
@@ -366,8 +398,12 @@ def test_trace_columns_and_lengths():
     # N steps integrate over N intervals and record N+1 grid rows
     tr = flow.run_flow(cone_state(2, -1.0), -0.5, 50)
     assert len(tr) == 51
-    assert tr.data.shape == (51, len(flow.TRACE_COLUMNS))
+    # rows of Python floats; column() gives one as a numpy array
+    assert len(tr.data) == 51
+    assert all(len(row) == len(flow.TRACE_COLUMNS) for row in tr.data)
+    assert all(type(x) is float for row in tr.data for x in row)
     assert tr.column("tau")[0] == -1.0
+    assert tr.column("ham").tolist() == tr.floats("ham") == [row[2] for row in tr.data]
 
 
 def test_geometry_validation():

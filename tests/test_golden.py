@@ -11,10 +11,17 @@ numbers, regenerate the files from the current code with
 and review the diff of ``tests/golden/`` before committing it.  The same
 command rewrites ``DEFAULT_FLOW_DIGESTS``, the sha256 of every artifact of
 the cone and Kasner flows at their 10,000-step defaults.
+
+The bytes must not depend on the host's SIMD extensions: a fresh
+interpreter with numpy's AVX-512 loops disabled must reproduce them too,
+except for the scenarios in ``DISPATCH_DEPENDENT``.
 """
 
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -36,27 +43,31 @@ GOLDEN_CONFIGS = {
     "limit-experiment": ("nodes = 161\nlambdas = 1, 2\n", cli.EXIT_NUMERICAL),
 }
 
+#: golden scenarios whose bytes follow numpy's SIMD dispatch: the limit
+#: envelope's array exp and log round differently without AVX-512
+DISPATCH_DEPENDENT = ("limit-experiment",)
+
 #: (scenario, dim) at default options -> {artifact: sha256 of its bytes}
 DEFAULT_FLOW_DIGESTS = {
     ("cone-flow", 2): {
-        "cone_flow_trace.csv": "2f341a4fafa190ed91f0c55950c2bd5aa5f1c86507c0d00e7bfa825cfe1b10e6",
-        "summary.csv": "eb011e4e15e84a3ace143a5ff95426285fbaa69b1d028b0d1bff8fc350b8ac0b",
+        "cone_flow_trace.csv": "0b678625868eff1a13b3fab3fe523fd2e73b33b5f8b52ab5b7659dad0d8c1820",
+        "summary.csv": "efb9131f87ace818f2f7814c1774ef504ab4de41b0406613df2ba7900e83ff97",
     },
     ("cone-flow", 3): {
-        "cone_flow_trace.csv": "99001327d0c43ef72ddf90766fd6b3628eee3b80bda7caad9f25fb65a604bbe2",
-        "summary.csv": "b98e5ba3173f9ab4713be60078edbb50fc96e4d4a3c8396119f4add7a8efb84e",
+        "cone_flow_trace.csv": "a50bbef6afc05e96ecbf61bc6dd7463204150c71c1edde091479367463cdc813",
+        "summary.csv": "d409c6e649213687606ee2a74c32caeb849ba1abc65bfbe11fc3e9ab89d1bea5",
     },
     ("cone-flow", 4): {
-        "cone_flow_trace.csv": "14615910e4cdbd20bdd273afc074156dea358cd8d593d0e5dd274617525bd17f",
-        "summary.csv": "5cf4fe0eccbba714939ae7f62327b1f6d3db39f3640ca531313dcf9972c75758",
+        "cone_flow_trace.csv": "4311e5221162966da79b273babfb1cb308930c2c34bf37bb88f12b11a6efad2d",
+        "summary.csv": "63f6d0e146b209d92e9fc6dfcdbaeeb7c604583ebbbf4bcd89f90edad0c8ef92",
     },
     ("kasner-flow", 3): {
-        "kasner_flow_trace.csv": "373464024e085edc127ca9f13dabc3f0891482c73788b6ccafbf8f1c4152b0d2",
-        "summary.csv": "ae3a62aa7d59e6a5bfc4d25a47b248a413b17c825d1d86c3b54acef3826993ea",
+        "kasner_flow_trace.csv": "fdbecc83502700e56ed913d875a6e184b14b93f6b20593fc0161daa1ad98b828",
+        "summary.csv": "a145c6d23b6eb7f4b8d9908301e27d4f83f6ecad8c72e09efabe4e176751edfe",
     },
     ("kasner-flow", 4): {
-        "kasner_flow_trace.csv": "d47716a4bb2f12bebccbd7595de7e0e37933fdf64c5914258a6b8a034daa13b7",
-        "summary.csv": "e80248b1dbae1fcac7819282aa9512062c732492b4ea919e10fa03d5b48e1c22",
+        "kasner_flow_trace.csv": "c7f68ee303b37a93d76442515017b8359208af6c3065efec19bd6407cdbcb232",
+        "summary.csv": "e54f822d9c1023870085e1f529dd6189e9b7aad8b4699ced7919e8a0a85a0743",
     },
 }
 
@@ -70,13 +81,19 @@ def test_golden_configs_cover_every_scenario():
     assert set(GOLDEN_CONFIGS) == set(cli.SCENARIOS)
 
 
+def _check_golden(scenario: str, work: Path) -> int:
+    """Exit code of the scenario's golden config, run into ``work/out`` with
+    ``--check-golden``, which exits 4 on any byte that differs."""
+    cfg = _write_config(work / "run.cfg", scenario)
+    return cli.main(["--config", str(cfg), "--out", str(work / "out"),
+                     "--check-golden", str(GOLDEN_DIR / scenario)])
+
+
 @pytest.mark.parametrize("scenario", sorted(GOLDEN_CONFIGS))
 def test_scenario_matches_golden(scenario, tmp_path, capsys):
     golden = GOLDEN_DIR / scenario
     out = tmp_path / "out"
-    cfg = _write_config(tmp_path / "run.cfg", scenario)
-    code = cli.main(["--config", str(cfg), "--out", str(out),
-                     "--check-golden", str(golden)])
+    code = _check_golden(scenario, tmp_path)
     assert code == GOLDEN_CONFIGS[scenario][1], f"{scenario}: exit {code}"
     names = sorted(p.name for p in golden.iterdir())
     assert sorted(p.name for p in out.iterdir()) == names
@@ -101,6 +118,45 @@ def test_default_flow_matches_its_digests(scenario, dim, tmp_path):
     code, digests = _default_flow_digests(scenario, dim, tmp_path)
     assert code == cli.EXIT_PASS, f"{scenario} dim {dim}: exit {code}"
     assert digests == DEFAULT_FLOW_DIGESTS[scenario, dim]
+
+
+_NO_AVX512_SCRIPT = """
+import sys
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+from numpy._core._multiarray_umath import __cpu_features__
+assert not __cpu_features__.get("X86_V4"), "numpy still dispatches its X86_V4 loops"
+import numpy as np
+import test_golden as g
+from cmcflat import flow
+work = Path(sys.argv[3])
+for scenario, (_, code) in g.GOLDEN_CONFIGS.items():
+    if scenario not in g.DISPATCH_DEPENDENT:
+        (work / scenario).mkdir()
+        assert g._check_golden(scenario, work / scenario) == code, scenario
+for (scenario, dim), digests in g.DEFAULT_FLOW_DIGESTS.items():
+    (work / f"{scenario}-{dim}").mkdir()
+    assert g._default_flow_digests(scenario, dim, work / f"{scenario}-{dim}") == (0, digests)
+# without AVX-512 loops numpy's geomspace rounds as libm does: it is the flows' grid
+for steps in (100, 200, 2000, 5000, 10000):
+    assert flow.tau_grid(-10.0, -0.1, steps) == (-np.geomspace(10.0, 0.1, steps + 1)).tolist()
+print("goldens hold without AVX-512")
+"""
+
+
+def test_goldens_hold_without_avx512(tmp_path):
+    # numpy picks its loops by the host's SIMD extensions, and its AVX-512
+    # power, arccosh, exp and log round differently from libm; the goldens and
+    # the default-flow digests must not depend on them.  A fresh interpreter
+    # with the X86_V4 loops disabled, as on a host without AVX-512, checks
+    # every golden scenario but DISPATCH_DEPENDENT, and the five digests.
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4")
+    proc = subprocess.run([sys.executable, "-c", _NO_AVX512_SCRIPT, str(src),
+                           str(Path(__file__).parent), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.rstrip().endswith("goldens hold without AVX-512")
 
 
 def _rewrite_flow_digests() -> None:

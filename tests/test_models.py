@@ -148,18 +148,37 @@ def test_riccati_integrate_converges_at_fourth_order():
 
 
 def test_riccati_integrate_stacks_times_bit_for_bit():
-    # one loop over stacked times must reproduce each scalar-time call exactly
+    # one loop over stacked times, and over stacked trials and times, must
+    # reproduce each single-matrix, scalar-time call exactly
     rng = np.random.default_rng(5)
     times = (0.3, 0.9, 1.5)
     for d in (2, 3, 4):
-        a = rng.normal(size=(d, d))
-        k0 = -(a @ a.T) - 0.1 * np.eye(d)
-        stacked = models.riccati_integrate(k0, times, steps=400)
+        k0s = []
+        for _ in range(3):
+            a = rng.normal(size=(d, d))
+            k0s.append(-(a @ a.T) - 0.1 * np.eye(d))
+        stacked = models.riccati_integrate(k0s[0], times, steps=400)
         assert stacked.shape == (3, d, d)
-        for t, numeric in zip(times, stacked):
-            single = models.riccati_integrate(k0, t, steps=400)
-            assert single.shape == (d, d)
-            assert np.array_equal(numeric, single)
+        trials = models.riccati_integrate(np.stack(k0s)[:, None], times, steps=400)
+        assert trials.shape == (3, 3, d, d)
+        assert np.array_equal(trials[0], stacked)
+        for k0, per_time in zip(k0s, trials):
+            for t, numeric in zip(times, per_time):
+                single = models.riccati_integrate(k0, t, steps=400)
+                assert single.shape == (d, d)
+                assert np.array_equal(numeric, single)
+
+
+def test_riccati_trials_match_one_call_per_trial():
+    # the stacked trials give the rows of one riccati_integrate call per
+    # trial and time, bit for bit, in trial order
+    times = (0.3, 0.9, 1.5)
+    rows, k0s = models.riccati_trials(2024, 5, times, 300)
+    assert [row[:3] for row in rows] == [(i, 2 + i % 3, t) for i in range(5) for t in times]
+    for (_, _, t, integration_err, _), k0 in zip(rows, [k for k in k0s for _ in times]):
+        exact = models.riccati_propagate(k0, t)
+        numeric = models.riccati_integrate(k0, t, steps=300)
+        assert integration_err == float(np.max(np.abs(numeric - exact)))
 
 
 def test_focal_times_ignore_zero_eigenvalues():
