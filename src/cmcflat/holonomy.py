@@ -16,6 +16,15 @@ vector per generator, extended to arbitrary words via
 where f is the linear holonomy; ``MinkIsometry.compose`` is the one place
 that rule is written.  Coboundaries t(g) = b - f(g) b correspond to
 moving the base point and deform nothing geometrically.
+
+The Bolza cocycles used here translate each generator along the unit
+spacelike vector n_k it fixes: t_k = w_k n_k, with w_{k+4} = w_k.  Since
+n_{k+4} = -n_k the pair relators hold for any weights; the octagon relator
+holds exactly when w_0 + w_1 + w_2 + w_3 = 0 (measured: its translation is
+that sum times one fixed vector).  Each generator is a symmetric matrix
+fixing n_k, so (b - g_k b) . n_k = 0 for every b: such a cocycle is
+Euclidean orthogonal to every coboundary, hence not gauge, and w_k is its
+Margulis invariant <t_k, n_k> on generator k.
 """
 
 from __future__ import annotations
@@ -235,81 +244,27 @@ def octagon_area() -> float:
     return float(16.0 * (h / 3.0) * np.dot(weights, integrand))
 
 
-# ---------------------------------------------------------------------------
-# cocycle space
-# ---------------------------------------------------------------------------
-
-
-def _relator_constraint_matrix(presentation: GroupPresentation) -> np.ndarray:
-    """Linear map (t_1, ..., t_m) -> stacked relator translations.
-
-    A cocycle must send every relator word to zero translation; the map is
-    linear in the generator translations, with the block for letter j of a
-    word weighted by the linear holonomy of the preceding prefix.
-    """
-    d = presentation.ndim + 1
-    m = presentation.n_generators
-    rows = []
-    for word in presentation.relators:
-        block = np.zeros((d, d * m))
-        prefix = np.eye(d)
-        for index in word:
-            g = presentation.generator(index)
-            j = abs(index) - 1
-            if index > 0:
-                block[:, d * j : d * (j + 1)] += prefix
-            else:
-                block[:, d * j : d * (j + 1)] -= prefix @ g
-            prefix = prefix @ g
-        rows.append(block)
-    return np.vstack(rows)
-
-
-def cocycle_space(presentation: GroupPresentation):
-    """Orthonormal bases (cocycles, coboundaries) as columns of two matrices.
-
-    Cocycles are the nullspace of the relator constraints; coboundaries are
-    the image of b -> (b - f(g_k) b)_k.  Both live in R^{(n+1) * n_generators}
-    with generator translations stacked in order.
-
-    The cocycle basis is scipy's ``null_space``, imported here so that only
-    its callers load scipy.linalg.  bolza_nontrivial_cocycle projects the
-    basis off the coboundaries and takes the column of largest norm, so the
-    basis must come from this one SVD routine: another LAPACK call may rotate
-    it and move every limit-experiment row.
-    """
-    from scipy.linalg import null_space
-
-    z_basis = null_space(_relator_constraint_matrix(presentation))
-    d = presentation.ndim + 1
-    cob = np.vstack([np.eye(d) - g for g in presentation.generators])
-    q, r = np.linalg.qr(cob)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r[0, 0]))
-    return z_basis, q[:, keep]
-
-
-def _stack_cocycle(presentation: GroupPresentation, vec: np.ndarray) -> tuple:
-    d = presentation.ndim + 1
-    return tuple(vec[d * k : d * (k + 1)].copy() for k in range(presentation.n_generators))
-
-
 def bolza_nontrivial_cocycle(scale: float = 1.0) -> tuple:
-    """A canonical cocycle with nonzero cohomology class.
+    """The cocycle t_k = scale * w_k * n_k along the fixed vectors, with
+    w = (1, -1/3, -1/3, -1/3, 1, -1/3, -1/3, -1/3).
 
-    The cocycle-space basis is projected orthogonal to the coboundary
-    subspace, the column of largest norm is taken, and it is normalized so
-    the largest translation norm equals ``scale``.  Deterministic for a
-    fixed platform (SVD-based bases).
+    n_k = (0, -sin(k pi/4), cos(k pi/4)) is the normal of generator k's
+    axis.  The weights define the cocycle; they are not a setting.  The
+    module docstring says why it is a cocycle and not gauge.  Measured:
+
+    * The relator residual is 3.8e-12 at scale 1 and 7.7e-15 at 0.002;
+      with all four weights 1, so that they do not sum to zero, it is 102.
+    * Orthogonal to the coboundaries: |B^T v| <= 2e-16 |v|, with B the
+      stacked I - g_k.  Its Margulis invariant on g_0 is ``scale``.
+    * Why these weights: "generator 0 alone, along n_0", projected by least
+      squares onto the cocycles and then off the coboundaries, is this
+      closed form to 1.4e-12.
+
+    sin and cos come from ``math``, so no SIMD dispatch or LAPACK enters.
     """
-    pres = bolza_presentation()
-    z_basis, b_basis = cocycle_space(pres)
-    proj = np.eye(b_basis.shape[0]) - b_basis @ b_basis.T
-    candidates = proj @ z_basis
-    norms = np.linalg.norm(candidates, axis=0)
-    vec = candidates[:, int(np.argmax(norms))]
-    cocycle = _stack_cocycle(pres, vec)
-    top = max(np.linalg.norm(t) for t in cocycle)
-    return tuple((scale / top) * t for t in cocycle)
+    weights = (1.0, -1.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0) * 2
+    return tuple(scale * w * np.array([0.0, -math.sin(k * math.pi / 4), math.cos(k * math.pi / 4)])
+                 for k, w in enumerate(weights))
 
 
 def orbit_isometries(rep: HolonomyRep, max_word_length: int = 3):

@@ -819,10 +819,12 @@ run("graph-check", "refinement_nodes = 21, 41, 81\\nenergy_nodes = 101", expecte
 # concurrent.futures would pull in logging, about 6 ms of import for every run
 for module in ("concurrent.futures", "logging"):
     assert module not in sys.modules, module
-from cmcflat import flow, graphs, models
+from cmcflat import flow, graphs, holonomy, models
 lapse_state = flow.grid_state_from_slice(
     models.slice_at_tau(models.KasnerModel(3), -2.0), 128, 1.0)
 assert flow.lapse_residual(lapse_state, flow.solve_lapse(lapse_state)) <= 1e-10
+# the limit experiment's cocycle is a closed form: no scipy SVD
+holonomy.bolza_nontrivial_cocycle(0.002)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 jac = graphs._newton_system(graphs.hyperboloid_field(1.0, 1.0, 9))
@@ -835,11 +837,12 @@ print("import budget ok")
 
 def test_scipy_loads_only_where_it_is_called(tmp_path):
     # scipy costs about half a second of import.  The homogeneous scenarios,
-    # graph-check and the periodic grid lapse solve never call it, so they must
-    # not load it; the sparse LU of the limit experiment must.  --list-scenarios,
-    # the two flows and the sweep load no numpy either.  Neither the CLI nor
-    # these scenarios may load concurrent.futures or logging.  One fresh
-    # interpreter runs them all, on small configs.
+    # graph-check, the periodic grid lapse solve and the limit experiment's
+    # cocycle never call it, so they must not load it; the sparse LU of the
+    # limit experiment must.  --list-scenarios, the two flows and the sweep
+    # load no numpy either.  Neither the CLI nor these scenarios may load
+    # concurrent.futures or logging.  One fresh interpreter runs them all, on
+    # small configs.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET_SCRIPT, src, str(tmp_path)],
                           capture_output=True, text=True, timeout=60)

@@ -140,27 +140,57 @@ def test_coboundary_closed_form_and_relator_vanishing():
     assert worst < 1e-9
 
 
+def _relator_map(pres):
+    """Stacked relator translations of the 24 unit cocycles, as columns: the
+    cocycle rule linearized through extend_cocycle."""
+    cols = []
+    for unit in np.eye(24):
+        rep = h.HolonomyRep(pres, tuple(unit[3 * k:3 * k + 3] for k in range(8)))
+        cols.append(np.concatenate([h.extend_cocycle(rep, rel) for rel in pres.relators]))
+    return np.column_stack(cols)
+
+
+def _coboundary_map(pres):
+    """B = vstack(I - g_k): base point b -> stacked coboundary translations."""
+    return np.vstack([np.eye(3) - g for g in pres.generators])
+
+
+def _relator_residual(pres, cocycle):
+    rep = h.HolonomyRep(pres, cocycle)
+    return max(float(np.max(np.abs(h.extend_cocycle(rep, rel)))) for rel in pres.relators)
+
+
 def test_cocycle_space_dimensions():
+    # 24 unknowns, relator map of rank 15: a 9-dimensional cocycle space,
+    # holding the 3-dimensional coboundary image
     pres = h.bolza_presentation()
-    z, bnd = h.cocycle_space(pres)
-    assert z.shape == (24, 9)
-    assert bnd.shape == (24, 3)
-    # coboundaries live inside the cocycle space
-    proj = z @ np.linalg.lstsq(z, bnd, rcond=None)[0]
-    assert np.max(np.abs(proj - bnd)) < 1e-9
+    relator_map = _relator_map(pres)
+    cob = _coboundary_map(pres)
+    assert np.linalg.matrix_rank(relator_map) == 15
+    assert np.linalg.matrix_rank(cob) == 3
+    assert np.max(np.abs(relator_map @ cob)) <= 1e-9
 
 
 def test_nontrivial_cocycle_is_valid_and_not_gauge():
     pres = h.bolza_presentation()
-    coc = h.bolza_nontrivial_cocycle(1.0)
-    rep = h.HolonomyRep(pres, coc)
-    worst = max(float(np.max(np.abs(h.extend_cocycle(rep, rel)))) for rel in pres.relators)
-    assert worst < 1e-9
-    # distance from the coboundary subspace stays bounded away from zero
-    _, bnd = h.cocycle_space(pres)
-    vec = np.concatenate(coc)
-    resid = vec - bnd @ np.linalg.lstsq(bnd, vec, rcond=None)[0]
-    assert np.linalg.norm(resid) > 0.5 * np.linalg.norm(vec)
+    weights = (1.0, -1 / 3, -1 / 3, -1 / 3, 1.0, -1 / 3, -1 / 3, -1 / 3)
+    normals = [np.array([0.0, -np.sin(k * np.pi / 4), np.cos(k * np.pi / 4)]) for k in range(8)]
+    for scale in (1.0, 0.2):
+        coc = h.bolza_nontrivial_cocycle(scale)
+        # each translation lies along the vector its generator fixes, and its
+        # Margulis invariant is scale * w_k
+        for g, t, n, w in zip(pres.generators, coc, normals, weights):
+            assert np.max(np.abs(g @ t - t)) <= 1e-12
+            assert abs(t @ n - scale * w) <= 1e-15
+        assert _relator_residual(pres, coc) <= 1e-9
+        # Euclidean orthogonal to every coboundary, so not gauge
+        vec = np.concatenate(coc)
+        assert np.linalg.norm(_coboundary_map(pres).T @ vec) <= 1e-14 * np.linalg.norm(vec)
+    # the weights' zero sum is a real constraint: equal weights break the relator
+    assert _relator_residual(pres, tuple(normals)) > 1.0
+    first, second = h.bolza_nontrivial_cocycle(0.2), h.bolza_nontrivial_cocycle(0.2)
+    assert np.concatenate(first).tobytes() == np.concatenate(second).tobytes()
+    assert np.array([0.0, -0.0, 0.2]).tobytes() == first[0].tobytes()
 
 
 def test_scale_structure_scales_translations_only():
