@@ -219,7 +219,8 @@ def scenario_limit_experiment(*, cocycle_scale=0.002, lambdas=(1.0, 2.0, 4.0, 8.
 #: default refinement sizes by dimension: three grids with the finest at most
 #: 321^2, 81^3 or 41^4 nodes
 GRAPH_REFINEMENT_NODES = {2: (81, 161, 321), 3: (21, 41, 81), 4: (11, 21, 41)}
-#: largest grid graph-check builds, the default energy grid
+#: largest grid graph-check samples, the default energy grid: a cap on work, since
+#: both stages sample their grids in row blocks and never hold a whole one
 GRAPH_MAX_GRID_NODES = 2401**2
 #: largest side of the limit-experiment grid: at its other defaults a run peaks
 #: at 214, 431 and 750 MB of RSS on 321^2, 481^2 and 641^2 nodes
@@ -259,7 +260,8 @@ def scenario_graph_check(*, dim=2, hyperboloid_s=1.0, extent=2.0,
               for i, order in enumerate(orders)]
     checks.append(_check("graph_det_identity_err", det_err, 0.0, 1e-12))
 
-    field = graphs.hyperboloid_field(1.0, energy_extent, energy_nodes, ndim=2)
+    # sampled block by block: no whole energy grid is built
+    field = graphs.sampled_hyperboloid(1.0, energy_extent, energy_nodes)
     report = graphs.quotient_energy(field, graphs.bolza_domain_level)
     tau, chi = -2.0, -2
     identity = report.energy - (4.0 * math.pi * chi + tau**2 * report.volume)

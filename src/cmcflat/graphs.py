@@ -17,14 +17,23 @@ Fuchsian group by filtering through the Gauss map: the normal of an invariant
 surface is equivariant, so the preimage of the fundamental octagon under the
 Gauss map cuts out exactly one copy of the quotient.  Boundary cells of the
 filtered region are resolved by a linear (marching-squares) cut, and only
-those: a cell with all four corners inside counts whole.  Every quantity in
-that integral is a local stencil, so the grid is integrated in blocks of
-QUADRATURE_BLOCK_ROWS (32) cell rows, each with the geometry of its own node
-rows plus a two-row halo; no whole-grid geometry is built (a 2401^2 field is
-46 MB, a 32-row block's field 0.65 MB).  The kernels a block runs through,
-the derivative stencils, GraphGeometry, octagon_level and the cell sums of
-quotient_energy, form their sums in place on a few scratch arrays, so a
-block makes no temporary array per operation.
+those: a cell with all four corners inside counts whole.
+
+Every quantity in that integral, and in the curvature convergence of the
+model hyperboloid, is a local stencil, so quotient_energy and
+curvature_convergence run one row-block pipeline: each block takes its node
+rows along axis 0, plus the two-row halo the stencils reach, from the field's
+rows(lo, hi) accessor (_with_halo) and builds the geometry of those rows only.
+A HeightField answers with a slice of its array; a SampledField evaluates its
+profile on those rows only, so a caller that passes one never holds a whole
+grid (a 2401^2 field is 46 MB, the 36 node rows of a 32-cell-row quadrature
+block 0.7 MB).  The quadrature takes QUADRATURE_BLOCK_ROWS (32) cell rows a
+block, because its cell sums depend on block order; the convergence takes the
+fewest whole planes holding CONVERGENCE_BLOCK_NODES, and its maxima, taken
+with np.max, keep a NaN whatever block it sits in.  The kernels a block runs
+through, the derivative stencils, GraphGeometry, octagon_level and the cell
+sums of quotient_energy, form their sums in place on a few scratch arrays, so
+a block makes no temporary array per operation.
 
 CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
@@ -89,6 +98,10 @@ LIMIT_MAX_ITERS = 25
 #: cell rows per block of the quotient quadrature: a block's geometry at
 #: 2401 columns holds about 0.65 MB per field where the whole grid holds 46 MB
 QUADRATURE_BLOCK_ROWS = 32
+#: nodes per block of curvature_convergence: a block is the fewest whole planes
+#: (node rows along axis 0) that hold 2^17 nodes, about 1 MB per geometry array,
+#: plus a two-plane halo; two planes of 41^3 at dim 4, 20 of 81^2 at dim 3
+CONVERGENCE_BLOCK_NODES = 2**17
 
 try:  # glibc; other C libraries have no malloc_trim and skip the release
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
@@ -116,7 +129,12 @@ class EnvelopeRangeError(ValueError):
 
 @dataclass(frozen=True)
 class HeightField:
-    """phi sampled on a uniform grid: values[i...] at origin + spacing*(i...)."""
+    """phi sampled on a uniform grid: values[i...] at origin + spacing*(i...).
+
+    rows(lo, hi) is the row-block accessor that quotient_energy and
+    curvature_convergence read, here a view of ``values``; a SampledField
+    answers it without holding a grid.
+    """
 
     values: np.ndarray
     spacing: float
@@ -151,6 +169,11 @@ class HeightField:
         """Index of the interior nodes (two-node margin): values[interior]."""
         return (slice(2, -2),) * self.ndim
 
+    def rows(self, lo: int, hi: int) -> HeightField:
+        """Node rows lo..hi-1 along axis 0, a view of ``values``."""
+        return HeightField(self.values[lo:hi], self.spacing,
+                           (self.origin[0] + lo * self.spacing, *self.origin[1:]))
+
 
 def _centered_axis(extent: float, nodes: int):
     """(spacing, coordinates) of ``nodes`` equispaced points on [-extent, extent]."""
@@ -158,27 +181,75 @@ def _centered_axis(extent: float, nodes: int):
     return spacing, -extent + spacing * np.arange(nodes)
 
 
+@dataclass(frozen=True)
+class SampledField:
+    """fn(x1, ..., xn) on the centered patch [-extent, extent]^n, sampled on demand.
+
+    It holds no grid: rows(lo, hi), HeightField's row-block accessor,
+    evaluates fn on node rows lo..hi-1 along axis 0 only.  Those rows are,
+    byte for byte, the same rows of sample_height_field(fn, extent, nodes,
+    ndim), which is rows(0, nodes).
+    """
+
+    fn: object
+    extent: float
+    nodes: int
+    ndim: int = 2
+
+    @property
+    def spacing(self) -> float:
+        return _centered_axis(self.extent, self.nodes)[0]
+
+    @property
+    def shape(self) -> tuple:
+        return (self.nodes,) * self.ndim
+
+    def rows(self, lo: int, hi: int) -> HeightField:
+        """fn on node rows lo..hi-1 along axis 0, a HeightField of those rows."""
+        spacing, axis = _centered_axis(self.extent, self.nodes)
+        # sparse axes broadcast inside fn, so no full coordinate grids are built;
+        # the broadcast fills in an axis that fn ignores (fn = lambda x, y: x)
+        grids = np.meshgrid(axis[lo:hi], *[axis] * (self.ndim - 1), indexing="ij", sparse=True)
+        return HeightField(np.broadcast_to(self.fn(*grids), (hi - lo,) + self.shape[1:]), spacing,
+                           (-self.extent + lo * spacing,) + (-self.extent,) * (self.ndim - 1))
+
+
 def sample_height_field(fn, extent: float, nodes: int, ndim: int = 2) -> HeightField:
-    """Sample fn(x1, ..., xn) on a centered square patch [-extent, extent]^n."""
-    spacing, axis = _centered_axis(extent, nodes)
-    # sparse axes broadcast inside fn, so no full coordinate grids are built;
-    # the broadcast fills in an axis that fn ignores (fn = lambda x, y: x)
-    grids = np.meshgrid(*[axis] * ndim, indexing="ij", sparse=True)
-    return HeightField(np.broadcast_to(fn(*grids), (nodes,) * ndim), spacing, (-extent,) * ndim)
+    """fn(x1, ..., xn) on the whole centered square patch [-extent, extent]^n."""
+    return SampledField(fn, extent, nodes, ndim).rows(0, nodes)
 
 
-def hyperboloid_field(s: float, extent: float, nodes: int, ndim: int = 2) -> HeightField:
-    """The CMC model graph phi = sqrt(s^2 + |x|^2) (mean curvature -n/s)."""
+def sampled_hyperboloid(s: float, extent: float, nodes: int, ndim: int = 2) -> SampledField:
+    """The CMC model graph phi = sqrt(s^2 + |x|^2) (mean curvature -n/s), sampled on demand."""
 
     def phi(*xs):
-        # one grid array: |x|^2 summed axis by axis, then s^2 and the root in place
+        # one array of the rows asked for: |x|^2 summed axis by axis, then s^2
+        # and the root in place
         out = np.zeros(np.broadcast_shapes(*(x.shape for x in xs)))
         for x in xs:
             out += x * x
         out += s * s
         return np.sqrt(out, out=out)
 
-    return sample_height_field(phi, extent, nodes, ndim)
+    return SampledField(phi, extent, nodes, ndim)
+
+
+def hyperboloid_field(s: float, extent: float, nodes: int, ndim: int = 2) -> HeightField:
+    """sampled_hyperboloid on the whole grid, one array."""
+    return sampled_hyperboloid(s, extent, nodes, ndim).rows(0, nodes)
+
+
+def _with_halo(field, first: int, stop: int):
+    """(block, lo): node rows first..stop-1 of ``field`` along axis 0 with the
+    two-row halo the stencils reach, clipped to the grid and widened to the
+    five rows a HeightField needs; ``lo`` is the block's first row.
+
+    ``field`` is a HeightField or a SampledField: the block comes from its
+    rows accessor, so a sampled field is evaluated on the block's rows only.
+    """
+    hi = min(max(stop + 2, 5), field.shape[0])
+    lo = max(0, min(first - 2, hi - 5))
+    return field.rows(lo, hi), lo
 
 
 def _along(ndim: int, axis: int):
@@ -328,14 +399,18 @@ class GraphGeometry:
         self.interior = interior
 
     def det_identity_error(self) -> float:
-        """max interior |det(g) - W^2| — an exact identity up to rounding."""
+        """max interior |det(g) - W^2| — an exact identity up to rounding.
+
+        The n x n metric stack is built on the interior nodes only.
+        """
         n = self.field.ndim
-        g = np.empty(self.field.shape + (n, n))
+        grads = [grad[self.interior] for grad in self.grads]
+        g = np.empty(grads[0].shape + (n, n))
         for i in range(n):
             for j in range(n):
-                g[..., i, j] = (1.0 if i == j else 0.0) - self.grads[i] * self.grads[j]
+                g[..., i, j] = (1.0 if i == j else 0.0) - grads[i] * grads[j]
         det = np.linalg.det(g)
-        return float(np.max(np.abs(det - self.volume_density**2)[self.interior]))
+        return float(np.max(np.abs(det - self.volume_density[self.interior] ** 2)))
 
     def disk_coordinates(self) -> list:
         """Poincare-disk image of the Gauss map, grad phi/(1 + W), one array per axis."""
@@ -353,13 +428,23 @@ def curvature_convergence(s: float, extent: float, nodes_list, ndim: int = 2):
     A row (nodes, spacing, err) per size in ``nodes_list``, err the largest
     interior |H + ndim/s| of sqrt(s^2 + |x|^2) over [-extent, extent]^ndim;
     det_err is the np.max of det_identity_error over the grids.
+
+    Each grid is sampled and its geometry built in blocks of whole planes
+    along axis 0 (CONVERGENCE_BLOCK_NODES), each block with a two-plane halo
+    so that its own interior is its planes; the values equal those of one
+    whole-grid geometry byte for byte, and np.max over the blocks keeps a NaN.
     """
     rows, det_errs = [], []
     for nodes in nodes_list:
-        field = hyperboloid_field(s, extent, nodes, ndim=ndim)
-        geom = graph_geometry(field)
-        det_errs.append(geom.det_identity_error())
-        rows.append((nodes, field.spacing, _interior_residual(geom, -ndim / s)))
+        field = sampled_hyperboloid(s, extent, nodes, ndim)
+        step = -(-CONVERGENCE_BLOCK_NODES // nodes ** (ndim - 1))
+        errs = []
+        # interior rows 2 .. nodes - 3 in blocks; a block's own interior is its rows
+        for first in range(2, nodes - 2, step):
+            geom = graph_geometry(_with_halo(field, first, min(first + step, nodes - 2))[0])
+            det_errs.append(geom.det_identity_error())
+            errs.append(_interior_residual(geom, -ndim / s))
+        rows.append((nodes, field.spacing, float(np.max(errs))))
     return rows, float(np.max(det_errs))
 
 
@@ -420,20 +505,22 @@ class EnergyReport:
     region_area: float
 
 
-def quotient_energy(field: HeightField, level_fn) -> EnergyReport:
+def quotient_energy(field, level_fn) -> EnergyReport:
     """Integrate |K|^2 and the volume element over a filtered region.
 
-    ``level_fn`` maps a geometry to a signed node field whose >= 0 region
-    selects the domain (``bolza_domain_level`` picks one Bolza fundamental
-    domain through the Gauss map).  Returns E = int |K|^2 dmu, Vol = int dmu,
+    ``field`` is a HeightField or a SampledField.  ``level_fn`` maps a
+    geometry to a signed node field whose >= 0 region selects the domain
+    (``bolza_domain_level`` picks one Bolza fundamental domain through the
+    Gauss map).  Returns E = int |K|^2 dmu, Vol = int dmu,
     the mu-weighted mean of H, and the coordinate area of the region.
     Boundary cells get a linear cut; the integrand uses the cell-corner
     average.
 
     The cells are integrated in blocks of QUADRATURE_BLOCK_ROWS rows: each
-    block builds the geometry of its node rows plus a two-row halo, which
-    the stencils reach, calls ``level_fn`` on that block geometry, and adds
-    its sums to running totals.  ``level_fn`` is therefore evaluated once per
+    block reads its node rows plus a two-row halo, which the stencils reach,
+    through the field's rows accessor (_with_halo), builds their geometry,
+    calls ``level_fn`` on that block geometry, and adds its sums to running
+    totals in block order.  ``level_fn`` is therefore evaluated once per
     block and must be pointwise in the block's geometry and coordinates.
     SpacelikeError is raised when any block's interior is not uniformly
     spacelike; ValueError when the region reaches the frame cells (the two
@@ -451,11 +538,8 @@ def quotient_energy(field: HeightField, level_fn) -> EnergyReport:
     area = volume = energy = tau_weight = 0.0
     for first in range(0, cells, QUADRATURE_BLOCK_ROWS):
         stop = min(first + QUADRATURE_BLOCK_ROWS, cells)
-        # node rows first - 2 .. stop + 2, widened to the five the stencils need
-        hi = min(max(stop + 2, 4), cells)
-        lo = max(0, min(first - 2, hi - 4))
-        block = HeightField(field.values[lo:hi + 1], h,
-                            (field.origin[0] + lo * h, field.origin[1]))
+        # the block's cells have corners on node rows first .. stop
+        block, lo = _with_halo(field, first, stop + 1)
         block_geom = graph_geometry(block)
         nodes = slice(first - lo, stop - lo + 1)
         # cells whose corners are all interior nodes

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from cmcflat import graphs, holonomy, minkowski
+from cmcflat import cli, graphs, holonomy, minkowski
 from cmcflat.graphs import HeightField
 
 
@@ -142,6 +142,22 @@ def test_quadrature_memory_stays_below_the_field():
     field = graphs.hyperboloid_field(1.0, 6.0, 1201)
     _, peak = _traced_peak(lambda: graphs.quotient_energy(field, graphs.bolza_domain_level))
     assert peak <= 0.75 * field.values.nbytes
+
+
+def test_graph_check_energy_stage_stays_below_one_field():
+    # the energy stage samples its hyperboloid block by block: measured 0.64
+    # times one whole 1201^2 field's bytes, sampling included (1.58 when the
+    # whole field was built first); the convergence sizes are negligible here
+    _, peak = _traced_peak(lambda: cli.scenario_graph_check(refinement_nodes=(9, 11, 13),
+                                                            energy_nodes=1201))
+    assert peak <= 0.75 * 1201**2 * 8
+
+
+def test_four_dimensional_convergence_memory():
+    # blocks of two 41^3 planes and their halo: measured 97.8 MB (582 MB
+    # with one whole-grid geometry per size); the bound leaves about 30 %
+    _, peak = _traced_peak(lambda: graphs.curvature_convergence(1.0, 2.0, (11, 21, 41), 4))
+    assert peak <= 128 * 2**20
 
 
 def test_spacelike_guard():
@@ -281,6 +297,91 @@ def test_blocked_quadrature_guards_see_later_blocks(monkeypatch):
     late = graphs.quotient_energy(f, _disk_level(0.6, 0.04))
     whole = _one_block_energy(monkeypatch, f, _disk_level(0.6, 0.04))
     assert _relative_gap(late, whole) <= 1e-13
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _report_bytes(report):
+    return _hex(getattr(report, k) for k in ("energy", "volume", "tau_mean", "region_area"))
+
+
+def test_sampled_field_rows_are_the_whole_fields():
+    for ndim, nodes in ((2, 33), (3, 9)):
+        sampled = graphs.sampled_hyperboloid(1.3, 2.0, nodes, ndim)
+        whole = graphs.hyperboloid_field(1.3, 2.0, nodes, ndim)
+        assert sampled.shape == whole.shape and sampled.spacing == whole.spacing
+        for lo, hi in ((0, 5), (3, 9), (nodes - 5, nodes)):
+            block, ref = sampled.rows(lo, hi), whole.rows(lo, hi)
+            assert block.values.tobytes() == ref.values.tobytes()
+            assert block.origin == ref.origin and block.spacing == ref.spacing
+
+
+def test_sampled_quadrature_equals_the_whole_field():
+    # 1201 nodes: 1200 cell rows, 37 blocks of 32 and a short last block of 16
+    for nodes, extent, level in ((9, 1.0, _disk_level(radius2=0.16)),
+                                 (101, 6.0, graphs.bolza_domain_level),
+                                 (1201, 6.0, graphs.bolza_domain_level)):
+        sampled = graphs.quotient_energy(graphs.sampled_hyperboloid(1.0, extent, nodes), level)
+        whole = graphs.quotient_energy(graphs.hyperboloid_field(1.0, extent, nodes), level)
+        assert _report_bytes(sampled) == _report_bytes(whole)
+
+
+def _whole_grid_convergence(s, extent, nodes_list, ndim):
+    """curvature_convergence's rows and det_err from one whole-grid geometry per
+    size, the n x n metric stack built on every node."""
+    rows, det_errs = [], []
+    for nodes in nodes_list:
+        field = graphs.hyperboloid_field(s, extent, nodes, ndim)
+        geom = graphs.graph_geometry(field)
+        g = np.empty(field.shape + (ndim, ndim))
+        for i in range(ndim):
+            for j in range(ndim):
+                g[..., i, j] = (1.0 if i == j else 0.0) - geom.grads[i] * geom.grads[j]
+        det_err = np.abs(np.linalg.det(g) - geom.volume_density**2)[geom.interior]
+        det_errs.append(float(np.max(det_err)))
+        err = np.abs(geom.mean_curvature + ndim / s)[geom.interior]
+        rows.append((nodes, field.spacing, float(np.max(err))))
+    return rows, float(np.max(det_errs))
+
+
+def test_blocked_convergence_equals_whole_grids(monkeypatch):
+    # one-plane blocks, blocks with a short last one (700 nodes: 5 planes of
+    # 13^2 over 9 interior rows), and the default, one block per size here
+    for ndim, sizes in ((2, (9, 17, 33)), (3, (9, 13, 17)), (4, (9, 11, 13))):
+        rows, det_err = _whole_grid_convergence(1.2, 1.5, sizes, ndim)
+        expected = [_hex(row) for row in rows], det_err.hex()
+        for block_nodes in (1, 700, graphs.CONVERGENCE_BLOCK_NODES):
+            monkeypatch.setattr(graphs, "CONVERGENCE_BLOCK_NODES", block_nodes)
+            got_rows, got_det = graphs.curvature_convergence(1.2, 1.5, sizes, ndim)
+            assert ([_hex(row) for row in got_rows], got_det.hex()) == expected
+
+
+def test_blocked_convergence_keeps_a_nan(monkeypatch):
+    # a NaN in the mean curvature of the fifth of 29 one-plane blocks of the
+    # finest size must reach its error and fail its order check; a running
+    # maximum built on the built-in max would drop it
+    monkeypatch.setattr(graphs, "CONVERGENCE_BLOCK_NODES", 1)
+    real = graphs.graph_geometry
+    finest = []
+
+    def planted(field):
+        geom = real(field)
+        if field.ndim == 3 and field.shape[1] == 33:
+            finest.append(field.origin[0])
+            if len(finest) == 5:
+                geom.mean_curvature[2, 8, 8] = np.nan
+        return geom
+
+    monkeypatch.setattr(graphs, "graph_geometry", planted)
+    tables, checks = cli.scenario_graph_check(dim=3, refinement_nodes=(9, 17, 33),
+                                              energy_nodes=241)
+    assert len(finest) == 29
+    conv = {name: rows for name, _, rows in tables}["graph_convergence.csv"]
+    assert [np.isnan(row[2]) for row in conv] == [False, False, True]
+    passed = {name: ok for name, _, _, _, ok in checks}
+    assert passed["graph_convergence_order_0"] and not passed["graph_convergence_order_1"]
 
 
 def _dense_cut_fraction(s0, s1, s2, s3):
