@@ -45,9 +45,11 @@ def _check(name: str, measured: float, expected: float, tolerance: float):
 def _flow_trace_checks(prefix: str, trace: flow.HamTrace):
     """The trace's lapse-bound and Gauss-constraint checks; the bound checks measure
     the dimensionless worst violation of 1/tau^2 <= N <= n/tau^2, clipped at 0.
-    A NaN anywhere in a column fails its check (``flow.max_or_nan``)."""
-    lo = [1.0 / (t * t) for t in trace.floats("tau")]
-    hi = [trace.ndim / (t * t) for t in trace.floats("tau")]
+    A NaN anywhere in a column fails its check (``flow.max_or_nan``).  The trace
+    builds each column once and shares it with the scenario's other checks."""
+    tau = trace.floats("tau")
+    lo = [1.0 / (t * t) for t in tau]
+    hi = [trace.ndim / (t * t) for t in tau]
     lo_viol = flow.max_or_nan((b - lapse) / b for b, lapse in zip(lo, trace.floats("lapse_min")))
     hi_viol = flow.max_or_nan((lapse - b) / b for b, lapse in zip(hi, trace.floats("lapse_max")))
     return [

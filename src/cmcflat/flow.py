@@ -1,7 +1,7 @@
 """Zero-shift CMC Einstein flow in block-reduced form.
 
 The evolved geometry is a product of homogeneous blocks (one hyperbolic
-factor, optionally flat factors).  A ``GridLapseProblem`` samples the fields
+factor, optionally one flat circle).  A ``GridLapseProblem`` samples the fields
 along one flat circle factor on a uniform periodic grid; it serves only the
 lapse solve, the smallest setting where the lapse equation is a genuine
 two-point boundary problem, and it holds numpy arrays.  Its periodic
@@ -14,9 +14,16 @@ Evolution, the τ grid, the trace and its checks, and the constraint
 residuals take homogeneous ``FlowState`` data alone, held as plain Python
 floats: on one or two blocks numpy's per-call overhead would dominate the
 arithmetic, and Python's float arithmetic and libm do not change with the
-host's SIMD extensions.  A slotted ``FlowState`` computes its
-mixed eigenvalues, tr K and |K|² when built; RK4 stages 2–4 advance the fields
-and sum |K|² in one pass over plain lists, so a step builds one state.
+host's SIMD extensions.  The geometry is one hyperbolic block, optionally
+followed by one flat circle.  One RK4 kernel, ``_rk4``, steps the fields as
+named floats: (A, P) of the hyperbolic block and (A, P) of the circle, where
+a cone gets a zero-dimensional phantom circle (A = 1, P = 0) that adds only
+exact zeros and multiplies only by exact ones.  ``run_flow`` loops over the
+kernel and builds each trace row inline, so it builds no ``FlowState`` per
+step; ``flow_step`` wraps one kernel step in a ``FlowState``.  The per-block
+functions on a ``FlowState`` (``solve_lapse``, ``flat_constraint_residual``,
+``volume_of``, ``integrate_scalar``, ``FlowState.khat_norm2``) are the
+reference that the kernel's rows are tested against bit for bit.
 
 Evolution system (CMC time t = tr K = τ, zero shift):
 
@@ -70,6 +77,9 @@ class DegenerateLapseError(RuntimeError):
 class BlockGeometry:
     """Static structure of the spatial manifold: block dims and curvatures.
 
+    The blocks are one hyperbolic block, optionally followed by one flat
+    circle (a flat block of dimension 1): the cone and the Kasner product,
+    the two shapes the models build and the flow kernel steps.
     ``volume_factor`` is the volume of the unit-scale cross section,
     including every constant factor.
     """
@@ -88,6 +98,11 @@ class BlockGeometry:
                 raise ValueError("hyperbolic blocks need dimension >= 2")
             if d < 1:
                 raise ValueError("block dimensions must be positive")
+        if not (self.curvatures == ("hyperbolic",)
+                or (self.curvatures == ("hyperbolic", "flat") and self.dims[1] == 1)):
+            raise ValueError(
+                "blocks must be one hyperbolic block, optionally followed by one flat "
+                f"block of dimension 1; got dims {self.dims} and curvatures {self.curvatures}")
         if not 2 <= self.dim <= 4:
             raise ValueError("total spatial dimension must satisfy 2 <= n <= 4")
         if not 0 < self.volume_factor < math.inf:
@@ -118,6 +133,8 @@ class FlowState:
 
     def __post_init__(self):
         dims = self.geometry.dims
+        if not len(self.scales) == len(self.kcov) == len(dims):
+            raise ValueError("scales and kcov need one entry per block of the geometry")
         mixed = tuple([k / a for a, k in zip(self.scales, self.kcov)])
         object.__setattr__(self, "mixed_k", mixed)
         object.__setattr__(self, "trace_k", sum([d * p for d, p in zip(dims, mixed)]))
@@ -326,83 +343,110 @@ def volume_of(geom: BlockGeometry, scales: tuple) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rates(scales, kcov, k2: float):
-    """(dA/dτ, dP/dτ) as lists, from the fields and their |K|² ``k2``; the lapse
-    is constant on homogeneous data, so the Hessian term of ∂ₜK vanishes."""
-    lapse = _homogeneous_lapse(k2)
-    return ([(-2.0 * lapse) * k for k in kcov],
-            [((-lapse) * k) * k / a for a, k in zip(scales, kcov)])
+def _named_fields(state: FlowState) -> tuple:
+    """(dh, dc, ah, kh, ac, kc): the dimensions, scales and covariant K values
+    of the hyperbolic block and of the circle.  A cone gets a zero-dimensional
+    phantom circle with A = 1.0 and P = 0.0, which the kernel keeps exactly."""
+    dims, scales, kcov = state.geometry.dims, state.scales, state.kcov
+    if len(dims) == 1:
+        return dims[0], 0, scales[0], kcov[0], 1.0, 0.0
+    return dims[0], dims[1], scales[0], kcov[0], scales[1], kcov[1]
 
 
-def _stage(dims, a0, p0, h, da, dp):
-    """Rates at the RK4 stage (a0 + h·da, p0 + h·dp); one pass advances the
-    fields and sums |K|² as ``FlowState.k_norm2`` does."""
-    scales, kcov, k2 = [], [], 0
-    for d, a, p, ra, rp in zip(dims, a0, p0, da, dp):
-        a, p = a + h * ra, p + h * rp
-        scales.append(a)
-        kcov.append(p)
-        m = p / a
-        k2 += d * (m * m)
-    return _rates(scales, kcov, k2)
+def _rk4(dh, dc, tau, ah, kh, ac, kc, lapse, trace, dtau, drift_tol, depth=8):
+    """One classical RK4 step from the fields at ``tau``, whose lapse and tr K
+    the caller gives; returns (tau, ah, kh, ac, kc, ph, pc, trace, k2) at the
+    end of the step, with ph, pc the mixed eigenvalues and k2 = |K|².
 
+    Every operation and its order are those of the per-block reference: at
+    each stage the rates are dA/dτ = -2N·P and dP/dτ = -N·P·P/A, the lapse
+    N = 1/|K|² is solved from the stage's own fields, and |K|² sums the
+    hyperbolic term, then the circle's.  A non-positive or NaN scale after
+    the step, or a zero scale at a stage, raises RuntimeError; a NaN or
+    vanishing |K|² at any stage raises DegenerateLapseError.  If the step
+    *added* more than ``drift_tol`` of drift |tr K - τ| it is retried as two
+    half steps, up to ``depth`` nested halvings.
 
-def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL, _depth: int = 8) -> FlowState:
-    """One classical RK4 step in CMC time, with drift-triggered halving.
-
-    The lapse equation is solved at every stage.  Stage 1 takes the state's
-    |K|²; stages 2–4 run through ``_stage`` on plain lists, and the only
-    FlowState built is the result.  A non-positive or NaN scale after the
-    step, or a zero scale at a stage, raises RuntimeError; a NaN or vanishing
-    |K|² at any stage raises DegenerateLapseError.  After the step the trace
-    of K is compared with the target time; if the step *added* more than
-    ``drift_tol`` of drift it is retried as two half steps (up to 8 nested
-    halvings).  No projection is applied — drift stays an honest error meter.
+    At each stage (a, k) are the hyperbolic block's fields and (b, c) the
+    circle's, p and r their mixed eigenvalues, and g, q the factors -2N, -N.
     """
-    dims, a0, p0 = state.geometry.dims, state.scales, state.kcov
     half = 0.5 * dtau
     try:
-        da1, dp1 = _rates(a0, p0, state.k_norm2)
-        da2, dp2 = _stage(dims, a0, p0, half, da1, dp1)
-        da3, dp3 = _stage(dims, a0, p0, half, da2, dp2)
-        da4, dp4 = _stage(dims, a0, p0, dtau, da3, dp3)
+        g, q = -2.0 * lapse, -lapse
+        ah1, kh1, ac1, kc1 = g * kh, q * kh * kh / ah, g * kc, q * kc * kc / ac
+        a, k, b, c = ah + half * ah1, kh + half * kh1, ac + half * ac1, kc + half * kc1
+        p, r = k / a, c / b
+        lapse2 = _homogeneous_lapse(dh * (p * p) + dc * (r * r))
+        g, q = -2.0 * lapse2, -lapse2
+        ah2, kh2, ac2, kc2 = g * k, q * k * k / a, g * c, q * c * c / b
+        a, k, b, c = ah + half * ah2, kh + half * kh2, ac + half * ac2, kc + half * kc2
+        p, r = k / a, c / b
+        lapse3 = _homogeneous_lapse(dh * (p * p) + dc * (r * r))
+        g, q = -2.0 * lapse3, -lapse3
+        ah3, kh3, ac3, kc3 = g * k, q * k * k / a, g * c, q * c * c / b
+        a, k, b, c = ah + dtau * ah3, kh + dtau * kh3, ac + dtau * ac3, kc + dtau * kc3
+        p, r = k / a, c / b
+        lapse4 = _homogeneous_lapse(dh * (p * p) + dc * (r * r))
+        g, q = -2.0 * lapse4, -lapse4
+        ah4, kh4, ac4, kc4 = g * k, q * k * k / a, g * c, q * c * c / b
     except ZeroDivisionError as exc:
-        # only a stage scale of exactly zero divides by zero in _stage and _rates
+        # only a stage scale of exactly zero divides by zero here
         raise RuntimeError(f"metric block scale became zero at an RK4 stage of the step "
-                           f"from tau = {state.tau!r} by {dtau!r}") from exc
+                           f"from tau = {tau!r} by {dtau!r}") from exc
     h = dtau / 6.0
-    scales = tuple([x + h * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-                    for x, q1, q2, q3, q4 in zip(a0, da1, da2, da3, da4)])
-    kcov = tuple([x + h * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-                  for x, q1, q2, q3, q4 in zip(p0, dp1, dp2, dp3, dp4)])
-    if not all(a > 0.0 for a in scales):
+    a = ah + h * (ah1 + 2.0 * ah2 + 2.0 * ah3 + ah4)
+    k = kh + h * (kh1 + 2.0 * kh2 + 2.0 * kh3 + kh4)
+    b = ac + h * (ac1 + 2.0 * ac2 + 2.0 * ac3 + ac4)
+    c = kc + h * (kc1 + 2.0 * kc2 + 2.0 * kc3 + kc4)
+    if not (a > 0.0 and b > 0.0):
+        scales = (a, b) if dc else (a,)
         raise RuntimeError(f"metric block scale became non-positive or NaN during a step: {scales}")
-    new = FlowState(state.geometry, state.tau + dtau, scales, kcov)
-    drift_before = abs(state.trace_k - state.tau)
-    drift_after = abs(new.trace_k - new.tau)
-    if drift_after - drift_before > drift_tol:
-        if _depth <= 0:
-            raise RuntimeError(
-                f"CMC drift increment {drift_after - drift_before:.3e} "
-                "persists at minimal step size"
-            )
-        first = flow_step(state, half, drift_tol, _depth - 1)
-        return flow_step(first, half, drift_tol, _depth - 1)
-    return new
+    p, r = k / a, c / b
+    # sum() starts from 0, which turns a -0.0 first term into 0.0
+    new_trace = (0 + dh * p) + dc * r
+    drift = abs(new_trace - (tau + dtau)) - abs(trace - tau)
+    if drift > drift_tol:
+        if depth <= 0:
+            raise RuntimeError(f"CMC drift increment {drift:.3e} persists at minimal step size")
+        mid = _rk4(dh, dc, tau, ah, kh, ac, kc, lapse, trace, half, drift_tol, depth - 1)
+        return _rk4(dh, dc, *mid[:5], _homogeneous_lapse(mid[8]), mid[7], half, drift_tol,
+                    depth - 1)
+    return tau + dtau, a, k, b, c, p, r, new_trace, dh * (p * p) + dc * (r * r)
+
+
+def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL) -> FlowState:
+    """One classical RK4 step in CMC time, with drift-triggered halving.
+
+    The lapse equation is solved at every stage.  This is one step of
+    ``_rk4``, wrapped in a FlowState; its failures are the kernel's.  No
+    projection is applied: drift stays an honest error meter.
+    """
+    dh, dc, ah, kh, ac, kc = _named_fields(state)
+    tau, a, k, b, c = _rk4(dh, dc, state.tau, ah, kh, ac, kc,
+                           _homogeneous_lapse(state.k_norm2), state.trace_k, dtau,
+                           drift_tol)[:5]
+    if dc:
+        return FlowState(state.geometry, tau, (a, b), (k, c))
+    return FlowState(state.geometry, tau, (a,), (k,))
 
 
 @dataclass
 class HamTrace:
     """Record of a flow run: one row per τ grid point, a tuple of Python floats
-    in the order of TRACE_COLUMNS."""
+    in the order of TRACE_COLUMNS.  The rows are not changed once built."""
 
     ndim: int
     data: list
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def floats(self, name: str) -> list:
-        """One column as a list of Python floats."""
-        j = TRACE_COLUMNS.index(name)
-        return [row[j] for row in self.data]
+        """One column as a list of Python floats, built at the first call and
+        the same list at every later one."""
+        column = self._columns.get(name)
+        if column is None:
+            j = TRACE_COLUMNS.index(name)
+            column = self._columns[name] = [row[j] for row in self.data]
+        return column
 
     def column(self, name: str) -> np.ndarray:
         """One column as a numpy array, for callers that compute on arrays."""
@@ -412,17 +456,6 @@ class HamTrace:
 
     def __len__(self) -> int:
         return len(self.data)
-
-
-def _record(state: FlowState) -> tuple:
-    """One TRACE_COLUMNS row; the homogeneous lapse is both its min and max."""
-    geom = state.geometry
-    lapse = solve_lapse(state)
-    density = _volume_density(geom.dims, state.scales)
-    vol = geom.volume_factor * density
-    ham = abs(state.tau) ** geom.dim * vol
-    nk2 = geom.volume_factor * (density * (lapse * state.khat_norm2()))
-    return (state.tau, vol, ham, nk2, flat_constraint_residual(state), lapse, lapse)
 
 
 def tau_grid(tau_start: float, tau_end: float, steps: int) -> list:
@@ -451,16 +484,40 @@ def run_flow(initial: FlowState, tau_end: float, steps: int,
              drift_tol: float = DRIFT_TOL) -> HamTrace:
     """Integrate the CMC flow and record the Ham diagnostics at every grid time.
 
-    drift_tol is forwarded to flow_step; pass math.inf to disable the
-    per-step re-stepping (useful when measuring the raw integrator order).
+    Each step is one ``_rk4`` step, and each row holds the lapse,
+    the volume, Ham, ∫ N|K̂|² dμ and the Gauss residual of the step's fields,
+    computed as ``solve_lapse``, ``volume_of``, ``integrate_scalar``,
+    ``FlowState.khat_norm2`` and ``flat_constraint_residual`` compute them;
+    the homogeneous lapse is both the row's min and max.  drift_tol is
+    forwarded to the kernel; pass math.inf to disable the per-step
+    re-stepping (useful when measuring the raw integrator order).
     """
     grid = tau_grid(initial.tau, tau_end, steps)
-    state = initial
-    rows = [_record(state)]
-    for t0, t1 in zip(grid, grid[1:]):
-        state = flow_step(state, t1 - t0, drift_tol=drift_tol)
-        rows.append(_record(state))
-    return HamTrace(initial.geometry.dim, rows)
+    geom = initial.geometry
+    n, vf = geom.dim, geom.volume_factor
+    dh, dc, ah, kh, ac, kc = _named_fields(initial)
+    eh, ec, rh = dh / 2.0, dc / 2.0, -(dh - 1.0)
+    tau, trace, k2 = initial.tau, initial.trace_k, initial.k_norm2
+    ph, pc = kh / ah, kc / ac
+    rows = []
+    for i in range(len(grid)):
+        if i:
+            tau, ah, kh, ac, kc, ph, pc, trace, k2 = _rk4(
+                dh, dc, tau, ah, kh, ac, kc, lapse, trace, grid[i] - grid[i - 1], drift_tol)
+        lapse = _homogeneous_lapse(k2)
+        density = ah ** eh * ac ** ec
+        vol = vf * density
+        mean = trace / n
+        xh, xc = ph - mean, pc - mean
+        # (dc·xc)·xc is dc·(xc·xc) for dc = 1, and stays an exact zero for the
+        # phantom circle where xc·xc would overflow
+        khat = dh * (xh * xh) + dc * xc * xc
+        gh = abs(rh / ah - ph * ph + trace * ph)
+        gc = abs(0.0 - pc * pc + trace * pc)
+        # gc if gc > gh else gh is the built-in max(gh, gc), NaN rule included
+        rows.append((tau, vol, abs(tau) ** n * vol, vf * (density * (lapse * khat)),
+                     gc if gc > gh else gh, lapse, lapse))
+    return HamTrace(n, rows)
 
 
 # ---------------------------------------------------------------------------

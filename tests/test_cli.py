@@ -572,6 +572,39 @@ def test_nan_lapse_and_barrier_fail_the_clipped_checks(tmp_path, monkeypatch, ca
     assert "PASS lich_zero_sigma_exact_err" in stdout
 
 
+class _PassCountingRows(list):
+    """Trace rows that count the passes made over them."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("scenario, columns", [
+    (cli.scenario_cone_flow, ("tau", "ham", "lapse_min", "lapse_max", "gauss_residual")),
+    (cli.scenario_kasner_flow, ("tau", "ham", "n_khat2_integral", "lapse_min", "lapse_max",
+                                "gauss_residual")),
+], ids=["cone-flow", "kasner-flow"])
+def test_flow_scenarios_read_each_trace_column_once(scenario, columns, monkeypatch):
+    # the closed-form, monotonicity and trace checks share the trace's columns:
+    # one pass over the rows per column read, not one per check
+    run_flow, rows = flow.run_flow, []
+
+    def counted(*args, **kwargs):
+        trace = run_flow(*args, **kwargs)
+        rows.append(_PassCountingRows(trace.data))
+        return flow.HamTrace(trace.ndim, rows[-1])
+
+    expected = scenario(steps=50)[1]
+    monkeypatch.setattr(flow, "run_flow", counted)
+    assert scenario(steps=50)[1] == expected
+    assert rows[0].passes == len(columns)
+    trace = flow.HamTrace(3, rows[0])
+    assert all(trace.floats(name) is trace.floats(name) for name in columns)
+
+
 @pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
 @pytest.mark.parametrize("column, failing", [
     ("lapse_min", "cone_lapse_lower_bound_violation"),

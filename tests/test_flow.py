@@ -136,8 +136,8 @@ def test_flow_step_halves_a_step_that_adds_drift():
 
 
 # Reference RK4 on tuples, with the per-stage arithmetic of the FlowState-based
-# stepper that the list-based flow_step replaced; flow_step must match it bit
-# for bit, halvings included.
+# stepper that the scalar kernel replaced; flow_step must match it bit for
+# bit, halvings and signed zeros included.
 
 
 def _ref_mixed(scales, kcov):
@@ -175,22 +175,80 @@ def _ref_step(dims, tau, fields, dtau, drift_tol=flow.DRIFT_TOL, depth=8):
     return tau + dtau, new
 
 
+def moving_circle_state():
+    """Kasner-shaped data off the model, at tau = -10 with tr K = tau: the
+    circle has K != 0 and moves, where every model keeps it static.  Not
+    vacuum data (its Gauss residual is 16), and most steps of 0.1..10 halve."""
+    geom = flow.BlockGeometry((2, 1), ("hyperbolic", "flat"), 1.17)
+    return flow.FlowState(geom, -10.0, (0.04, 1.7), (-0.16, -3.4))
+
+
+def _bits(*values):
+    """The bit patterns of floats, so that 0.0 and -0.0 (equal under ==) differ."""
+    return [x.hex() for x in values]
+
+
+def _assert_matches_ref(st, tau, fields):
+    assert _bits(st.tau, *st.scales, *st.kcov) == _bits(tau, *fields[0], *fields[1])
+
+
 def test_flow_step_matches_the_reference_rk4_bit_for_bit():
     models_at = [models.ConeModel(n) for n in (2, 3, 4)] + [models.KasnerModel(n) for n in (3, 4)]
-    for model in models_at:
-        st = flow.state_from_slice(models.slice_at_tau(model, -10.0))
+    starts = [flow.state_from_slice(models.slice_at_tau(m, -10.0)) for m in models_at]
+    forward = flow.tau_grid(-10.0, -0.1, 200)
+    for st in starts + [moving_circle_state()]:
         dims, tau, fields = st.geometry.dims, st.tau, (st.scales, st.kcov)
-        grid = flow.tau_grid(-10.0, -0.1, 200)
-        for t0, t1 in zip(grid[:-1], grid[1:]):
+        for t0, t1 in zip(forward[:-1], forward[1:]):
             dtau = float(t1 - t0)
             st = flow.flow_step(st, dtau)
             tau, fields = _ref_step(dims, tau, fields, dtau)
-            assert (st.tau, st.scales, st.kcov) == (tau, *fields)
-    # the halving case: a raw step of 0.5 on the n = 3 cone adds drift
-    st = cone_state(3, -10.0)
-    repaired = flow.flow_step(st, 0.5)
-    tau, fields = _ref_step(st.geometry.dims, st.tau, (st.scales, st.kcov), 0.5)
-    assert (repaired.tau, repaired.scales, repaired.kcov) == (tau, *fields)
+            _assert_matches_ref(st, tau, fields)
+    # backward steps (dtau < 0) on the Kasner product: the zero rates of the
+    # static circle change sign with the step
+    backward = flow.tau_grid(-0.5, -5.0, 100)
+    for n in (3, 4):
+        st = flow.state_from_slice(models.slice_at_tau(models.KasnerModel(n), -0.5))
+        dims, tau, fields = st.geometry.dims, st.tau, (st.scales, st.kcov)
+        for t0, t1 in zip(backward[:-1], backward[1:]):
+            st = flow.flow_step(st, t1 - t0)
+            tau, fields = _ref_step(dims, tau, fields, t1 - t0)
+            _assert_matches_ref(st, tau, fields)
+    # the halving case: a raw step of 0.5 on the n = 3 cone adds drift, and so
+    # does a raw step of 1.0 on the Kasner product, which takes nested halvings
+    kasner_at_5 = [flow.state_from_slice(models.slice_at_tau(models.KasnerModel(n), -5.0))
+                   for n in (3, 4)]
+    for st, dtau in ((cone_state(3, -10.0), 0.5), (kasner_at_5[0], 1.0), (kasner_at_5[1], 1.0)):
+        raw = flow.flow_step(st, dtau, drift_tol=np.inf)
+        assert abs(raw.trace_k - raw.tau) - abs(st.trace_k - st.tau) > flow.DRIFT_TOL
+        repaired = flow.flow_step(st, dtau)
+        ref = _ref_step(st.geometry.dims, st.tau, (st.scales, st.kcov), dtau)
+        _assert_matches_ref(repaired, *ref)
+    # a NaN scale in the circle makes |K|^2 NaN, which every path must refuse
+    st = kasner_state()
+    bad = flow.FlowState(st.geometry, st.tau, (st.scales[0], float("nan")), st.kcov)
+    for call in (lambda: flow.solve_lapse(bad), lambda: flow.flow_step(bad, 0.01),
+                 lambda: flow.run_flow(bad, -1.0, 4)):
+        with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2 > 1e-12, got nan"):
+            call()
+
+
+def test_run_flow_builds_no_flow_state_per_step(monkeypatch):
+    # the kernel steps named floats and builds the rows from them; only the
+    # state that flow_step returns is a FlowState
+    built, post_init = [], flow.FlowState.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(flow.FlowState, "__post_init__", counting)
+    for model in (models.ConeModel(3), models.KasnerModel(3)):
+        st = flow.state_from_slice(models.slice_at_tau(model, -10.0))
+        built.clear()
+        trace = flow.run_flow(st, -0.1, 200)
+        assert (len(trace), len(built)) == (201, 0)
+        flow.flow_step(st, 0.01)
+        assert len(built) == 1
 
 
 # volumes other than 1, so that the volume factor takes part in the rounding
@@ -198,11 +256,15 @@ _FLOW_MODELS = ([models.ConeModel(n, 0.7) for n in (2, 3, 4)]
                 + [models.KasnerModel(n, 1.3, 0.9) for n in (3, 4)])
 
 
-@pytest.mark.parametrize("model", _FLOW_MODELS, ids=lambda m: f"{type(m).__name__}{m.dim}")
+@pytest.mark.parametrize("model", _FLOW_MODELS + [None],
+                         ids=lambda m: f"{type(m).__name__}{m.dim}" if m else "MovingCircle")
 def test_run_flow_rows_match_rows_rebuilt_from_each_state(model):
     # the trace row shares one volume density between the volume and
     # ∫ N|K̂|² dμ; it must be the row the public integrals give, bit for bit
-    st = flow.state_from_slice(models.slice_at_tau(model, -10.0))
+    if model is None:
+        st = moving_circle_state()
+    else:
+        st = flow.state_from_slice(models.slice_at_tau(model, -10.0))
     trace = flow.run_flow(st, -0.1, 200)
     grid = flow.tau_grid(-10.0, -0.1, 200)
     rows = []
@@ -409,8 +471,8 @@ def test_trace_columns_and_lengths():
 def test_geometry_validation():
     with pytest.raises(ValueError):
         flow.BlockGeometry((1,), ("hyperbolic",), 1.0)  # hyperbolic factor too thin
-    with pytest.raises(ValueError):
-        flow.BlockGeometry((3, 2), ("hyperbolic", "hyperbolic"), 1.0)  # total dim 5
+    with pytest.raises(ValueError, match="total spatial dimension"):
+        flow.BlockGeometry((4, 1), ("hyperbolic", "flat"), 1.0)
     with pytest.raises(ValueError, match="align"):
         flow.BlockGeometry((2, 1), ("hyperbolic",), 1.0)
     with pytest.raises(ValueError, match="curvature type 'spherical'"):
@@ -418,6 +480,12 @@ def test_geometry_validation():
     with pytest.raises(ValueError, match="positive"):
         flow.BlockGeometry((3, 0), ("hyperbolic", "flat"), 1.0)
     kasner = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
+    # a state that drops the circle's fields would step the hyperbolic block alone
+    st = flow.state_from_slice(kasner)
+    for scales, kcov in ((st.scales[:1], st.kcov[:1]), (st.scales, st.kcov[:1]),
+                         (st.scales * 2, st.kcov * 2)):
+        with pytest.raises(ValueError, match="one entry per block"):
+            flow.FlowState(st.geometry, st.tau, scales, kcov)
     with pytest.raises(ValueError, match="8 points"):
         flow.grid_state_from_slice(kasner, 4, 1.0)
     with pytest.raises(ValueError, match="circle_length"):
@@ -425,3 +493,17 @@ def test_geometry_validation():
     with pytest.raises(ValueError, match="flat one-dimensional block"):
         # the cone slice has no flat one-dimensional block to carry the grid
         flow.grid_state_from_slice(models.slice_at_tau(models.ConeModel(3), -2.0), 128, 1.0)
+
+
+@pytest.mark.parametrize("dims, curvatures", [
+    ((2, 2), ("hyperbolic", "hyperbolic")),
+    ((1, 2), ("flat", "hyperbolic")),
+    ((2, 2), ("hyperbolic", "flat")),
+    ((2, 1, 1), ("hyperbolic", "flat", "flat")),
+], ids=["two-hyperbolic", "flat-first", "flat-of-dim-2", "three-blocks"])
+def test_geometry_accepts_the_two_model_shapes_only(dims, curvatures):
+    # the kernel steps one hyperbolic block and one optional flat circle;
+    # every other shape, of a valid total dimension, is refused up front
+    with pytest.raises(ValueError, match="one hyperbolic block, optionally followed by one "
+                                         "flat block of dimension 1"):
+        flow.BlockGeometry(dims, curvatures, 1.0)
