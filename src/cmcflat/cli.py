@@ -184,8 +184,8 @@ def scenario_limit_experiment(*, cocycle_scale=0.002, lambdas=(1.0, 2.0, 4.0, 8.
                               coboundary_size=0.15):
     if cocycle_scale <= 0 or coboundary_size <= 0:
         raise ConfigError("cocycle_scale and coboundary_size must be positive")
-    if word_length < 1:
-        raise ConfigError("word_length must be at least 1")
+    if not 1 <= word_length <= LIMIT_MAX_WORD_LENGTH:
+        raise ConfigError(f"word_length must lie in 1..{LIMIT_MAX_WORD_LENGTH}")
     if any(lam <= 0 for lam in lambdas) or len(lambdas) < 2:
         raise ConfigError("lambdas must be positive and at least two values")
     if relax_tol <= 0:
@@ -225,8 +225,13 @@ GRAPH_REFINEMENT_NODES = {2: (81, 161, 321), 3: (21, 41, 81), 4: (11, 21, 41)}
 #: both stages sample their grids in row blocks and never hold a whole one
 GRAPH_MAX_GRID_NODES = 2401**2
 #: largest side of the limit-experiment grid: at its other defaults a run peaks
-#: at 214, 431 and 750 MB of RSS on 321^2, 481^2 and 641^2 nodes
+#: at 215, 432 and 754 MB of RSS on 321^2, 481^2 and 641^2 nodes
 LIMIT_MAX_NODES = 641
+#: longest word of the limit-experiment orbits: the orbit grows about 7x per
+#: letter, and its enumeration alone takes 2.5 s and 209 MB of RSS at 6
+#: letters (155,766 elements); at that growth 7 would need about 1.4 GB and 8
+#: about 10 GB before the envelope's range check could refuse the orbit
+LIMIT_MAX_WORD_LENGTH = 6
 
 
 def scenario_graph_check(*, dim=2, hyperboloid_s=1.0, extent=2.0,

@@ -68,7 +68,6 @@ keeps are in _relax_orbits.
 from __future__ import annotations
 
 import contextvars
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +101,6 @@ QUADRATURE_BLOCK_ROWS = 32
 #: (node rows along axis 0) that hold 2^17 nodes, about 1 MB per geometry array,
 #: plus a two-plane halo; two planes of 41^3 at dim 4, 20 of 81^2 at dim 3
 CONVERGENCE_BLOCK_NODES = 2**17
-
-try:  # glibc; other C libraries have no malloc_trim and skip the release
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
 
 #: base-point direction of the limit experiment's pure-gauge (coboundary) control
 COBOUNDARY_DIRECTION = (1.0, 0.6, -0.8)
@@ -679,19 +673,6 @@ def _newton_system(field: HeightField):
     )
 
 
-def _release_free_heap() -> None:
-    """Return the C heap's free pages to the system before a SuperLU call.
-
-    The Jacobian's assembly leaves tens of MB of freed, still-resident holes
-    in the heap.  Whether SuperLU's buffers reuse a hole or extend the heap
-    depends on a few KB of layout that differ between identical runs, so
-    without this release the peak RSS of limit-experiment jumps between
-    about 248 and 263 MB from one run to the next.
-    """
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-
-
 def _factorize(jac):
     """Symmetric-mode, no-pivot sparse LU of a Newton Jacobian.
 
@@ -701,7 +682,6 @@ def _factorize(jac):
     """
     import scipy.sparse.linalg
 
-    _release_free_heap()
     return scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                     options={"SymmetricMode": True})
 
@@ -714,7 +694,6 @@ def _newton_step(jac, rhs: np.ndarray, lu) -> np.ndarray:
     the step is accepted only if ||J s - rhs||_2 <= NEWTON_STEP_RTOL *
     ||rhs||_2 for the factored J; otherwise NewtonStepError is raised.
     """
-    _release_free_heap()
     step = lu.solve(rhs)
     misfit = np.linalg.norm(jac @ step - rhs)
     scale = np.linalg.norm(rhs)

@@ -522,28 +522,34 @@ def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):
 
 
 def test_limit_experiment_caps_its_grid(tmp_path, monkeypatch, capsys):
-    # nodes = 20001 would ask the envelope worker for a 3.2 GB array; a grid
-    # beyond the cap is a config error before anything is built, and --out is
-    # not created, as for every range check of a scenario
+    # nodes = 20001 would ask the envelope worker for a 3.2 GB array, and
+    # word_length = 8 would enumerate an orbit of about 7.6 million elements; a
+    # grid or a word beyond its cap is a config error before anything is built,
+    # and --out is not created, as for every range check of a scenario
     base = 4.0 * np.pi
     row = (1.0, -2.0, base, 1.0, 1e-10, 2, 0)
     rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 0), (2.0, -2.0, base, 1.001, 1e-10, 3, 0)]
-    grids = []
+    calls = []
 
-    def canned(*args, nodes, **kwargs):
-        grids.append(nodes)
+    def canned(*args, nodes, word_length, **kwargs):
+        calls.append((nodes, word_length))
         return rows, row, row
 
     monkeypatch.setattr(graphs, "limit_experiment_with_control", canned)
-    for nodes in (20001, cli.LIMIT_MAX_NODES + 1):
-        code, out = _run_config(tmp_path, f"scenario = limit-experiment\nnodes = {nodes}\n")
+    refused = [(f"nodes = {nodes}", f"nodes must lie in 5..{cli.LIMIT_MAX_NODES}")
+               for nodes in (20001, cli.LIMIT_MAX_NODES + 1)]
+    refused += [(f"word_length = {length}", f"word_length must lie in 1..{cli.LIMIT_MAX_WORD_LENGTH}")
+                for length in (8, cli.LIMIT_MAX_WORD_LENGTH + 1)]
+    for option, message in refused:
+        code, out = _run_config(tmp_path, f"scenario = limit-experiment\n{option}\n")
         assert code == 2
-        assert f"nodes must lie in 5..{cli.LIMIT_MAX_NODES}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
-    assert grids == []
-    code, _ = _run_config(tmp_path, f"scenario = limit-experiment\nnodes = {cli.LIMIT_MAX_NODES}\n")
+    assert calls == []
+    code, _ = _run_config(tmp_path, f"scenario = limit-experiment\nnodes = {cli.LIMIT_MAX_NODES}\n"
+                                    f"word_length = {cli.LIMIT_MAX_WORD_LENGTH}\n")
     capsys.readouterr()
-    assert (code, grids) == (0, [cli.LIMIT_MAX_NODES])
+    assert (code, calls) == (0, [(cli.LIMIT_MAX_NODES, cli.LIMIT_MAX_WORD_LENGTH)])
 
 
 def test_nan_lapse_and_barrier_fail_the_clipped_checks(tmp_path, monkeypatch, capsys):
