@@ -30,10 +30,20 @@ grid (a 2401^2 field is 46 MB, the 36 node rows of a 32-cell-row quadrature
 block 0.7 MB).  The quadrature takes QUADRATURE_BLOCK_ROWS (32) cell rows a
 block, because its cell sums depend on block order; the convergence takes the
 fewest whole planes holding CONVERGENCE_BLOCK_NODES, and its maxima, taken
-with np.max, keep a NaN whatever block it sits in.  The kernels a block runs
-through, the derivative stencils, GraphGeometry, octagon_level and the cell
-sums of quotient_energy, form their sums in place on a few scratch arrays, so
-a block makes no temporary array per operation.
+with np.max, keep a NaN whatever block it sits in.
+
+A geometry is built in two stages: the Gauss stage (GaussGeometry: the
+gradient, W, the spacelike guard and the Gauss map) and the curvature stage
+(_curvature: the Hessian, H and |K|^2); GraphGeometry is both, on every node.
+The quadrature runs the Gauss stage on the whole block, evaluates the domain's
+level there, and runs the curvature stage, the cut fractions and the cell
+sums only on the window of cell columns whose cells have a corner in the
+domain, plus a two-column halo (at 2401^2 nodes the Bolza domain spans about a
+third of a block's columns); its sums go through full-width buffers that are
+zero outside the window, so they keep the bits of a whole-width build.  The
+kernels a block runs through, the derivative stencils, both stages,
+octagon_level and the cell sums of quotient_energy, form their sums in place
+on a few scratch arrays, so a block makes no temporary array per operation.
 
 CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
@@ -296,63 +306,54 @@ def _second_derivative(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-def _derivatives(values: np.ndarray, h: float):
-    """Central-difference gradient list and symmetric Hessian dict {(i,j): array}.
+def _hessian(values: np.ndarray, grads: list, h: float) -> dict:
+    """Symmetric Hessian dict {(i,j): array} of ``values``, whose gradient is ``grads``.
 
-    The gradient is np.gradient's (second-order edges) and pure second
-    derivatives use the compact three-point stencil; mixed ones are central
-    differences of the central gradient (the 4-point cross).  Every stencil
-    is formed in place in its output array, so besides the n gradients and
-    n(n+1)/2 Hessian entries only edge planes are allocated.
+    Pure second derivatives use the compact three-point stencil; mixed ones
+    are central differences of the central gradient (the 4-point cross).
+    Every stencil is formed in place in its output array.
     """
     n = values.ndim
-    grads = [_first_derivative(values, h, i) for i in range(n)]
-    hess = {}
-    for i in range(n):
-        for j in range(i, n):
-            if i == j:
-                hess[(i, j)] = _second_derivative(values, h, i)
-            else:
-                hess[(i, j)] = _first_derivative(grads[i], h, j)
-    return grads, hess
+    return {(i, j): (_second_derivative(values, h, i) if i == j
+                     else _first_derivative(grads[i], h, j))
+            for i in range(n) for j in range(i, n)}
 
 
-class GraphGeometry:
-    """Pointwise geometry of a spacelike graph (lean scalar fields).
+def _derivatives(values: np.ndarray, h: float):
+    """Central-difference gradient list (np.gradient's, second-order edges) and
+    the symmetric Hessian dict of _hessian."""
+    grads = [_first_derivative(values, h, i) for i in range(values.ndim)]
+    return grads, _hessian(values, grads, h)
 
-    Stores the gradient, W, mean curvature H, and |K|^2 (squared norm in the
-    induced metric); only det_identity_error builds the induced metric tensor.
-    Only interior nodes (two-node margin) are contractual.
 
-    With lap = sum_i phi_ii, u_i = sum_j phi_j phi_ij, t = sum_i phi_i u_i
-    and |Hess|^2 = sum_ij phi_ij^2,
+def _dot(a, b, out, scratch):
+    """sum_k a[k] * b[k] into ``out``, one term at a time through ``scratch``."""
+    np.multiply(a[0], b[0], out=out)
+    for ak, bk in zip(a[1:], b[1:]):
+        out += np.multiply(ak, bk, out=scratch)
+    return out
 
-        H = -(lap + t/W^2)/W    |K|^2 = (|Hess|^2 + 2|u|^2/W^2 + (t/W^2)^2)/W^2.
 
-    Each sum is accumulated in place, term by term in the order of its index
-    loop, and spent arrays are reused, so besides the derivatives and the
-    stored fields the build allocates only W^2, the u_i and one scratch term.
+class GaussGeometry:
+    """The Gauss stage of a spacelike graph: gradient, W and the spacelike guard.
+
+    Stores the gradient, w2 = W^2 = 1 - |grad phi|^2 (held at
+    SPACELIKE_MARGIN^2 from below) and W, the volume density; the Gauss map's
+    disk image and the det(g) identity need nothing more.  SpacelikeError is
+    raised unless every interior node is uniformly spacelike.  Only interior
+    nodes (two-node margin) are contractual.
+
+    GraphGeometry adds the curvature stage on every node; quotient_energy
+    hands each block's GaussGeometry to its level_fn and builds the curvature
+    on a column window only (_curvature).
     """
 
     def __init__(self, field: HeightField):
         self.field = field
-        n = field.ndim
-        grads, hess = _derivatives(np.asarray(field.values, float), field.spacing)
+        values = np.asarray(field.values, float)
+        grads = [_first_derivative(values, field.spacing, i) for i in range(field.ndim)]
         interior = field.interior
-
-        def hs(i, j):
-            return hess[(i, j) if i <= j else (j, i)]
-
-        scratch = np.empty_like(grads[0])
-
-        def dot(a, b, out):
-            """sum_k a[k] * b[k] into ``out``, one term at a time."""
-            np.multiply(a[0], b[0], out=out)
-            for ak, bk in zip(a[1:], b[1:]):
-                out += np.multiply(ak, bk, out=scratch)
-            return out
-
-        w2 = dot(grads, grads, np.empty_like(scratch))
+        w2 = _dot(grads, grads, np.empty_like(values), np.empty_like(values))
         # np.max keeps a NaN, which fails the guard
         if not float(np.max(w2[interior])) <= (1.0 - SPACELIKE_MARGIN) ** 2:
             raise SpacelikeError(
@@ -361,35 +362,9 @@ class GraphGeometry:
             )
         np.subtract(1.0, w2, out=w2)
         np.maximum(w2, SPACELIKE_MARGIN**2, out=w2)
-        w = np.sqrt(w2)
-        u = [dot(grads, [hs(i, j) for j in range(n)], np.empty_like(scratch)) for i in range(n)]
-        t = dot(grads, u, np.empty_like(scratch))
-        t /= w2
-        # 2|u|^2/W^2 into u[0]; |Hess|^2, then |K|^2, into u[-1] (u is spent)
-        u2 = dot(u, u, u[0])
-        u2 *= 2.0
-        u2 /= w2
-        k_norm2 = u[-1] if n > 1 else np.empty_like(scratch)
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        np.square(hs(*pairs[0]), out=k_norm2)
-        for i, j in pairs[1:]:
-            np.square(hs(i, j), out=scratch)
-            if i != j:
-                scratch *= 2.0
-            k_norm2 += scratch
-        k_norm2 += u2
-        k_norm2 += np.square(t, out=u2)
-        k_norm2 /= w2
-        # the Laplacian in the first diagonal entry, then H in t's slot
-        lap = hs(0, 0)
-        for i in range(1, n):
-            lap += hs(i, i)
-        t += lap
-        t /= w
         self.grads = grads
-        self.volume_density = w
-        self.mean_curvature = np.negative(t, out=t)
-        self.k_norm2 = k_norm2
+        self.w2 = w2
+        self.volume_density = np.sqrt(w2)
         self.interior = interior
 
     def det_identity_error(self) -> float:
@@ -410,6 +385,76 @@ class GraphGeometry:
         """Poincare-disk image of the Gauss map, grad phi/(1 + W), one array per axis."""
         denom = 1.0 + self.volume_density
         return [g / denom for g in self.grads]
+
+
+def _curvature(values: np.ndarray, h: float, grads: list, w2: np.ndarray, w: np.ndarray):
+    """(H, |K|^2), the curvature stage, from node values, their gradient, W^2 and W.
+
+    With lap = sum_i phi_ii, u_i = sum_j phi_j phi_ij, t = sum_i phi_i u_i
+    and |Hess|^2 = sum_ij phi_ij^2,
+
+        H = -(lap + t/W^2)/W    |K|^2 = (|Hess|^2 + 2|u|^2/W^2 + (t/W^2)^2)/W^2.
+
+    Each sum is accumulated in place, term by term in the order of its index
+    loop, and spent arrays are reused, so besides the Hessian and the results
+    the build allocates only the u_i and one scratch term.  Every operation
+    is pointwise but the Hessian's stencils, so the arrays may be any box of
+    a geometry's nodes: a node one or more planes inside the box gets the
+    bits of the whole geometry's node.
+    """
+    n = values.ndim
+    hess = _hessian(values, grads, h)
+
+    def hs(i, j):
+        return hess[(i, j) if i <= j else (j, i)]
+
+    scratch = np.empty_like(hess[(0, 0)])
+
+    def dot(a, b, out):
+        return _dot(a, b, out, scratch)
+
+    u = [dot(grads, [hs(i, j) for j in range(n)], np.empty_like(scratch)) for i in range(n)]
+    t = dot(grads, u, np.empty_like(scratch))
+    t /= w2
+    # 2|u|^2/W^2 into u[0]; |Hess|^2, then |K|^2, into u[-1] (u is spent)
+    u2 = dot(u, u, u[0])
+    u2 *= 2.0
+    u2 /= w2
+    k_norm2 = u[-1] if n > 1 else np.empty_like(scratch)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    np.square(hs(*pairs[0]), out=k_norm2)
+    for i, j in pairs[1:]:
+        np.square(hs(i, j), out=scratch)
+        if i != j:
+            scratch *= 2.0
+        k_norm2 += scratch
+    k_norm2 += u2
+    k_norm2 += np.square(t, out=u2)
+    k_norm2 /= w2
+    # the Laplacian in the first diagonal entry, then H in t's slot
+    lap = hs(0, 0)
+    for i in range(1, n):
+        lap += hs(i, i)
+    t += lap
+    t /= w
+    return np.negative(t, out=t), k_norm2
+
+
+class GraphGeometry(GaussGeometry):
+    """Pointwise geometry of a spacelike graph (lean scalar fields).
+
+    The Gauss stage (GaussGeometry: gradient, W^2, W and the spacelike
+    guard), then the curvature stage on every node (_curvature): the mean
+    curvature H and |K|^2, the squared norm of the second fundamental form in
+    the induced metric.  Only det_identity_error builds the induced metric
+    tensor.  Only interior nodes (two-node margin) are contractual.
+    """
+
+    def __init__(self, field: HeightField):
+        super().__init__(field)
+        self.mean_curvature, self.k_norm2 = _curvature(
+            np.asarray(field.values, float), field.spacing, self.grads, self.w2,
+            self.volume_density)
 
 
 def graph_geometry(field: HeightField) -> GraphGeometry:
@@ -442,8 +487,12 @@ def curvature_convergence(s: float, extent: float, nodes_list, ndim: int = 2):
     return rows, float(np.max(det_errs))
 
 
-def bolza_domain_level(geom: GraphGeometry) -> np.ndarray:
-    """Signed octagon level of the Gauss map at every node (>= 0 in the domain)."""
+def bolza_domain_level(geom: GaussGeometry) -> np.ndarray:
+    """Signed octagon level of the Gauss map at every node (>= 0 in the domain).
+
+    ``geom`` is a GaussGeometry, the Gauss stage quotient_energy hands its
+    level_fn, or a GraphGeometry; only its disk_coordinates() are read.
+    """
     return holonomy.octagon_level(*geom.disk_coordinates())
 
 
@@ -503,22 +552,31 @@ def quotient_energy(field, level_fn) -> EnergyReport:
     """Integrate |K|^2 and the volume element over a filtered region.
 
     ``field`` is a HeightField or a SampledField.  ``level_fn`` maps a
-    geometry to a signed node field whose >= 0 region selects the domain
-    (``bolza_domain_level`` picks one Bolza fundamental domain through the
-    Gauss map).  Returns E = int |K|^2 dmu, Vol = int dmu,
-    the mu-weighted mean of H, and the coordinate area of the region.
-    Boundary cells get a linear cut; the integrand uses the cell-corner
-    average.
+    GaussGeometry (its .field, .grads, .volume_density and
+    disk_coordinates()) to a signed node field whose >= 0 region selects the
+    domain (``bolza_domain_level`` picks one Bolza fundamental domain through
+    the Gauss map).  Returns E = int |K|^2 dmu, Vol = int dmu, the mu-weighted
+    mean of H, and the coordinate area of the region.  Boundary cells get a
+    linear cut; the integrand uses the cell-corner average.
 
     The cells are integrated in blocks of QUADRATURE_BLOCK_ROWS rows: each
     block reads its node rows plus a two-row halo, which the stencils reach,
-    through the field's rows accessor (_with_halo), builds their geometry,
-    calls ``level_fn`` on that block geometry, and adds its sums to running
-    totals in block order.  ``level_fn`` is therefore evaluated once per
-    block and must be pointwise in the block's geometry and coordinates.
+    through the field's rows accessor (_with_halo), and runs in two stages.
+    The Gauss stage, GaussGeometry on the whole block, is what ``level_fn``
+    is called on, so ``level_fn`` is evaluated once per block and must be
+    pointwise in the block's geometry and coordinates.  The curvature stage
+    (_curvature, the cut fractions and the corner sums) is built only on the
+    window of cell columns that holds every cell with a corner at level >= 0,
+    plus the two-column halo the Hessian reaches; a block without such a cell
+    has none.  The cut fractions and corner sums go into full-width buffers
+    that are zero outside the window, so every np.sum adds the block's whole
+    cell rows in the order a whole-width build adds them: cells outside the
+    window have no corner inside and cut fraction 0, so wherever the
+    whole-width curvature is finite the sums keep its bits.  The running
+    totals take the blocks in order.
     SpacelikeError is raised when any block's interior is not uniformly
-    spacelike; ValueError when the region reaches the frame cells (the two
-    outer cell rings) anywhere, or is empty.
+    spacelike, window or not; ValueError when the region reaches the frame
+    cells (the two outer cell rings) anywhere, or is empty.
     """
     if field.ndim != 2:
         raise ValueError("filtered quadrature is implemented for n = 2 patches")
@@ -534,32 +592,49 @@ def quotient_energy(field, level_fn) -> EnergyReport:
         stop = min(first + QUADRATURE_BLOCK_ROWS, cells)
         # the block's cells have corners on node rows first .. stop
         block, lo = _with_halo(field, first, stop + 1)
-        block_geom = graph_geometry(block)
+        gauss = GaussGeometry(block)
         nodes = slice(first - lo, stop - lo + 1)
+        level = np.asarray(level_fn(gauss), float)[nodes]
+        # cell column c has its corners on node columns c and c + 1
+        reached = np.any(level >= 0, axis=0)
+        window = np.flatnonzero(reached[:-1] | reached[1:])
+        if window.size == 0:
+            continue
+        left, right = int(window[0]), int(window[-1]) + 1
+        frac = np.zeros((stop - first, cols))
+        frac_window = frac[:, left:right]
+        frac_window[...] = _cut_fraction(*corners(level[:, left:right + 1]))
         # cells whose corners are all interior nodes
         inner = np.zeros((stop - first, cols), dtype=bool)
         inner[max(2 - first, 0):max(cells - 2 - first, 0), 2:-2] = True
-        frac = _cut_fraction(*corners(np.asarray(level_fn(block_geom), float)[nodes]))
         touched = touched or bool(np.any((frac > 0) & ~inner))
         frac *= inner
         area += float(np.sum(frac))
-        w = block_geom.volume_density[nodes]
+        # the curvature stage on the window's corner columns left .. right and the halo
+        stage_lo = max(left - 2, 0)
+        stage = np.s_[:, stage_lo:min(right + 3, cols + 1)]
+        mean_curvature, k_norm2 = _curvature(
+            np.asarray(block.values, float)[stage], h, [g[stage] for g in gauss.grads],
+            gauss.w2[stage], gauss.volume_density[stage])
+        corner_nodes = (nodes, slice(left - stage_lo, right - stage_lo + 1))
+        w = gauss.volume_density[nodes, left:right + 1]
         weighted = np.empty_like(w)
-        cell = np.empty_like(frac)
+        cell = np.zeros_like(frac)
+        cell_window = cell[:, left:right]
 
         def cell_sum(values):
-            # 0.25 * (c0 + c1 + c2 + c3) * frac, formed in the one cell buffer
+            # 0.25 * (c0 + c1 + c2 + c3) * frac, formed in the cell buffer's window
             c = corners(values)
-            total = np.add(c[0], c[1], out=cell)
+            total = np.add(c[0], c[1], out=cell_window)
             total += c[2]
             total += c[3]
             total *= 0.25
-            total *= frac
-            return float(np.sum(total))
+            total *= frac_window
+            return float(np.sum(cell))
 
         volume += cell_sum(w)
-        energy += cell_sum(np.multiply(block_geom.k_norm2[nodes], w, out=weighted))
-        tau_weight += cell_sum(np.multiply(block_geom.mean_curvature[nodes], w, out=weighted))
+        energy += cell_sum(np.multiply(k_norm2[corner_nodes], w, out=weighted))
+        tau_weight += cell_sum(np.multiply(mean_curvature[corner_nodes], w, out=weighted))
     if touched:
         raise ValueError("filtered region touches the patch frame; enlarge the patch")
     area = h * h * area

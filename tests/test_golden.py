@@ -9,8 +9,9 @@ numbers, regenerate the files from the current code with
     PYTHONPATH=src python tests/test_golden.py
 
 and review the diff of ``tests/golden/`` before committing it.  The same
-command rewrites ``DEFAULT_FLOW_DIGESTS``, the sha256 of every artifact of
-the cone and Kasner flows at their 10,000-step defaults.
+command rewrites ``DEFAULT_DIGESTS``, the sha256 of every artifact of
+the cone and Kasner flows at their 10,000-step defaults and of graph-check
+at its defaults (the Bolza quadrature on 2401^2 nodes).
 
 The bytes must not depend on the host's SIMD extensions: a fresh
 interpreter with numpy's AVX-512 loops disabled must reproduce them too,
@@ -48,7 +49,12 @@ GOLDEN_CONFIGS = {
 DISPATCH_DEPENDENT = ("limit-experiment",)
 
 #: (scenario, dim) at default options -> {artifact: sha256 of its bytes}
-DEFAULT_FLOW_DIGESTS = {
+DEFAULT_DIGESTS = {
+    ("graph-check", 2): {
+        "graph_convergence.csv": "eafd7ffcbc65a0e974722d0a4e2aef6a861de86eed6d28a9c65fcd97167864fe",
+        "graph_energy.csv": "4872692426b39bf59b5a6fae2824ce534e4505a1c7c529bca0b5a8891f46a162",
+        "summary.csv": "d27089ad1cb8bcb5177356ce8689b753543aba0a519d6bbe4b09f70b13e0f7b4",
+    },
     ("cone-flow", 2): {
         "cone_flow_trace.csv": "0b678625868eff1a13b3fab3fe523fd2e73b33b5f8b52ab5b7659dad0d8c1820",
         "summary.csv": "efb9131f87ace818f2f7814c1774ef504ab4de41b0406613df2ba7900e83ff97",
@@ -103,8 +109,8 @@ def test_scenario_matches_golden(scenario, tmp_path, capsys):
             f"{scenario}: {name} differs from its golden file"
 
 
-def _default_flow_digests(scenario: str, dim: int, work: Path):
-    """(exit code, {artifact: sha256}) of one flow run at its default options."""
+def _default_digests(scenario: str, dim: int, work: Path):
+    """(exit code, {artifact: sha256}) of one run at its default options."""
     cfg = work / "run.cfg"
     cfg.write_text(f"scenario = {scenario}\ndim = {dim}\n")
     out = work / "out"
@@ -113,11 +119,11 @@ def _default_flow_digests(scenario: str, dim: int, work: Path):
                   for p in sorted(out.iterdir())}
 
 
-@pytest.mark.parametrize("scenario, dim", sorted(DEFAULT_FLOW_DIGESTS))
+@pytest.mark.parametrize("scenario, dim", sorted(DEFAULT_DIGESTS))
 def test_default_flow_matches_its_digests(scenario, dim, tmp_path):
-    code, digests = _default_flow_digests(scenario, dim, tmp_path)
+    code, digests = _default_digests(scenario, dim, tmp_path)
     assert code == cli.EXIT_PASS, f"{scenario} dim {dim}: exit {code}"
-    assert digests == DEFAULT_FLOW_DIGESTS[scenario, dim]
+    assert digests == DEFAULT_DIGESTS[scenario, dim]
 
 
 _NO_AVX512_SCRIPT = """
@@ -134,9 +140,9 @@ for scenario, (_, code) in g.GOLDEN_CONFIGS.items():
     if scenario not in g.DISPATCH_DEPENDENT:
         (work / scenario).mkdir()
         assert g._check_golden(scenario, work / scenario) == code, scenario
-for (scenario, dim), digests in g.DEFAULT_FLOW_DIGESTS.items():
+for (scenario, dim), digests in g.DEFAULT_DIGESTS.items():
     (work / f"{scenario}-{dim}").mkdir()
-    assert g._default_flow_digests(scenario, dim, work / f"{scenario}-{dim}") == (0, digests)
+    assert g._default_digests(scenario, dim, work / f"{scenario}-{dim}") == (0, digests)
 # without AVX-512 loops numpy's geomspace rounds as libm does: it is the flows' grid
 for steps in (100, 200, 2000, 5000, 10000):
     assert flow.tau_grid(-10.0, -0.1, steps) == (-np.geomspace(10.0, 0.1, steps + 1)).tolist()
@@ -147,9 +153,9 @@ print("goldens hold without AVX-512")
 def test_goldens_hold_without_avx512(tmp_path):
     # numpy picks its loops by the host's SIMD extensions, and its AVX-512
     # power, arccosh, exp and log round differently from libm; the goldens and
-    # the default-flow digests must not depend on them.  A fresh interpreter
+    # the default-run digests must not depend on them.  A fresh interpreter
     # with the X86_V4 loops disabled, as on a host without AVX-512, checks
-    # every golden scenario but DISPATCH_DEPENDENT, and the five digests.
+    # every golden scenario but DISPATCH_DEPENDENT, and the six digests.
     src = Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4")
     proc = subprocess.run([sys.executable, "-c", _NO_AVX512_SCRIPT, str(src),
@@ -159,25 +165,25 @@ def test_goldens_hold_without_avx512(tmp_path):
     assert proc.stdout.rstrip().endswith("goldens hold without AVX-512")
 
 
-def _rewrite_flow_digests() -> None:
-    """Replace the ``DEFAULT_FLOW_DIGESTS`` literal in this file with fresh digests."""
-    lines = ["DEFAULT_FLOW_DIGESTS = {"]
-    for scenario, dim in DEFAULT_FLOW_DIGESTS:
+def _rewrite_digests() -> None:
+    """Replace the ``DEFAULT_DIGESTS`` literal in this file with fresh digests."""
+    lines = ["DEFAULT_DIGESTS = {"]
+    for scenario, dim in DEFAULT_DIGESTS:
         with tempfile.TemporaryDirectory() as work:
-            code, digests = _default_flow_digests(scenario, dim, Path(work))
+            code, digests = _default_digests(scenario, dim, Path(work))
         print(f"{scenario} dim {dim}: exit {code}")
         lines.append(f'    ("{scenario}", {dim}): {{')
         lines += [f'        "{name}": "{digest}",' for name, digest in digests.items()]
         lines.append("    },")
     lines.append("}\n")
     source = Path(__file__).read_text()
-    start = source.index("DEFAULT_FLOW_DIGESTS = {")
+    start = source.index("DEFAULT_DIGESTS = {")
     end = source.index("\n}\n", start) + 3
     Path(__file__).write_text(source[:start] + "\n".join(lines) + source[end:])
 
 
 def regenerate() -> None:
-    """Rewrite every ``tests/golden/<scenario>/`` and the flow digests from the current code."""
+    """Rewrite every ``tests/golden/<scenario>/`` and the default-run digests from the current code."""
     for scenario in GOLDEN_CONFIGS:
         golden = GOLDEN_DIR / scenario
         shutil.rmtree(golden, ignore_errors=True)
@@ -188,7 +194,7 @@ def regenerate() -> None:
         finally:
             cfg.unlink()
         print(f"{scenario}: exit {code}, {len(list(golden.iterdir()))} files")
-    _rewrite_flow_digests()
+    _rewrite_digests()
 
 
 if __name__ == "__main__":

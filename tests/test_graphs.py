@@ -136,16 +136,17 @@ def test_hyperboloid_field_builds_one_grid_array():
 
 
 def test_quadrature_memory_stays_below_the_field():
-    # 32-row blocks whose kernels run in place: measured 0.58 times the
-    # field's bytes (2.45 with 128-row blocks and whole-block temporaries);
-    # the bound leaves about 30 % margin
+    # 32-row blocks whose kernels run in place, the curvature on each block's
+    # domain window: measured 0.52 times the field's bytes (0.58 with the
+    # curvature across whole blocks, 2.45 with 128-row blocks and whole-block
+    # temporaries); the bound leaves about 30 % margin
     field = graphs.hyperboloid_field(1.0, 6.0, 1201)
     _, peak = _traced_peak(lambda: graphs.quotient_energy(field, graphs.bolza_domain_level))
     assert peak <= 0.75 * field.values.nbytes
 
 
 def test_graph_check_energy_stage_stays_below_one_field():
-    # the energy stage samples its hyperboloid block by block: measured 0.64
+    # the energy stage samples its hyperboloid block by block: measured 0.55
     # times one whole 1201^2 field's bytes, sampling included (1.58 when the
     # whole field was built first); the convergence sizes are negligible here
     _, peak = _traced_peak(lambda: cli.scenario_graph_check(refinement_nodes=(9, 11, 13),
@@ -154,8 +155,8 @@ def test_graph_check_energy_stage_stays_below_one_field():
 
 
 def test_four_dimensional_convergence_memory():
-    # blocks of two 41^3 planes and their halo: measured 97.8 MB (582 MB
-    # with one whole-grid geometry per size); the bound leaves about 30 %
+    # blocks of two 41^3 planes and their halo: measured 101 MB (582 MB
+    # with one whole-grid geometry per size); the bound leaves about 25 %
     _, peak = _traced_peak(lambda: graphs.curvature_convergence(1.0, 2.0, (11, 21, 41), 4))
     assert peak <= 128 * 2**20
 
@@ -238,10 +239,10 @@ def test_sampled_field_matches_dense_grid():
     assert np.array_equal(tilted.values[:, 7], tilted.values[:, 0])
 
 
-def _disk_level(center_x=0.0, radius2=0.25):
+def _disk_level(center_x=0.0, radius2=0.25, center_y=0.0):
     def level(g):
         x, y = g.field.meshgrid()
-        return radius2 - ((x - center_x) ** 2 + y * y)
+        return radius2 - ((x - center_x) ** 2 + (y - center_y) ** 2)
     return level
 
 
@@ -326,6 +327,110 @@ def test_sampled_quadrature_equals_the_whole_field():
         sampled = graphs.quotient_energy(graphs.sampled_hyperboloid(1.0, extent, nodes), level)
         whole = graphs.quotient_energy(graphs.hyperboloid_field(1.0, extent, nodes), level)
         assert _report_bytes(sampled) == _report_bytes(whole)
+
+
+def _full_width_energy(field, level_fn):
+    """quotient_energy's sums with every block built across every column: the
+    block's whole graph_geometry, and its cut fractions and cell sums on all
+    of its cells.  The frame and empty-region guards are left out."""
+    h = field.spacing
+    cells, cols = field.shape[0] - 1, field.shape[1] - 1
+
+    def corners(a):
+        return a[:-1, :-1], a[1:, :-1], a[1:, 1:], a[:-1, 1:]
+
+    area = volume = energy = tau_weight = 0.0
+    for first in range(0, cells, graphs.QUADRATURE_BLOCK_ROWS):
+        stop = min(first + graphs.QUADRATURE_BLOCK_ROWS, cells)
+        block, lo = graphs._with_halo(field, first, stop + 1)
+        geom = graphs.graph_geometry(block)
+        nodes = slice(first - lo, stop - lo + 1)
+        inner = np.zeros((stop - first, cols), dtype=bool)
+        inner[max(2 - first, 0):max(cells - 2 - first, 0), 2:-2] = True
+        level = np.asarray(level_fn(geom), float)[nodes]
+        frac = graphs._cut_fraction(*corners(level)) * inner
+        area += float(np.sum(frac))
+        w = geom.volume_density[nodes]
+
+        def cell_sum(values):
+            c = corners(values)
+            return float(np.sum((c[0] + c[1] + c[2] + c[3]) * 0.25 * frac))
+
+        volume += cell_sum(w)
+        energy += cell_sum(geom.k_norm2[nodes] * w)
+        tau_weight += cell_sum(geom.mean_curvature[nodes] * w)
+    volume = h * h * volume
+    return graphs.EnergyReport(h * h * energy, volume, h * h * tau_weight / volume, h * h * area)
+
+
+def _single_node_level(x0, y0, h):
+    def level(g):
+        x, y = g.field.meshgrid()
+        return np.where((np.abs(x - x0) < h / 2) & (np.abs(y - y0) < h / 2), 1.0, -1.0)
+    return level
+
+
+def test_windowed_quadrature_equals_the_full_width_blocks():
+    # the curvature stage runs on a column window of each block; the result
+    # must be the bits of blocks built across every column.  101 nodes over
+    # [-1, 1]: spacing 0.02, node columns 2 and 98 the first and last interior
+    bolza = [(graphs.hyperboloid_field(1.0, 6.0, nodes), graphs.bolza_domain_level)
+             for nodes in (101, 241, 1201)]
+    bumped = graphs.sample_height_field(_bumped, 1.0, 101)
+
+    def two_disks(g):
+        return np.maximum(_disk_level(0.0, 0.04, -0.5)(g), _disk_level(0.0, 0.04, 0.5)(g))
+
+    regions = [
+        two_disks,  # one window spans both disks and the gap between them
+        _disk_level(0.1, 0.0625, -0.7),  # reaches node column 3: the halo starts at column 0
+        _disk_level(0.1, 0.0625, 0.7),  # reaches node column 97: the halo ends at column 100
+        _single_node_level(-0.36, -0.2, bumped.spacing),  # node row 32, a block boundary
+        _single_node_level(0.3, 0.5, bumped.spacing),
+    ]
+    for field, level in bolza + [(bumped, region) for region in regions]:
+        assert _report_bytes(graphs.quotient_energy(field, level)) == _report_bytes(
+            _full_width_energy(field, level))
+    # the single node is the whole region: four cut cells of area h^2/8 each
+    single = graphs.quotient_energy(bumped, regions[3])
+    assert single.region_area == pytest.approx(0.5 * bumped.spacing**2, rel=1e-12)
+
+
+def test_curvature_stage_covers_the_domain_window_only(monkeypatch):
+    # at 1201^2 the Bolza domain spans about a third of a block's columns:
+    # measured 0.47 times the grid's nodes given to the curvature stage (1.15
+    # when every block built it across all columns, halo rows included)
+    real = graphs._curvature
+    sizes = []
+
+    def counted(values, *args):
+        sizes.append(values.size)
+        return real(values, *args)
+
+    monkeypatch.setattr(graphs, "_curvature", counted)
+    graphs.quotient_energy(graphs.sampled_hyperboloid(1.0, 6.0, 1201), graphs.bolza_domain_level)
+    assert 0 < sum(sizes) <= 0.55 * 1201**2
+
+
+def test_windowed_quadrature_keeps_its_guards():
+    # steep where no cell of the domain lies, on 100 cell rows in 4 blocks: in
+    # the disk's block rows but outside its window (y > 0.6), and in the last
+    # two blocks, which hold no domain cell (x > 0.6); the Gauss stage covers
+    # every column of every block
+    for slope in (lambda x, y: np.where(y > 0.6, 1.5 * (y - 0.6), 0.0),
+                  lambda x, y: np.where(x > 0.6, 1.5 * (x - 0.6), 0.0)):
+        steep = graphs.sample_height_field(lambda x, y: 0.3 * x + slope(x, y), 1.0, 101)
+        with pytest.raises(graphs.SpacelikeError):
+            graphs.quotient_energy(steep, _disk_level(-0.5, 0.04, -0.3))
+    # a region on a side frame alone: its window is the frame's cell columns
+    f = graphs.hyperboloid_field(1.0, 1.0, 33)
+    for side in (-1.0, 1.0):
+        def frame_only(g, side=side):
+            x, y = g.field.meshgrid()
+            return side * y - 0.95
+
+        with pytest.raises(ValueError, match="touches the patch frame"):
+            graphs.quotient_energy(f, frame_only)
 
 
 def _whole_grid_convergence(s, extent, nodes_list, ndim):
