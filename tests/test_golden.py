@@ -183,7 +183,8 @@ def _rewrite_digests() -> None:
 
 
 def regenerate() -> None:
-    """Rewrite every ``tests/golden/<scenario>/`` and the default-run digests from the current code."""
+    """Rewrite every ``tests/golden/<scenario>/`` and the default-run digests
+    from the current code."""
     for scenario in GOLDEN_CONFIGS:
         golden = GOLDEN_DIR / scenario
         shutil.rmtree(golden, ignore_errors=True)
