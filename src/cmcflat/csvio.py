@@ -29,19 +29,16 @@ def format_value(x) -> str:
 
 
 def render_csv(header, rows) -> str:
-    """CSV text of a header and rows; a numeric ndarray renders as floats.
+    """CSV text of a header and rows.
 
     A row of floats is written as the joined reprs of its cells: the text
     that ``csv.writer`` and ``format_value`` give it (a float repr never
-    needs quoting), without a list of strings per row.  An ndarray is
-    written as its rows of Python floats.  Any other row goes through
-    ``csv.writer`` and ``format_value``.
+    needs quoting), without a list of strings per row.  Any other row goes
+    through ``csv.writer`` and ``format_value``.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    if hasattr(rows, "astype"):
-        rows = rows.astype(float, copy=False).tolist()
     for row in rows:
         try:
             # float.__repr__ takes floats and their subclasses, numpy's float64 among them

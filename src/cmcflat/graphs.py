@@ -47,7 +47,10 @@ on a few scratch arrays, so a block makes no temporary array per operation.
 
 CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
-residual, not convergence.  Each Newton step factors the Jacobian by a
+residual, not convergence.  Each iterate is carried as its GraphGeometry,
+and its Newton Jacobian is assembled from that geometry's gradient, W^2 and
+W (GaussGeometry is the one place W^2 is formed and held at the margin), with
+only the Hessian built again.  Each Newton step factors the Jacobian by a
 symmetric-mode, no-pivot sparse LU (minimum degree on A^T + A).  The LU is
 kept in a caller-owned ChordLU and first tried again as a chord step, also
 by the next relaxation that is handed the same ChordLU (the limit
@@ -317,13 +320,6 @@ def _hessian(values: np.ndarray, grads: list, h: float) -> dict:
     return {(i, j): (_second_derivative(values, h, i) if i == j
                      else _first_derivative(grads[i], h, j))
             for i in range(n) for j in range(i, n)}
-
-
-def _derivatives(values: np.ndarray, h: float):
-    """Central-difference gradient list (np.gradient's, second-order edges) and
-    the symmetric Hessian dict of _hessian."""
-    grads = [_first_derivative(values, h, i) for i in range(values.ndim)]
-    return grads, _hessian(values, grads, h)
 
 
 def _dot(a, b, out, scratch):
@@ -684,23 +680,24 @@ def _newton_rhs(geom: GraphGeometry, tau: float) -> np.ndarray:
     return rhs.ravel()
 
 
-def _newton_system(field: HeightField):
-    """Sparse linearization J of phi -> H[phi] at interior nodes.
+def _newton_system(geom: GraphGeometry):
+    """Sparse linearization J of phi -> H[phi] at interior nodes of geom.field.
 
     Frame nodes get identity rows (Dirichlet).  Row structure is the 9-point
     stencil obtained by differentiating H through the central differences of
-    the gradient and Hessian entries.
+    the gradient and Hessian entries.  The gradient, W^2 (held at the
+    margin) and W are the geometry's own, from its Gauss stage; only the
+    Hessian is built again (_hessian, the curvature stage's stencils), since
+    the curvature stage spends its Hessian in place.
     """
     import scipy.sparse
 
-    v = np.asarray(field.values, float)
+    field = geom.field
     h = field.spacing
-    m1, m2 = v.shape
-    grads, hess = _derivatives(v, h)
-    gx, gy = grads
-    w2 = 1.0 - gx * gx - gy * gy
-    w2 = np.maximum(w2, SPACELIKE_MARGIN**2)
-    w = np.sqrt(w2)
+    m1, m2 = field.shape
+    gx, gy = geom.grads
+    hess = _hessian(np.asarray(field.values, float), geom.grads, h)
+    w2, w = geom.w2, geom.volume_density
     w3 = w2 * w
     w5 = w2 * w3
     hxx, hxy, hyy = hess[(0, 0)], hess[(0, 1)], hess[(1, 1)]
@@ -781,21 +778,22 @@ def _newton_step(jac, rhs: np.ndarray, lu) -> np.ndarray:
 
 
 def _trial_step(field: HeightField, step: np.ndarray, tau: float):
-    """(trial field, its geometry, its interior residual), or None when the
-    trial is not uniformly spacelike."""
-    trial = HeightField(field.values + step, field.spacing, field.origin)
+    """(geometry of the trial field, its interior residual), or None when the
+    trial is not uniformly spacelike; the trial is the geometry's .field."""
     try:
-        geom = graph_geometry(trial)
+        geom = graph_geometry(HeightField(field.values + step, field.spacing, field.origin))
     except SpacelikeError:
         return None
-    return trial, geom, _interior_residual(geom, tau)
+    return geom, _interior_residual(geom, tau)
 
 
 def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6,
               chord: ChordLU | None = None) -> RelaxResult:
     """Relax a spacelike graph toward constant mean curvature tau_target.
 
-    Damped Newton with the frame held at the initial (barrier) data.  The
+    Damped Newton with the frame held at the initial (barrier) data.  Each
+    iterate is carried as its GraphGeometry (the iterate is its .field), and
+    a Newton step's Jacobian is assembled from it (_newton_system).  The
     sparse LU of the last Newton Jacobian is kept in ``chord``, and each step
     first tries it as a full chord step: the chord step is taken only if it
     keeps the interior uniformly spacelike and at least halves the interior
@@ -825,7 +823,7 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6,
     elif chord.jac is not None and chord.jac.shape[0] != field.values.size:
         raise ValueError(f"the carried LU is for {chord.jac.shape[0]} unknowns, "
                          f"the field has {field.values.size}")
-    current, geom = field, graph_geometry(field)
+    geom = graph_geometry(field)
     current_res = _interior_residual(geom, tau_target)
     steps = factorizations = 0
     while steps < LIMIT_MAX_ITERS and not current_res <= tol:
@@ -833,27 +831,27 @@ def cmc_relax(field: HeightField, tau_target: float, tol: float = 1e-6,
         rhs = _newton_rhs(geom, tau_target)
         taken = None
         if chord.lu is not None:
-            step = _newton_step(chord.jac, rhs, chord.lu).reshape(current.shape)
-            taken = _trial_step(current, step, tau_target)
-            if taken is not None and not taken[2] <= CHORD_CONTRACTION * current_res:
+            step = _newton_step(chord.jac, rhs, chord.lu).reshape(field.shape)
+            taken = _trial_step(geom.field, step, tau_target)
+            if taken is not None and not taken[1] <= CHORD_CONTRACTION * current_res:
                 taken = None
         if taken is None:
             # free the kept factors first: two LUs alive at once raise the peak
             chord.jac = chord.lu = None
-            jac = _newton_system(current)
+            jac = _newton_system(geom)
             chord.jac, chord.lu = jac, _factorize(jac)
             factorizations += 1
-            step = _newton_step(chord.jac, rhs, chord.lu).reshape(current.shape)
+            step = _newton_step(chord.jac, rhs, chord.lu).reshape(field.shape)
             alpha = 1.0
             for _ in range(MAX_STEP_REJECTIONS):
-                taken = _trial_step(current, alpha * step, tau_target)
-                if taken is not None and taken[2] < current_res:
+                taken = _trial_step(geom.field, alpha * step, tau_target)
+                if taken is not None and taken[1] < current_res:
                     break
                 alpha *= 0.5
             else:
                 break
-        current, geom, current_res = taken
-    return RelaxResult(current, current_res, steps, factorizations)
+        geom, current_res = taken
+    return RelaxResult(geom.field, current_res, steps, factorizations)
 
 
 # ---------------------------------------------------------------------------

@@ -143,20 +143,6 @@ def conformal_ham(sol: LichSolution, bg: ConformalBackground) -> float:
     return abs(sol.tau) ** n * integrate(bg, dens)
 
 
-def sigma_report(ham_values, n: int) -> float:
-    """Upper bound on the σ-constant from sampled rescaled volumes.
-
-    Evaluates -((n-1)/n)·(min Ham)^(2/n); the infimum over all data would
-    give the σ-constant itself, so a finite sample only bounds it from above.
-    """
-    values = list(ham_values)
-    if not values:
-        raise ValueError("need at least one Ham value")
-    if min(values) <= 0:
-        raise ValueError("Ham values must be positive")
-    return -((n - 1) / n) * min(values) ** (2.0 / n)
-
-
 SWEEP_COLUMNS = ("tau", "sigma_sq", "u_min", "u_max", "ham", "bound_nn_vol")
 
 

@@ -10,7 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from cmcflat import cli, csvio, flow, graphs, lichnerowicz, models
+from cmcflat import cli, csvio, flow, graphs, holonomy, lichnerowicz, models
 from cmcflat.config import (ConfigError, get_float, get_floats, get_int,
                             parse_config)
 
@@ -98,17 +98,6 @@ def test_csv_roundtrip_is_exact(tmp_path):
     assert [[float(x) for x in row] for row in rows] == [[1.0 / 3.0], [2.0 / 3.0]]
 
 
-def test_render_csv_of_an_ndarray_matches_python_floats():
-    # an ndarray renders through tolist(), cell for cell as repr(float(x))
-    data = np.array([[-0.0, 1e-300, np.nan], [1.0 / 3.0, -2.5e17, 7.0]])
-    as_floats = [tuple(float(x) for x in row) for row in data]
-    text = csvio.render_csv(("a", "b", "c"), data)
-    assert text == csvio.render_csv(("a", "b", "c"), as_floats)
-    assert text.splitlines()[1] == "-0.0,1e-300,nan"
-    # integer cells render as floats, as their numpy scalars do
-    assert csvio.render_csv(("i",), np.array([[3]])) == "i\n3.0\n"
-
-
 def _csv_writer_text(header, rows) -> str:
     # the reference rendering: csv.writer over format_value of every cell
     buf = io.StringIO()
@@ -126,11 +115,12 @@ def _csv_writer_text(header, rows) -> str:
     np.array([[5, -7, 0], [2**53 + 1, -(2**62), 1]]),
 ], ids=["float64", "float32", "int64"])
 def test_joined_ndarray_rows_match_the_csv_writer(data):
-    # an ndarray's rows are written as joined reprs; the numpy scalars of the
-    # array as floats, through csv.writer and format_value, give the same text
+    # the array's cells as rows of Python floats are written as joined reprs,
+    # special values included; csv.writer and format_value give the same text
     header = tuple("abcd"[:data.shape[1]])
-    text = csvio.render_csv(header, data)
-    assert text == _csv_writer_text(header, data.astype(float))
+    rows = data.astype(float).tolist()
+    text = csvio.render_csv(header, rows)
+    assert text == _csv_writer_text(header, rows)
     if data.dtype == np.float32:
         # format_value of a float32 scalar is the repr of its exact double
         assert text == _csv_writer_text(header, data)
@@ -521,6 +511,34 @@ def test_limit_experiment_nan_fails_the_checks(tmp_path, monkeypatch, capsys):
         assert "PASS limit_coboundary_ratio" in stdout
 
 
+def test_limit_experiment_checks_that_its_cocycle_closes(tmp_path, monkeypatch):
+    # the octagon relator's translation per unit of cocycle_scale reads
+    # 3.85e-12 for the closed-form cocycle at every scale; the weights
+    # (1, -1/3, -1/3, 0), which break the relation, read 8.54 at every scale
+    base = 4.0 * np.pi
+    rows = [(1.0, -2.0, base, 1.01, 1e-10, 3, 0), (2.0, -2.0, base, 1.001, 1e-10, 3, 0)]
+    base_row = (np.inf, -2.0, base, 1.0, 1e-10, 4, 1)
+    control_row = (1.0, -2.0, base, 1.0, 1e-10, 2, 0)
+    monkeypatch.setattr(graphs, "limit_experiment_with_control",
+                        lambda *a, **k: (rows, base_row, control_row))
+    closed_form = holonomy.bolza_nontrivial_cocycle
+
+    def relator_check(scale):
+        code, out = _run_config(tmp_path, f"scenario = limit-experiment\ncocycle_scale = {scale}\n")
+        _, checks = csvio.read_csv(out / "summary.csv")
+        assert checks[0][0] == "limit_cocycle_relator_residual"
+        return code, float(checks[0][1]), checks[0][4]
+
+    for scale in (1e-4, 0.002, 10.0):
+        code, measured, passed = relator_check(scale)
+        assert (code, passed) == (0, "true") and measured <= 1e-11
+    monkeypatch.setattr(holonomy, "bolza_nontrivial_cocycle", lambda scale: tuple(
+        t * w for t, w in zip(closed_form(scale), (1.0, 1.0, 1.0, 0.0) * 2)))
+    for scale in (1e-4, 0.002, 10.0):
+        code, measured, passed = relator_check(scale)
+        assert (code, passed) == (3, "false") and measured == pytest.approx(8.538, rel=1e-3)
+
+
 def test_limit_experiment_caps_its_grid(tmp_path, monkeypatch, capsys):
     # nodes = 20001 would ask the envelope worker for a 3.2 GB array, and
     # word_length = 8 would enumerate an orbit of about 7.6 million elements; a
@@ -812,7 +830,7 @@ def test_summary_check_names_are_pinned(tmp_path, capsys):
                         "bolza_cocycle_rule_err", "bolza_coboundary_relator_residual",
                         "bolza_gauss_equivariance_err"],
         "lichnerowicz-sweep": ["lich_zero_sigma_exact_err", "lich_barrier_violation",
-                               "lich_ham_bound_violation", "lich_sigma_report"],
+                               "lich_ham_bound_violation"],
         "cone-flow": ["cone_ham_rel_drift", "cone_lapse_lower_bound_violation",
                       "cone_lapse_upper_bound_violation", "cone_max_gauss_residual"],
         "kasner-flow": ["kasner_closed_form_rel_err", "kasner_ham_increases",
@@ -866,7 +884,7 @@ assert flow.lapse_residual(lapse_state, flow.solve_lapse(lapse_state)) <= 1e-10
 holonomy.bolza_nontrivial_cocycle(0.002)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-jac = graphs._newton_system(graphs.hyperboloid_field(1.0, 1.0, 9))
+jac = graphs._newton_system(graphs.graph_geometry(graphs.hyperboloid_field(1.0, 1.0, 9)))
 assert "scipy.sparse.linalg" not in sys.modules
 graphs._factorize(jac)
 assert "scipy.sparse.linalg" in sys.modules

@@ -60,7 +60,9 @@ def test_geometry_equals_the_summed_formulas():
 
         field = graphs.sample_height_field(phi, 1.0, nodes, ndim)
         geom = graphs.graph_geometry(field)
-        grads, hess = graphs._derivatives(np.asarray(field.values, float), field.spacing)
+        values = np.asarray(field.values, float)
+        grads = [graphs._first_derivative(values, field.spacing, i) for i in range(ndim)]
+        hess = graphs._hessian(values, grads, field.spacing)
         n = ndim
         w2 = np.maximum(1.0 - sum(g * g for g in grads), graphs.SPACELIKE_MARGIN**2)
         lap = sum(hess[(i, i)] for i in range(n))
@@ -577,13 +579,44 @@ def test_cmc_relax_stopping_rules(monkeypatch):
     assert outcome(0.0)[:3] == (2, False, 1)
 
 
+@pytest.mark.parametrize("case", ["limit-envelope", "hyperboloid"])
+def test_newton_jacobian_matches_central_differences_of_h(case):
+    # J delta against (H[phi + eps delta] - H[phi - eps delta])/(2 eps) on the
+    # interior: J is the exact linearization of the discrete H, so the misfit
+    # (relative to max |J delta|) falls at order 2 in eps.  delta is smooth
+    # and zero on the frame.  eps stays small: the lambda = 1 envelope at 81^2
+    # reaches |grad phi| = 0.9935, and eps = 4e-3 leaves the light cone.
+    if case == "limit-envelope":
+        field = _limit_start(81)
+    else:
+        field = graphs.hyperboloid_field(1.0, 2.0, 41)
+    jac = graphs._newton_system(graphs.graph_geometry(field))
+    inside = field.interior
+    x, y = field.meshgrid()
+    delta = np.zeros(field.shape)
+    delta[inside] = (np.sin(1.3 * x + 0.4) * np.cos(0.7 * y))[inside]
+    j_delta = (jac @ delta.ravel()).reshape(field.shape)[inside]
+
+    def mean_curvature(eps):
+        moved = HeightField(field.values + eps * delta, field.spacing, field.origin)
+        return graphs.graph_geometry(moved).mean_curvature[inside]
+
+    misfits = []
+    for eps in (4e-5, 2e-5, 1e-5, 5e-6):
+        central = (mean_curvature(eps) - mean_curvature(-eps)) / (2.0 * eps)
+        misfits.append(np.max(np.abs(j_delta - central)) / np.max(np.abs(j_delta)))
+    orders = np.log2(np.array(misfits[:-1]) / np.array(misfits[1:]))
+    assert np.all(np.abs(orders - 2.0) <= 0.1), (misfits, orders)
+
+
 def test_newton_step_matches_spsolve():
     # the no-pivot symmetric-mode LU against the partial-pivoting oracle on the
     # first Newton system of the lambda = 1 limit-experiment relaxation
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
     start = graphs.orbit_envelope_field(rep, 6.4, 81)
-    jac = graphs._newton_system(start)
-    rhs = graphs._newton_rhs(graphs.graph_geometry(start), -2.0)
+    geom = graphs.graph_geometry(start)
+    jac = graphs._newton_system(geom)
+    rhs = graphs._newton_rhs(geom, -2.0)
     expected = scipy.sparse.linalg.spsolve(jac, rhs)
     step = graphs._newton_step(jac, rhs, graphs._factorize(jac))
     assert np.max(np.abs(step - expected)) <= 1e-9 * np.max(np.abs(expected))
@@ -609,7 +642,7 @@ def test_cmc_relax_chord_steps_match_full_newton():
     reference = start
     for _ in range(8):
         geom = graphs.graph_geometry(reference)
-        jac = graphs._newton_system(reference)
+        jac = graphs._newton_system(geom)
         step = graphs._newton_step(jac, graphs._newton_rhs(geom, -2.0), graphs._factorize(jac))
         reference = HeightField(reference.values + step.reshape(reference.shape),
                                 reference.spacing, reference.origin)
@@ -631,7 +664,7 @@ def test_cmc_relax_takes_only_contracting_chord_steps(monkeypatch):
 
     def record_trial(field, step, tau):
         taken = trial_step(field, step, tau)
-        events.append(None if taken is None else taken[2])
+        events.append(None if taken is None else taken[1])
         return taken
 
     monkeypatch.setattr(graphs, "_factorize", record_factorize)
@@ -687,7 +720,7 @@ def test_cmc_relax_refuses_a_carried_lu_that_does_not_contract(monkeypatch):
     # is dropped before every factorization, so no two LUs are ever alive at once
     start = _limit_start(81)
     cold = _relax(start)
-    far = graphs._newton_system(graphs.hyperboloid_field(3.0, 6.4, 81))
+    far = graphs._newton_system(graphs.graph_geometry(graphs.hyperboloid_field(3.0, 6.4, 81)))
     chord = graphs.ChordLU(far, graphs._factorize(far))
     events, held_at_factor = [], []
     factorize, trial_step = graphs._factorize, graphs._trial_step
@@ -699,7 +732,7 @@ def test_cmc_relax_refuses_a_carried_lu_that_does_not_contract(monkeypatch):
 
     def record_trial(field, step, tau):
         taken = trial_step(field, step, tau)
-        events.append(None if taken is None else taken[2])
+        events.append(None if taken is None else taken[1])
         return taken
 
     monkeypatch.setattr(graphs, "_factorize", record_factorize)

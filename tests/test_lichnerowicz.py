@@ -121,16 +121,6 @@ def test_integrate_normalization():
     assert lich.integrate(bg, 7.5) == 15.0
 
 
-def test_sigma_report_closed_form():
-    # -((n-1)/n) * (min Ham)^(2/n)
-    assert abs(lich.sigma_report([27.0, 30.0], 3) - (-6.0)) < 1e-12
-    assert abs(lich.sigma_report([256.0, 400.0], 4) - (-12.0)) < 1e-12
-    with pytest.raises(ValueError):
-        lich.sigma_report([], 3)
-    with pytest.raises(ValueError):
-        lich.sigma_report([27.0, -1.0], 3)
-
-
 def test_sweep_rows_and_columns():
     bg = ConformalBackground(3, volume=1.0)
     rows = lich.sweep_constant_sigma(bg, (-1.0, -2.0), (0.0, 4.0))
