@@ -8,7 +8,9 @@ deterministic CSV.  ``--check-golden DIR`` requires every artifact to have a
 counterpart in ``DIR`` with the same bytes, and every file in ``DIR`` to be
 an artifact of the run; there is no tolerance.  Exit codes: 0 all checks
 pass; 2 configuration error (a bad key, type or range, or an unusable
-``--out``: nothing written, and no ``--out`` created for a bad config); 3
+``--out``: nothing written, and no ``--out`` created for a bad config; or an
+artifact that cannot be written, named in the message: the tables written
+before it stay); 3
 numerical failure (a failed check writes every artifact, an exception in the
 scenario writes nothing); 4 golden-file mismatch (every artifact written).
 
@@ -359,7 +361,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else RunConfig()
         scenario, kwargs = _scenario_kwargs(cfg, args.scenario)
         tables, summary = SCENARIOS[scenario](**kwargs)
+        tables.append(("summary.csv", SUMMARY_HEADER, summary))
         os.makedirs(args.out, exist_ok=True)
+        for name, header, rows in tables:
+            csvio.write_csv(os.path.join(args.out, name), header, rows)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -367,9 +372,6 @@ def main(argv=None) -> int:
         print(f"numerical failure in {scenario}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    tables.append(("summary.csv", SUMMARY_HEADER, summary))
-    for name, header, rows in tables:
-        csvio.write_csv(os.path.join(args.out, name), header, rows)
     artifacts = [name for name, _, _ in tables]
 
     all_pass = all(ok for *_, ok in summary)

@@ -67,15 +67,14 @@ The initial data of the limit experiment is a soft-min envelope of orbit
 sheets, built in one pass against the identity element's sheet; a sheet
 too far from that reference for exp to stay finite raises
 EnvelopeRangeError.  The limit experiment, with or without its coboundary
-control queued last, takes the Bolza presentation only (_require_bolza)
-and runs through one pipeline (_relax_orbits): it range-checks every orbit
-before it relaxes anything, then builds the envelopes in order, ahead of
-the relaxations, on a one-worker ThreadPoolExecutor while this thread
-relaxes.  coboundary_control alone builds its one envelope on this thread
-and relaxes it on a fresh ChordLU.  The queue holds one grid array per
-envelope built and not yet relaxed: at defaults (321^2 nodes, four lambdas,
-the control last) at most five arrays of 0.8 MB.  The rules the worker
-keeps are in _relax_orbits.
+control queued last, and the control alone take the Bolza presentation only
+(_require_bolza) and run through one pipeline (_relax_orbits) on a fresh
+ChordLU: it range-checks every orbit before it relaxes anything, then
+builds the envelopes in order, ahead of the relaxations, on a one-worker
+ThreadPoolExecutor while this thread relaxes.  The queue holds one grid
+array per envelope built and not yet relaxed: at defaults (321^2 nodes,
+four lambdas, the control last) at most five arrays of 0.8 MB.  The rules
+the worker keeps are in _relax_orbits.
 """
 
 from __future__ import annotations
@@ -941,20 +940,6 @@ def orbit_envelope_field(rep, extent: float, nodes: int, word_length: int = 3) -
     return _envelope_sum(_envelope_translations(rep, word_length), extent, nodes)
 
 
-def _relax_and_integrate(start: HeightField, relax_tol: float, chord: ChordLU):
-    """(EnergyReport, residual, steps, factorizations) of one orbit envelope.
-
-    The envelope is relaxed to a CMC graph at tau = -2 and the quotient
-    energy is integrated over the Gauss-map preimage of the Bolza octagon.
-    ``chord`` carries the sparse LU into and out of the relaxation (see
-    cmc_relax).  The relaxed field is not returned, so a caller that keeps
-    the results of several relaxations holds none of their fields.
-    """
-    relaxed = cmc_relax(start, -2.0, tol=relax_tol, chord=chord)
-    return (quotient_energy(relaxed.field, bolza_domain_level), relaxed.residual,
-            relaxed.iterations, relaxed.factorizations)
-
-
 def limit_row(lam: float, base_volume: float, report: EnergyReport, residual: float,
               steps: int, factorizations: int):
     """One LIMIT_COLUMNS row: the quotient integrals, the volume ratio to the
@@ -982,45 +967,24 @@ def _coboundary_rep(rep, size: float, word_length: int):
     return holonomy.HolonomyRep(pres, holonomy.coboundary_cocycle(pres, (size / amp) * b_unit))
 
 
-def _limit_reps(rep, lambdas) -> list:
-    """The zero cocycle bolza_rep(), then ``rep`` scaled by lambda**-2 for each lambda."""
-    _require_bolza(rep)
-    if not all(lam > 0 for lam in lambdas):
-        raise ValueError("lambda values must be positive")
-    return [holonomy.bolza_rep()] + [holonomy.scale_structure(rep, float(lam) ** -2)
-                                     for lam in lambdas]
-
-
-def _limit_rows(lambdas, results):
-    """(rows, baseline row) from the results of the baseline and the lambdas.
-
-    The zero-cocycle baseline's row stands at lambda = inf, the limit in which
-    the cocycle scaled by lambda**-2 vanishes, with a ham_ratio of 1.
-    """
-    base_volume = results[0][0].volume
-    return ([limit_row(lam, base_volume, *result) for lam, result in zip(lambdas, results[1:])],
-            limit_row(np.inf, base_volume, *results[0]))
-
-
 def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: float):
-    """_relax_and_integrate of each representation's orbit envelope, in order.
+    """(EnergyReport, residual, steps, factorizations) of each representation's
+    orbit envelope, relaxed to tau = -2 (cmc_relax) and integrated over the
+    Gauss-map preimage of the Bolza octagon, in order; no relaxed field is kept.
 
-    The one pipeline of limit_experiment and limit_experiment_with_control.
-    Every representation's orbit translations are built and range-checked
-    on this thread before anything is relaxed.  The envelopes are then built
-    in order, ahead of the relaxations, by the map of a one-worker
-    ThreadPoolExecutor: while this thread relaxes and integrates one
-    representation, the worker takes the soft-minimum sums of the next ones
-    (SuperLU and numpy's ufuncs release the GIL).  The queue holds one
-    nodes^2 array per envelope built and not yet relaxed.  The worker runs
-    _envelope_sum only, numpy alone, in one copy of the caller's context (so
-    a caller's np.errstate holds there); a tracer that wraps this module's
-    functions sees every call on this thread.  Each envelope is the array a
-    sequential orbit_envelope_field gives.  All relaxations share one ChordLU,
-    each starting from the LU the one before it left.  An error, in a
-    relaxation or in the worker, cancels the envelopes the worker has not
-    started; the executor's exit joins the worker before the exception leaves,
-    and a worker's error is raised again here when its envelope is asked for.
+    Every orbit is built and range-checked on this thread before anything is
+    relaxed.  The envelopes are then built in order, ahead of the
+    relaxations, by the map of a one-worker ThreadPoolExecutor (SuperLU and
+    numpy's ufuncs release the GIL); the queue holds one nodes^2 array per
+    envelope built and not yet relaxed.  The worker runs _envelope_sum only,
+    numpy alone, in a copy of the caller's context (so a caller's np.errstate
+    holds there); every function a tracer may wrap runs on this thread.  Each
+    envelope is the array orbit_envelope_field gives.  All relaxations share
+    one fresh ChordLU, each starting from the LU the one before it left.  An
+    error, in a relaxation or in the worker, cancels the envelopes not yet
+    started; the executor's exit joins the worker before the exception
+    leaves, and a worker's error is raised again here when its envelope is
+    asked for.
     """
     chord = ChordLU()
     translations = [_envelope_translations(r, word_length) for r in reps]
@@ -1033,12 +997,37 @@ def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: 
         starts = pool.map(lambda t: run(_envelope_sum, t, extent, nodes), translations)
         try:
             for start in starts:
-                results.append(_relax_and_integrate(start, relax_tol, chord))
+                relaxed = cmc_relax(start, -2.0, tol=relax_tol, chord=chord)
+                results.append((quotient_energy(relaxed.field, bolza_domain_level),
+                                relaxed.residual, relaxed.iterations, relaxed.factorizations))
         finally:
             # cancels the envelopes not yet started, so an error waits for
             # the running one alone before the executor's exit joins the worker
             starts.close()
     return results
+
+
+def _limit_rows(rep, lambdas, control_sizes, extent: float, nodes: int, word_length: int,
+                relax_tol: float) -> list:
+    """The LIMIT_COLUMNS rows of one envelope queue, in its order: the zero
+    cocycle bolza_rep(), ``rep`` scaled by lambda**-2 for each lambda, then the
+    coboundary control of each size.
+
+    Every ratio is to the baseline's volume.  The baseline's row stands at
+    lambda = inf, the limit in which the scaled cocycle vanishes, with a
+    ham_ratio of 1; a control's row stands at lambda = 1.
+    """
+    _require_bolza(rep)
+    lambdas = tuple(lambdas)
+    if not all(lam > 0 for lam in lambdas):
+        raise ValueError("lambda values must be positive")
+    reps = ([holonomy.bolza_rep()]
+            + [holonomy.scale_structure(rep, float(lam) ** -2) for lam in lambdas]
+            + [_coboundary_rep(rep, size, word_length) for size in control_sizes])
+    results = _relax_orbits(reps, extent, nodes, word_length, relax_tol)
+    base_volume = results[0][0].volume
+    labels = (np.inf, *lambdas) + (1.0,) * len(control_sizes)
+    return [limit_row(lam, base_volume, *result) for lam, result in zip(labels, results)]
 
 
 def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
@@ -1060,9 +1049,7 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     anything is relaxed; the envelopes are built ahead of the relaxations on
     a one-worker executor (see _relax_orbits).
     """
-    lambdas = tuple(lambdas)
-    results = _relax_orbits(_limit_reps(rep, lambdas), extent, nodes, word_length, relax_tol)
-    rows, base_row = _limit_rows(lambdas, results)
+    base_row, *rows = _limit_rows(rep, lambdas, (), extent, nodes, word_length, relax_tol)
     return rows, base_row[2]
 
 
@@ -1072,14 +1059,14 @@ def coboundary_control(rep, base_volume: float, size: float, extent: float, node
 
     The coboundary of a base point along COBOUNDARY_DIRECTION, scaled to a
     largest orbit translation of ``size``, is relaxed from its orbit envelope
-    on a fresh ChordLU and integrated as in limit_experiment.  It only moves
-    the base point, so its ham_ratio to ``base_volume`` differs from 1 by
-    quadrature noise alone.
+    on a fresh ChordLU and integrated through the limit experiment's
+    pipeline (_relax_orbits, a queue of one).  It only moves the base point,
+    so its ham_ratio to ``base_volume`` differs from 1 by quadrature noise alone.
     """
     _require_bolza(rep)
-    start = orbit_envelope_field(_coboundary_rep(rep, size, word_length), extent, nodes,
-                                 word_length)
-    return limit_row(1.0, base_volume, *_relax_and_integrate(start, relax_tol, ChordLU()))
+    (result,) = _relax_orbits([_coboundary_rep(rep, size, word_length)], extent, nodes,
+                              word_length, relax_tol)
+    return limit_row(1.0, base_volume, *result)
 
 
 def limit_experiment_with_control(rep, lambdas, control_size: float, extent: float = 6.4,
@@ -1094,8 +1081,6 @@ def limit_experiment_with_control(rep, lambdas, control_size: float, extent: flo
     orbit is range-checked with the others, before the first relaxation, and
     its envelope is queued and relaxed last, from the LU the last lambda left.
     """
-    lambdas = tuple(lambdas)
-    reps = _limit_reps(rep, lambdas) + [_coboundary_rep(rep, control_size, word_length)]
-    *results, control = _relax_orbits(reps, extent, nodes, word_length, relax_tol)
-    rows, base_row = _limit_rows(lambdas, results)
-    return rows, base_row, limit_row(1.0, base_row[2], *control)
+    base_row, *rows, control_row = _limit_rows(rep, lambdas, (control_size,), extent, nodes,
+                                               word_length, relax_tol)
+    return rows, base_row, control_row

@@ -261,6 +261,19 @@ def test_unusable_out_is_a_config_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+def test_unwritable_artifact_is_a_config_error(tmp_path, capsys):
+    # a directory where the first table belongs fails its write: exit 2 with
+    # one stderr line that names the path, no traceback, no later table
+    out = tmp_path / "run"
+    blocker = out / "riccati_checks.csv"
+    blocker.mkdir(parents=True)
+    assert cli.main(["--scenario", "riccati", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(blocker) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["riccati_checks.csv"]
+
+
 def test_failed_check_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
     cfgfile = tmp_path / "r.cfg"

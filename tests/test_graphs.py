@@ -884,6 +884,15 @@ def test_limit_experiment_equals_the_sequential_pipeline():
     assert [base] + rows + [control] == expected
     assert control[-1] == 0  # the carried LU took the control, unfactored
 
+    # coboundary_control alone, a queue of one, relaxes on a fresh ChordLU
+    alone = graphs.coboundary_control(rep, base[2], 0.15, 6.4, 81, 3, 1e-8)
+    relaxed = graphs.cmc_relax(graphs.orbit_envelope_field(reps[-1], 6.4, 81), -2.0, tol=1e-8,
+                               chord=graphs.ChordLU())
+    report = graphs.quotient_energy(relaxed.field, graphs.bolza_domain_level)
+    assert alone == graphs.limit_row(1.0, base[2], report, relaxed.residual,
+                                     relaxed.iterations, relaxed.factorizations)
+    assert alone[-1] == 1
+
 
 def test_limit_experiment_with_control_equals_the_split_run():
     # limit_experiment then coboundary_control gives the rows and baseline
@@ -953,7 +962,7 @@ def test_limit_experiment_fails_before_the_first_relaxation(monkeypatch):
 def test_limit_experiment_keeps_traced_calls_on_the_calling_thread(monkeypatch):
     # a span tracer keeps one stack for all threads, so every function it may
     # wrap must run on the caller's thread; only the envelope sums leave it,
-    # the control's too when it shares the lambdas' queue
+    # the control's too, queued with the lambdas or alone
     threads: dict = {}
 
     def record(module, name):
@@ -987,6 +996,16 @@ def test_limit_experiment_keeps_traced_calls_on_the_calling_thread(monkeypatch):
     # the control's unit orbit and its own, then the baseline's and four lambdas'
     assert len(threads["orbit_isometries"]) == 7
     assert len(threads["cmc_relax"]) == 6
+    assert "orbit_envelope_field" not in threads
+
+    threads.clear()
+    graphs.coboundary_control(rep, 4.0 * np.pi, 0.15, 6.4, 41, 3, 1e-8)
+    summed_on = threads.pop("_envelope_sum")
+    assert len(summed_on) == 1 and main not in summed_on
+    assert {t for ids in threads.values() for t in ids} == {main}
+    # the control's unit orbit and its own
+    assert len(threads["orbit_isometries"]) == 2
+    assert len(threads["cmc_relax"]) == 1 and "quotient_energy" in threads
     assert "orbit_envelope_field" not in threads
 
 
@@ -1045,11 +1064,11 @@ def test_limit_experiment_relaxation_error_cancels_the_queued_envelopes(monkeypa
         sums.append(None)
         return envelope_sum(*args)
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         raise planted
 
     monkeypatch.setattr(graphs, "_envelope_sum", counted)
-    monkeypatch.setattr(graphs, "_relax_and_integrate", failing)
+    monkeypatch.setattr(graphs, "cmc_relax", failing)
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
     with pytest.raises(graphs.NewtonStepError) as raised:
         graphs.limit_experiment(rep, (1.0, 2.0, 4.0, 8.0), nodes=161)
@@ -1088,17 +1107,19 @@ def test_limit_experiment_raises_a_worker_error_unchanged(monkeypatch):
 
 
 def test_limit_experiment_raises_a_control_envelope_error_unchanged(monkeypatch):
-    # the sixth envelope sum, the coboundary control's, fails on the worker;
-    # the error reaches the caller when the control's envelope is asked for,
-    # after the baseline and the four lambdas are relaxed, with the worker joined
+    # the coboundary control's envelope sum, the sixth behind the baseline and
+    # four lambdas or the only one when the control runs alone, fails on the
+    # worker; the error reaches the caller when the control's envelope is asked
+    # for, after every envelope ahead of it is relaxed, with the worker joined
     before = threading.active_count()
     planted = RuntimeError("planted in the control's envelope sum")
     sums, relaxations = [], []
     envelope_sum, relax = graphs._envelope_sum, graphs.cmc_relax
+    control_sum = 6
 
-    def failing_sixth(*args):
+    def failing_control(*args):
         sums.append(None)
-        if len(sums) == 6:
+        if len(sums) == control_sum:
             raise planted
         return envelope_sum(*args)
 
@@ -1106,7 +1127,7 @@ def test_limit_experiment_raises_a_control_envelope_error_unchanged(monkeypatch)
         relaxations.append(None)
         return relax(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "_envelope_sum", failing_sixth)
+    monkeypatch.setattr(graphs, "_envelope_sum", failing_control)
     monkeypatch.setattr(graphs, "cmc_relax", counted)
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
     with pytest.raises(RuntimeError) as raised:
@@ -1114,6 +1135,16 @@ def test_limit_experiment_raises_a_control_envelope_error_unchanged(monkeypatch)
     assert raised.value is planted
     assert len(sums) == 6
     assert len(relaxations) == 5
+    assert threading.active_count() == before
+
+    sums.clear()
+    relaxations.clear()
+    control_sum = 1
+    with pytest.raises(RuntimeError) as raised:
+        graphs.coboundary_control(rep, 4.0 * np.pi, 0.15, 6.4, 41, 3, 1e-8)
+    assert raised.value is planted
+    assert len(sums) == 1
+    assert relaxations == []
     assert threading.active_count() == before
 
 
@@ -1129,6 +1160,8 @@ def test_limit_experiment_worker_keeps_the_callers_errstate(monkeypatch):
 
     monkeypatch.setattr(graphs, "_envelope_sum", dividing_by_zero)
     rep = holonomy.bolza_rep(holonomy.bolza_nontrivial_cocycle(0.002))
-    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        graphs.limit_experiment(rep, (1.0, 2.0), nodes=41)
-    assert threading.active_count() == before
+    for run in (lambda: graphs.limit_experiment(rep, (1.0, 2.0), nodes=41),
+                lambda: graphs.coboundary_control(rep, 4.0 * np.pi, 0.15, 6.4, 41, 3, 1e-8)):
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            run()
+        assert threading.active_count() == before
