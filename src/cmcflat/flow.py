@@ -1,9 +1,10 @@
 """Zero-shift CMC Einstein flow in block-reduced form.
 
-The evolved geometry is a product of homogeneous blocks (one hyperbolic
-factor, optionally one flat circle).  A ``GridLapseProblem`` samples the fields
-along one flat circle factor on a uniform periodic grid; it serves only the
-lapse solve, the smallest setting where the lapse equation is a genuine
+The evolved geometry is a product of homogeneous blocks, and block order is
+the whole encoding: block 0 is the hyperbolic factor, and an optional block 1
+of dimension 1 is the flat circle.  A ``GridLapseProblem`` samples the fields
+along the circle, its last block, on a uniform periodic grid; it serves only
+the lapse solve, the smallest setting where the lapse equation is a genuine
 two-point boundary problem, and it holds numpy arrays.  Its periodic
 kernels, the second difference and the periodic tridiagonal solve, live here
 too; the solve is one dense numpy solve, so flow never loads scipy.  These
@@ -14,8 +15,7 @@ Evolution, the τ grid, the trace and its checks, and the constraint
 residuals take homogeneous ``FlowState`` data alone, held as plain Python
 floats: on one or two blocks numpy's per-call overhead would dominate the
 arithmetic, and Python's float arithmetic and libm do not change with the
-host's SIMD extensions.  The geometry is one hyperbolic block, optionally
-followed by one flat circle.  One RK4 kernel, ``_rk4``, steps the fields as
+host's SIMD extensions.  One RK4 kernel, ``_rk4``, steps the fields as
 named floats: (A, P) of the hyperbolic block and (A, P) of the circle, where
 a cone gets a zero-dimensional phantom circle (A = 1, P = 0) that adds only
 exact zeros and multiplies only by exact ones.  ``run_flow`` loops over the
@@ -75,34 +75,22 @@ class DegenerateLapseError(RuntimeError):
 
 @dataclass(frozen=True)
 class BlockGeometry:
-    """Static structure of the spatial manifold: block dims and curvatures.
+    """Static structure of the spatial manifold: the block dimensions.
 
-    The blocks are one hyperbolic block, optionally followed by one flat
-    circle (a flat block of dimension 1): the cone and the Kasner product,
-    the two shapes the models build and the flow kernel steps.
-    ``volume_factor`` is the volume of the unit-scale cross section,
-    including every constant factor.
+    ``dims`` is (d,) or (d, 1) with d >= 2: the hyperbolic block, optionally
+    followed by the flat circle, the cone and the Kasner product that the
+    models build and the flow kernel steps.  ``volume_factor`` is the volume
+    of the unit-scale cross section, including every constant factor.
     """
 
     dims: tuple
-    curvatures: tuple
     volume_factor: float
 
     def __post_init__(self):
-        if len(self.dims) != len(self.curvatures):
-            raise ValueError("dims and curvatures must align")
-        for d, c in zip(self.dims, self.curvatures):
-            if c not in ("hyperbolic", "flat"):
-                raise ValueError(f"unknown curvature type {c!r}")
-            if c == "hyperbolic" and d < 2:
-                raise ValueError("hyperbolic blocks need dimension >= 2")
-            if d < 1:
-                raise ValueError("block dimensions must be positive")
-        if not (self.curvatures == ("hyperbolic",)
-                or (self.curvatures == ("hyperbolic", "flat") and self.dims[1] == 1)):
+        if not (self.dims and self.dims[0] >= 2 and self.dims[1:] in ((), (1,))):
             raise ValueError(
                 "blocks must be one hyperbolic block, optionally followed by one flat "
-                f"block of dimension 1; got dims {self.dims} and curvatures {self.curvatures}")
+                f"block of dimension 1: dims (d,) or (d, 1) with d >= 2, got {self.dims}")
         if not 2 <= self.dim <= 4:
             raise ValueError("total spatial dimension must satisfy 2 <= n <= 4")
         if not 0 < self.volume_factor < math.inf:
@@ -153,11 +141,10 @@ class GridLapseProblem:
 
     ``scales`` and ``kcov`` have shape (n_blocks, m): block metric scales and
     covariant K values at the m nodes of a uniform periodic grid of step
-    ``spacing`` along block ``grid_block``, a flat one-dimensional factor.
+    ``spacing`` along the last block, a flat circle.
     """
 
     dims: tuple
-    grid_block: int
     spacing: float
     scales: np.ndarray
     kcov: np.ndarray
@@ -172,38 +159,24 @@ class GridLapseProblem:
 
 def state_from_slice(slc: SliceData) -> FlowState:
     """Homogeneous flow state from block-reduced slice data."""
-    geom = BlockGeometry(
-        tuple(b.dim for b in slc.blocks),
-        tuple(b.curvature for b in slc.blocks),
-        slc.volume_factor,
-    )
-    scales = tuple(b.metric_scale for b in slc.blocks)
-    kcov = tuple(b.k_eigenvalue * b.metric_scale for b in slc.blocks)
-    return FlowState(geom, slc.tau, scales, kcov)
+    kcov = tuple([p * a for a, p in zip(slc.scales, slc.k_eigenvalues, strict=True)])
+    return FlowState(BlockGeometry(slc.dims, slc.volume_factor), slc.tau, slc.scales, kcov)
 
 
 def grid_state_from_slice(slc: SliceData, grid_points: int, circle_length: float) -> GridLapseProblem:
-    """Lapse problem of a slice, its fields replicated along a circle factor.
-
-    The slice must contain a flat one-dimensional block to carry the grid.
-    """
+    """Lapse problem of a Kasner slice, its fields replicated along its circle."""
     if grid_points < 8:
         raise ValueError("periodic grid needs at least 8 points")
-    if circle_length <= 0:
-        raise ValueError("grid mode needs a positive circle_length")
-    flat_blocks = [
-        i for i, b in enumerate(slc.blocks) if b.curvature == "flat" and b.dim == 1
-    ]
-    if not flat_blocks:
-        raise ValueError("grid mode needs a flat one-dimensional block in the slice")
+    if not 0 < circle_length < math.inf:
+        raise ValueError("grid mode needs a finite positive circle_length")
+    if len(BlockGeometry(slc.dims, slc.volume_factor).dims) < 2:
+        raise ValueError("grid mode needs a flat one-dimensional block, the slice's circle")
     import numpy as np
 
     ones = np.ones(grid_points)
-    scales = np.stack([b.metric_scale * ones for b in slc.blocks])
-    kcov = np.stack([b.k_eigenvalue * b.metric_scale * ones for b in slc.blocks])
-    return GridLapseProblem(
-        tuple(b.dim for b in slc.blocks), flat_blocks[0], circle_length / grid_points, scales, kcov
-    )
+    scales = np.stack([a * ones for a in slc.scales])
+    kcov = np.stack([p * a * ones for a, p in zip(slc.scales, slc.k_eigenvalues, strict=True)])
+    return GridLapseProblem(slc.dims, circle_length / grid_points, scales, kcov)
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +215,10 @@ def solve_periodic_tridiag(lower, main, upper, rhs):
 def _laplacian_coefficients(prob: GridLapseProblem):
     """Coefficients (c2, c1) with ΔN = c2 N'' + c1 N' on the periodic grid."""
     h = prob.spacing
-    gb = prob.grid_block
-    c = prob.scales[gb]
+    c = prob.scales[-1]
     c1 = -_ddr(c, h) / (2.0 * c)
-    for i, d in enumerate(prob.dims):
-        if i == gb:
-            continue
-        c1 = c1 + d * _ddr(prob.scales[i], h) / (2.0 * prob.scales[i])
+    for d, a in zip(prob.dims[:-1], prob.scales[:-1]):
+        c1 = c1 + d * _ddr(a, h) / (2.0 * a)
     return 1.0 / c, c1 / c
 
 
@@ -260,20 +230,22 @@ def _homogeneous_lapse(k2: float) -> float:
 
 
 def _grid_lapse(prob: GridLapseProblem) -> np.ndarray:
-    """Second-order central differences and a dense periodic tridiagonal solve."""
+    """Second-order central differences and a dense periodic tridiagonal solve;
+    a NaN |K|² or lapse fails its guard too."""
     import numpy as np
 
     k2 = prob.k_norm2
-    if float(np.max(k2)) <= DEGENERATE_K2:
-        raise DegenerateLapseError("lapse operator -Δ + |K|^2 is singular: |K|^2 vanishes")
+    if not float(np.max(k2)) > DEGENERATE_K2:
+        raise DegenerateLapseError("lapse operator -Δ + |K|^2 is singular: |K|^2 vanishes "
+                                   "or is NaN")
     h = prob.spacing
     c2, c1 = _laplacian_coefficients(prob)
     main = 2.0 * c2 / (h * h) + k2
     upper = -c2 / (h * h) - c1 / (2.0 * h)
     lower = -c2 / (h * h) + c1 / (2.0 * h)
     lapse = solve_periodic_tridiag(lower, main, upper, np.ones_like(k2))
-    if float(np.min(lapse)) <= 0.0:
-        raise DegenerateLapseError("lapse solve produced a non-positive lapse")
+    if not float(np.min(lapse)) > 0.0:
+        raise DegenerateLapseError("lapse solve produced a NaN or non-positive lapse")
     return lapse
 
 
@@ -305,18 +277,15 @@ def flat_constraint_residual(state: FlowState) -> float:
     """Max Gauss residual of flat vacuum data over the blocks.
 
     Per block the mixed Gauss equation reads R - K² + (tr K) K = 0, with Ricci
-    eigenvalue -(d-1)/A on hyperbolic blocks and zero on flat ones.  Codazzi
-    holds identically on homogeneous data, so it has no residual.  A NaN
-    scale or K value makes tr K NaN and so every block's residual, the first
-    included; the built-in max keeps a NaN first entry, so the residual is
-    then NaN.
+    eigenvalue -(d-1)/A on the hyperbolic block 0 and zero on the circle.
+    Codazzi holds identically on homogeneous data, so it has no residual.  A
+    NaN scale or K value makes tr K NaN and so every block's residual, the
+    first included; the built-in max keeps a NaN first entry, so the residual
+    is then NaN.
     """
-    geom = state.geometry
     trk = state.trace_k
-    return max(
-        abs((-(d - 1.0) / a if curv == "hyperbolic" else 0.0) - p * p + trk * p)
-        for d, curv, a, p in zip(geom.dims, geom.curvatures, state.scales, state.mixed_k)
-    )
+    ricci = (-(state.geometry.dims[0] - 1.0) / state.scales[0], 0.0)
+    return max(abs(r - p * p + trk * p) for r, p in zip(ricci, state.mixed_k))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ hyperbolic manifolds:
   rescaled volume (n-1)^{n-1} |τ| · Vol(Σ) · circle_length, which decreases
   to zero in the expanding direction τ ↗ 0.
 
-Slice data is stored per metric block as (dimension, curvature type, metric
-scale a², mixed second-fundamental-form eigenvalue p); this is the exact
-format consumed by the flow integrator.  The models and slices are Python
-floats; only the Riccati functions use numpy, and import it where they run.
+Slice data lists, in block order, each block's dimension, metric scale a²
+and mixed second-fundamental-form eigenvalue p.  Block order is the whole
+encoding: block 0 is the hyperbolic block, and a Kasner slice adds block 1,
+the flat circle of dimension 1.  The models and slices are Python floats;
+only the Riccati functions use numpy, and import it where they run.
 """
 
 from __future__ import annotations
@@ -24,25 +25,14 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class Block:
-    """One homogeneous factor of a product slice metric.
-
-    ``metric_scale`` multiplies the unit block metric (curvature -1 hyperbolic
-    metric, or flat unit metric); ``k_eigenvalue`` is the mixed (trace-type)
-    eigenvalue of the second fundamental form on this block.
-    """
-
-    dim: int
-    curvature: str  # "hyperbolic" | "flat"
-    metric_scale: float
-    k_eigenvalue: float
-
-
-@dataclass(frozen=True)
 class SliceData:
-    """CMC slice of a model spacetime in block-reduced form."""
+    """CMC slice of a model spacetime in block-reduced form: per block, in
+    block order, its dimension, the factor on its unit metric (hyperbolic of
+    curvature -1 for block 0, flat for block 1) and its mixed K eigenvalue."""
 
-    blocks: tuple
+    dims: tuple
+    scales: tuple
+    k_eigenvalues: tuple
     tau: float
     volume_factor: float  # unit-scale volume of the cross-section (with circle length)
 
@@ -86,8 +76,7 @@ def cone_slice(model: ConeModel, s: float) -> SliceData:
     if not s > 0:
         raise ValueError("slice parameter s must be positive")
     n = model.dim
-    block = Block(n, "hyperbolic", s * s, -1.0 / s)
-    return SliceData((block,), -n / s, model.base_volume)
+    return SliceData((n,), (s * s,), (-1.0 / s,), -n / s, model.base_volume)
 
 
 def kasner_slice(model: KasnerModel, rho: float) -> SliceData:
@@ -95,9 +84,8 @@ def kasner_slice(model: KasnerModel, rho: float) -> SliceData:
     if not rho > 0:
         raise ValueError("slice parameter rho must be positive")
     n = model.dim
-    hyp = Block(n - 1, "hyperbolic", rho * rho, -1.0 / rho)
-    flat = Block(1, "flat", 1.0, 0.0)
-    return SliceData((hyp, flat), -(n - 1) / rho, model.sigma_volume * model.circle_length)
+    return SliceData((n - 1, 1), (rho * rho, 1.0), (-1.0 / rho, 0.0), -(n - 1) / rho,
+                     model.sigma_volume * model.circle_length)
 
 
 def slice_at_tau(model, tau: float) -> SliceData:

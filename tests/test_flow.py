@@ -73,7 +73,7 @@ def _manufactured_lapse_error(m, length=2.0 * np.pi):
     k2 = (1.0 + lap) / lapse
     assert np.min(k2) > 0.0
     kcov = np.stack([a0 * np.sqrt(k2 / 2.0), np.zeros(m)])
-    prob = flow.GridLapseProblem((2, 1), 1, length / m, np.stack([a0, c]), kcov)
+    prob = flow.GridLapseProblem((2, 1), length / m, np.stack([a0, c]), kcov)
     assert np.max(np.abs(prob.k_norm2 - k2)) < 1e-13
     return float(np.max(np.abs(flow.solve_lapse(prob) - lapse)))
 
@@ -179,7 +179,7 @@ def moving_circle_state():
     """Kasner-shaped data off the model, at tau = -10 with tr K = tau: the
     circle has K != 0 and moves, where every model keeps it static.  Not
     vacuum data (its Gauss residual is 16), and most steps of 0.1..10 halve."""
-    geom = flow.BlockGeometry((2, 1), ("hyperbolic", "flat"), 1.17)
+    geom = flow.BlockGeometry((2, 1), 1.17)
     return flow.FlowState(geom, -10.0, (0.04, 1.7), (-0.16, -3.4))
 
 
@@ -306,18 +306,36 @@ def test_nan_scale_fails_the_lapse_and_the_step():
 def test_grid_lapse_failures_raise():
     # |K|^2 vanishing on the whole grid makes -Δ + |K|^2 singular
     m = 8
-    still = flow.GridLapseProblem((1, 2), 0, 1.0, np.ones((2, m)), np.zeros((2, m)))
+    still = flow.GridLapseProblem((2, 1), 1.0, np.ones((2, m)), np.zeros((2, m)))
     with pytest.raises(flow.DegenerateLapseError, match="singular"):
         flow.solve_lapse(still)
     # a steep ramp of the 2-D block's scale along the circle makes the
     # first-derivative coefficient outweigh the second, so the discrete
     # operator is no M-matrix; with |K|^2 at one node only, the lapse goes negative
     kcov = np.zeros((2, m))
-    kcov[0, 0] = 1.0
-    scales = np.stack([np.ones(m), np.exp(np.arange(m, dtype=float))])
-    steep = flow.GridLapseProblem((1, 2), 0, 1.0, scales, kcov)
+    kcov[1, 0] = 1.0
+    scales = np.stack([np.exp(np.arange(m, dtype=float)), np.ones(m)])
+    steep = flow.GridLapseProblem((2, 1), 1.0, scales, kcov)
     with pytest.raises(flow.DegenerateLapseError, match="non-positive lapse"):
         flow.solve_lapse(steep)
+
+
+def test_grid_lapse_refuses_nan_and_infinite_input():
+    # a NaN circle length would give an all-NaN lapse, and an infinite one an
+    # infinite spacing, whose Laplacian vanishes so that the lapse reads 1/|K|^2
+    kasner = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
+    for length in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="circle_length"):
+            flow.grid_state_from_slice(kasner, 16, length)
+    # a NaN scale makes |K|^2 NaN at its node, and a NaN spacing the whole lapse
+    prob = flow.grid_state_from_slice(kasner, 16, 1.0)
+    for block in (0, 1):
+        scales = prob.scales.copy()
+        scales[block, 3] = np.nan
+        with pytest.raises(flow.DegenerateLapseError, match="NaN"):
+            flow.solve_lapse(dataclasses.replace(prob, scales=scales))
+    with pytest.raises(flow.DegenerateLapseError, match="NaN"):
+        flow.solve_lapse(dataclasses.replace(prob, spacing=np.nan))
 
 
 def test_step_to_a_non_positive_scale_raises():
@@ -343,7 +361,7 @@ def test_nan_times_and_volumes_are_rejected():
     slc = models.slice_at_tau(models.ConeModel(3), -2.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="volume_factor"):
-            flow.state_from_slice(models.SliceData(slc.blocks, slc.tau, bad))
+            flow.state_from_slice(dataclasses.replace(slc, volume_factor=bad))
 
 
 def test_cone_flow_keeps_rescaled_volume():
@@ -470,15 +488,9 @@ def test_trace_columns_and_lengths():
 
 def test_geometry_validation():
     with pytest.raises(ValueError):
-        flow.BlockGeometry((1,), ("hyperbolic",), 1.0)  # hyperbolic factor too thin
+        flow.BlockGeometry((1,), 1.0)  # hyperbolic factor too thin
     with pytest.raises(ValueError, match="total spatial dimension"):
-        flow.BlockGeometry((4, 1), ("hyperbolic", "flat"), 1.0)
-    with pytest.raises(ValueError, match="align"):
-        flow.BlockGeometry((2, 1), ("hyperbolic",), 1.0)
-    with pytest.raises(ValueError, match="curvature type 'spherical'"):
-        flow.BlockGeometry((2,), ("spherical",), 1.0)
-    with pytest.raises(ValueError, match="positive"):
-        flow.BlockGeometry((3, 0), ("hyperbolic", "flat"), 1.0)
+        flow.BlockGeometry((4, 1), 1.0)
     kasner = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
     # a state that drops the circle's fields would step the hyperbolic block alone
     st = flow.state_from_slice(kasner)
@@ -486,6 +498,12 @@ def test_geometry_validation():
                          (st.scales * 2, st.kcov * 2)):
         with pytest.raises(ValueError, match="one entry per block"):
             flow.FlowState(st.geometry, st.tau, scales, kcov)
+    # a K eigenvalue without a scale is refused, not dropped
+    extra = dataclasses.replace(kasner, k_eigenvalues=kasner.k_eigenvalues + (0.0,))
+    with pytest.raises(ValueError, match="longer"):
+        flow.state_from_slice(extra)
+    with pytest.raises(ValueError, match="longer"):
+        flow.grid_state_from_slice(extra, 16, 1.0)
     with pytest.raises(ValueError, match="8 points"):
         flow.grid_state_from_slice(kasner, 4, 1.0)
     with pytest.raises(ValueError, match="circle_length"):
@@ -495,15 +513,21 @@ def test_geometry_validation():
         flow.grid_state_from_slice(models.slice_at_tau(models.ConeModel(3), -2.0), 128, 1.0)
 
 
-@pytest.mark.parametrize("dims, curvatures", [
-    ((2, 2), ("hyperbolic", "hyperbolic")),
-    ((1, 2), ("flat", "hyperbolic")),
-    ((2, 2), ("hyperbolic", "flat")),
-    ((2, 1, 1), ("hyperbolic", "flat", "flat")),
-], ids=["two-hyperbolic", "flat-first", "flat-of-dim-2", "three-blocks"])
-def test_geometry_accepts_the_two_model_shapes_only(dims, curvatures):
+@pytest.mark.parametrize("dims", [(1, 2), (2, 2), (3, 0), (2, 1, 1)],
+                         ids=["flat-first", "flat-of-dim-2", "flat-of-dim-0", "three-blocks"])
+def test_geometry_accepts_the_two_model_shapes_only(dims):
     # the kernel steps one hyperbolic block and one optional flat circle;
     # every other shape, of a valid total dimension, is refused up front
     with pytest.raises(ValueError, match="one hyperbolic block, optionally followed by one "
                                          "flat block of dimension 1"):
-        flow.BlockGeometry(dims, curvatures, 1.0)
+        flow.BlockGeometry(dims, 1.0)
+
+
+def test_slice_with_the_circle_first_is_refused():
+    # block order is the encoding: a slice whose circle comes first is no
+    # model shape, on the homogeneous path and on the grid path alike
+    circle_first = models.SliceData((1, 2), (1.0, 4.0), (0.0, -0.5), -1.0, 1.0)
+    with pytest.raises(ValueError, match="one hyperbolic block"):
+        flow.state_from_slice(circle_first)
+    with pytest.raises(ValueError, match="one hyperbolic block"):
+        flow.grid_state_from_slice(circle_first, 16, 1.0)

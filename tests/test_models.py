@@ -18,9 +18,9 @@ def test_cone_slice_trace_and_rescaled_volume():
             slc = models.cone_slice(model, s)
             assert slc.tau == -n / s
             assert abs(_rescaled_volume(slc) - expect) < 1e-12 * expect
-            (block,) = slc.blocks
-            assert block.curvature == "hyperbolic"
-            assert abs(block.k_eigenvalue - slc.tau / n) < 1e-15
+            assert slc.dims == (n,)
+            (k_eigenvalue,) = slc.k_eigenvalues
+            assert abs(k_eigenvalue - slc.tau / n) < 1e-15
 
 
 def test_cone_rescaled_volume_scales_with_base_volume():
@@ -31,12 +31,12 @@ def test_cone_rescaled_volume_scales_with_base_volume():
 def test_kasner_slice_structure():
     model = models.KasnerModel(3, 1.0, 1.0)
     slc = models.slice_at_tau(model, -2.0)
-    hyp, circ = slc.blocks
-    assert hyp.curvature == "hyperbolic" and hyp.dim == 2
-    assert circ.curvature == "flat" and circ.dim == 1
+    # the hyperbolic block first, then the circle
+    assert slc.dims == (2, 1)
+    hyp_k, circle_k = slc.k_eigenvalues
     # the flat direction does not expand: its k eigenvalue vanishes
-    assert circ.k_eigenvalue == 0.0
-    assert abs(hyp.k_eigenvalue - slc.tau / 2.0) < 1e-15
+    assert circle_k == 0.0
+    assert abs(hyp_k - slc.tau / 2.0) < 1e-15
 
 
 def test_kasner_closed_form_frozen_value():
