@@ -2,15 +2,16 @@
 
 The evolved geometry is a product of homogeneous blocks, and block order is
 the whole encoding: block 0 is the hyperbolic factor, and an optional block 1
-of dimension 1 is the flat circle.  A ``GridLapseProblem`` samples the fields
-along the circle, its last block, on a uniform periodic grid; it serves only
-the lapse solve, the smallest setting where the lapse equation is a genuine
-two-point boundary problem, and it holds numpy arrays.  Its periodic
-kernels, the second difference and the periodic tridiagonal solve, live here
-too; the solve is one dense numpy solve, so flow never loads scipy.  These
-grid functions import numpy where they run, and ``HamTrace.column`` where it
-returns an array; nothing else here touches numpy, so a homogeneous flow
-starts and finishes without loading it.
+of dimension 1 is the flat circle.  ``FlowState`` and ``GridLapseProblem``
+both check that shape with one rule, ``_check_blocks``, when built.  A grid
+problem samples the fields along the circle on a uniform periodic grid; it
+serves only the lapse solve, the smallest setting where the lapse equation
+is a genuine two-point boundary problem, and it holds numpy arrays.  Its
+periodic kernels, the second difference and the periodic tridiagonal solve,
+live here too; the solve is one dense numpy solve, so flow never loads
+scipy.  These grid functions import numpy where they run, and
+``HamTrace.column`` where it returns an array; nothing else here touches
+numpy, so a homogeneous flow starts and finishes without loading it.
 Evolution, the τ grid, the trace and its checks, and the constraint
 residuals take homogeneous ``FlowState`` data alone, held as plain Python
 floats: on one or two blocks numpy's per-call overhead would dominate the
@@ -73,45 +74,32 @@ class DegenerateLapseError(RuntimeError):
     """Raised when -Δ + |K|² is not invertible (|K|² vanishes identically)."""
 
 
-@dataclass(frozen=True)
-class BlockGeometry:
-    """Static structure of the spatial manifold: the block dimensions.
-
-    ``dims`` is (d,) or (d, 1) with d >= 2: the hyperbolic block, optionally
-    followed by the flat circle, the cone and the Kasner product that the
-    models build and the flow kernel steps.  ``volume_factor`` is the volume
-    of the unit-scale cross section, including every constant factor.
-    """
-
-    dims: tuple
-    volume_factor: float
-
-    def __post_init__(self):
-        if not (self.dims and self.dims[0] >= 2 and self.dims[1:] in ((), (1,))):
-            raise ValueError(
-                "blocks must be one hyperbolic block, optionally followed by one flat "
-                f"block of dimension 1: dims (d,) or (d, 1) with d >= 2, got {self.dims}")
-        if not 2 <= self.dim <= 4:
-            raise ValueError("total spatial dimension must satisfy 2 <= n <= 4")
-        if not 0 < self.volume_factor < math.inf:
-            raise ValueError("volume_factor must be finite and positive")
-
-    @property
-    def dim(self) -> int:
-        return int(sum(self.dims))
+def _check_blocks(dims: tuple) -> None:
+    """The one block rule: dims (d,) or (d, 1) with d >= 2 and a total of 2..4,
+    the hyperbolic block, optionally followed by the flat circle."""
+    if not (dims and dims[0] >= 2 and dims[1:] in ((), (1,))):
+        raise ValueError(
+            "blocks must be one hyperbolic block, optionally followed by one flat "
+            f"block of dimension 1: dims (d,) or (d, 1) with d >= 2, got {dims}")
+    if not 2 <= sum(dims) <= 4:
+        raise ValueError("total spatial dimension must satisfy 2 <= n <= 4")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class FlowState:
     """Flow variables at one CMC time: metric scales A and covariant K values P.
 
+    ``dims`` must pass ``_check_blocks``, and ``volume_factor``, the volume of
+    the unit-scale cross section with every constant factor, must be finite
+    and positive.
     ``scales`` and ``kcov`` are tuples of Python floats, one entry per block.
     ``tau`` is the CMC time parameter; tr K of the fields tracks it up to
     integrator drift.  The mixed eigenvalues ``mixed_k``, tr K and |K|² are
     computed once, when the state is built; ``k_norm2`` is Σ d·p² in block order.
     """
 
-    geometry: BlockGeometry
+    dims: tuple
+    volume_factor: float
     tau: float
     scales: tuple
     kcov: tuple
@@ -120,34 +108,57 @@ class FlowState:
     k_norm2: float = field(init=False)
 
     def __post_init__(self):
-        dims = self.geometry.dims
+        dims = self.dims
+        _check_blocks(dims)
+        if not 0 < self.volume_factor < math.inf:
+            raise ValueError("volume_factor must be finite and positive")
         if not len(self.scales) == len(self.kcov) == len(dims):
-            raise ValueError("scales and kcov need one entry per block of the geometry")
+            raise ValueError("scales and kcov need one entry per block")
         mixed = tuple([k / a for a, k in zip(self.scales, self.kcov)])
         object.__setattr__(self, "mixed_k", mixed)
         object.__setattr__(self, "trace_k", sum([d * p for d, p in zip(dims, mixed)]))
         object.__setattr__(self, "k_norm2", sum([d * (p * p) for d, p in zip(dims, mixed)]))
 
+    @property
+    def dim(self) -> int:
+        return int(sum(self.dims))
+
     def khat_norm2(self) -> float:
         """Squared norm of the trace-free part of K."""
-        mean = self.trace_k / self.geometry.dim
+        mean = self.trace_k / self.dim
         devs = (p - mean for p in self.mixed_k)
-        return sum(d * (x * x) for d, x in zip(self.geometry.dims, devs))
+        return sum(d * (x * x) for d, x in zip(self.dims, devs))
 
 
 @dataclass(frozen=True, eq=False)
 class GridLapseProblem:
     """The lapse equation on one leaf whose fields vary along a flat circle.
 
-    ``scales`` and ``kcov`` have shape (n_blocks, m): block metric scales and
-    covariant K values at the m nodes of a uniform periodic grid of step
-    ``spacing`` along the last block, a flat circle.
+    ``dims`` is (d, 1) and must pass ``_check_blocks``.  ``scales`` and ``kcov``
+    have shape (2, m), m >= 8: block metric scales and covariant K values at
+    the m nodes of a uniform periodic grid of finite positive step ``spacing``
+    along the circle.  The constructor checks all of this.
     """
 
     dims: tuple
     spacing: float
     scales: np.ndarray
     kcov: np.ndarray
+
+    def __post_init__(self):
+        _check_blocks(self.dims)
+        if len(self.dims) < 2:
+            raise ValueError("grid mode needs a flat one-dimensional block, the circle")
+        if not 0 < self.spacing < math.inf:
+            raise ValueError("grid spacing (circle_length / grid_points) must be finite "
+                             f"and positive, got {self.spacing!r}")
+        import numpy as np
+
+        shape = np.shape(self.scales)
+        if not (shape == np.shape(self.kcov) and len(shape) == 2 and shape[0] == 2
+                and shape[1] >= 8):
+            raise ValueError("scales and kcov need shape (2, m): one row per block and "
+                             f"m >= 8 grid points, got {shape} and {np.shape(self.kcov)}")
 
     @property
     def k_norm2(self) -> np.ndarray:
@@ -160,17 +171,12 @@ class GridLapseProblem:
 def state_from_slice(slc: SliceData) -> FlowState:
     """Homogeneous flow state from block-reduced slice data."""
     kcov = tuple([p * a for a, p in zip(slc.scales, slc.k_eigenvalues, strict=True)])
-    return FlowState(BlockGeometry(slc.dims, slc.volume_factor), slc.tau, slc.scales, kcov)
+    return FlowState(slc.dims, slc.volume_factor, slc.tau, slc.scales, kcov)
 
 
 def grid_state_from_slice(slc: SliceData, grid_points: int, circle_length: float) -> GridLapseProblem:
-    """Lapse problem of a Kasner slice, its fields replicated along its circle."""
-    if grid_points < 8:
-        raise ValueError("periodic grid needs at least 8 points")
-    if not 0 < circle_length < math.inf:
-        raise ValueError("grid mode needs a finite positive circle_length")
-    if len(BlockGeometry(slc.dims, slc.volume_factor).dims) < 2:
-        raise ValueError("grid mode needs a flat one-dimensional block, the slice's circle")
+    """Lapse problem of a Kasner slice, its fields replicated along its circle;
+    ``GridLapseProblem`` checks the result.  The slice's volume factor is not read."""
     import numpy as np
 
     ones = np.ones(grid_points)
@@ -214,11 +220,8 @@ def solve_periodic_tridiag(lower, main, upper, rhs):
 
 def _laplacian_coefficients(prob: GridLapseProblem):
     """Coefficients (c2, c1) with ΔN = c2 N'' + c1 N' on the periodic grid."""
-    h = prob.spacing
-    c = prob.scales[-1]
-    c1 = -_ddr(c, h) / (2.0 * c)
-    for d, a in zip(prob.dims[:-1], prob.scales[:-1]):
-        c1 = c1 + d * _ddr(a, h) / (2.0 * a)
+    h, a, c = prob.spacing, prob.scales[0], prob.scales[1]
+    c1 = -_ddr(c, h) / (2.0 * c) + prob.dims[0] * _ddr(a, h) / (2.0 * a)
     return 1.0 / c, c1 / c
 
 
@@ -284,7 +287,7 @@ def flat_constraint_residual(state: FlowState) -> float:
     is then NaN.
     """
     trk = state.trace_k
-    ricci = (-(state.geometry.dims[0] - 1.0) / state.scales[0], 0.0)
+    ricci = (-(state.dims[0] - 1.0) / state.scales[0], 0.0)
     return max(abs(r - p * p + trk * p) for r, p in zip(ricci, state.mixed_k))
 
 
@@ -293,18 +296,15 @@ def flat_constraint_residual(state: FlowState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _volume_density(dims: tuple, scales: tuple) -> float:
-    """dμ_g per unit-scale volume: the product of A^{d/2} over the blocks."""
-    return math.prod(a ** (d / 2.0) for d, a in zip(dims, scales))
+def integrate_scalar(state: FlowState, value: float) -> float:
+    """∫ f dμ_g for a scalar that is constant on the slice; dμ_g per
+    unit-scale volume is the product of A^{d/2} over the blocks."""
+    density = math.prod(a ** (d / 2.0) for d, a in zip(state.dims, state.scales))
+    return state.volume_factor * (density * value)
 
 
-def integrate_scalar(geom: BlockGeometry, scales: tuple, value: float) -> float:
-    """∫ f dμ_g for a scalar that is constant on the slice."""
-    return geom.volume_factor * (_volume_density(geom.dims, scales) * value)
-
-
-def volume_of(geom: BlockGeometry, scales: tuple) -> float:
-    return integrate_scalar(geom, scales, 1.0)
+def volume_of(state: FlowState) -> float:
+    return integrate_scalar(state, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def _named_fields(state: FlowState) -> tuple:
     """(dh, dc, ah, kh, ac, kc): the dimensions, scales and covariant K values
     of the hyperbolic block and of the circle.  A cone gets a zero-dimensional
     phantom circle with A = 1.0 and P = 0.0, which the kernel keeps exactly."""
-    dims, scales, kcov = state.geometry.dims, state.scales, state.kcov
+    dims, scales, kcov = state.dims, state.scales, state.kcov
     if len(dims) == 1:
         return dims[0], 0, scales[0], kcov[0], 1.0, 0.0
     return dims[0], dims[1], scales[0], kcov[0], scales[1], kcov[1]
@@ -395,8 +395,8 @@ def flow_step(state: FlowState, dtau: float, drift_tol: float = DRIFT_TOL) -> Fl
                            _homogeneous_lapse(state.k_norm2), state.trace_k, dtau,
                            drift_tol)[:5]
     if dc:
-        return FlowState(state.geometry, tau, (a, b), (k, c))
-    return FlowState(state.geometry, tau, (a,), (k,))
+        return FlowState(state.dims, state.volume_factor, tau, (a, b), (k, c))
+    return FlowState(state.dims, state.volume_factor, tau, (a,), (k,))
 
 
 @dataclass
@@ -462,8 +462,7 @@ def run_flow(initial: FlowState, tau_end: float, steps: int,
     re-stepping (useful when measuring the raw integrator order).
     """
     grid = tau_grid(initial.tau, tau_end, steps)
-    geom = initial.geometry
-    n, vf = geom.dim, geom.volume_factor
+    n, vf = initial.dim, initial.volume_factor
     dh, dc, ah, kh, ac, kc = _named_fields(initial)
     eh, ec, rh = dh / 2.0, dc / 2.0, -(dh - 1.0)
     tau, trace, k2 = initial.tau, initial.trace_k, initial.k_norm2
@@ -550,8 +549,6 @@ def ham_monotonicity_check(trace: HamTrace) -> MonotonicityReport:
 def lapse_identity_check(state: FlowState):
     """Return (∫(1 - Nτ²/n)dμ, ∫N|K̂|²dμ); equal when N solves the lapse equation."""
     lapse = solve_lapse(state)
-    geom = state.geometry
-    n = geom.dim
-    lhs = integrate_scalar(geom, state.scales, 1.0 - lapse * state.tau**2 / n)
-    rhs = integrate_scalar(geom, state.scales, lapse * state.khat_norm2())
+    lhs = integrate_scalar(state, 1.0 - lapse * state.tau**2 / state.dim)
+    rhs = integrate_scalar(state, lapse * state.khat_norm2())
     return lhs, rhs

@@ -69,6 +69,8 @@ class KasnerModel:
             raise ValueError("dim must be 3 or 4 (a hyperbolic factor of dim >= 2)")
         if not (0 < self.sigma_volume < math.inf and 0 < self.circle_length < math.inf):
             raise ValueError("sigma_volume and circle_length must be finite and positive")
+        if not 0 < self.sigma_volume * self.circle_length < math.inf:
+            raise ValueError("sigma_volume * circle_length must be finite and positive")
 
 
 def cone_slice(model: ConeModel, s: float) -> SliceData:

@@ -683,6 +683,14 @@ def test_bad_scenario_options_are_config_errors(tmp_path, capsys):
                                       ("cone-flow", "base_volume = -1", "base_volume"),
                                       ("kasner-flow", "dim = 2", "dim"),
                                       ("kasner-flow", "circle_length = 0", "circle_length"),
+                                      # each finite, but their product, the volume
+                                      # factor, overflows or underflows
+                                      ("kasner-flow",
+                                       "sigma_volume = 1e200\ncircle_length = 1e200",
+                                       "sigma_volume * circle_length"),
+                                      ("kasner-flow",
+                                       "sigma_volume = 1e-200\ncircle_length = 1e-200",
+                                       "sigma_volume * circle_length"),
                                       ("lichnerowicz-sweep", "dim = 5", "dim"),
                                       ("lichnerowicz-sweep", "volume = 0", "volume"),
                                       # np.random.default_rng takes no negative seed

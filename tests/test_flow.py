@@ -17,7 +17,7 @@ def kasner_state(tau=-2.0):
 
 def test_state_from_slice_reproduces_volume_and_trace():
     st = cone_state()
-    assert abs(flow.volume_of(st.geometry, st.scales) - 3.375) < 1e-14
+    assert abs(flow.volume_of(st) - 3.375) < 1e-14
     assert np.max(np.abs(st.trace_k - st.tau)) < 1e-14
     # umbilic slice: no trace-free part
     assert np.max(np.abs(st.khat_norm2())) < 1e-28
@@ -44,7 +44,7 @@ def test_grid_lapse_residual_and_constancy():
 
 
 def test_grid_state_serves_the_lapse_solve_only():
-    # a GridLapseProblem carries no geometry or CMC time, so the evolution
+    # a GridLapseProblem carries no CMC time or volume factor, so the evolution
     # and the constraint residuals fail on it instead of returning it
     slc = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
     prob = flow.grid_state_from_slice(slc, 128, 1.0)
@@ -179,8 +179,7 @@ def moving_circle_state():
     """Kasner-shaped data off the model, at tau = -10 with tr K = tau: the
     circle has K != 0 and moves, where every model keeps it static.  Not
     vacuum data (its Gauss residual is 16), and most steps of 0.1..10 halve."""
-    geom = flow.BlockGeometry((2, 1), 1.17)
-    return flow.FlowState(geom, -10.0, (0.04, 1.7), (-0.16, -3.4))
+    return flow.FlowState((2, 1), 1.17, -10.0, (0.04, 1.7), (-0.16, -3.4))
 
 
 def _bits(*values):
@@ -197,7 +196,7 @@ def test_flow_step_matches_the_reference_rk4_bit_for_bit():
     starts = [flow.state_from_slice(models.slice_at_tau(m, -10.0)) for m in models_at]
     forward = flow.tau_grid(-10.0, -0.1, 200)
     for st in starts + [moving_circle_state()]:
-        dims, tau, fields = st.geometry.dims, st.tau, (st.scales, st.kcov)
+        dims, tau, fields = st.dims, st.tau, (st.scales, st.kcov)
         for t0, t1 in zip(forward[:-1], forward[1:]):
             dtau = float(t1 - t0)
             st = flow.flow_step(st, dtau)
@@ -208,7 +207,7 @@ def test_flow_step_matches_the_reference_rk4_bit_for_bit():
     backward = flow.tau_grid(-0.5, -5.0, 100)
     for n in (3, 4):
         st = flow.state_from_slice(models.slice_at_tau(models.KasnerModel(n), -0.5))
-        dims, tau, fields = st.geometry.dims, st.tau, (st.scales, st.kcov)
+        dims, tau, fields = st.dims, st.tau, (st.scales, st.kcov)
         for t0, t1 in zip(backward[:-1], backward[1:]):
             st = flow.flow_step(st, t1 - t0)
             tau, fields = _ref_step(dims, tau, fields, t1 - t0)
@@ -221,11 +220,11 @@ def test_flow_step_matches_the_reference_rk4_bit_for_bit():
         raw = flow.flow_step(st, dtau, drift_tol=np.inf)
         assert abs(raw.trace_k - raw.tau) - abs(st.trace_k - st.tau) > flow.DRIFT_TOL
         repaired = flow.flow_step(st, dtau)
-        ref = _ref_step(st.geometry.dims, st.tau, (st.scales, st.kcov), dtau)
+        ref = _ref_step(st.dims, st.tau, (st.scales, st.kcov), dtau)
         _assert_matches_ref(repaired, *ref)
     # a NaN scale in the circle makes |K|^2 NaN, which every path must refuse
     st = kasner_state()
-    bad = flow.FlowState(st.geometry, st.tau, (st.scales[0], float("nan")), st.kcov)
+    bad = flow.FlowState(st.dims, st.volume_factor, st.tau, (st.scales[0], float("nan")), st.kcov)
     for call in (lambda: flow.solve_lapse(bad), lambda: flow.flow_step(bad, 0.01),
                  lambda: flow.run_flow(bad, -1.0, 4)):
         with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2 > 1e-12, got nan"):
@@ -271,11 +270,10 @@ def test_run_flow_rows_match_rows_rebuilt_from_each_state(model):
     for i, t1 in enumerate(grid):
         if i:
             st = flow.flow_step(st, t1 - grid[i - 1])
-        geom, scales = st.geometry, st.scales
         lapse = flow.solve_lapse(st)
-        vol = flow.volume_of(geom, scales)
-        rows.append((st.tau, vol, abs(st.tau) ** geom.dim * vol,
-                     flow.integrate_scalar(geom, scales, lapse * st.khat_norm2()),
+        vol = flow.volume_of(st)
+        rows.append((st.tau, vol, abs(st.tau) ** st.dim * vol,
+                     flow.integrate_scalar(st, lapse * st.khat_norm2()),
                      flow.flat_constraint_residual(st), lapse, lapse))
     assert np.array(trace.data).tobytes() == np.array(rows).tobytes()
 
@@ -286,15 +284,15 @@ def test_flow_state_is_frozen_and_keeps_its_derived_values():
         st.tau = -1.0
     mixed = tuple(k / a for a, k in zip(st.scales, st.kcov))
     assert st.mixed_k == mixed
-    assert st.trace_k == sum(d * p for d, p in zip(st.geometry.dims, mixed))
-    assert st.k_norm2 == sum(d * (p * p) for d, p in zip(st.geometry.dims, mixed))
+    assert st.trace_k == sum(d * p for d, p in zip(st.dims, mixed))
+    assert st.k_norm2 == sum(d * (p * p) for d, p in zip(st.dims, mixed))
 
 
 def test_nan_scale_fails_the_lapse_and_the_step():
     # a NaN scale makes |K|^2 NaN, which no comparison with the degeneracy
     # threshold may let through
     st = cone_state(3, -2.0)
-    bad = flow.FlowState(st.geometry, st.tau, (float("nan"),), st.kcov)
+    bad = flow.FlowState(st.dims, st.volume_factor, st.tau, (float("nan"),), st.kcov)
     with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2"):
         flow.solve_lapse(bad)
     with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2"):
@@ -334,8 +332,9 @@ def test_grid_lapse_refuses_nan_and_infinite_input():
         scales[block, 3] = np.nan
         with pytest.raises(flow.DegenerateLapseError, match="NaN"):
             flow.solve_lapse(dataclasses.replace(prob, scales=scales))
-    with pytest.raises(flow.DegenerateLapseError, match="NaN"):
-        flow.solve_lapse(dataclasses.replace(prob, spacing=np.nan))
+    # a NaN spacing is refused where the problem is built
+    with pytest.raises(ValueError, match="spacing"):
+        dataclasses.replace(prob, spacing=np.nan)
 
 
 def test_step_to_a_non_positive_scale_raises():
@@ -451,7 +450,7 @@ def test_nan_scale_gives_a_nan_gauss_residual():
     st = kasner_state()
     assert len(st.scales) == 2
     for scales in ((st.scales[0], float("nan")), (float("nan"), st.scales[1])):
-        bad = flow.FlowState(st.geometry, st.tau, scales, st.kcov)
+        bad = flow.FlowState(st.dims, st.volume_factor, st.tau, scales, st.kcov)
         assert np.isnan(flow.flat_constraint_residual(bad))
 
 
@@ -486,25 +485,42 @@ def test_trace_columns_and_lengths():
     assert tr.column("ham").tolist() == tr.floats("ham") == [row[2] for row in tr.data]
 
 
+def _grid_problem(dims=(2, 1), spacing=0.125, m=16, scales=None, kcov=None):
+    # a hand-built lapse problem, homogeneous along the circle by default
+    scales = np.ones((2, m)) if scales is None else scales
+    kcov = np.full((2, m), -0.5) if kcov is None else kcov
+    return flow.GridLapseProblem(dims, spacing, scales, kcov)
+
+
+def _flow_state(dims, volume_factor=1.0):
+    return flow.FlowState(dims, volume_factor, -2.0, (1.0,) * len(dims), (-0.5,) * len(dims))
+
+
 def test_geometry_validation():
-    with pytest.raises(ValueError):
-        flow.BlockGeometry((1,), 1.0)  # hyperbolic factor too thin
-    with pytest.raises(ValueError, match="total spatial dimension"):
-        flow.BlockGeometry((4, 1), 1.0)
+    # FlowState and GridLapseProblem apply one block rule
+    for build in (_flow_state, _grid_problem):
+        with pytest.raises(ValueError, match="one hyperbolic block"):
+            build((1,))  # hyperbolic factor too thin
+        with pytest.raises(ValueError, match="total spatial dimension"):
+            build((4, 1))
+    for volume_factor in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="volume_factor"):
+            _flow_state((2, 1), volume_factor)
     kasner = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
     # a state that drops the circle's fields would step the hyperbolic block alone
     st = flow.state_from_slice(kasner)
     for scales, kcov in ((st.scales[:1], st.kcov[:1]), (st.scales, st.kcov[:1]),
                          (st.scales * 2, st.kcov * 2)):
         with pytest.raises(ValueError, match="one entry per block"):
-            flow.FlowState(st.geometry, st.tau, scales, kcov)
+            flow.FlowState(st.dims, st.volume_factor, st.tau, scales, kcov)
     # a K eigenvalue without a scale is refused, not dropped
     extra = dataclasses.replace(kasner, k_eigenvalues=kasner.k_eigenvalues + (0.0,))
     with pytest.raises(ValueError, match="longer"):
         flow.state_from_slice(extra)
     with pytest.raises(ValueError, match="longer"):
         flow.grid_state_from_slice(extra, 16, 1.0)
-    with pytest.raises(ValueError, match="8 points"):
+    # the grid path reaches these through GridLapseProblem's own checks
+    with pytest.raises(ValueError, match="m >= 8 grid points"):
         flow.grid_state_from_slice(kasner, 4, 1.0)
     with pytest.raises(ValueError, match="circle_length"):
         flow.grid_state_from_slice(kasner, 128, 0.0)
@@ -517,10 +533,35 @@ def test_geometry_validation():
                          ids=["flat-first", "flat-of-dim-2", "flat-of-dim-0", "three-blocks"])
 def test_geometry_accepts_the_two_model_shapes_only(dims):
     # the kernel steps one hyperbolic block and one optional flat circle;
-    # every other shape, of a valid total dimension, is refused up front
-    with pytest.raises(ValueError, match="one hyperbolic block, optionally followed by one "
-                                         "flat block of dimension 1"):
-        flow.BlockGeometry(dims, 1.0)
+    # every other shape, of a valid total dimension, is refused up front,
+    # by the homogeneous state and the grid problem alike
+    for build in (_flow_state, _grid_problem):
+        with pytest.raises(ValueError, match="one hyperbolic block, optionally followed by "
+                                             "one flat block of dimension 1"):
+            build(dims)
+
+
+def test_hand_built_grid_lapse_problem_is_checked():
+    # a grid problem checks its own fields: an infinite spacing would drop the
+    # Laplacian and solve to 1/|K|^2, and dims (1, 2) would make the
+    # two-dimensional block the circle
+    prob = _grid_problem()
+    assert flow.lapse_residual(prob, flow.solve_lapse(prob)) < 1e-12
+    for spacing in (np.inf, np.nan, 0.0, -0.125):
+        with pytest.raises(ValueError, match="spacing"):
+            _grid_problem(spacing=spacing)
+    for dims, message in (((1, 2), "one hyperbolic block"), ((2,), "flat one-dimensional block"),
+                          ((2, 1, 1), "one hyperbolic block")):
+        with pytest.raises(ValueError, match=message):
+            _grid_problem(dims)
+    for bad in (np.ones((1, 16)), np.ones((3, 16)), np.ones(16), np.ones((2, 15)),
+                np.ones((2, 4, 4))):
+        with pytest.raises(ValueError, match=r"shape \(2, m\)"):
+            _grid_problem(scales=bad)
+        with pytest.raises(ValueError, match=r"shape \(2, m\)"):
+            _grid_problem(kcov=bad)
+    with pytest.raises(ValueError, match="m >= 8 grid points"):
+        _grid_problem(m=7)
 
 
 def test_slice_with_the_circle_first_is_refused():

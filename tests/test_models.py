@@ -7,7 +7,7 @@ from cmcflat import flow, models
 def _rescaled_volume(slc):
     # |tau|^n Vol of a slice, through the flow state it starts
     state = flow.state_from_slice(slc)
-    return abs(state.tau) ** state.geometry.dim * flow.volume_of(state.geometry, state.scales)
+    return abs(state.tau) ** state.dim * flow.volume_of(state)
 
 
 def test_cone_slice_trace_and_rescaled_volume():
