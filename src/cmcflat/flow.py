@@ -92,7 +92,8 @@ class FlowState:
     ``dims`` must pass ``_check_blocks``, and ``volume_factor``, the volume of
     the unit-scale cross section with every constant factor, must be finite
     and positive.
-    ``scales`` and ``kcov`` are tuples of Python floats, one entry per block.
+    ``scales`` and ``kcov`` are tuples of Python floats, one entry per block;
+    every scale must be finite and positive.
     ``tau`` is the CMC time parameter; tr K of the fields tracks it up to
     integrator drift.  The mixed eigenvalues ``mixed_k``, tr K and |K|² are
     computed once, when the state is built; ``k_norm2`` is Σ d·p² in block order.
@@ -114,6 +115,8 @@ class FlowState:
             raise ValueError("volume_factor must be finite and positive")
         if not len(self.scales) == len(self.kcov) == len(dims):
             raise ValueError("scales and kcov need one entry per block")
+        if not all(0 < a < math.inf for a in self.scales):
+            raise ValueError(f"metric scales must be finite and positive, got {self.scales}")
         mixed = tuple([k / a for a, k in zip(self.scales, self.kcov)])
         object.__setattr__(self, "mixed_k", mixed)
         object.__setattr__(self, "trace_k", sum([d * p for d, p in zip(dims, mixed)]))
@@ -135,9 +138,10 @@ class GridLapseProblem:
     """The lapse equation on one leaf whose fields vary along a flat circle.
 
     ``dims`` is (d, 1) and must pass ``_check_blocks``.  ``scales`` and ``kcov``
-    have shape (2, m), m >= 8: block metric scales and covariant K values at
-    the m nodes of a uniform periodic grid of finite positive step ``spacing``
-    along the circle.  The constructor checks all of this.
+    have shape (2, m), m >= 8: block metric scales, each finite and positive,
+    and covariant K values at the m nodes of a uniform periodic grid of finite
+    positive step ``spacing`` along the circle.  The constructor checks all of
+    this.
     """
 
     dims: tuple
@@ -159,6 +163,8 @@ class GridLapseProblem:
                 and shape[1] >= 8):
             raise ValueError("scales and kcov need shape (2, m): one row per block and "
                              f"m >= 8 grid points, got {shape} and {np.shape(self.kcov)}")
+        if not np.all((0 < self.scales) & (self.scales < math.inf)):
+            raise ValueError("metric scales must be finite and positive at every node")
 
     @property
     def k_norm2(self) -> np.ndarray:
@@ -282,9 +288,9 @@ def flat_constraint_residual(state: FlowState) -> float:
     Per block the mixed Gauss equation reads R - K² + (tr K) K = 0, with Ricci
     eigenvalue -(d-1)/A on the hyperbolic block 0 and zero on the circle.
     Codazzi holds identically on homogeneous data, so it has no residual.  A
-    NaN scale or K value makes tr K NaN and so every block's residual, the
-    first included; the built-in max keeps a NaN first entry, so the residual
-    is then NaN.
+    NaN K value (a NaN scale is refused where the state is built) makes tr K
+    NaN and so every block's residual, the first included; the built-in max
+    keeps a NaN first entry, so the residual is then NaN.
     """
     trk = state.trace_k
     ricci = (-(state.dims[0] - 1.0) / state.scales[0], 0.0)

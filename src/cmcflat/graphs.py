@@ -67,9 +67,9 @@ The initial data of the limit experiment is a soft-min envelope of orbit
 sheets, built in one pass against the identity element's sheet; a sheet
 too far from that reference for exp to stay finite raises
 EnvelopeRangeError.  The limit experiment, with or without its coboundary
-control queued last, and the control alone take the Bolza presentation only
-(_require_bolza) and run through one pipeline (_relax_orbits) on a fresh
-ChordLU: it range-checks every orbit before it relaxes anything, then
+control queued last, and the control alone run over the Bolza group, the only
+group a holonomy.HolonomyRep can hold, through one pipeline (_relax_orbits)
+on a fresh ChordLU: it range-checks every orbit before it relaxes anything, then
 builds the envelopes in order, ahead of the relaxations, on a one-worker
 ThreadPoolExecutor while this thread relaxes.  The queue holds one grid
 array per envelope built and not yet relaxed: at defaults (321^2 nodes,
@@ -867,8 +867,6 @@ def _envelope_translations(rep, word_length: int) -> np.ndarray:
     node, and when that bound over ENVELOPE_SMOOTHING exceeds
     ENVELOPE_MAX_EXPONENT, EnvelopeRangeError is raised.
     """
-    if rep.presentation.ndim != 2:
-        raise ValueError("orbit envelopes are implemented for n = 2")
     translations = np.array([iso.translation
                              for iso in holonomy.orbit_isometries(rep, word_length)])
     offsets = translations - translations[0]
@@ -948,23 +946,15 @@ def limit_row(lam: float, base_volume: float, report: EnergyReport, residual: fl
             residual, steps, factorizations)
 
 
-def _require_bolza(rep) -> None:
-    """ValueError unless ``rep`` is over the Bolza presentation, whose octagon is the domain."""
-    if not np.array_equal(rep.presentation.generators, holonomy.bolza_presentation().generators):
-        raise ValueError("the limit experiment integrates over the Bolza octagon; "
-                         "rep must be over holonomy.bolza_presentation()")
-
-
-def _coboundary_rep(rep, size: float, word_length: int):
+def _coboundary_rep(size: float, word_length: int):
     """The pure-gauge control's representation: the coboundary of a base point
     along COBOUNDARY_DIRECTION, scaled so that the largest entry of its orbit
     translations (words up to ``word_length``) is ``size``."""
-    pres = rep.presentation
     b_unit = np.array(COBOUNDARY_DIRECTION)
-    unit = holonomy.HolonomyRep(pres, holonomy.coboundary_cocycle(pres, b_unit))
+    unit = holonomy.HolonomyRep(holonomy.coboundary_cocycle(b_unit))
     amp = np.max([np.max(np.abs(iso.translation))
                   for iso in holonomy.orbit_isometries(unit, word_length)])
-    return holonomy.HolonomyRep(pres, holonomy.coboundary_cocycle(pres, (size / amp) * b_unit))
+    return holonomy.HolonomyRep(holonomy.coboundary_cocycle((size / amp) * b_unit))
 
 
 def _relax_orbits(reps, extent: float, nodes: int, word_length: int, relax_tol: float):
@@ -1017,13 +1007,12 @@ def _limit_rows(rep, lambdas, control_sizes, extent: float, nodes: int, word_len
     lambda = inf, the limit in which the scaled cocycle vanishes, with a
     ham_ratio of 1; a control's row stands at lambda = 1.
     """
-    _require_bolza(rep)
     lambdas = tuple(lambdas)
     if not all(lam > 0 for lam in lambdas):
         raise ValueError("lambda values must be positive")
     reps = ([holonomy.bolza_rep()]
             + [holonomy.scale_structure(rep, float(lam) ** -2) for lam in lambdas]
-            + [_coboundary_rep(rep, size, word_length) for size in control_sizes])
+            + [_coboundary_rep(size, word_length) for size in control_sizes])
     results = _relax_orbits(reps, extent, nodes, word_length, relax_tol)
     base_volume = results[0][0].volume
     labels = (np.inf, *lambdas) + (1.0,) * len(control_sizes)
@@ -1042,8 +1031,7 @@ def limit_experiment(rep, lambdas, extent: float = 6.4, nodes: int = 321,
     construction and quadrature bias cancels.  Returns (rows, baseline_volume)
     with one LIMIT_COLUMNS row per lambda; a row whose residual exceeds
     relax_tol marks a relaxation failure.  All relaxations share one
-    ChordLU, so each starts from the LU the one before it left.  ``rep``
-    must be over the Bolza presentation, whose octagon is the domain.
+    ChordLU, so each starts from the LU the one before it left.
 
     Every lambda is checked, and every orbit is range-checked, before
     anything is relaxed; the envelopes are built ahead of the relaxations on
@@ -1062,9 +1050,10 @@ def coboundary_control(rep, base_volume: float, size: float, extent: float, node
     on a fresh ChordLU and integrated through the limit experiment's
     pipeline (_relax_orbits, a queue of one).  It only moves the base point,
     so its ham_ratio to ``base_volume`` differs from 1 by quadrature noise alone.
+    ``rep`` is not read: the coboundary depends on the Bolza group alone, and
+    the argument stays so that callers keep one signature.
     """
-    _require_bolza(rep)
-    (result,) = _relax_orbits([_coboundary_rep(rep, size, word_length)], extent, nodes,
+    (result,) = _relax_orbits([_coboundary_rep(size, word_length)], extent, nodes,
                               word_length, relax_tol)
     return limit_row(1.0, base_volume, *result)
 

@@ -6,7 +6,10 @@ regular octagon with vertex angle pi/4 (all vertices identified, total angle
 2*pi, quotient area 4*pi by Gauss-Bonnet).  Generator k translates along the
 geodesic through the origin at angle k*pi/4 by the doubled inradius; opposite
 generators are mutual inverses and the side pairing forces the single surface
-relation  g1 g2^-1 g3 g4^-1 g1^-1 g2 g3^-1 g4 = e.
+relation  g1 g2^-1 g3 g4^-1 g1^-1 g2 g3^-1 g4 = e.  This is the only group:
+its generators are built once, at import (BOLZA_GENERATORS, with the words
+BOLZA_RELATORS), and a HolonomyRep holds a cocycle over it and nothing else,
+so no code here has to check which group it was handed.
 
 Affine deformations are described by a translation cocycle: one translation
 vector per generator, extended to arbitrary words via
@@ -44,6 +47,8 @@ from .minkowski import (
 
 #: octagon side-pairing relation in signed 1-based generator indices
 BOLZA_RELATOR = (1, -2, 3, -4, -1, 2, -3, 4)
+#: relator words: the four opposite pairs and the octagon side-pairing relation
+BOLZA_RELATORS = ((1, 5), (2, 6), (3, 7), (4, 8), BOLZA_RELATOR)
 #: residual allowed when a relator word is evaluated numerically
 RELATOR_TOL = 1e-9
 #: decimals kept when orbit elements are deduplicated: entries that agree to
@@ -52,57 +57,48 @@ ELEMENT_KEY_DECIMALS = 9
 #: Simpson panels of octagon_area over one of the sixteen symmetric sectors
 OCTAGON_AREA_PANELS = 128
 
-Word = tuple  # signed 1-based generator indices, negative = inverse
 
+def generator(index: int) -> np.ndarray:
+    """Matrix of a signed 1-based Bolza generator index (negative index means inverse).
 
-@dataclass(frozen=True, eq=False)
-class GroupPresentation:
-    """Finitely presented subgroup of O(n,1): generator matrices + relator words."""
-
-    ndim: int
-    generators: tuple
-    relators: tuple
-
-    @property
-    def n_generators(self) -> int:
-        return len(self.generators)
-
-    def generator(self, index: int) -> np.ndarray:
-        """Matrix for a signed 1-based index (negative index means inverse).
-
-        Index 0 and indices beyond the generator count raise IndexError.
-        """
-        if not 1 <= abs(index) <= self.n_generators:
-            raise IndexError(f"generator index {index}: expected a nonzero index "
-                             f"of magnitude at most {self.n_generators}")
-        g = self.generators[abs(index) - 1]
-        if index < 0:
-            eta = minkowski_metric(self.ndim)
-            g = eta @ g.T @ eta
-        return g
+    Index 0 and indices of magnitude beyond 8 raise IndexError.
+    """
+    if not 1 <= abs(index) <= len(BOLZA_GENERATORS):
+        raise IndexError(f"generator index {index}: expected a nonzero index "
+                         f"of magnitude at most {len(BOLZA_GENERATORS)}")
+    g = BOLZA_GENERATORS[abs(index) - 1]
+    if index < 0:
+        eta = minkowski_metric(2)
+        g = eta @ g.T @ eta
+    return g
 
 
 @dataclass(frozen=True, eq=False)
 class HolonomyRep:
-    """Affine holonomy: a presentation and its translation cocycle, a tuple
-    of one translation vector per generator."""
+    """Affine holonomy over the Bolza group: its translation cocycle, a tuple
+    of one translation vector of shape (3,) per generator."""
 
-    presentation: GroupPresentation
     translations: tuple
 
+    def __post_init__(self):
+        if len(self.translations) != len(BOLZA_GENERATORS) or \
+                any(np.shape(t) != (3,) for t in self.translations):
+            raise ValueError("a Bolza cocycle is 8 translation vectors of shape (3,), got "
+                             f"{[np.shape(t) for t in self.translations]}")
 
-def evaluate_word(presentation: GroupPresentation, word) -> np.ndarray:
+
+def evaluate_word(word) -> np.ndarray:
     """Multiply out a word of signed generator indices."""
-    out = np.eye(presentation.ndim + 1)
+    out = np.eye(3)
     for index in word:
-        out = out @ presentation.generator(index)
+        out = out @ generator(index)
     return out
 
 
 def _letter(rep: HolonomyRep, index: int) -> MinkIsometry:
     """Affine holonomy of one signed generator; the inverse of (g, t) is
     (g^-1, -g^-1 t)."""
-    g = rep.presentation.generator(index)
+    g = generator(index)
     if index > 0:
         return MinkIsometry(g, rep.translations[index - 1])
     return MinkIsometry(g, -(g @ rep.translations[-index - 1]))
@@ -111,16 +107,16 @@ def _letter(rep: HolonomyRep, index: int) -> MinkIsometry:
 def extend_cocycle(rep: HolonomyRep, word) -> np.ndarray:
     """Translation part of the affine holonomy of a word: the composition
     of its letters' affine holonomies."""
-    iso = MinkIsometry.identity(rep.presentation.ndim)
+    iso = MinkIsometry.identity(2)
     for index in word:
         iso = iso.compose(_letter(rep, index))
     return iso.translation
 
 
-def coboundary_cocycle(presentation: GroupPresentation, base_point) -> tuple:
+def coboundary_cocycle(base_point) -> tuple:
     """Cocycle t(g) = b - f(g) b; trivial in cohomology for any base point b."""
     b = np.asarray(base_point, dtype=float)
-    return tuple(b - g @ b for g in presentation.generators)
+    return tuple(b - g @ b for g in BOLZA_GENERATORS)
 
 
 def scale_structure(rep: HolonomyRep, factor: float) -> HolonomyRep:
@@ -129,7 +125,7 @@ def scale_structure(rep: HolonomyRep, factor: float) -> HolonomyRep:
     Conjugating the developing map by x -> factor*x multiplies every cocycle
     translation by ``factor`` and leaves the linear holonomy unchanged.
     """
-    return HolonomyRep(rep.presentation, tuple(factor * t for t in rep.translations))
+    return HolonomyRep(tuple(factor * t for t in rep.translations))
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +156,25 @@ def bolza_translation_length() -> float:
     return 2.0 * octagon_inradius()
 
 
-def bolza_presentation() -> GroupPresentation:
-    """Eight side-pairing translations of the regular pi/4 octagon.
-
-    Generator k (0-based) translates along the geodesic at angle k*pi/4;
-    generators k and k+4 are mutual inverses.  Relators: the four opposite
-    pairs and the octagon side-pairing relation.
-    """
+def _bolza_generators() -> tuple:
+    """Generator k (0-based) translates along the geodesic at angle k*pi/4."""
     ell = bolza_translation_length()
     gens = []
     for k in range(8):
         rot = make_rotation(2, 0, 1, k * math.pi / 4)
         gens.append(rot @ make_boost([1.0, 0.0], ell) @ rot.T)
-    relators = ((1, 5), (2, 6), (3, 7), (4, 8), BOLZA_RELATOR)
-    return GroupPresentation(2, tuple(gens), relators)
+    return tuple(gens)
+
+
+#: the eight side-pairing translations of the regular pi/4 octagon, built once
+BOLZA_GENERATORS = _bolza_generators()
 
 
 def bolza_rep(translations: tuple | None = None) -> HolonomyRep:
-    """The Bolza presentation with a cocycle, the zero cocycle by default."""
-    pres = bolza_presentation()
+    """The Bolza group with a cocycle, the zero cocycle by default."""
     if translations is None:
-        translations = tuple(np.zeros(pres.ndim + 1) for _ in range(pres.n_generators))
-    return HolonomyRep(pres, translations)
+        translations = tuple(np.zeros(3) for _ in BOLZA_GENERATORS)
+    return HolonomyRep(translations)
 
 
 def _side_circle_data():
@@ -271,27 +264,20 @@ def orbit_isometries(rep: HolonomyRep, max_word_length: int = 3):
     """Deduplicated affine holonomies of all words up to a given length.
 
     Breadth-first over reduced words (no immediate backtracking), keeping the
-    first representative of each group element; deterministic ordering.  A
-    generator's inverse is the generator whose matrix matches its inverse
-    within RELATOR_TOL; a generator with none never backtracks.
+    first representative of each group element; deterministic ordering.  The
+    words are spelt in the eight generators alone, and generator k's inverse
+    is generator k + 4 (1-based, mod 8), so a word never continues with
+    ``(word[-1] + 3) % 8 + 1``.
     """
-    pres = rep.presentation
     seen = {}
-    frontier = [((), MinkIsometry.identity(pres.ndim))]
+    frontier = [((), MinkIsometry.identity(2))]
     seen[_element_key(frontier[0][1])] = frontier[0][1]
-    inverse_of = {}
-    for i in range(1, pres.n_generators + 1):
-        inverse = pres.generator(-i)
-        for j, g in enumerate(pres.generators, start=1):
-            if np.max(np.abs(g - inverse)) <= RELATOR_TOL:
-                inverse_of[i] = j
-                break
-    letters = [_letter(rep, i) for i in range(1, pres.n_generators + 1)]
+    letters = [_letter(rep, i) for i in range(1, 9)]
     for _ in range(max_word_length):
         nxt = []
         for word, iso in frontier:
             for index, letter in enumerate(letters, start=1):
-                if word and index == inverse_of.get(word[-1]):
+                if word and index == (word[-1] + 3) % 8 + 1:
                     continue
                 new = iso.compose(letter)
                 key = _element_key(new)
@@ -317,29 +303,27 @@ def bolza_suite(seed: int, words: int, word_length: int) -> list:
     is p.  Draws come from one generator seeded with ``seed``; each error is
     an np.max over all measurements, so one NaN makes it NaN.
     """
-    pres = bolza_presentation()
-    relator_res = np.max([np.max(np.abs(evaluate_word(pres, rel) - np.eye(pres.ndim + 1)))
-                          for rel in pres.relators])
+    relator_res = np.max([np.max(np.abs(evaluate_word(rel) - np.eye(3)))
+                          for rel in BOLZA_RELATORS])
 
     rng = np.random.default_rng(seed)
-    deformed = HolonomyRep(pres, tuple(rng.normal(scale=0.25, size=pres.ndim + 1)
-                                       for _ in range(pres.n_generators)))
+    deformed = HolonomyRep(tuple(rng.normal(scale=0.25, size=3) for _ in BOLZA_GENERATORS))
     cocycle_errs = []
     for _ in range(words):
-        letters = rng.integers(1, pres.n_generators + 1, size=word_length)
+        letters = rng.integers(1, len(BOLZA_GENERATORS) + 1, size=word_length)
         word = [int(i) for i in letters * rng.choice((-1, 1), size=word_length)]
         split = int(rng.integers(1, word_length))
         alpha, beta = word[:split], word[split:]
         lhs = extend_cocycle(deformed, word)
         rhs = extend_cocycle(deformed, alpha) + \
-            evaluate_word(pres, alpha) @ extend_cocycle(deformed, beta)
+            evaluate_word(alpha) @ extend_cocycle(deformed, beta)
         cocycle_errs.append(np.max(np.abs(lhs - rhs)))
 
-    cob = HolonomyRep(pres, coboundary_cocycle(pres, rng.normal(size=pres.ndim + 1)))
-    coboundary_res = np.max([np.max(np.abs(extend_cocycle(cob, rel))) for rel in pres.relators])
+    cob = HolonomyRep(coboundary_cocycle(rng.normal(size=3)))
+    coboundary_res = np.max([np.max(np.abs(extend_cocycle(cob, rel))) for rel in BOLZA_RELATORS])
 
-    lifted = hyperboloid_lift(rng.uniform(-0.8, 0.8, size=(64, pres.ndim)))
-    mapped = [lifted @ gen.T for gen in pres.generators]
+    lifted = hyperboloid_lift(rng.uniform(-0.8, 0.8, size=(64, 2)))
+    mapped = [lifted @ gen.T for gen in BOLZA_GENERATORS]
     equiv_err = np.max([np.max(np.abs(m - hyperboloid_lift(m[:, 1:]))) for m in mapped])
 
     return [

@@ -222,9 +222,12 @@ def test_flow_step_matches_the_reference_rk4_bit_for_bit():
         repaired = flow.flow_step(st, dtau)
         ref = _ref_step(st.dims, st.tau, (st.scales, st.kcov), dtau)
         _assert_matches_ref(repaired, *ref)
-    # a NaN scale in the circle makes |K|^2 NaN, which every path must refuse
+    # a NaN scale in the circle is refused where the state is built, and a
+    # NaN K value there makes |K|^2 NaN, which every path must refuse
     st = kasner_state()
-    bad = flow.FlowState(st.dims, st.volume_factor, st.tau, (st.scales[0], float("nan")), st.kcov)
+    with pytest.raises(ValueError, match="finite and positive"):
+        flow.FlowState(st.dims, st.volume_factor, st.tau, (st.scales[0], float("nan")), st.kcov)
+    bad = flow.FlowState(st.dims, st.volume_factor, st.tau, st.scales, (st.kcov[0], float("nan")))
     for call in (lambda: flow.solve_lapse(bad), lambda: flow.flow_step(bad, 0.01),
                  lambda: flow.run_flow(bad, -1.0, 4)):
         with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2 > 1e-12, got nan"):
@@ -289,10 +292,15 @@ def test_flow_state_is_frozen_and_keeps_its_derived_values():
 
 
 def test_nan_scale_fails_the_lapse_and_the_step():
-    # a NaN scale makes |K|^2 NaN, which no comparison with the degeneracy
-    # threshold may let through
+    # a NaN scale is refused where the state is built; a NaN K value makes
+    # |K|^2 NaN, which no comparison with the degeneracy threshold may let
+    # through, and the kernel's own lapse refuses a NaN |K|^2 too
     st = cone_state(3, -2.0)
-    bad = flow.FlowState(st.dims, st.volume_factor, st.tau, (float("nan"),), st.kcov)
+    with pytest.raises(ValueError, match="finite and positive"):
+        flow.FlowState(st.dims, st.volume_factor, st.tau, (float("nan"),), st.kcov)
+    with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2 > 1e-12, got nan"):
+        flow._homogeneous_lapse(float("nan"))
+    bad = flow.FlowState(st.dims, st.volume_factor, st.tau, st.scales, (float("nan"),))
     with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2"):
         flow.solve_lapse(bad)
     with pytest.raises(flow.DegenerateLapseError, match=r"\|K\|\^2"):
@@ -325,13 +333,16 @@ def test_grid_lapse_refuses_nan_and_infinite_input():
     for length in (np.nan, np.inf):
         with pytest.raises(ValueError, match="circle_length"):
             flow.grid_state_from_slice(kasner, 16, length)
-    # a NaN scale makes |K|^2 NaN at its node, and a NaN spacing the whole lapse
+    # a NaN scale is refused where the problem is built, and a NaN K value
+    # makes |K|^2 NaN at its node
     prob = flow.grid_state_from_slice(kasner, 16, 1.0)
     for block in (0, 1):
-        scales = prob.scales.copy()
-        scales[block, 3] = np.nan
+        scales, kcov = prob.scales.copy(), prob.kcov.copy()
+        scales[block, 3] = kcov[block, 3] = np.nan
+        with pytest.raises(ValueError, match="finite and positive"):
+            dataclasses.replace(prob, scales=scales)
         with pytest.raises(flow.DegenerateLapseError, match="NaN"):
-            flow.solve_lapse(dataclasses.replace(prob, scales=scales))
+            flow.solve_lapse(dataclasses.replace(prob, kcov=kcov))
     # a NaN spacing is refused where the problem is built
     with pytest.raises(ValueError, match="spacing"):
         dataclasses.replace(prob, spacing=np.nan)
@@ -446,12 +457,33 @@ def test_max_or_nan_keeps_a_nan_anywhere():
 
 
 def test_nan_scale_gives_a_nan_gauss_residual():
-    # a NaN in either block reaches every block's residual through tr K
+    # a NaN scale in either block is refused where the state is built; a NaN
+    # K value in either block reaches every block's residual through tr K
     st = kasner_state()
     assert len(st.scales) == 2
     for scales in ((st.scales[0], float("nan")), (float("nan"), st.scales[1])):
-        bad = flow.FlowState(st.dims, st.volume_factor, st.tau, scales, st.kcov)
+        with pytest.raises(ValueError, match="finite and positive"):
+            flow.FlowState(st.dims, st.volume_factor, st.tau, scales, st.kcov)
+    for kcov in ((st.kcov[0], float("nan")), (float("nan"), st.kcov[1])):
+        bad = flow.FlowState(st.dims, st.volume_factor, st.tau, st.scales, kcov)
         assert np.isnan(flow.flat_constraint_residual(bad))
+
+
+def test_non_positive_and_infinite_scales_are_refused_where_the_state_is_built():
+    # a negative scale would make volume_of complex, and the grid lapse
+    # would solve with a negative scale at a node without complaint
+    for bad in (-1.0, 0.0, -0.0, float("inf"), float("-inf")):
+        for scales in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                flow.FlowState((3, 1), 1.0, -2.0, scales, (0.5, -0.5))
+    kasner = models.slice_at_tau(models.KasnerModel(3, 1.0, 1.0), -2.0)
+    prob = flow.grid_state_from_slice(kasner, 16, 1.0)
+    for scale in (-1.0, 0.0, np.inf):
+        for block in (0, 1):
+            scales = prob.scales.copy()
+            scales[block, 5] = scale
+            with pytest.raises(ValueError, match="finite and positive at every node"):
+                dataclasses.replace(prob, scales=scales)
 
 
 def test_lapse_bounds_hold_along_flow():

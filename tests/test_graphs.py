@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from cmcflat import cli, graphs, holonomy, minkowski
+from cmcflat import cli, graphs, holonomy
 from cmcflat.graphs import HeightField
 
 
@@ -821,13 +821,11 @@ def test_envelope_refuses_sheets_beyond_the_exponent_bound():
 
 
 def test_quadrature_and_envelopes_refuse_other_dimensions():
-    # the octagon filter and the orbit envelopes are 2-D constructions
+    # the octagon filter is a 2-D construction (the orbit envelopes are too,
+    # and a HolonomyRep holds the 2-D Bolza group alone)
     with pytest.raises(ValueError, match="n = 2 patches"):
         graphs.quotient_energy(graphs.hyperboloid_field(1.0, 2.0, 9, ndim=3),
                                graphs.bolza_domain_level)
-    pres = holonomy.GroupPresentation(3, (np.eye(4),), ())
-    with pytest.raises(ValueError, match="implemented for n = 2"):
-        graphs.orbit_envelope_field(holonomy.HolonomyRep(pres, (np.zeros(4),)), 3.0, 9)
 
 
 def test_envelope_zero_cocycle_is_shifted_hyperboloid():
@@ -869,7 +867,7 @@ def test_limit_experiment_equals_the_sequential_pipeline():
     lambdas = (1.0, 2.0, 4.0, 8.0)
     rows, base, control = graphs.limit_experiment_with_control(rep, lambdas, 0.15, nodes=81)
     reps = ([holonomy.bolza_rep()] + [holonomy.scale_structure(rep, lam ** -2) for lam in lambdas]
-            + [graphs._coboundary_rep(rep, 0.15, 3)])
+            + [graphs._coboundary_rep(0.15, 3)])
     chord = graphs.ChordLU()
     sequential = []
     for r in reps:
@@ -1007,28 +1005,6 @@ def test_limit_experiment_keeps_traced_calls_on_the_calling_thread(monkeypatch):
     assert len(threads["orbit_isometries"]) == 2
     assert len(threads["cmc_relax"]) == 1 and "quotient_energy" in threads
     assert "orbit_envelope_field" not in threads
-
-
-def test_limit_experiment_refuses_a_presentation_other_than_bolza(monkeypatch):
-    # the quadrature domain is the Bolza octagon; the Bolza group conjugated
-    # by a rotation through pi/8 has another fundamental octagon, so all three
-    # entries refuse it before any orbit is built or any relaxation runs
-    def refuse(*args, **kwargs):
-        raise AssertionError("called before the presentation was checked")
-
-    monkeypatch.setattr(holonomy, "orbit_isometries", refuse)
-    monkeypatch.setattr(graphs, "cmc_relax", refuse)
-    bolza = holonomy.bolza_presentation()
-    rot = minkowski.make_rotation(2, 0, 1, np.pi / 8)
-    rotated = holonomy.GroupPresentation(2, tuple(rot @ g @ rot.T for g in bolza.generators),
-                                         bolza.relators)
-    rep = holonomy.HolonomyRep(rotated, tuple(rot @ t for t in
-                                              holonomy.bolza_nontrivial_cocycle(0.002)))
-    for run in (lambda: graphs.limit_experiment(rep, (1.0, 2.0), nodes=41),
-                lambda: graphs.limit_experiment_with_control(rep, (1.0, 2.0), 0.15, nodes=41),
-                lambda: graphs.coboundary_control(rep, 4.0 * np.pi, 0.15, 6.4, 41, 3, 1e-8)):
-        with pytest.raises(ValueError, match="integrates over the Bolza octagon"):
-            run()
 
 
 def test_limit_experiment_raises_a_relaxation_error_unchanged(monkeypatch):

@@ -15,20 +15,18 @@ def test_translation_length_closed_form():
 
 
 def test_generators_are_lorentz_and_orthochronous():
-    pres = h.bolza_presentation()
-    assert pres.ndim == 2
-    assert pres.n_generators == 8
-    for g in pres.generators:
+    assert len(h.BOLZA_GENERATORS) == 8
+    for g in h.BOLZA_GENERATORS:
+        assert g.shape == (3, 3)
         assert mk.lorentz_defect(g) < 1e-13
         assert g[0, 0] > 0  # orthochronous
 
 
 def test_relators_evaluate_to_identity():
-    pres = h.bolza_presentation()
-    assert len(pres.relators) == 5
+    assert len(h.BOLZA_RELATORS) == 5
     worst = max(
-        float(np.max(np.abs(h.evaluate_word(pres, rel) - np.eye(3))))
-        for rel in pres.relators
+        float(np.max(np.abs(h.evaluate_word(rel) - np.eye(3))))
+        for rel in h.BOLZA_RELATORS
     )
     assert worst < 1e-9
 
@@ -112,9 +110,8 @@ def test_octagon_level_equals_the_eight_circle_minimum():
 
 
 def test_cocycle_rule_on_random_words():
-    pres = h.bolza_presentation()
     rng = np.random.default_rng(5)
-    rep = h.HolonomyRep(pres, tuple(rng.normal(scale=0.2, size=3) for _ in range(8)))
+    rep = h.HolonomyRep(tuple(rng.normal(scale=0.2, size=3) for _ in range(8)))
     for _ in range(25):
         length = int(rng.integers(2, 6))
         word = [int(s) * int(i) for s, i in zip(rng.choice((-1, 1), size=length),
@@ -122,72 +119,69 @@ def test_cocycle_rule_on_random_words():
         split = int(rng.integers(1, length))
         lhs = h.extend_cocycle(rep, word)
         rhs = h.extend_cocycle(rep, word[:split]) + \
-            h.evaluate_word(pres, word[:split]) @ h.extend_cocycle(rep, word[split:])
+            h.evaluate_word(word[:split]) @ h.extend_cocycle(rep, word[split:])
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_coboundary_closed_form_and_relator_vanishing():
-    pres = h.bolza_presentation()
     rng = np.random.default_rng(8)
     b = rng.normal(size=3)
-    cob = h.coboundary_cocycle(pres, b)
-    rep = h.HolonomyRep(pres, cob)
+    cob = h.coboundary_cocycle(b)
+    rep = h.HolonomyRep(cob)
     # t(w) = b - f(w) b for every word
     for word in ([1], [2, -3], [4, 4, -1, 6]):
-        f = h.evaluate_word(pres, word)
+        f = h.evaluate_word(word)
         assert np.max(np.abs(h.extend_cocycle(rep, word) - (b - f @ b))) < 1e-10
-    worst = max(float(np.max(np.abs(h.extend_cocycle(rep, rel)))) for rel in pres.relators)
+    worst = max(float(np.max(np.abs(h.extend_cocycle(rep, rel)))) for rel in h.BOLZA_RELATORS)
     assert worst < 1e-9
 
 
-def _relator_map(pres):
+def _relator_map():
     """Stacked relator translations of the 24 unit cocycles, as columns: the
     cocycle rule linearized through extend_cocycle."""
     cols = []
     for unit in np.eye(24):
-        rep = h.HolonomyRep(pres, tuple(unit[3 * k:3 * k + 3] for k in range(8)))
-        cols.append(np.concatenate([h.extend_cocycle(rep, rel) for rel in pres.relators]))
+        rep = h.HolonomyRep(tuple(unit[3 * k:3 * k + 3] for k in range(8)))
+        cols.append(np.concatenate([h.extend_cocycle(rep, rel) for rel in h.BOLZA_RELATORS]))
     return np.column_stack(cols)
 
 
-def _coboundary_map(pres):
+def _coboundary_map():
     """B = vstack(I - g_k): base point b -> stacked coboundary translations."""
-    return np.vstack([np.eye(3) - g for g in pres.generators])
+    return np.vstack([np.eye(3) - g for g in h.BOLZA_GENERATORS])
 
 
-def _relator_residual(pres, cocycle):
-    rep = h.HolonomyRep(pres, cocycle)
-    return max(float(np.max(np.abs(h.extend_cocycle(rep, rel)))) for rel in pres.relators)
+def _relator_residual(cocycle):
+    rep = h.HolonomyRep(cocycle)
+    return max(float(np.max(np.abs(h.extend_cocycle(rep, rel)))) for rel in h.BOLZA_RELATORS)
 
 
 def test_cocycle_space_dimensions():
     # 24 unknowns, relator map of rank 15: a 9-dimensional cocycle space,
     # holding the 3-dimensional coboundary image
-    pres = h.bolza_presentation()
-    relator_map = _relator_map(pres)
-    cob = _coboundary_map(pres)
+    relator_map = _relator_map()
+    cob = _coboundary_map()
     assert np.linalg.matrix_rank(relator_map) == 15
     assert np.linalg.matrix_rank(cob) == 3
     assert np.max(np.abs(relator_map @ cob)) <= 1e-9
 
 
 def test_nontrivial_cocycle_is_valid_and_not_gauge():
-    pres = h.bolza_presentation()
     weights = (1.0, -1 / 3, -1 / 3, -1 / 3, 1.0, -1 / 3, -1 / 3, -1 / 3)
     normals = [np.array([0.0, -np.sin(k * np.pi / 4), np.cos(k * np.pi / 4)]) for k in range(8)]
     for scale in (1.0, 0.2):
         coc = h.bolza_nontrivial_cocycle(scale)
         # each translation lies along the vector its generator fixes, and its
         # Margulis invariant is scale * w_k
-        for g, t, n, w in zip(pres.generators, coc, normals, weights):
+        for g, t, n, w in zip(h.BOLZA_GENERATORS, coc, normals, weights):
             assert np.max(np.abs(g @ t - t)) <= 1e-12
             assert abs(t @ n - scale * w) <= 1e-15
-        assert _relator_residual(pres, coc) <= 1e-9
+        assert _relator_residual(coc) <= 1e-9
         # Euclidean orthogonal to every coboundary, so not gauge
         vec = np.concatenate(coc)
-        assert np.linalg.norm(_coboundary_map(pres).T @ vec) <= 1e-14 * np.linalg.norm(vec)
+        assert np.linalg.norm(_coboundary_map().T @ vec) <= 1e-14 * np.linalg.norm(vec)
     # the weights' zero sum is a real constraint: equal weights break the relator
-    assert _relator_residual(pres, tuple(normals)) > 1.0
+    assert _relator_residual(tuple(normals)) > 1.0
     first, second = h.bolza_nontrivial_cocycle(0.2), h.bolza_nontrivial_cocycle(0.2)
     assert np.concatenate(first).tobytes() == np.concatenate(second).tobytes()
     assert np.array([0.0, -0.0, 0.2]).tobytes() == first[0].tobytes()
@@ -196,8 +190,9 @@ def test_nontrivial_cocycle_is_valid_and_not_gauge():
 def test_scale_structure_scales_translations_only():
     rep = h.bolza_rep(h.bolza_nontrivial_cocycle(0.4))
     scaled = h.scale_structure(rep, 0.25)
-    for a, b in zip(rep.presentation.generators, scaled.presentation.generators):
-        assert np.array_equal(a, b)
+    # the linear parts are the group's own: every letter keeps its matrix
+    for index in (*range(1, 9), *range(-8, 0)):
+        assert np.array_equal(h._letter(rep, index).linear, h._letter(scaled, index).linear)
     for ta, tb in zip(rep.translations, scaled.translations):
         assert np.max(np.abs(tb - 0.25 * ta)) < 1e-15
 
@@ -218,7 +213,7 @@ def test_orbit_counts_by_word_length():
 
 def test_element_key_tolerance():
     # the nudged entry 0.2 sits far from every rounding boundary it could cross
-    iso = mk.MinkIsometry(h.bolza_presentation().generator(1), np.array([0.1, 0.2, 0.3]))
+    iso = mk.MinkIsometry(h.generator(1), np.array([0.1, 0.2, 0.3]))
 
     def nudged(delta):
         return mk.MinkIsometry(iso.linear, iso.translation + np.array([0.0, delta, 0.0]))
@@ -227,32 +222,34 @@ def test_element_key_tolerance():
     assert h._element_key(nudged(1e-6)) != h._element_key(iso)
 
 
-def test_orbit_inverse_pairs_follow_the_generators():
-    # three boosts with their inverses as generators 4-6: the inverse pairs are
-    # i <-> i+3, not the octagon's i <-> i+4
-    angles = 2.0 * np.pi / 3.0 * np.arange(3)
-    gens = tuple(mk.make_boost([np.cos(a), np.sin(a)], sign * 1.0)
-                 for sign in (1.0, -1.0) for a in angles)
-    pres = h.GroupPresentation(2, gens, ((1, 4), (2, 5), (3, 6)))
-    rep = h.HolonomyRep(pres, tuple(np.zeros(3) for _ in range(6)))
-    # brute force over all 43 words of length <= 2, without pruning
-    products = [np.eye(3)] + list(gens) + [a @ b for a in gens for b in gens]
-    distinct = []
-    for m in products:
-        if all(np.max(np.abs(m - d)) > 1e-9 for d in distinct):
-            distinct.append(m)
-    assert len(distinct) == 37
-    assert len(h.orbit_isometries(rep, 2)) == 37
-
-
 def test_word_evaluation_respects_inverses():
-    pres = h.bolza_presentation()
-    w = h.evaluate_word(pres, [2, -2])
+    w = h.evaluate_word([2, -2])
     assert np.max(np.abs(w - np.eye(3))) < 1e-13
     # index 0 would read generators[-1]; only 1..8 and their negatives name letters
     rep = h.bolza_rep()
     for bad in (0, 9, -9):
         with pytest.raises(IndexError, match=f"generator index {bad}"):
-            h.evaluate_word(pres, [bad])
+            h.evaluate_word([bad])
         with pytest.raises(IndexError, match=f"generator index {bad}"):
             h.extend_cocycle(rep, [bad])
+
+
+def test_holonomy_rep_refuses_a_cocycle_of_the_wrong_shape():
+    # a Bolza cocycle is one (3,) translation per generator; a seven-vector
+    # cocycle would leave generator 8 without one, and a (2,) vector is no
+    # Minkowski translation
+    zeros = tuple(np.zeros(3) for _ in range(8))
+    with pytest.raises(ValueError, match="8 translation vectors of shape"):
+        h.HolonomyRep(zeros[:7])
+    with pytest.raises(ValueError, match="8 translation vectors of shape"):
+        h.HolonomyRep(zeros[:7] + (np.zeros(2),))
+    with pytest.raises(ValueError, match="8 translation vectors of shape"):
+        h.bolza_rep(zeros + (np.zeros(3),))
+    assert h.HolonomyRep(zeros).translations is zeros
+
+
+def test_orbit_pruning_is_the_opposite_generator():
+    # generator k + 4 (1-based, mod 8) is generator k's inverse, the pairing
+    # orbit_isometries prunes backtracking by
+    for k in range(1, 9):
+        assert np.max(np.abs(h.generator((k + 3) % 8 + 1) - h.generator(-k))) <= 1e-14
