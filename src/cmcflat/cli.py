@@ -23,7 +23,6 @@ they run.
 from __future__ import annotations
 
 import argparse
-import inspect
 import math
 import os
 import sys
@@ -296,10 +295,9 @@ SCENARIOS = {
 }
 
 #: scenario -> {option: default}, the keyword-only parameters of its function
-SCENARIO_OPTIONS = {
-    name: {p.name: p.default for p in inspect.signature(run).parameters.values()
-           if p.kind is p.KEYWORD_ONLY}
-    for name, run in SCENARIOS.items()}
+#: in their order (each scenario function takes options keyword-only, and
+#: every one has a default)
+SCENARIO_OPTIONS = {name: dict(run.__kwdefaults__) for name, run in SCENARIOS.items()}
 
 
 def _scenario_kwargs(cfg: RunConfig, requested: str | None) -> tuple:

@@ -36,14 +36,16 @@ A geometry is built in two stages: the Gauss stage (GaussGeometry: the
 gradient, W, the spacelike guard and the Gauss map) and the curvature stage
 (_curvature: the Hessian, H and |K|^2); GraphGeometry is both, on every node.
 The quadrature runs the Gauss stage on the whole block, evaluates the domain's
-level there, and runs the curvature stage, the cut fractions and the cell
-sums only on the window of cell columns whose cells have a corner in the
-domain, plus a two-column halo (at 2401^2 nodes the Bolza domain spans about a
-third of a block's columns); its sums go through full-width buffers that are
-zero outside the window, so they keep the bits of a whole-width build.  The
-kernels a block runs through, the derivative stencils, both stages,
-octagon_level and the cell sums of quotient_energy, form their sums in place
-on a few scratch arrays, so a block makes no temporary array per operation.
+level there, and runs the curvature stage, the cut fractions, the frame mask
+and frame test, and the cell sums only on the window of cell columns whose
+cells have a corner in the domain, plus a two-column halo for the curvature
+(at 2401^2 nodes the Bolza domain spans about a third of a block's columns).
+The four sums, the area's among them, still go through full-width buffers
+that are zero outside the window, so they keep the bits of a whole-width
+build.  The kernels a block runs through, the derivative stencils, both
+stages, octagon_level and the cell sums of quotient_energy, form their sums
+in place on a few scratch arrays, so a block makes no temporary array per
+operation.
 
 CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
@@ -229,11 +231,12 @@ def sampled_hyperboloid(s: float, extent: float, nodes: int, ndim: int = 2) -> S
     """The CMC model graph phi = sqrt(s^2 + |x|^2) (mean curvature -n/s), sampled on demand."""
 
     def phi(*xs):
-        # one array of the rows asked for: |x|^2 summed axis by axis, then s^2
-        # and the root in place
-        out = np.zeros(np.broadcast_shapes(*(x.shape for x in xs)))
-        for x in xs:
-            out += x * x
+        # |x|^2 by broadcast adds of the sparse axes' squares, the last of
+        # which builds the rows' one array (the bits of a sum into zeros, as
+        # 0 + x^2 is x^2), then s^2 and the root in place
+        out = xs[0] * xs[0]
+        for x in xs[1:]:
+            out = out + x * x
         out += s * s
         return np.sqrt(out, out=out)
 
@@ -599,11 +602,14 @@ def quotient_energy(field, level_fn) -> EnergyReport:
         frac = np.zeros((stop - first, cols))
         frac_window = frac[:, left:right]
         frac_window[...] = _cut_fraction(*corners(level[:, left:right + 1]))
-        # cells whose corners are all interior nodes
-        inner = np.zeros((stop - first, cols), dtype=bool)
-        inner[max(2 - first, 0):max(cells - 2 - first, 0), 2:-2] = True
-        touched = touched or bool(np.any((frac > 0) & ~inner))
-        frac *= inner
+        # the window's cells whose corners are all interior nodes: cell rows
+        # and columns 2 .. cells - 3 and 2 .. cols - 3, relative to the block
+        # and the window
+        inner = np.zeros(frac_window.shape, dtype=bool)
+        inner[max(2 - first, 0):max(cells - 2 - first, 0),
+              max(2 - left, 0):max(cols - 2 - left, 0)] = True
+        touched = touched or bool(np.any((frac_window > 0) & ~inner))
+        frac_window *= inner
         area += float(np.sum(frac))
         # the curvature stage on the window's corner columns left .. right and the halo
         stage_lo = max(left - 2, 0)

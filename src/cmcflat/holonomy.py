@@ -11,6 +11,15 @@ its generators are built once, at import (BOLZA_GENERATORS, with the words
 BOLZA_RELATORS), and a HolonomyRep holds a cocycle over it and nothing else,
 so no code here has to check which group it was handed.
 
+The octagon's eight geodesic sides lie on circles orthogonal to the unit
+circle of the Poincare disk.  Their centres are built from ``math`` scalars
+as (dist, 0), (diag, diag) with diag = dist * sqrt(1/2), and the exact
+reflections of these two, so the centres are D8-symmetric to the bit
+(numpy's cos and sin of k*pi/4 are so only to an ulp).  octagon_level folds
+each point into one sector of that dihedral group (Katok, Fuchsian Groups,
+ch. 4) and measures two side circles, not eight; its level equals the
+eight-circle minimum over those centres bit for bit.
+
 Affine deformations are described by a translation cocycle: one translation
 vector per generator, extended to arbitrary words via
 
@@ -56,6 +65,9 @@ RELATOR_TOL = 1e-9
 ELEMENT_KEY_DECIMALS = 9
 #: Simpson panels of octagon_area over one of the sixteen symmetric sectors
 OCTAGON_AREA_PANELS = 128
+#: points octagon_level takes at a time: its three scratch arrays, 128 kB
+#: each, stay in cache
+OCTAGON_LEVEL_CHUNK = 16384
 
 
 def generator(index: int) -> np.ndarray:
@@ -192,24 +204,55 @@ def octagon_level(x, y) -> np.ndarray:
     exactly on the octagon (inside lies outside every side circle), with the
     boundary as zero set, so it serves as a cut function in quadrature.
 
-    sqrt and the shift by the radius are monotone and correctly rounded, so
-    they are applied once, to the least squared distance: the result is the
-    eight-circle min(sqrt(d^2) - radius) bit for bit.  The squared distances
-    are formed in place on two scratch arrays.
+    The octagon's dihedral symmetry folds each point to the sector
+    0 <= min(|x|, |y|) <= max(|x|, |y|), where only two side circles can be
+    nearest: the one centred at (dist, 0) and the one at (diag, diag), with
+    diag = dist * sqrt(1/2) from ``math``.  The eight centres are those two
+    and their exact reflections (0, dist), (-diag, diag), ..., and a
+    reflection of the point changes no rounded squared distance, only which
+    centre it belongs to.  Wherever |x| + |y| <= 2 dist, which holds on the
+    whole unit disk, each of the six circles the fold drops has squared
+    distance terms no smaller than one of the two it keeps, and every
+    subtraction, square and sum is correctly rounded, hence monotone; sqrt
+    and the shift by the radius are monotone too, so they are applied once,
+    to the least squared distance.  The result is the eight-circle
+    min(sqrt(d^2) - radius) over those centres bit for bit (the tests check
+    it beyond the disk too), and it is D8-symmetric bit for bit; a NaN
+    coordinate gives NaN.  No transcendental numpy ufunc is called, so no
+    SIMD dispatch enters.
+
+    Every step is elementwise, so the points are taken OCTAGON_LEVEL_CHUNK
+    at a time, in place on the result and on three scratch arrays of that
+    length, allocated once per call: fresh block-sized scratch arrays cost
+    about as much as the arithmetic (measured on 2401^2 nodes: 0.10 s of
+    level against 0.06 s reused).
     """
     dist, radius = _side_circle_data()
-    angles = np.arange(8) * (np.pi / 4)
-    centers = dist * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    x, y = np.asarray(x, float), np.asarray(y, float)
-    level = np.full(np.broadcast_shapes(x.shape, y.shape), np.inf)
-    d2, dy = np.empty_like(level), np.empty_like(level)
-    for cx, cy in centers:
-        np.square(np.subtract(x, cx, out=d2), out=d2)
-        d2 += np.square(np.subtract(y, cy, out=dy), out=dy)
-        np.minimum(level, d2, out=level)
-    np.sqrt(level, out=level)
-    level -= radius
-    return level
+    diag = dist * math.sqrt(0.5)
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    out = np.empty(x.shape)
+    x, y, level_all = x.ravel(), y.ravel(), out.reshape(-1)
+    size = min(OCTAGON_LEVEL_CHUNK, level_all.size)
+    scratch_all = np.empty((3, size))
+    for lo in range(0, level_all.size, OCTAGON_LEVEL_CHUNK):
+        hi = min(lo + OCTAGON_LEVEL_CHUNK, level_all.size)
+        big, small, scratch = scratch_all[:, :hi - lo]
+        level = level_all[lo:hi]
+        # the fold: big = max(|x|, |y|), small = min(|x|, |y|)
+        np.abs(x[lo:hi], out=scratch)
+        np.abs(y[lo:hi], out=level)
+        np.maximum(scratch, level, out=big)
+        np.minimum(scratch, level, out=small)
+        # squared distance to the diagonal circle's centre (diag, diag)
+        np.square(np.subtract(big, diag, out=level), out=level)
+        level += np.square(np.subtract(small, diag, out=scratch), out=scratch)
+        # squared distance to the axis circle's centre (dist, 0)
+        np.square(np.subtract(big, dist, out=big), out=big)
+        big += np.square(small, out=small)
+        np.minimum(level, big, out=level)
+        np.sqrt(level, out=level)
+        level -= radius
+    return out
 
 
 def octagon_boundary_radius(angle) -> np.ndarray:

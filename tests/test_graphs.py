@@ -435,6 +435,57 @@ def test_windowed_quadrature_keeps_its_guards():
             graphs.quotient_energy(f, frame_only)
 
 
+def _disk_and_arm(arm):
+    """The centred disk of radius 0.5 and the nodes where ``arm(x, y)`` holds."""
+    def level(g):
+        x, y = g.field.meshgrid()
+        return np.maximum(_disk_level()(g), np.where(arm(x, y), 1.0, -1.0))
+    return level
+
+
+@pytest.mark.parametrize("arm", [
+    # an arm along the middle rows to node column 31 (y = 0.9375): it reaches
+    # cell columns 30 and 31, the last two frame columns, and no frame row
+    lambda x, y: (np.abs(x) < 0.1) & (y > 0.0) & (y < 0.95),
+    # to node column 30 only: cell column 30 is the one frame column reached
+    lambda x, y: (np.abs(x) < 0.1) & (y > 0.0) & (y < 0.9),
+    # the first two frame columns
+    lambda x, y: (np.abs(x) < 0.1) & (y < 0.0) & (y > -0.95),
+    # along the middle columns to node row 31: cell rows 30 and 31, the last
+    # two frame rows, which lie in the ragged last block (cell rows 28..31)
+    lambda x, y: (np.abs(y) < 0.1) & (x > 0.0) & (x < 0.95),
+    # a corner node alone, so a corner frame cell is the one frame cell reached
+    lambda x, y: (x > 0.95) & (y > 0.95),
+    lambda x, y: (x > 0.95) & (y < -0.95),
+    lambda x, y: (x < -0.95) & (y > 0.95),
+    lambda x, y: (x < -0.95) & (y < -0.95),
+])
+def test_frame_guard_on_the_window(monkeypatch, arm):
+    # 32 cell rows in blocks of 7, the last of them 4 rows; the frame mask is
+    # built on the window of cell columns, so its frame columns are window
+    # relative, and the window here runs from the disk into the frame
+    monkeypatch.setattr(graphs, "QUADRATURE_BLOCK_ROWS", 7)
+    f = graphs.hyperboloid_field(1.0, 1.0, 33)
+    with pytest.raises(ValueError, match="touches the patch frame"):
+        graphs.quotient_energy(f, _disk_and_arm(arm))
+
+
+@pytest.mark.parametrize("arm", [
+    # to node column 29 (y = 0.8125): the window's last cell column is 29,
+    # one cell inside the frame
+    lambda x, y: (np.abs(x) < 0.1) & (y > 0.0) & (y < 0.85),
+    # to node column 3: the window's first cell column is 2
+    lambda x, y: (np.abs(x) < 0.1) & (y < 0.0) & (y > -0.85),
+    # to node row 29: cell row 29 of the ragged last block
+    lambda x, y: (np.abs(y) < 0.1) & (x > 0.0) & (x < 0.85),
+])
+def test_frame_guard_passes_a_window_one_cell_inside_the_frame(monkeypatch, arm):
+    monkeypatch.setattr(graphs, "QUADRATURE_BLOCK_ROWS", 7)
+    f = graphs.hyperboloid_field(1.0, 1.0, 33)
+    with_arm = graphs.quotient_energy(f, _disk_and_arm(arm))
+    assert with_arm.region_area > graphs.quotient_energy(f, _disk_level()).region_area
+
+
 def _whole_grid_convergence(s, extent, nodes_list, ndim):
     """curvature_convergence's rows and det_err from one whole-grid geometry per
     size, the n x n metric stack built on every node."""

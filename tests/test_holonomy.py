@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,34 +70,45 @@ def test_octagon_level_and_membership():
     assert h.octagon_level(rin + 1e-6, 0.0) < 0
 
 
+def _side_circle_centers():
+    """The eight side-circle centres, exactly D8-symmetric: (dist, 0),
+    (diag, diag) with diag = dist * sqrt(1/2), and their reflections."""
+    dist, _ = h._side_circle_data()
+    diag = dist * math.sqrt(0.5)
+    return np.array([(dist, 0.0), (diag, diag), (0.0, dist), (-diag, diag),
+                     (-dist, 0.0), (-diag, -diag), (0.0, -dist), (diag, -diag)])
+
+
 def test_octagon_level_components_match_stacked_points():
     # the per-component distances reproduce the stacked (pts - c) form bit for bit
     rng = np.random.default_rng(5)
     r, a = np.sqrt(rng.random((40, 30))), rng.uniform(0.0, 2.0 * np.pi, (40, 30))
     pts = np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)
-    dist, radius = h._side_circle_data()
-    angles = np.arange(8) * (np.pi / 4)
-    centers = dist * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    expected = np.min([np.sqrt(np.sum((pts - c) ** 2, axis=-1)) - radius for c in centers],
-                      axis=0)
+    _, radius = h._side_circle_data()
+    expected = np.min([np.sqrt(np.sum((pts - c) ** 2, axis=-1)) - radius
+                       for c in _side_circle_centers()], axis=0)
     assert np.array_equal(h.octagon_level(pts[..., 0], pts[..., 1]), expected)
 
 
-def test_octagon_level_equals_the_eight_circle_minimum():
-    # one sqrt of the least squared distance gives, bit for bit, the least
-    # of the eight sqrt(squared distance) - radius: inside and outside the
-    # disk, and on the side circles where the level is near zero
+def test_octagon_level_equals_the_eight_circle_minimum(monkeypatch):
+    # the fold to one sector and one sqrt of the least squared distance give,
+    # bit for bit, the least of the eight sqrt(squared distance) - radius:
+    # inside and outside the disk, on the side circles where the level is
+    # near zero, on the axes and diagonals, near the origin and at it
     rng = np.random.default_rng(11)
-    dist, radius = h._side_circle_data()
-    angles = np.arange(8) * (np.pi / 4)
-    centers = dist * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    _, radius = h._side_circle_data()
+    centers = _side_circle_centers()
     r, a = np.sqrt(rng.random(2000)), rng.uniform(0.0, 2.0 * np.pi, 2000)
     far = rng.uniform(1.0, 3.0, 2000)
     side = rng.uniform(0.0, 2.0 * np.pi, (8, 250))
+    t = rng.uniform(-3.0, 3.0, 500)
+    tiny = rng.normal(size=(2, 500)) * 10.0 ** rng.uniform(-300.0, -1.0, 500)
     x = np.concatenate([r * np.cos(a), far * np.cos(a),
-                        (centers[:, :1] + radius * np.cos(side)).ravel()])
+                        (centers[:, :1] + radius * np.cos(side)).ravel(),
+                        t, np.zeros(500), t, t, tiny[0], [0.0, -0.0]])
     y = np.concatenate([r * np.sin(a), far * np.sin(a),
-                        (centers[:, 1:] + radius * np.sin(side)).ravel()])
+                        (centers[:, 1:] + radius * np.sin(side)).ravel(),
+                        np.zeros(500), t, t, -t, tiny[1], [0.0, 0.0]])
     expected = np.min([np.sqrt((x - cx) ** 2 + (y - cy) ** 2) - radius for cx, cy in centers],
                       axis=0)
     level = h.octagon_level(x, y)
@@ -107,6 +120,31 @@ def test_octagon_level_equals_the_eight_circle_minimum():
          for cx, cy in centers], axis=0).tobytes()
     assert float(h.octagon_level(0.3, -0.2)) == float(
         min(np.sqrt((0.3 - cx) ** 2 + (-0.2 - cy) ** 2) - radius for cx, cy in centers))
+    # in chunks, the last one ragged, and chunks shorter than a broadcast row
+    whole = h.octagon_level(x[:40, None], y[None, :40])
+    monkeypatch.setattr(h, "OCTAGON_LEVEL_CHUNK", 33)
+    assert h.octagon_level(x, y).tobytes() == level.tobytes()
+    assert h.octagon_level(x[:40, None], y[None, :40]).tobytes() == whole.tobytes()
+
+
+def test_octagon_level_is_d8_symmetric_bit_for_bit():
+    # the octagon's reflections in the diagonal and in both axes generate
+    # its dihedral group, and each leaves the level's bits unchanged
+    rng = np.random.default_rng(17)
+    r, a = np.sqrt(rng.random(20000)), rng.uniform(0.0, 2.0 * np.pi, 20000)
+    x, y = r * np.cos(a), r * np.sin(a)
+    level = h.octagon_level(x, y).tobytes()
+    assert h.octagon_level(y, x).tobytes() == level
+    assert h.octagon_level(-x, y).tobytes() == level
+    assert h.octagon_level(x, -y).tobytes() == level
+
+
+def test_octagon_level_of_a_nan_coordinate_is_nan():
+    assert np.isnan(h.octagon_level(np.nan, 0.2))
+    assert np.isnan(h.octagon_level(0.2, np.nan))
+    level = h.octagon_level(np.array([0.1, np.nan, 0.3])[:, None], np.array([np.nan, 0.2]))
+    assert level.shape == (3, 2)
+    assert np.array_equal(np.isnan(level), [[True, False], [True, True], [True, False]])
 
 
 def test_cocycle_rule_on_random_words():
