@@ -28,24 +28,27 @@ A HeightField answers with a slice of its array; a SampledField evaluates its
 profile on those rows only, so a caller that passes one never holds a whole
 grid (a 2401^2 field is 46 MB, the 36 node rows of a 32-cell-row quadrature
 block 0.7 MB).  The quadrature takes QUADRATURE_BLOCK_ROWS (32) cell rows a
-block, because its cell sums depend on block order; the convergence takes the
+block, because its sums depend on block order; the convergence takes the
 fewest whole planes holding CONVERGENCE_BLOCK_NODES, and its maxima, taken
 with np.max, keep a NaN whatever block it sits in.
 
 A geometry is built in two stages: the Gauss stage (GaussGeometry: the
 gradient, W, the spacelike guard and the Gauss map) and the curvature stage
-(_curvature: the Hessian, H and |K|^2); GraphGeometry is both, on every node.
-The quadrature runs the Gauss stage on the whole block, evaluates the domain's
-level there, and runs the curvature stage, the cut fractions, the frame mask
-and frame test, and the cell sums only on the window of cell columns whose
-cells have a corner in the domain, plus a two-column halo for the curvature
-(at 2401^2 nodes the Bolza domain spans about a third of a block's columns).
-The four sums, the area's among them, still go through full-width buffers
-that are zero outside the window, so they keep the bits of a whole-width
-build.  The kernels a block runs through, the derivative stencils, both
-stages, octagon_level and the cell sums of quotient_energy, form their sums
-in place on a few scratch arrays, so a block makes no temporary array per
-operation.
+(the Hessian and H by _curvature, the one mean-curvature kernel);
+GraphGeometry is both, on every node, and keeps H only.  The quadrature runs
+the Gauss stage on the whole block, evaluates the domain's level there, and
+runs the curvature stage, the cut fractions, the frame mask and frame test,
+and the sums only on the window of cell columns whose cells have a corner in
+the domain, plus a two-column halo for the Hessian (at 2401^2 nodes the
+Bolza domain spans about a third of a block's columns).  There, on the
+block's node rows, it forms H, det S and |K|^2 = H^2 - 2 det S
+(_shape_det_and_k_norm2, n = 2), and it integrates by node weights: each node
+gets W times a quarter of the cut fractions of the cells at it
+(_node_weights), so each integral is one product and one np.sum over the
+window's nodes, and no buffer spans the block's whole width.  The kernels a
+block runs through, the derivative stencils, both stages, octagon_level and
+the node weights, form their sums in place on a few scratch arrays, so a
+block makes no temporary array per operation.
 
 CMC surfaces are produced by a damped Newton relaxation of H[phi] = tau on
 the interior with the frame held fixed; its contract is the achieved
@@ -341,9 +344,9 @@ class GaussGeometry:
     raised unless every interior node is uniformly spacelike.  Only interior
     nodes (two-node margin) are contractual.
 
-    GraphGeometry adds the curvature stage on every node; quotient_energy
+    GraphGeometry adds the mean curvature on every node; quotient_energy
     hands each block's GaussGeometry to its level_fn and builds the curvature
-    on a column window only (_curvature).
+    stage on a column window only.
     """
 
     def __init__(self, field: HeightField):
@@ -351,7 +354,8 @@ class GaussGeometry:
         values = np.asarray(field.values, float)
         grads = [_first_derivative(values, field.spacing, i) for i in range(field.ndim)]
         interior = field.interior
-        w2 = _dot(grads, grads, np.empty_like(values), np.empty_like(values))
+        scratch = np.empty_like(values)
+        w2 = _dot(grads, grads, np.empty_like(values), scratch)
         # np.max keeps a NaN, which fails the guard
         if not float(np.max(w2[interior])) <= (1.0 - SPACELIKE_MARGIN) ** 2:
             raise SpacelikeError(
@@ -362,7 +366,8 @@ class GaussGeometry:
         np.maximum(w2, SPACELIKE_MARGIN**2, out=w2)
         self.grads = grads
         self.w2 = w2
-        self.volume_density = np.sqrt(w2)
+        # W in the spent scratch term
+        self.volume_density = np.sqrt(w2, out=scratch)
         self.interior = interior
 
     def det_identity_error(self) -> float:
@@ -382,77 +387,82 @@ class GaussGeometry:
     def disk_coordinates(self) -> list:
         """Poincare-disk image of the Gauss map, grad phi/(1 + W), one array per axis."""
         denom = 1.0 + self.volume_density
-        return [g / denom for g in self.grads]
+        # the last axis's quotient in place of 1 + W
+        *first, last = self.grads
+        return [g / denom for g in first] + [np.divide(last, denom, out=denom)]
 
 
-def _curvature(values: np.ndarray, h: float, grads: list, w2: np.ndarray, w: np.ndarray):
-    """(H, |K|^2), the curvature stage, from node values, their gradient, W^2 and W.
+def _curvature(hess: dict, grads: list, w2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """H, the mean curvature, from the Hessian, the gradient, W^2 and W.
 
-    With lap = sum_i phi_ii, u_i = sum_j phi_j phi_ij, t = sum_i phi_i u_i
-    and |Hess|^2 = sum_ij phi_ij^2,
+    With lap = sum_i phi_ii, u_i = sum_j phi_j phi_ij and t = sum_i phi_i u_i,
 
-        H = -(lap + t/W^2)/W    |K|^2 = (|Hess|^2 + 2|u|^2/W^2 + (t/W^2)^2)/W^2.
+        H = -(lap + t/W^2)/W.
 
     Each sum is accumulated in place, term by term in the order of its index
-    loop, and spent arrays are reused, so besides the Hessian and the results
-    the build allocates only the u_i and one scratch term.  Every operation
-    is pointwise but the Hessian's stencils, so the arrays may be any box of
-    a geometry's nodes: a node one or more planes inside the box gets the
-    bits of the whole geometry's node.
+    loop; t, then H, goes into u_0 and the Laplacian into the spent u_1, so
+    the Hessian is left whole for the caller, and the build allocates only
+    the u_i and one scratch term.  Every operation is pointwise, so the
+    arrays may be any box of a geometry's nodes whose Hessian is the
+    geometry's there.
     """
-    n = values.ndim
-    hess = _hessian(values, grads, h)
+    n = len(grads)
 
     def hs(i, j):
         return hess[(i, j) if i <= j else (j, i)]
 
-    scratch = np.empty_like(hess[(0, 0)])
+    scratch = np.empty_like(w)
 
     def dot(a, b, out):
         return _dot(a, b, out, scratch)
 
     u = [dot(grads, [hs(i, j) for j in range(n)], np.empty_like(scratch)) for i in range(n)]
-    t = dot(grads, u, np.empty_like(scratch))
+    # t in u_0: its first term, phi_0 u_0, is formed in place
+    t = dot(grads, u, u[0])
     t /= w2
-    # 2|u|^2/W^2 into u[0]; |Hess|^2, then |K|^2, into u[-1] (u is spent)
-    u2 = dot(u, u, u[0])
-    u2 *= 2.0
-    u2 /= w2
-    k_norm2 = u[-1] if n > 1 else np.empty_like(scratch)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    np.square(hs(*pairs[0]), out=k_norm2)
-    for i, j in pairs[1:]:
-        np.square(hs(i, j), out=scratch)
-        if i != j:
-            scratch *= 2.0
-        k_norm2 += scratch
-    k_norm2 += u2
-    k_norm2 += np.square(t, out=u2)
-    k_norm2 /= w2
-    # the Laplacian in the first diagonal entry, then H in t's slot
-    lap = hs(0, 0)
-    for i in range(1, n):
+    lap = np.add(hs(0, 0), hs(1, 1), out=u[1]) if n > 1 else hs(0, 0)
+    for i in range(2, n):
         lap += hs(i, i)
     t += lap
     t /= w
-    return np.negative(t, out=t), k_norm2
+    return np.negative(t, out=t)
+
+
+def _shape_det_and_k_norm2(hess: dict, mean_curvature: np.ndarray, w2: np.ndarray):
+    """(det S, |K|^2) of an n = 2 graph, formed in the Hessian's arrays.
+
+    The shape operator S = g^-1 K has K = -Hess/W and det g = W^2, so
+
+        det S = det(Hess)/W^4    |K|^2 = tr(S^2) = H^2 - 2 det S,
+
+    the second exact for any 2 x 2 S.  Since |K|^2 >= H^2/2, both terms are
+    at most 2|K|^2 in size and the difference cannot cancel badly.  det S
+    goes into phi_xx's array and |K|^2 into phi_yy's; phi_xy's is spent.
+    """
+    hxx, hxy, hyy = hess[(0, 0)], hess[(0, 1)], hess[(1, 1)]
+    det = np.multiply(hxx, hyy, out=hxx)
+    det -= np.square(hxy, out=hxy)
+    det /= w2
+    det /= w2
+    k_norm2 = np.multiply(det, -2.0, out=hyy)
+    k_norm2 += np.square(mean_curvature, out=hxy)
+    return det, k_norm2
 
 
 class GraphGeometry(GaussGeometry):
     """Pointwise geometry of a spacelike graph (lean scalar fields).
 
     The Gauss stage (GaussGeometry: gradient, W^2, W and the spacelike
-    guard), then the curvature stage on every node (_curvature): the mean
-    curvature H and |K|^2, the squared norm of the second fundamental form in
-    the induced metric.  Only det_identity_error builds the induced metric
-    tensor.  Only interior nodes (two-node margin) are contractual.
+    guard), then the mean curvature H on every node (_curvature, from a
+    Hessian built for it and not kept).  Only det_identity_error builds the
+    induced metric tensor.  Only interior nodes (two-node margin) are
+    contractual.
     """
 
     def __init__(self, field: HeightField):
         super().__init__(field)
-        self.mean_curvature, self.k_norm2 = _curvature(
-            np.asarray(field.values, float), field.spacing, self.grads, self.w2,
-            self.volume_density)
+        hess = _hessian(np.asarray(field.values, float), self.grads, field.spacing)
+        self.mean_curvature = _curvature(hess, self.grads, self.w2, self.volume_density)
 
 
 def graph_geometry(field: HeightField) -> GraphGeometry:
@@ -538,6 +548,24 @@ def _cut_fraction(s0, s1, s2, s3):
     return frac
 
 
+def _node_weights(frac: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W/4 times the sum of the cut fractions of the cells at each node.
+
+    ``frac`` holds the cut fractions of a box of cells, ``w`` the volume
+    density W on their corner nodes, one more row and column.  Then
+    sum(weights * f) is the cell-corner quadrature sum over the cells,
+    frac * (fW at the four corners)/4, of any node field f, regrouped by node.
+    """
+    weights = np.zeros(w.shape)
+    weights[:-1, :-1] += frac
+    weights[1:, :-1] += frac
+    weights[1:, 1:] += frac
+    weights[:-1, 1:] += frac
+    weights *= 0.25
+    weights *= w
+    return weights
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     energy: float
@@ -563,15 +591,15 @@ def quotient_energy(field, level_fn) -> EnergyReport:
     The Gauss stage, GaussGeometry on the whole block, is what ``level_fn``
     is called on, so ``level_fn`` is evaluated once per block and must be
     pointwise in the block's geometry and coordinates.  The curvature stage
-    (_curvature, the cut fractions and the corner sums) is built only on the
-    window of cell columns that holds every cell with a corner at level >= 0,
-    plus the two-column halo the Hessian reaches; a block without such a cell
-    has none.  The cut fractions and corner sums go into full-width buffers
-    that are zero outside the window, so every np.sum adds the block's whole
-    cell rows in the order a whole-width build adds them: cells outside the
-    window have no corner inside and cut fraction 0, so wherever the
-    whole-width curvature is finite the sums keep its bits.  The running
-    totals take the blocks in order.
+    (the Hessian, then H by _curvature and det S and |K|^2 by
+    _shape_det_and_k_norm2 on the block's node rows), the cut fractions
+    and the node weights are built only on the window of cell columns that
+    holds every cell with a corner at level >= 0, plus the two-column halo
+    the Hessian reaches; a block without such a cell has none.  The
+    cell-corner average is regrouped by node (_node_weights): the window's
+    area is the sum of its cut fractions, and each integral, the volume's
+    included, is one product with the weights and one np.sum over the
+    window's nodes.  The running totals take the blocks in order.
     SpacelikeError is raised when any block's interior is not uniformly
     spacelike, window or not; ValueError when the region reaches the frame
     cells (the two outer cell rings) anywhere, or is empty.
@@ -599,43 +627,36 @@ def quotient_energy(field, level_fn) -> EnergyReport:
         if window.size == 0:
             continue
         left, right = int(window[0]), int(window[-1]) + 1
-        frac = np.zeros((stop - first, cols))
-        frac_window = frac[:, left:right]
-        frac_window[...] = _cut_fraction(*corners(level[:, left:right + 1]))
+        frac = _cut_fraction(*corners(level[:, left:right + 1]))
         # the window's cells whose corners are all interior nodes: cell rows
         # and columns 2 .. cells - 3 and 2 .. cols - 3, relative to the block
         # and the window
-        inner = np.zeros(frac_window.shape, dtype=bool)
+        inner = np.zeros(frac.shape, dtype=bool)
         inner[max(2 - first, 0):max(cells - 2 - first, 0),
               max(2 - left, 0):max(cols - 2 - left, 0)] = True
-        touched = touched or bool(np.any((frac_window > 0) & ~inner))
-        frac_window *= inner
+        touched = touched or bool(np.any((frac > 0) & ~inner))
+        frac *= inner
         area += float(np.sum(frac))
-        # the curvature stage on the window's corner columns left .. right and the halo
+        # the Hessian on the window's corner columns left .. right and the
+        # halo its stencils reach; the rest of the stage on the node rows,
+        # whose Hessian rows are contiguous
         stage_lo = max(left - 2, 0)
-        stage = np.s_[:, stage_lo:min(right + 3, cols + 1)]
-        mean_curvature, k_norm2 = _curvature(
-            np.asarray(block.values, float)[stage], h, [g[stage] for g in gauss.grads],
-            gauss.w2[stage], gauss.volume_density[stage])
-        corner_nodes = (nodes, slice(left - stage_lo, right - stage_lo + 1))
-        w = gauss.volume_density[nodes, left:right + 1]
-        weighted = np.empty_like(w)
-        cell = np.zeros_like(frac)
-        cell_window = cell[:, left:right]
-
-        def cell_sum(values):
-            # 0.25 * (c0 + c1 + c2 + c3) * frac, formed in the cell buffer's window
-            c = corners(values)
-            total = np.add(c[0], c[1], out=cell_window)
-            total += c[2]
-            total += c[3]
-            total *= 0.25
-            total *= frac_window
-            return float(np.sum(cell))
-
-        volume += cell_sum(w)
-        energy += cell_sum(np.multiply(k_norm2[corner_nodes], w, out=weighted))
-        tau_weight += cell_sum(np.multiply(mean_curvature[corner_nodes], w, out=weighted))
+        columns = slice(stage_lo, min(right + 3, cols + 1))
+        hess = _hessian(np.asarray(block.values, float)[:, columns],
+                        [g[:, columns] for g in gauss.grads], h)
+        hess = {key: d[nodes] for key, d in hess.items()}
+        stage = (nodes, columns)
+        w2 = gauss.w2[stage]
+        mean_curvature = _curvature(hess, [g[stage] for g in gauss.grads], w2,
+                                    gauss.volume_density[stage])
+        _, k_norm2 = _shape_det_and_k_norm2(hess, mean_curvature, w2)
+        corner_columns = slice(left - stage_lo, right - stage_lo + 1)
+        k_norm2, mean_curvature = k_norm2[:, corner_columns], mean_curvature[:, corner_columns]
+        weights = _node_weights(frac, gauss.volume_density[nodes, left:right + 1])
+        # one product and one sum per integral, the product in its spent integrand
+        volume += float(np.sum(weights))
+        energy += float(np.sum(np.multiply(k_norm2, weights, out=k_norm2)))
+        tau_weight += float(np.sum(np.multiply(mean_curvature, weights, out=mean_curvature)))
     if touched:
         raise ValueError("filtered region touches the patch frame; enlarge the patch")
     area = h * h * area
@@ -693,7 +714,7 @@ def _newton_system(geom: GraphGeometry):
     the gradient and Hessian entries.  The gradient, W^2 (held at the
     margin) and W are the geometry's own, from its Gauss stage; only the
     Hessian is built again (_hessian, the curvature stage's stencils), since
-    the curvature stage spends its Hessian in place.
+    a GraphGeometry keeps H and not the Hessian it was formed from.
     """
     import scipy.sparse
 

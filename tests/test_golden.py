@@ -52,8 +52,8 @@ DISPATCH_DEPENDENT = ("limit-experiment",)
 DEFAULT_DIGESTS = {
     ("graph-check", 2): {
         "graph_convergence.csv": "eafd7ffcbc65a0e974722d0a4e2aef6a861de86eed6d28a9c65fcd97167864fe",
-        "graph_energy.csv": "5ddd3b649e3884fdc3eaf4cae4ce6524eaac507566bf9094a9589650cc0e4827",
-        "summary.csv": "803970bbfdf7c975b55e2a0fd6b26be572efb8d564202a1b9095a3b41c225ed0",
+        "graph_energy.csv": "1d4f707cac71094e7a11d31558d35b0b23fc1a0cefbb3b3fd2d829e93d7f442b",
+        "summary.csv": "d27089ad1cb8bcb5177356ce8689b753543aba0a519d6bbe4b09f70b13e0f7b4",
     },
     ("cone-flow", 2): {
         "cone_flow_trace.csv": "0b678625868eff1a13b3fab3fe523fd2e73b33b5f8b52ab5b7659dad0d8c1820",
